@@ -20,8 +20,8 @@ import numpy as np
 
 from .kernels import (
     KernelSpecError,
-    KernelSymmetryError,
     MatrixKernel,
+    diagonal_blocks,
     kernel_from_file,
     validate_kernel,
     write_precomputed,
@@ -313,10 +313,8 @@ def cmd_metric(args: argparse.Namespace) -> int:
     space = _load_space(_required(args, config, "atoms"))
     kernel = _load_kernel(_required(args, config, "kernel"))
     out = _outdir(_required(args, config, "out"))
-    try:
-        metric = pseudo_metric(space, kernel)
-    except KernelSymmetryError as exc:
-        raise CliError(EXIT_VALIDATION, str(exc)) from None
+    validation = _validated(space, kernel, out, "metric")
+    metric = pseudo_metric(space, kernel)
     tol = _opt(args, config, "tol_quotient")
     tol = metric.quotient_tol if tol is None else float(tol)
     classes = quotient(space, metric, tol)
@@ -340,7 +338,10 @@ def cmd_metric(args: argparse.Namespace) -> int:
         for label in sup.members:
             fh.write(label + "\n")
 
-    support_mass = float(np.sum(space.mu[[space.index(m) for m in sup.members]])) if len(sup) else 0.0
+    # summed over the full-length array, so the two sums are equal exactly
+    # when no positive mass lies off the support
+    in_support = np.array([label in sup for label in space.labels])
+    support_mass = float(np.sum(np.where(in_support, space.mu, 0.0)))
     total_mass = space.total_mass()
     _write_report(
         out,
@@ -348,6 +349,7 @@ def cmd_metric(args: argparse.Namespace) -> int:
             "command": "metric",
             "kernel": kernel.label,
             "n_atoms": len(space),
+            "validation": validation,
             "tol_quotient": tol,
             "class_count": len(classes.representatives),
             "support_size": len(sup),
@@ -551,10 +553,7 @@ def cmd_synthesize(args: argparse.Namespace) -> int:
     }
     if originals:
         deviation = verify_diagonal_blocks(synth, originals, atoms)
-        top = 0.0
-        for kernel in originals:
-            for atom in atoms:
-                top = max(top, float(np.asarray(kernel.eval(atom, atom))[0, 0].real))
+        top = max(0.0, *(float(diagonal_blocks(k, atoms)[:, 0, 0].real.max()) for k in originals))
         tol_recon = _opt(args, config, "tol_recon")
         tol_recon = 1e-8 * (1.0 + top) if tol_recon is None else float(tol_recon)
         data["diagonal_deviation"] = deviation

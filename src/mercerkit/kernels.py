@@ -1,9 +1,12 @@
 """Matrix-valued kernels: constructor zoo, block Gram assembly, validation.
 
-A kernel is its evaluator together with the output dimension ``n``.
-Evaluators are pure functions of two atoms returning an ``n x n`` complex
-matrix.  Nothing is assumed: Hermitian pair symmetry and positive
-semidefiniteness of the block Gram matrix are checked explicitly.
+A kernel is its evaluator together with the output dimension ``n``.  Every
+built-in kernel evaluates in batch: ``gram(kernel, xs, ts)`` returns the
+blocks ``K(x, t)`` for all pairs at once, shape ``(len(xs), len(ts), n, n)``,
+and its per-pair ``eval`` runs the same code on a single pair.  A kernel
+given only by a per-pair evaluator is evaluated pair by pair.  Nothing is
+assumed: Hermitian pair symmetry and positive semidefiniteness of the block
+Gram matrix are checked explicitly.
 """
 
 from __future__ import annotations
@@ -30,6 +33,8 @@ __all__ = [
     "ValidationReport",
     "assemble_block_gram",
     "build_kernel",
+    "diagonal_blocks",
+    "gram",
     "kernel_from_file",
     "psd_tolerance",
     "read_precomputed",
@@ -56,13 +61,23 @@ class KernelEvaluationError(LookupError):
     """Raised when a table-backed kernel is evaluated outside its table."""
 
 
+Batch = Callable[[Sequence["Atom"], Sequence["Atom"]], np.ndarray]
+
+
 @dataclass(frozen=True, eq=False)
 class MatrixKernel:
-    """An ``n x n`` matrix-valued kernel given by its evaluator."""
+    """An ``n x n`` matrix-valued kernel given by its evaluator.
+
+    ``batch(xs, ts)``, when present, returns the blocks for every pair of
+    ``xs`` and ``ts`` as a new array of shape ``(len(xs), len(ts), n, n)``;
+    it is what :func:`gram` uses.  Without it, blocks come from ``eval`` pair
+    by pair.
+    """
 
     n: int
     eval: Callable[[Atom, Atom], np.ndarray]
     label: str = "custom"
+    batch: Batch | None = None
 
     def __call__(self, x: Atom, t: Atom) -> np.ndarray:
         return self.eval(x, t)
@@ -74,9 +89,72 @@ def _readonly(arr: np.ndarray) -> np.ndarray:
     return out
 
 
+def _batched(n: int, batch: Batch, label: str) -> MatrixKernel:
+    """Kernel whose per-pair evaluator is its batched one on a single pair."""
+
+    def ev(x: Atom, t: Atom) -> np.ndarray:
+        xs = (x,)
+        # a pair of one atom with itself is a one-atom Gram, so it keeps its exact symmetry
+        return batch(xs, xs if t is x else (t,))[0, 0]
+
+    return MatrixKernel(n=n, eval=ev, label=label, batch=batch)
+
+
+def gram(kernel: MatrixKernel, xs: Sequence[Atom], ts: Sequence[Atom] | None = None) -> np.ndarray:
+    """Blocks ``K(x, t)`` for every ``x`` in ``xs`` and ``t`` in ``ts`` (default ``xs``).
+
+    Returns a new complex array of shape ``(len(xs), len(ts), n, n)``.
+    """
+    ts = xs if ts is None else ts
+    n = kernel.n
+    if not len(xs) or not len(ts):
+        return np.zeros((len(xs), len(ts), n, n), dtype=complex)
+    if kernel.batch is not None:
+        return kernel.batch(xs, ts)
+    # a kernel given only per pair: the one place blocks are built pair by pair
+    blocks = [kernel.eval(x, t) for x in xs for t in ts]
+    return np.array(blocks, dtype=complex).reshape(len(xs), len(ts), n, n)
+
+
+def diagonal_blocks(kernel: MatrixKernel, atoms: Sequence[Atom]) -> np.ndarray:
+    """Blocks ``K(x, x)`` for every atom, shape ``(len(atoms), n, n)``."""
+    return np.einsum("xxlj->xlj", gram(kernel, atoms))
+
+
+def _flat(blocks: np.ndarray) -> np.ndarray:
+    """Block stack ``(N, M, n, n)`` as the matrix indexed ``(x, l), (t, j) -> x*n + l, t*n + j``."""
+    n_x, n_t, n, _ = blocks.shape
+    return blocks.transpose(0, 2, 1, 3).reshape(n_x * n, n_t * n)
+
+
 def psd_tolerance(max_eigenvalue: float) -> float:
     """Eigenvalue floor below which a Gram matrix counts as non-PSD."""
     return PSD_TOL_SCALE * max(max_eigenvalue, 1.0)
+
+
+def _hermitian_deviation(blocks: np.ndarray) -> float:
+    """Largest entry of ``|M - M^H|`` over a stack of square matrices."""
+    if not blocks.size:
+        return 0.0
+    return float(np.max(np.abs(blocks - np.conj(np.swapaxes(blocks, -1, -2)))))
+
+
+def _spectral_norms(blocks: np.ndarray) -> np.ndarray:
+    """Largest absolute eigenvalue of the Hermitian part of each matrix in a stack."""
+    if blocks.shape[-1] == 1:
+        return np.abs(blocks[..., 0, 0].real)
+    w = np.linalg.eigvalsh(0.5 * (blocks + np.conj(np.swapaxes(blocks, -1, -2))))
+    return np.abs(w).max(axis=-1, initial=0.0)
+
+
+def _hermitian_spectral_norms(blocks: np.ndarray, tol_sym: float = TOL_SYM) -> np.ndarray:
+    """:func:`_spectral_norms` of matrices that must be Hermitian within ``tol_sym``."""
+    dev = _hermitian_deviation(blocks)
+    if dev > tol_sym:
+        raise KernelSymmetryError(
+            f"matrix is not Hermitian: max deviation {dev:.3e} exceeds {tol_sym:.3e}"
+        )
+    return _spectral_norms(blocks)
 
 
 def spectral_norm(m: np.ndarray, tol_sym: float = TOL_SYM) -> float:
@@ -88,13 +166,7 @@ def spectral_norm(m: np.ndarray, tol_sym: float = TOL_SYM) -> float:
     a = np.asarray(m, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    dev = float(np.max(np.abs(a - a.conj().T))) if a.size else 0.0
-    if dev > tol_sym:
-        raise KernelSymmetryError(
-            f"matrix is not Hermitian: max deviation {dev:.3e} exceeds {tol_sym:.3e}"
-        )
-    w = np.linalg.eigvalsh(0.5 * (a + a.conj().T))
-    return float(np.max(np.abs(w))) if w.size else 0.0
+    return float(_hermitian_spectral_norms(a, tol_sym))
 
 
 # ---------------------------------------------------------------------------
@@ -140,38 +212,45 @@ def _parse_complex_matrix(obj: Any, field: str) -> np.ndarray:
     return mat
 
 
-def _scalar_kernel(fn: Callable[[Atom, Atom], float], label: str) -> MatrixKernel:
-    def ev(x: Atom, t: Atom) -> np.ndarray:
-        return np.array([[fn(x, t)]], dtype=complex)
+def _scalar_kernel(fn: Callable[[np.ndarray, np.ndarray], np.ndarray], label: str) -> MatrixKernel:
+    """Scalar kernel from ``fn(x, t)``: real values over broadcast coordinate arrays.
 
-    return MatrixKernel(n=1, eval=ev, label=label)
+    ``fn`` gets coordinates of shape ``(N, 1, d)`` and ``(1, M, d)``.  Distance
+    kernels use the coordinate difference ``x - t``, so the Gram of a set with
+    itself is exactly symmetric and repeated atoms are at distance exactly 0.
+    """
+
+    def batch(xs: Sequence[Atom], ts: Sequence[Atom]) -> np.ndarray:
+        x = np.stack([a.coords for a in xs])
+        t = x if ts is xs else np.stack([a.coords for a in ts])
+        return fn(x[:, None, :], t[None, :, :]).astype(complex)[:, :, None, None]
+
+    return _batched(1, batch, label)
 
 
 def _constant(spec: Mapping[str, Any]) -> MatrixKernel:
     value = _real_param(spec, "value")
-    block = _readonly(np.array([[value]], dtype=complex))
-    return MatrixKernel(n=1, eval=lambda x, t: block, label=f"constant({value!r})")
+
+    def batch(xs: Sequence[Atom], ts: Sequence[Atom]) -> np.ndarray:
+        return np.full((len(xs), len(ts), 1, 1), value, dtype=complex)
+
+    return _batched(1, batch, f"constant({value!r})")
 
 
 def _gaussian(spec: Mapping[str, Any]) -> MatrixKernel:
     gamma = _real_param(spec, "gamma")
     _require(gamma > 0, "gamma", "must be positive")
-
-    def fn(x: Atom, t: Atom) -> float:
-        diff = x.coords - t.coords
-        return math.exp(-gamma * float(diff @ diff))
-
-    return _scalar_kernel(fn, f"gaussian(gamma={gamma!r})")
+    return _scalar_kernel(
+        lambda x, t: np.exp(-gamma * np.square(x - t).sum(axis=-1)), f"gaussian(gamma={gamma!r})"
+    )
 
 
 def _laplacian(spec: Mapping[str, Any]) -> MatrixKernel:
     gamma = _real_param(spec, "gamma")
     _require(gamma > 0, "gamma", "must be positive")
-
-    def fn(x: Atom, t: Atom) -> float:
-        return math.exp(-gamma * float(np.sum(np.abs(x.coords - t.coords))))
-
-    return _scalar_kernel(fn, f"laplacian(gamma={gamma!r})")
+    return _scalar_kernel(
+        lambda x, t: np.exp(-gamma * np.abs(x - t).sum(axis=-1)), f"laplacian(gamma={gamma!r})"
+    )
 
 
 def _polynomial(spec: Mapping[str, Any]) -> MatrixKernel:
@@ -180,16 +259,22 @@ def _polynomial(spec: Mapping[str, Any]) -> MatrixKernel:
     _require(degree >= 1, "degree", "must be at least 1")
     offset = _real_param(spec, "offset")
     _require(offset >= 0, "offset", "must be nonnegative")
+    return _scalar_kernel(
+        lambda x, t: ((x * t).sum(axis=-1) + offset) ** degree,
+        f"polynomial(degree={degree}, offset={offset!r})",
+    )
 
-    def fn(x: Atom, t: Atom) -> float:
-        return (float(x.coords @ t.coords) + offset) ** degree
 
-    return _scalar_kernel(fn, f"polynomial(degree={degree}, offset={offset!r})")
+def _scalar_inner(sub: Any, field: str, base_dir: Path | None) -> MatrixKernel:
+    _require(isinstance(sub, Mapping), field, "must be a kernel description")
+    inner = build_kernel(sub, base_dir)
+    _require(inner.n == 1, field, "must describe a scalar kernel")
+    return inner
 
 
 def _separable(spec: Mapping[str, Any], base_dir: Path | None) -> MatrixKernel:
     mat = _parse_complex_matrix(spec.get("matrix"), "matrix")
-    dev = float(np.max(np.abs(mat - mat.conj().T)))
+    dev = _hermitian_deviation(mat)
     _require(dev <= TOL_SYM, "matrix", f"must be Hermitian (max deviation {dev:.3e})")
     eigs = np.linalg.eigvalsh(0.5 * (mat + mat.conj().T))
     _require(
@@ -197,35 +282,28 @@ def _separable(spec: Mapping[str, Any], base_dir: Path | None) -> MatrixKernel:
         "matrix",
         f"must be positive semidefinite (min eigenvalue {float(eigs[0]):.3e})",
     )
-    _require(isinstance(spec.get("scalar"), Mapping), "scalar", "must be a kernel description")
-    inner = build_kernel(spec["scalar"], base_dir)
-    _require(inner.n == 1, "scalar", "must describe a scalar kernel")
+    inner = _scalar_inner(spec.get("scalar"), "scalar", base_dir)
     frozen = _readonly(mat)
 
-    def ev(x: Atom, t: Atom) -> np.ndarray:
-        return frozen * complex(inner.eval(x, t)[0, 0])
+    def batch(xs: Sequence[Atom], ts: Sequence[Atom]) -> np.ndarray:
+        return inner.batch(xs, ts) * frozen
 
-    return MatrixKernel(n=mat.shape[0], eval=ev, label=f"separable({inner.label})")
+    return _batched(mat.shape[0], batch, f"separable({inner.label})")
 
 
 def _diagonal(spec: Mapping[str, Any], base_dir: Path | None) -> MatrixKernel:
     blocks = spec.get("blocks")
     _require(isinstance(blocks, Sequence) and len(blocks) >= 1, "blocks", "must be a nonempty list")
-    inners = []
-    for b, sub in enumerate(blocks):
-        _require(isinstance(sub, Mapping), f"blocks[{b}]", "must be a kernel description")
-        inner = build_kernel(sub, base_dir)
-        _require(inner.n == 1, f"blocks[{b}]", "must describe a scalar kernel")
-        inners.append(inner)
+    inners = [_scalar_inner(sub, f"blocks[{b}]", base_dir) for b, sub in enumerate(blocks)]
     n = len(inners)
 
-    def ev(x: Atom, t: Atom) -> np.ndarray:
-        out = np.zeros((n, n), dtype=complex)
+    def batch(xs: Sequence[Atom], ts: Sequence[Atom]) -> np.ndarray:
+        out = np.zeros((len(xs), len(ts), n, n), dtype=complex)
         for j, inner in enumerate(inners):
-            out[j, j] = complex(inner.eval(x, t)[0, 0])
+            out[:, :, j, j] = inner.batch(xs, ts)[:, :, 0, 0]
         return out
 
-    return MatrixKernel(n=n, eval=ev, label=f"diagonal({', '.join(k.label for k in inners)})")
+    return _batched(n, batch, f"diagonal({', '.join(k.label for k in inners)})")
 
 
 def _sum(spec: Mapping[str, Any], base_dir: Path | None) -> MatrixKernel:
@@ -238,13 +316,13 @@ def _sum(spec: Mapping[str, Any], base_dir: Path | None) -> MatrixKernel:
     n = inners[0].n
     _require(all(inner.n == n for inner in inners), "terms", "must share the same output dimension")
 
-    def ev(x: Atom, t: Atom) -> np.ndarray:
-        out = np.asarray(inners[0].eval(x, t), dtype=complex).copy()
+    def batch(xs: Sequence[Atom], ts: Sequence[Atom]) -> np.ndarray:
+        out = inners[0].batch(xs, ts)
         for inner in inners[1:]:
-            out = out + np.asarray(inner.eval(x, t), dtype=complex)
+            out = out + inner.batch(xs, ts)
         return out
 
-    return MatrixKernel(n=n, eval=ev, label=f"sum({', '.join(k.label for k in inners)})")
+    return _batched(n, batch, f"sum({', '.join(k.label for k in inners)})")
 
 
 def _precomputed(spec: Mapping[str, Any], base_dir: Path | None) -> MatrixKernel:
@@ -322,11 +400,13 @@ def read_precomputed(path: str | Path) -> MatrixKernel:
     Entries missing from a block are filled from the mirror block by
     Hermitian symmetry; explicitly stored values are never overwritten, so a
     file carrying inconsistent mirrors keeps its asymmetry (validation will
-    catch it).  Component indices are zero-based.
+    catch it).  A value stored twice keeps its last row.  Component indices
+    are zero-based.
     """
     path = Path(path)
-    entries: dict[tuple[str, str], dict[tuple[int, int], complex]] = {}
-    n = 0
+    index: dict[str, int] = {}
+    keys: list[tuple[int, int, int, int]] = []
+    values: list[complex] = []
     with open(path, encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -336,50 +416,59 @@ def read_precomputed(path: str | Path) -> MatrixKernel:
         if [h.strip() for h in header] != _PRECOMPUTED_HEADER:
             raise KernelSpecError(f"{path}: line 1: header must be {','.join(_PRECOMPUTED_HEADER)}")
         for line_no, row in enumerate(reader, start=2):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            if len(row) != 6:
-                raise KernelSpecError(f"{path}: line {line_no}: expected 6 fields, got {len(row)}")
-            x_id, t_id = row[0].strip(), row[1].strip()
             try:
-                l, j = int(row[2]), int(row[3])
-                value = complex(float(row[4]), float(row[5]))
+                x_id, t_id, l, j, re, im = row
+                l, j, value = int(l), int(j), complex(float(re), float(im))
             except ValueError as exc:
+                if not "".join(row).strip():
+                    continue  # blank line
+                if len(row) != 6:
+                    raise KernelSpecError(f"{path}: line {line_no}: expected 6 fields, got {len(row)}") from None
                 raise KernelSpecError(f"{path}: line {line_no}: {exc}") from None
             if l < 0 or j < 0:
                 raise KernelSpecError(f"{path}: line {line_no}: component indices must be nonnegative")
-            n = max(n, l + 1, j + 1)
-            entries.setdefault((x_id, t_id), {})[(l, j)] = value
-    if not entries:
+            x, t = index.setdefault(x_id.strip(), len(index)), index.setdefault(t_id.strip(), len(index))
+            keys.append((x, t, l, j))
+            values.append(value)
+    if not values:
         raise KernelSpecError(f"{path}: no data rows")
 
-    pairs = set(entries) | {(t, x) for (x, t) in entries}
-    blocks: dict[tuple[str, str], np.ndarray] = {}
-    for x_id, t_id in pairs:
-        block = np.empty((n, n), dtype=complex)
-        direct = entries.get((x_id, t_id), {})
-        mirror = entries.get((t_id, x_id), {})
-        for l in range(n):
-            for j in range(n):
-                if (l, j) in direct:
-                    block[l, j] = direct[(l, j)]
-                elif (j, l) in mirror:
-                    block[l, j] = mirror[(j, l)].conjugate()
-                else:
-                    raise KernelSpecError(
-                        f"{path}: block ({x_id},{t_id}) entry ({l},{j}) missing and not recoverable by symmetry"
-                    )
-        blocks[(x_id, t_id)] = _readonly(block)
+    size = len(index)
+    key = np.array(keys).T
+    n = int(key[2:].max()) + 1
+    blocks = np.zeros((size, size, n, n), dtype=complex)
+    stored = np.zeros((size, size, n, n), dtype=bool)
+    # advanced-index assignment does not say which of repeated indices wins, so keep the last row
+    flat = np.ravel_multi_index(tuple(key), blocks.shape)
+    last = len(flat) - 1 - np.unique(flat[::-1], return_index=True)[1]
+    blocks.flat[flat[last]] = np.array(values)[last]
+    stored.flat[flat[last]] = True
 
-    def ev(x: Atom, t: Atom) -> np.ndarray:
-        try:
-            return blocks[(x.label, t.label)]
-        except KeyError:
+    pairs = stored.any(axis=(2, 3))
+    defined = pairs | pairs.T
+    # entry (x, t, l, j) of the mirror block is conj K(t, x)[j, l]
+    missing = defined[:, :, None, None] & ~(stored | stored.transpose(1, 0, 3, 2))
+    blocks = np.where(stored, blocks, np.conj(blocks.transpose(1, 0, 3, 2)))
+    if missing.any():
+        labels = list(index)
+        a, b, p, q = np.argwhere(missing)[0]
+        raise KernelSpecError(
+            f"{path}: block ({labels[a]},{labels[b]}) entry ({p},{q}) missing and not recoverable by symmetry"
+        )
+    table, known = _readonly(blocks), _readonly(defined)
+
+    def batch(xs: Sequence[Atom], ts: Sequence[Atom]) -> np.ndarray:
+        ix = np.array([index.get(a.label, -1) for a in xs])[:, None]
+        it = ix.T if ts is xs else np.array([index.get(a.label, -1) for a in ts])[None, :]
+        ok = (ix >= 0) & (it >= 0) & known[ix, it]
+        if not ok.all():
+            a, b = np.argwhere(~ok)[0]
             raise KernelEvaluationError(
-                f"precomputed kernel has no entry for pair ({x.label!r}, {t.label!r})"
-            ) from None
+                f"precomputed kernel has no entry for pair ({xs[a].label!r}, {ts[b].label!r})"
+            )
+        return table[ix, it]
 
-    return MatrixKernel(n=n, eval=ev, label=f"precomputed({path.name})")
+    return _batched(n, batch, f"precomputed({path.name})")
 
 
 def write_precomputed(kernel: MatrixKernel, atoms: Sequence[Atom], path: str | Path) -> None:
@@ -389,19 +478,28 @@ def write_precomputed(kernel: MatrixKernel, atoms: Sequence[Atom], path: str | P
     triangle of each diagonal block; the reader restores the rest by
     Hermitian symmetry.
     """
-    n = kernel.n
+    blocks = gram(kernel, atoms)
+    labels = [a.label for a in atoms]
+    first = np.ones(blocks.shape[1:], dtype=bool)
+    first[0] = np.triu(first[0])
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(_PRECOMPUTED_HEADER)
-        for i, x in enumerate(atoms):
-            for k in range(i, len(atoms)):
-                t = atoms[k]
-                block = np.asarray(kernel.eval(x, t), dtype=complex)
-                for l in range(n):
-                    start = l if i == k else 0
-                    for j in range(start, n):
-                        value = complex(block[l, j])
-                        writer.writerow([x.label, t.label, l, j, repr(value.real), repr(value.imag)])
+        for i, x in enumerate(labels):
+            # block row x: the upper triangle of block (x, x), then every block (x, t) with t after x
+            keep = first[: len(labels) - i]
+            t, l, j = np.nonzero(keep)
+            values = blocks[i, i:][keep]
+            writer.writerows(
+                zip(
+                    [x] * len(t),
+                    [labels[i + k] for k in t.tolist()],
+                    l.tolist(),
+                    j.tolist(),
+                    map(repr, values.real.tolist()),
+                    map(repr, values.imag.tolist()),
+                )
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -418,30 +516,20 @@ class BlockGram:
     matrix: np.ndarray
 
 
-def _raw_gram(kernel: MatrixKernel, atoms: Sequence[Atom]) -> np.ndarray:
-    n = kernel.n
-    n_atoms = len(atoms)
-    raw = np.empty((n_atoms * n, n_atoms * n), dtype=complex)
-    for i, x in enumerate(atoms):
-        for k, t in enumerate(atoms):
-            raw[i * n : (i + 1) * n, k * n : (k + 1) * n] = np.asarray(kernel.eval(x, t), dtype=complex)
-    return raw
-
-
 def assemble_block_gram(kernel: MatrixKernel, atoms: Sequence[Atom], tol_sym: float = TOL_SYM) -> BlockGram:
     """Evaluate all blocks and enforce Hermitian symmetry.
 
     Asymmetry up to ``tol_sym`` is averaged away; anything larger raises
     :class:`KernelSymmetryError` carrying the maximum deviation.
     """
-    raw = _raw_gram(kernel, atoms)
-    dev = float(np.max(np.abs(raw - raw.conj().T)))
+    raw = _flat(gram(kernel, atoms))
+    dev = _hermitian_deviation(raw)
     if dev > tol_sym:
         raise KernelSymmetryError(
             f"kernel violates Hermitian pair symmetry: max deviation {dev:.3e} exceeds {tol_sym:.3e}"
         )
-    gram = 0.5 * (raw + raw.conj().T)
-    return BlockGram(tuple(a.label for a in atoms), kernel.n, _readonly(gram))
+    matrix = 0.5 * (raw + raw.conj().T)
+    return BlockGram(tuple(a.label for a in atoms), kernel.n, _readonly(matrix))
 
 
 @dataclass(frozen=True, eq=False)
@@ -484,9 +572,13 @@ def validate_kernel(kernel: MatrixKernel, atoms: Sequence[Atom], tol_sym: float 
     Hermitian deviation and the minimum Gram eigenvalue together with the
     tolerances used for the verdict.
     """
-    raw = _raw_gram(kernel, atoms)
-    dev = float(np.max(np.abs(raw - raw.conj().T)))
-    eigs = np.linalg.eigvalsh(0.5 * (raw + raw.conj().T))
+    raw = _flat(gram(kernel, atoms))
+    dev = _hermitian_deviation(raw)
+    if np.isfinite(raw).all():
+        eigs = np.linalg.eigvalsh(0.5 * (raw + raw.conj().T))
+    else:
+        # the eigensolver does not converge on non-finite entries; both checks fail on nan
+        eigs = np.array([np.nan])
     min_eig, max_eig = float(eigs[0]), float(eigs[-1])
     tol_psd = psd_tolerance(max_eig)
     return ValidationReport(

@@ -1,7 +1,7 @@
 """Eigen-expansions of a kernel and the Hilbert-space algebra they induce.
 
 The spectral decomposition turns the kernel into the series
-``K(x,t)[l,j] = sum_i sigma_i f_i^j(t) conj(f_i^l(x))`` on the measure
+``K(x,t)[l,j] = sum_i sigma_i f_i^l(x) conj(f_i^j(t))`` on the measure
 support.  This module evaluates truncations of that series, projects kernel
 sections onto the scaled eigenfunction basis, and extracts the per-component
 scalar families, which are Parseval frames for the diagonal scalar kernels.
@@ -16,6 +16,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .kernels import _readonly, diagonal_blocks, gram
 from .operators import RKHSElement, SpectralDecomposition
 from .space import Atom, AtomSpace, SupportSet
 
@@ -44,19 +45,10 @@ class OffSupportError(ValueError):
     """Raised when a kernel section at a zero-measure atom has no spectral form."""
 
 
-def _readonly(arr: np.ndarray) -> np.ndarray:
-    out = np.ascontiguousarray(arr)
-    out.setflags(write=False)
-    return out
-
-
 def default_tol_recon(dec: SpectralDecomposition) -> float:
     """Scale-aware tolerance for series reconstruction deviations."""
-    top = 0.0
-    for atom in dec.space.atoms:
-        block = np.asarray(dec.kernel.eval(atom, atom), dtype=complex)
-        top = max(top, float(np.max(np.real(np.diag(block)))))
-    return TOL_RECON_SCALE * (1.0 + max(top, 0.0))
+    diag = np.einsum("xll->xl", diagonal_blocks(dec.kernel, dec.space.atoms)).real
+    return TOL_RECON_SCALE * (1.0 + max(float(diag.max()), 0.0))
 
 
 def _atom_index(space: AtomSpace, x: str | Atom) -> int:
@@ -111,13 +103,7 @@ def reconstruction_error(
     for m in steps:
         if not 0 <= m <= dec.rank:
             raise ValueError(f"truncation {m} out of range 0..{dec.rank}")
-    atoms = [dec.space.atoms[i] for i in idx]
-    count = len(atoms)
-    n = dec.n
-    resid = np.empty((count, count, n, n), dtype=complex)
-    for a, x in enumerate(atoms):
-        for b, t in enumerate(atoms):
-            resid[a, b] = np.asarray(dec.kernel.eval(x, t), dtype=complex)
+    resid = gram(dec.kernel, [dec.space.atoms[i] for i in idx])
     f_sub = dec.funcs[:, idx, :]
     table: list[tuple[int, float]] = []
     prev = 0
@@ -131,19 +117,21 @@ def reconstruction_error(
 
 def pointwise(dec: SpectralDecomposition, element: RKHSElement) -> np.ndarray:
     """Per-atom values of an element, shape ``(N, n)``."""
-    n_atoms = len(dec.space.labels)
     if element.is_spectral:
         coeffs = np.asarray(element.coeffs, dtype=complex)
         if coeffs.shape[0] != dec.rank:
             raise ValueError(f"expected {dec.rank} coefficients, got {coeffs.shape[0]}")
         return np.einsum("i,ixl->xl", coeffs * np.sqrt(dec.sigmas), dec.funcs)
-    values = np.zeros((n_atoms, dec.n), dtype=complex)
+    sources, ys = _section_table(dec, element)
+    return np.einsum("tslm,sm->tl", gram(dec.kernel, dec.space.atoms, sources), ys)
+
+
+def _section_table(dec: SpectralDecomposition, element: RKHSElement) -> tuple[list[Atom], np.ndarray]:
+    """Base atoms and coefficient vectors ``(S, n)`` of a section-form element."""
     atoms = dec.space.atoms
-    for label, y in element.sections:
-        source = atoms[dec.space.index(label)]
-        for t in range(n_atoms):
-            values[t] += np.asarray(dec.kernel.eval(atoms[t], source), dtype=complex) @ y
-    return values
+    sources = [atoms[dec.space.index(label)] for label, _ in element.sections]
+    ys = np.array([y for _, y in element.sections], dtype=complex).reshape(len(sources), dec.n)
+    return sources, ys
 
 
 def project(section: RKHSElement, dec: SpectralDecomposition, support: SupportSet | None = None) -> RKHSElement:
@@ -186,15 +174,9 @@ def rkhs_inner(
     if h1.is_spectral and h2.is_spectral:
         return complex(np.sum(h1.coeffs * np.conj(h2.coeffs)))
     if not h1.is_spectral and not h2.is_spectral:
-        atoms = dec.space.atoms
-        total = 0.0 + 0.0j
-        for xl, y in h1.sections:
-            x_atom = atoms[dec.space.index(xl)]
-            for tl, yp in h2.sections:
-                t_atom = atoms[dec.space.index(tl)]
-                block = np.asarray(dec.kernel.eval(t_atom, x_atom), dtype=complex)
-                total += complex(np.vdot(yp, block @ y))
-        return total
+        xs, ys = _section_table(dec, h1)
+        ts, yps = _section_table(dec, h2)
+        return complex(np.einsum("tl,txlm,xm->", np.conj(yps), gram(dec.kernel, ts, xs), ys))
     if h1.is_spectral:
         return rkhs_inner(h1, project(h2, dec, support), dec)
     return rkhs_inner(project(h1, dec, support), h2, dec)
@@ -240,20 +222,15 @@ def frame_check(
     sup = dec.support if support is None else support
     j = frame.block
     atoms = dec.space.atoms
-    deviation = 0.0
-    for label in sup.members:
-        ix = dec.space.index(label)
-        target = float(np.asarray(dec.kernel.eval(atoms[ix], atoms[ix]), dtype=complex)[j, j].real)
-        total = float(np.sum(np.abs(frame.values[:, ix]) ** 2))
-        deviation = max(deviation, abs(target - total))
+    idx = [dec.space.index(label) for label in sup.members]
+    targets = diagonal_blocks(dec.kernel, [atoms[i] for i in idx])[:, j, j].real
+    totals = np.sum(np.abs(frame.values[:, idx]) ** 2, axis=0)
+    deviation = float(np.max(np.abs(targets - totals), initial=0.0))
     for labels, coeffs in combinations:
         idx = [dec.space.index(label) for label in labels]
         a = np.asarray(list(coeffs), dtype=complex)
-        gram = np.empty((len(idx), len(idx)), dtype=complex)
-        for s, is_ in enumerate(idx):
-            for r, ir in enumerate(idx):
-                gram[s, r] = np.asarray(dec.kernel.eval(atoms[is_], atoms[ir]), dtype=complex)[j, j]
-        norm_sq = float((np.conj(a) @ gram @ a).real)
+        block = gram(dec.kernel, [atoms[i] for i in idx])[:, :, j, j]
+        norm_sq = float((np.conj(a) @ block @ a).real)
         frame_coeffs = np.conj(frame.values[:, idx]) @ a
         total = float(np.sum(np.abs(frame_coeffs) ** 2))
         deviation = max(deviation, abs(norm_sq - total))

@@ -16,7 +16,15 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .kernels import MatrixKernel, assemble_block_gram, spectral_norm
+from .kernels import (
+    MatrixKernel,
+    _flat,
+    _hermitian_spectral_norms,
+    _readonly,
+    assemble_block_gram,
+    diagonal_blocks,
+    gram,
+)
 from .space import Atom, AtomSpace, SupportSet, pseudo_metric, support as support_of
 
 __all__ = [
@@ -48,12 +56,6 @@ class EmptySupportError(ValueError):
     """Raised when every atom carries zero measure."""
 
 
-def _readonly(arr: np.ndarray) -> np.ndarray:
-    out = np.ascontiguousarray(arr)
-    out.setflags(write=False)
-    return out
-
-
 @dataclass(frozen=True, eq=False)
 class RescaledMeasure:
     """Per-atom rescaled weights plus the resulting trace budget."""
@@ -68,11 +70,9 @@ def rescale_measure(space: AtomSpace, kernel: MatrixKernel) -> RescaledMeasure:
     Also returns the trace budget ``m_nu = sum_x tr K(x,x) nu_x``, which the
     eigenvalue sum of the operator must reproduce.
     """
-    atoms = space.atoms
-    diag = [np.asarray(kernel.eval(a, a), dtype=complex) for a in atoms]
-    norms = np.array([spectral_norm(b) for b in diag])
-    weights = space.mu / (1.0 + norms)
-    traces = np.array([float(np.trace(b).real) for b in diag])
+    diag = diagonal_blocks(kernel, space.atoms)
+    weights = space.mu / (1.0 + _hermitian_spectral_norms(diag))
+    traces = np.trace(diag, axis1=1, axis2=2).real
     m_nu = float(np.sum(traces * weights))
     return RescaledMeasure(_readonly(weights), m_nu)
 
@@ -99,9 +99,9 @@ def assemble_operator(space: AtomSpace, kernel: MatrixKernel, nu: RescaledMeasur
     if not indices:
         raise EmptySupportError("measure has empty support: every atom weight is zero")
     atoms = [space.atoms[i] for i in indices]
-    gram = assemble_block_gram(kernel, atoms)
+    block_gram = assemble_block_gram(kernel, atoms)
     scale = np.sqrt(np.repeat(nu.weights[list(indices)], kernel.n))
-    matrix = gram.matrix * scale[:, None] * scale[None, :]
+    matrix = block_gram.matrix * scale[:, None] * scale[None, :]
     return DiscreteOperator(space, kernel, nu, indices, _readonly(matrix))
 
 
@@ -176,26 +176,35 @@ def eigendecompose(op: DiscreteOperator, rank_cutoff: float | None = None) -> Sp
     space, kernel, nu = op.space, op.kernel, op.nu
     n = kernel.n
     rank = int(sigmas.shape[0])
-    n_atoms = len(space.labels)
     pos = list(op.indices)
-    nu_pos = nu.weights[pos]
+    zero = np.flatnonzero(nu.weights <= 0)
 
-    funcs = np.zeros((rank, n_atoms, n), dtype=complex)
+    funcs = np.zeros((rank, len(space.labels), n), dtype=complex)
     if rank:
         cols = np.stack([_normalize_phase(vectors[:, i]) for i in range(rank)])
-        f_pos = cols.reshape(rank, len(pos), n) / np.sqrt(nu_pos)[None, :, None]
+        f_pos = cols.reshape(rank, len(pos), n) / np.sqrt(nu.weights[pos])[None, :, None]
         funcs[:, pos, :] = f_pos
-        zero = [i for i in range(n_atoms) if i not in set(pos)]
-        if zero:
-            atoms = space.atoms
-            for z in zero:
-                blocks = np.stack(
-                    [np.asarray(kernel.eval(atoms[z], atoms[p]), dtype=complex) for p in pos]
-                )
-                funcs[:, z, :] = (
-                    np.einsum("plm,ipm,p->il", blocks, f_pos, nu_pos) / sigmas[:, None]
-                )
+        if zero.size:
+            funcs[:, zero, :] = _extend(op, [space.atoms[z] for z in zero], f_pos, sigmas)
     return SpectralDecomposition(space, kernel, nu, _readonly(sigmas), _readonly(funcs))
+
+
+def _extend(
+    op: DiscreteOperator | SpectralDecomposition,
+    xs: Sequence[Atom],
+    f_pos: np.ndarray,
+    sigmas: np.ndarray,
+) -> np.ndarray:
+    """Kernel-sum extension ``(1 / sigma_i) sum_t K(x,t) f_i(t) nu_t`` at the atoms ``xs``.
+
+    The sum runs over the positive-weight atoms of ``op``; ``f_pos`` holds
+    the eigenfunction values there, shape ``(rank, P, n)``.  The result has
+    shape ``(rank, len(xs), n)``.
+    """
+    pos = np.flatnonzero(op.nu.weights > 0)
+    blocks = gram(op.kernel, xs, [op.space.atoms[p] for p in pos]) * op.nu.weights[pos][None, :, None, None]
+    values = f_pos.reshape(len(sigmas), -1) @ _flat(blocks).T
+    return values.reshape(len(sigmas), len(xs), -1) / sigmas[:, None, None]
 
 
 def truncate(dec: SpectralDecomposition, rank_cutoff: float | None = None) -> SpectralDecomposition:
@@ -225,12 +234,8 @@ def extend_eigenfunction(dec: SpectralDecomposition, i: int, x: str | Atom) -> n
         raise ValueError(
             f"eigenindex {i} is below the rank cutoff (retained rank {dec.rank})"
         )
-    atom = _resolve_atom(dec.space, x)
-    pos = list(dec.positive_indices)
-    atoms = dec.space.atoms
-    nu_pos = dec.nu.weights[pos]
-    blocks = np.stack([np.asarray(dec.kernel.eval(atom, atoms[p]), dtype=complex) for p in pos])
-    return np.einsum("plm,pm,p->l", blocks, dec.funcs[i, pos, :], nu_pos) / dec.sigmas[i]
+    f_pos = dec.funcs[i : i + 1, list(dec.positive_indices), :]
+    return _extend(dec, [_resolve_atom(dec.space, x)], f_pos, dec.sigmas[i : i + 1])[0, 0]
 
 
 def default_tol_eig(dec: SpectralDecomposition) -> float:

@@ -15,12 +15,10 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
-if TYPE_CHECKING:  # pragma: no cover - annotations only, avoids an import cycle
-    from .kernels import MatrixKernel
+from .kernels import MatrixKernel, _readonly, _spectral_norms, gram
 
 __all__ = [
     "Atom",
@@ -43,12 +41,6 @@ QUOTIENT_TOL_SCALE = 1e-9
 
 class AtomFileError(ValueError):
     """Raised when an atom CSV file cannot be parsed."""
-
-
-def _readonly(arr: np.ndarray) -> np.ndarray:
-    out = np.ascontiguousarray(arr)
-    out.setflags(write=False)
-    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -173,17 +165,15 @@ class PseudoMetricMatrix:
         return float(self.d[idx[x], idx[t]])
 
 
-def _specnorm_hermitian(m: np.ndarray) -> float:
-    """Largest absolute eigenvalue; the input is symmetrized first."""
-    if m.shape == (1, 1):
-        return abs(float(m[0, 0].real))
-    w = np.linalg.eigvalsh(0.5 * (m + m.conj().T))
-    return float(np.max(np.abs(w))) if w.size else 0.0
-
-
-def _quotient_tol(diag_norms: Sequence[float]) -> float:
-    top = max(diag_norms) if len(diag_norms) else 0.0
+def _quotient_tol(diag: np.ndarray) -> float:
+    top = float(_spectral_norms(diag).max(initial=0.0))
     return QUOTIENT_TOL_SCALE * (1.0 + math.sqrt(max(top, 0.0)))
+
+
+def _mirror_upper(d: np.ndarray) -> np.ndarray:
+    """Symmetric matrix from the strict upper triangle of ``d``; zero diagonal."""
+    upper = np.triu(d, 1)
+    return _readonly(upper + upper.T)
 
 
 def pseudo_metric(space: AtomSpace, kernel: MatrixKernel) -> PseudoMetricMatrix:
@@ -193,21 +183,11 @@ def pseudo_metric(space: AtomSpace, kernel: MatrixKernel) -> PseudoMetricMatrix:
     ``K(x,x) + K(t,t) - K(x,t) - K(t,x)``, which equals the squared operator
     gap ``sup_{|y| <= 1} |K_x y - K_t y|`` of the section maps.
     """
-    atoms = space.atoms
-    n_atoms = len(atoms)
-    diag = [np.asarray(kernel.eval(a, a), dtype=complex) for a in atoms]
-    norms = [_specnorm_hermitian(b) for b in diag]
-    d = np.zeros((n_atoms, n_atoms))
-    for i in range(n_atoms):
-        for k in range(i + 1, n_atoms):
-            delta = (
-                diag[i]
-                + diag[k]
-                - np.asarray(kernel.eval(atoms[i], atoms[k]), dtype=complex)
-                - np.asarray(kernel.eval(atoms[k], atoms[i]), dtype=complex)
-            )
-            d[i, k] = d[k, i] = math.sqrt(_specnorm_hermitian(delta))
-    return PseudoMetricMatrix(space.labels, _readonly(d), _quotient_tol(norms))
+    blocks = gram(kernel, space.atoms)
+    diag = np.einsum("xxlj->xlj", blocks)
+    delta = (diag[:, None] + diag[None, :]) - (blocks + blocks.swapaxes(0, 1))
+    d = np.sqrt(_spectral_norms(delta))
+    return PseudoMetricMatrix(space.labels, _mirror_upper(d), _quotient_tol(diag))
 
 
 def pseudo_metric_prime(space: AtomSpace, kernel: MatrixKernel) -> PseudoMetricMatrix:
@@ -216,18 +196,13 @@ def pseudo_metric_prime(space: AtomSpace, kernel: MatrixKernel) -> PseudoMetricM
     ``d'(x,t)^2 = tr K(x,x) + tr K(t,t) - 2 Re tr K(t,x)`` sums the squared
     section gaps over components, so ``d <= d' <= sqrt(n) d``.
     """
-    atoms = space.atoms
-    n_atoms = len(atoms)
-    diag = [np.asarray(kernel.eval(a, a), dtype=complex) for a in atoms]
-    norms = [_specnorm_hermitian(b) for b in diag]
-    traces = [float(np.trace(b).real) for b in diag]
-    d = np.zeros((n_atoms, n_atoms))
-    for i in range(n_atoms):
-        for k in range(i + 1, n_atoms):
-            cross = np.asarray(kernel.eval(atoms[k], atoms[i]), dtype=complex)
-            val = traces[i] + traces[k] - 2.0 * float(np.trace(cross).real)
-            d[i, k] = d[k, i] = math.sqrt(max(val, 0.0))
-    return PseudoMetricMatrix(space.labels, _readonly(d), _quotient_tol(norms))
+    blocks = gram(kernel, space.atoms)
+    diag = np.einsum("xxlj->xlj", blocks)
+    traces = np.trace(diag, axis1=1, axis2=2).real
+    cross = np.trace(blocks, axis1=2, axis2=3).real.T
+    val = traces[:, None] + traces[None, :] - 2.0 * cross
+    d = np.sqrt(np.maximum(val, 0.0))
+    return PseudoMetricMatrix(space.labels, _mirror_upper(d), _quotient_tol(diag))
 
 
 @dataclass(frozen=True, eq=False)

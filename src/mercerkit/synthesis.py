@@ -6,6 +6,12 @@ of rank-one squares, so the result is always Hermitian and positive
 semidefinite; its diagonal blocks reproduce the frames' scalar kernels
 exactly when the frames are Parseval, while off-diagonal blocks depend on
 the frame choice and carry no such guarantee.
+
+The conjugate sits on the ``x`` side, so this is the complex conjugate of
+the eigen-series ``sum_i sigma_i f_i^l(x) conj(f_i^j(t))`` of
+:mod:`mercerkit.mercer`: synthesized from the frames of a kernel ``k_j``,
+diagonal block ``j`` at ``(x, t)`` is ``k_j(t, x)``, which equals
+``k_j(x, t)`` only for real kernels.
 """
 
 from __future__ import annotations
@@ -15,17 +21,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .kernels import KernelEvaluationError, MatrixKernel
+from .kernels import KernelEvaluationError, MatrixKernel, _batched, _readonly, gram
 from .mercer import ScalarFrame
 from .space import Atom
 
 __all__ = ["FrameFamily", "align_frames", "synthesize_kernel", "verify_diagonal_blocks"]
-
-
-def _readonly(arr: np.ndarray) -> np.ndarray:
-    out = np.ascontiguousarray(arr)
-    out.setflags(write=False)
-    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -68,23 +68,35 @@ def align_frames(frames: Sequence[ScalarFrame]) -> FrameFamily:
 def synthesize_kernel(family: FrameFamily) -> MatrixKernel:
     """Kernel whose block entries are inner products of the frame columns.
 
-    Defined only on the family's atoms; evaluating elsewhere raises
-    :class:`KernelEvaluationError`.
+    The blocks over atom sets ``xs`` and ``ts`` come from one matrix product
+    of the frame values.  Defined only on the family's atoms; evaluating
+    elsewhere raises :class:`KernelEvaluationError`.
     """
     index = {label: i for i, label in enumerate(family.atoms)}
     values = family.values
-    n = family.n
+    count, n = values.shape[0], family.n
 
-    def ev(x: Atom, t: Atom) -> np.ndarray:
+    def columns(atoms: Sequence[Atom]) -> np.ndarray:
         try:
-            ix, it = index[x.label], index[t.label]
+            rows = [index[a.label] for a in atoms]
         except KeyError as exc:
             raise KernelEvaluationError(
                 f"synthesized kernel is undefined at atom {exc.args[0]!r}"
             ) from None
-        return np.einsum("il,ij->lj", np.conj(values[:, ix, :]), values[:, it, :])
+        return values[:, rows, :].reshape(count, len(rows) * n)
 
-    return MatrixKernel(n=n, eval=ev, label=f"frame_synth(n={n})")
+    def batch(xs: Sequence[Atom], ts: Sequence[Atom]) -> np.ndarray:
+        vx = columns(xs)
+        if ts is xs:
+            blocks = np.conj(vx.T) @ vx
+            # a product with itself is Hermitian; make its rounding so, too
+            blocks += np.conj(blocks.T)
+            blocks *= 0.5
+        else:
+            blocks = np.conj(vx.T) @ columns(ts)
+        return blocks.reshape(len(xs), n, len(ts), n).transpose(0, 2, 1, 3)
+
+    return _batched(n, batch, f"frame_synth(n={n})")
 
 
 def verify_diagonal_blocks(
@@ -98,11 +110,9 @@ def verify_diagonal_blocks(
     for j, kernel in enumerate(originals):
         if kernel.n != 1:
             raise ValueError(f"original {j} is not scalar")
+    blocks = gram(synthesized, atoms)
     deviation = 0.0
-    for x in atoms:
-        for t in atoms:
-            block = np.asarray(synthesized.eval(x, t), dtype=complex)
-            for j, kernel in enumerate(originals):
-                target = complex(np.asarray(kernel.eval(x, t), dtype=complex)[0, 0])
-                deviation = max(deviation, float(abs(block[j, j] - target)))
+    for j, kernel in enumerate(originals):
+        diff = blocks[:, :, j, j] - gram(kernel, atoms)[:, :, 0, 0]
+        deviation = max(deviation, float(np.max(np.abs(diff), initial=0.0)))
     return deviation

@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from mercerkit import build_kernel, validate_kernel
+from mercerkit import build_kernel, cli, validate_kernel
 from mercerkit.cli import main
 from mercerkit.space import load_atoms
 
@@ -196,6 +197,74 @@ def test_metric_collapses_classes_for_constant_kernel(tmp_path, three_atoms):
     with open(out / "quotient.json", encoding="utf-8") as fh:
         classes = json.load(fh)["classes"]
     assert classes[0]["members"] == ["a", "b", "c"]
+
+
+def test_metric_mass_ok_with_interleaved_zero_mass(tmp_path):
+    # the support sum over positive atoms alone differs from the full sum in
+    # the last bit; the two must still compare equal
+    weights = [1.072, 1.906, 0.374, 1.902, 0.692, 0.904, 1.673, 0.877, 1.144, 0.152]
+    mu = np.zeros(20)
+    mu[::2] = weights
+    assert np.sum(mu[mu > 0]) != np.sum(mu)
+    atoms = write_atoms(tmp_path, [(f"x{i}", float(w), float(i)) for i, w in enumerate(mu)])
+    kernel = write_kernel(tmp_path, GAUSSIAN)
+    out = tmp_path / "out"
+    assert main(["metric", "--atoms", str(atoms), "--kernel", str(kernel), "--out", str(out)]) == 0
+    report = report_of(out)
+    assert report["support_size"] == 10
+    assert report["mass_ok"] is True
+    assert report["passed"] is True
+
+
+@pytest.mark.parametrize(
+    "row", ["a,b,0,0,nan,0.0", "b,a,0,0,0.5,0.0"], ids=["nan_entry", "inconsistent_mirror"]
+)
+def test_metric_validates_kernel(tmp_path, three_atoms, row):
+    table = tmp_path / "table.csv"
+    table.write_text(
+        "x_id,t_id,l,j,re,im\n"
+        "a,a,0,0,1.0,0.0\nb,b,0,0,1.0,0.0\nc,c,0,0,1.0,0.0\n"
+        "a,b,0,0,0.1,0.0\na,c,0,0,0.1,0.0\nb,c,0,0,0.2,0.0\n" + row + "\n"
+    )
+    kernel = write_kernel(tmp_path, {"type": "precomputed", "path": "table.csv"})
+    for command in ("validate", "metric", "decompose"):
+        out = tmp_path / command
+        assert main([command, "--atoms", str(three_atoms), "--kernel", str(kernel), "--out", str(out)]) == 2
+        report = report_of(out)
+        assert report["command"] == command
+        assert report["passed"] is False
+        assert report["validation"]["hermitian_ok"] is False
+    assert not (tmp_path / "metric" / "metric.csv").exists()
+
+
+def test_no_subcommand_evaluates_builtin_kernels_pair_by_pair(tmp_path, monkeypatch):
+    # every consumer reads whole blocks; a reintroduced per-pair loop counts here
+    calls = []
+
+    def counting(kernel):
+        inner = kernel.eval
+
+        def counted(x, t):
+            calls.append((x.label, t.label))
+            return inner(x, t)
+
+        return dataclasses.replace(kernel, eval=counted)
+
+    load, make = cli.kernel_from_file, cli.synthesize_kernel
+    monkeypatch.setattr(cli, "kernel_from_file", lambda path: counting(load(path)))
+    monkeypatch.setattr(cli, "synthesize_kernel", lambda family: counting(make(family)))
+    rows = [(f"x{i}", 0.0 if i % 3 == 2 else 1.0, 0.4 * i, 0.1 * i * i) for i in range(9)]
+    atoms = write_atoms(tmp_path, rows, dim=2)
+    kernel = write_kernel(tmp_path, GAUSSIAN)
+    base = ["--atoms", str(atoms), "--out"]
+    for command in ("validate", "metric", "decompose", "reconstruct", "frames"):
+        assert main([command] + base + [str(tmp_path / command), "--kernel", str(kernel)]) == 0
+    synth = base + [str(tmp_path / "synthesize")]
+    assert main(["synthesize"] + synth + ["--kernel", str(kernel), "--kernel", str(kernel)]) == 0
+    frame = str(tmp_path / "frames" / "frame_j0.csv")
+    assert main(["synthesize"] + synth + ["--frames", frame, frame]) == 0
+    assert main(["reconstruct"] + base + [str(tmp_path / "sub"), "--kernel", str(kernel), "--subset", "x2,x3"]) == 0
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------
