@@ -10,8 +10,8 @@ codes: 0 success, 1 usage or file errors, 2 kernel validation failure,
 from __future__ import annotations
 
 import argparse
-import csv
 import json
+import math
 import sys
 from pathlib import Path
 from typing import Any, Mapping, Sequence
@@ -21,6 +21,8 @@ import numpy as np
 from .kernels import (
     KernelSpecError,
     MatrixKernel,
+    _csv_cells,
+    _write_csv,
     diagonal_blocks,
     kernel_from_file,
     validate_kernel,
@@ -199,7 +201,10 @@ def _text_lines(value: Any, prefix: str = "") -> list[str]:
 
 
 def _native(value: Any) -> Any:
-    """Recursively force numpy scalars to plain Python for JSON output."""
+    """Recursively force numpy scalars to plain Python for JSON output.
+
+    Non-finite floats become ``None``, so reports stay strict JSON.
+    """
     if isinstance(value, dict):
         return {key: _native(v) for key, v in value.items()}
     if isinstance(value, (list, tuple)):
@@ -208,15 +213,16 @@ def _native(value: Any) -> Any:
         return bool(value)
     if isinstance(value, np.integer):
         return int(value)
-    if isinstance(value, np.floating):
-        return float(value)
+    if isinstance(value, (float, np.floating)):
+        value = float(value)
+        return value if math.isfinite(value) else None
     return value
 
 
 def _write_report(out: Path, data: dict[str, Any]) -> None:
     data = _native(data)
     with open(out / "report.json", "w", encoding="utf-8", newline="") as fh:
-        json.dump(data, fh, indent=2, sort_keys=True)
+        json.dump(data, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
     with open(out / "report.txt", "w", encoding="utf-8", newline="") as fh:
         for line in _text_lines(data):
@@ -320,11 +326,10 @@ def cmd_metric(args: argparse.Namespace) -> int:
     classes = quotient(space, metric, tol)
     sup = support(space, metric, tol)
 
-    with open(out / "metric.csv", "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["id"] + list(space.labels))
-        for i, label in enumerate(space.labels):
-            writer.writerow([label] + [repr(float(v)) for v in metric.d[i]])
+    labels = _csv_cells(space.labels)
+    # one chunk per row: its label, then its distances joined as one rendered cell
+    rows = (([label], [",".join(map(repr, d.tolist()))]) for label, d in zip(labels, metric.d))
+    _write_csv(out / "metric.csv", ["id"] + labels, rows)
     payload = {
         "classes": [
             {"id": cid, "representative": rep, "members": list(members)}

@@ -15,8 +15,9 @@ import csv
 import json
 import math
 from dataclasses import dataclass
+from io import StringIO
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Callable, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -87,6 +88,35 @@ def _readonly(arr: np.ndarray) -> np.ndarray:
     out = np.ascontiguousarray(arr)
     out.setflags(write=False)
     return out
+
+
+def _csv_cells(labels: Iterable[str]) -> list[str]:
+    """Labels rendered as CSV cells with minimal quoting, exactly as ``csv.writer`` writes them."""
+    buf = StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    cells = []
+    for label in labels:
+        buf.seek(0)
+        buf.truncate()
+        # a trailing empty field, because a row of one empty field is written as ""
+        writer.writerow([label, ""])
+        cells.append(buf.getvalue()[:-2])
+    return cells
+
+
+def _write_csv(path: str | Path, header: Sequence[str], chunks: Iterable[Sequence[Iterable[str]]]) -> None:
+    """Write a CSV file from its header cells and chunks of rendered columns.
+
+    Cells are written as given, so labels go through :func:`_csv_cells`
+    first.  Each chunk is a sequence of equal-length columns and becomes that
+    many rows; only one chunk's strings are held at a time.
+    """
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(",".join(header) + "\n")
+        for columns in chunks:
+            rows = "\n".join(map(",".join, zip(*columns)))
+            if rows:
+                fh.write(rows + "\n")
 
 
 def _batched(n: int, batch: Batch, label: str) -> MatrixKernel:
@@ -479,27 +509,32 @@ def write_precomputed(kernel: MatrixKernel, atoms: Sequence[Atom], path: str | P
     Hermitian symmetry.
     """
     blocks = gram(kernel, atoms)
-    labels = [a.label for a in atoms]
-    first = np.ones(blocks.shape[1:], dtype=bool)
+    size, n = len(atoms), kernel.n
+    cells = _csv_cells(a.label for a in atoms)
+    # block row x: the upper triangle of block (x, x), then every block (x, t) with t after x
+    first = np.ones((size, n, n), dtype=bool)
     first[0] = np.triu(first[0])
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(_PRECOMPUTED_HEADER)
-        for i, x in enumerate(labels):
-            # block row x: the upper triangle of block (x, x), then every block (x, t) with t after x
-            keep = first[: len(labels) - i]
-            t, l, j = np.nonzero(keep)
-            values = blocks[i, i:][keep]
-            writer.writerows(
-                zip(
-                    [x] * len(t),
-                    [labels[i + k] for k in t.tolist()],
-                    l.tolist(),
-                    j.tolist(),
-                    map(repr, values.real.tolist()),
-                    map(repr, values.imag.tolist()),
-                )
+    triangle = n * (n + 1) // 2
+    components = [str(c) for c in range(n)]
+    _, l, j = np.nonzero(first)
+    l_cells = [components[c] for c in l.tolist()]
+    j_cells = [components[c] for c in j.tolist()]
+    t_cells = [cell for cell in cells for _ in range(n * n)]
+
+    def chunks() -> Iterable[tuple[Iterable[str], ...]]:
+        for i, x in enumerate(cells):
+            rows = triangle + (size - 1 - i) * n * n
+            values = blocks[i, i:][first[: size - i]]
+            yield (
+                [x] * rows,
+                [x] * triangle + t_cells[(i + 1) * n * n :],
+                l_cells[:rows],
+                j_cells[:rows],
+                map(repr, values.real.tolist()),
+                map(repr, values.imag.tolist()),
             )
+
+    _write_csv(path, _PRECOMPUTED_HEADER, chunks())
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .kernels import _readonly, diagonal_blocks, gram
+from .kernels import _csv_cells, _flat, _readonly, _write_csv, diagonal_blocks, gram
 from .operators import RKHSElement, SpectralDecomposition
 from .space import Atom, AtomSpace, SupportSet
 
@@ -103,13 +103,18 @@ def reconstruction_error(
     for m in steps:
         if not 0 <= m <= dec.rank:
             raise ValueError(f"truncation {m} out of range 0..{dec.rank}")
-    resid = gram(dec.kernel, [dec.space.atoms[i] for i in idx])
+    # flat (x, l), (t, j) matrices: each term is one rank-one update in place
+    resid = _flat(gram(dec.kernel, [dec.space.atoms[i] for i in idx]))
     f_sub = dec.funcs[:, idx, :]
+    term = np.empty_like(resid)
     table: list[tuple[int, float]] = []
     prev = 0
     for m in steps:
         for i in range(prev, m):
-            resid -= dec.sigmas[i] * np.einsum("sl,tj->stlj", f_sub[i], np.conj(f_sub[i]))
+            f = f_sub[i].reshape(-1)
+            np.multiply.outer(f, np.conj(f), out=term)
+            term *= dec.sigmas[i]
+            resid -= term
         prev = m
         table.append((m, float(np.max(np.abs(resid))) if resid.size else 0.0))
     return table
@@ -239,22 +244,18 @@ def frame_check(
 
 def write_error_table(table: Sequence[tuple[int, float]], path: str | Path) -> None:
     """Write ``m,max_abs_error`` rows."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["m", "max_abs_error"])
-        for m, err in table:
-            writer.writerow([int(m), repr(float(err))])
+    rows = ([str(int(m)) for m, _ in table], [repr(float(err)) for _, err in table])
+    _write_csv(path, ["m", "max_abs_error"], [rows])
 
 
 def write_frame(frame: ScalarFrame, path: str | Path) -> None:
-    """Write ``i,atom_id,value_re,value_im`` rows for one frame."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["i", "atom_id", "value_re", "value_im"])
-        for i in range(frame.values.shape[0]):
-            for x, label in enumerate(frame.atoms):
-                value = complex(frame.values[i, x])
-                writer.writerow([i, label, repr(value.real), repr(value.imag)])
+    """Write ``i,atom_id,value_re,value_im`` rows for one frame, one frame vector at a time."""
+    labels = _csv_cells(frame.atoms)
+    chunks = (
+        ([str(i)] * len(labels), labels, map(repr, row.real.tolist()), map(repr, row.imag.tolist()))
+        for i, row in enumerate(frame.values)
+    )
+    _write_csv(path, ["i", "atom_id", "value_re", "value_im"], chunks)
 
 
 def read_frame(path: str | Path) -> ScalarFrame:
@@ -282,6 +283,8 @@ def read_frame(path: str | Path) -> ScalarFrame:
                 value = complex(float(row[2]), float(row[3]))
             except ValueError as exc:
                 raise ValueError(f"{path}: line {line_no}: {exc}") from None
+            if i < 0:
+                raise ValueError(f"{path}: line {line_no}: frame index must be nonnegative")
             label = row[1].strip()
             if label not in seen:
                 seen[label] = len(order)

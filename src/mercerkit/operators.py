@@ -9,7 +9,6 @@ are orthonormal against the rescaled weights.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -18,9 +17,11 @@ import numpy as np
 
 from .kernels import (
     MatrixKernel,
+    _csv_cells,
     _flat,
     _hermitian_spectral_norms,
     _readonly,
+    _write_csv,
     assemble_block_gram,
     diagonal_blocks,
     gram,
@@ -332,20 +333,28 @@ def embedding_norm_bound_check(h: RKHSElement, dec: SpectralDecomposition) -> tu
 
 def write_spectrum(dec: SpectralDecomposition, path) -> None:
     """Write ``i,sigma`` rows, eigenindex ascending (sigma descending)."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["i", "sigma"])
-        for i, sigma in enumerate(dec.sigmas):
-            writer.writerow([i, repr(float(sigma))])
+    rows = ([str(i) for i in range(dec.rank)], map(repr, dec.sigmas.tolist()))
+    _write_csv(path, ["i", "sigma"], [rows])
 
 
 def write_eigenfunctions(dec: SpectralDecomposition, path) -> None:
-    """Write ``i,atom_id,j,re,im`` rows; component index ``j`` is zero-based."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["i", "atom_id", "j", "re", "im"])
+    """Write ``i,atom_id,j,re,im`` rows; component index ``j`` is zero-based.
+
+    Rows go out one eigenindex at a time, atoms in order, components inside.
+    """
+    n = dec.n
+    labels = [cell for cell in _csv_cells(dec.space.labels) for _ in range(n)]
+    components = [str(j) for j in range(n)] * len(dec.space.labels)
+
+    def chunks():
         for i in range(dec.rank):
-            for x, label in enumerate(dec.space.labels):
-                for j in range(dec.n):
-                    value = complex(dec.funcs[i, x, j])
-                    writer.writerow([i, label, j, repr(value.real), repr(value.imag)])
+            values = dec.funcs[i].reshape(-1)
+            yield (
+                [str(i)] * len(labels),
+                labels,
+                components,
+                map(repr, values.real.tolist()),
+                map(repr, values.imag.tolist()),
+            )
+
+    _write_csv(path, ["i", "atom_id", "j", "re", "im"], chunks())

@@ -216,6 +216,10 @@ def test_metric_mass_ok_with_interleaved_zero_mass(tmp_path):
     assert report["passed"] is True
 
 
+def _reject_constant(name):
+    raise ValueError(f"report.json is not strict JSON: {name}")
+
+
 @pytest.mark.parametrize(
     "row", ["a,b,0,0,nan,0.0", "b,a,0,0,0.5,0.0"], ids=["nan_entry", "inconsistent_mirror"]
 )
@@ -230,7 +234,7 @@ def test_metric_validates_kernel(tmp_path, three_atoms, row):
     for command in ("validate", "metric", "decompose"):
         out = tmp_path / command
         assert main([command, "--atoms", str(three_atoms), "--kernel", str(kernel), "--out", str(out)]) == 2
-        report = report_of(out)
+        report = json.loads((out / "report.json").read_text(), parse_constant=_reject_constant)
         assert report["command"] == command
         assert report["passed"] is False
         assert report["validation"]["hermitian_ok"] is False
@@ -425,6 +429,18 @@ def test_synthesize_rejects_matrix_kernels(tmp_path, three_atoms, capsys):
     code = main(["synthesize", "--atoms", str(three_atoms), "--kernel", str(kernel), "--out", str(tmp_path / "out")])
     assert code == 1
     assert "scalar" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("row", ["-1,a,5.0,0.0", "-3,a,5.0,0.0"], ids=["overwrites_last", "out_of_range"])
+def test_synthesize_rejects_negative_frame_index(tmp_path, three_atoms, capsys, row):
+    frame = tmp_path / "frame.csv"
+    frame.write_text("i,atom_id,value_re,value_im\n0,a,1.0,0.0\n0,b,2.0,0.0\n1,a,3.0,0.0\n" + row + "\n")
+    out = tmp_path / "out"
+    code = main(["synthesize", "--atoms", str(three_atoms), "--frames", str(frame), "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err == f"mercerkit: error: {frame}: line 5: frame index must be nonnegative\n"
+    assert not (out / "kernel.csv").exists()
 
 
 def test_synthesize_rejects_frames_off_the_atom_file(tmp_path, three_atoms, capsys):

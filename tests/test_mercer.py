@@ -15,6 +15,7 @@ from mercerkit import (
     default_tol_recon,
     extract_frame,
     frame_check,
+    gram,
     pointwise,
     project,
     read_frame,
@@ -126,6 +127,31 @@ def test_off_diagonal_remainder_bounded_by_diagonals():
                 rem = np.asarray(dec.kernel.eval(ax, at)) - reconstruct(exp, x, t)
                 bound = np.sqrt(diag_rem[x] * diag_rem[t]) + tol
                 assert np.max(np.abs(rem)) <= bound
+
+
+@pytest.mark.parametrize("spec", [spec for _, spec in ZOO], ids=ZOO_IDS)
+def test_reconstruction_error_matches_einsum_reference(spec):
+    rng = np.random.default_rng(73)
+    space = random_space(rng, 12, dim=2, zero_mass=3)
+    dec = decompose_space(space, spec)
+    for labels, ms in (
+        (None, None),
+        (["x0", "x10", "x4", "x11"], [dec.rank, 0, dec.rank // 2, 0]),
+        (["x9"], [1]),
+        ([], None),
+    ):
+        subset = dec.support.members if labels is None else labels
+        idx = [space.index(label) for label in subset]
+        k = gram(dec.kernel, [space.atoms[i] for i in idx])
+        f = dec.funcs[:, idx, :]
+        steps = range(dec.rank + 1) if ms is None else sorted(set(ms))
+        expected = []
+        for m in steps:
+            km = np.einsum("i,isl,itj->stlj", dec.sigmas[:m], f[:m], np.conj(f[:m]))
+            expected.append(float(np.max(np.abs(k - km))) if k.size else 0.0)
+        table = reconstruction_error(dec, labels, ms)
+        assert [m for m, _ in table] == list(steps)
+        np.testing.assert_allclose([err for _, err in table], expected, rtol=0, atol=1e-12)
 
 
 def test_reconstruction_error_validates_input():
