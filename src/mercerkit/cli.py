@@ -5,6 +5,11 @@ Each writes its tables plus a report (JSON and text) into the output
 directory.  Outputs are byte-deterministic for identical inputs.  Exit
 codes: 0 success, 1 usage or file errors, 2 kernel validation failure,
 3 degenerate input (empty measure support).
+
+Each option is declared once as an ``_Option``, with the check that turns a
+flag or ``--config`` value into a typed value.  ``_COMMANDS`` lists each
+subcommand's options and its body, which returns the report.  A failure
+raises ``CliError`` with its exit code, a message and/or the report to write.
 """
 
 from __future__ import annotations
@@ -13,17 +18,17 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Mapping, Sequence
+from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
 
 from .kernels import (
-    KernelSpecError,
+    KernelEvaluationError,
     MatrixKernel,
     _csv_cells,
     _write_csv,
-    diagonal_blocks,
     kernel_from_file,
     validate_kernel,
     write_precomputed,
@@ -34,10 +39,12 @@ from .mercer import (
     frame_check,
     read_frame,
     reconstruction_error,
+    tol_recon_of,
     write_error_table,
     write_frame,
 )
 from .operators import (
+    DiscreteOperator,
     EmptySupportError,
     SpectralDecomposition,
     assemble_operator,
@@ -48,7 +55,7 @@ from .operators import (
     write_eigenfunctions,
     write_spectrum,
 )
-from .space import AtomFileError, AtomSpace, load_atoms, pseudo_metric, quotient, support
+from .space import load_atoms, pseudo_metric, quotient, support
 from .synthesis import align_frames, synthesize_kernel, verify_diagonal_blocks
 
 __all__ = ["main"]
@@ -62,11 +69,13 @@ EXIT_DEGENERATE = 3
 TRACE_TOL_REL = 1e-10
 
 
+@dataclass(eq=False)
 class CliError(Exception):
-    def __init__(self, code: int, message: str) -> None:
-        super().__init__(message)
-        self.code = code
-        self.message = message
+    """A failed run: its exit code, a stderr message and/or a report to write."""
+
+    code: int
+    message: str | None = None
+    report: dict[str, Any] | None = None
 
 
 class _Parser(argparse.ArgumentParser):
@@ -78,117 +87,145 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _add_common(parser: argparse.ArgumentParser, multi_kernel: bool = False) -> None:
-    parser.add_argument("--atoms", help="atom CSV file (header id,w,c1,...,cd)")
-    if multi_kernel:
-        parser.add_argument(
-            "--kernel", action="append", help="scalar kernel JSON file (repeatable)"
-        )
+def _path(value: Any) -> str:
+    if not isinstance(value, str):
+        raise TypeError(f"expected a file path, got {json.dumps(value)}")
+    return value
+
+
+def _paths(value: Any) -> list[str]:
+    if not isinstance(value, list):
+        raise TypeError(f"expected a list of file paths, got {json.dumps(value)}")
+    return [_path(item) for item in value]
+
+
+def _nonnegative(value: Any) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float, str)):
+        raise TypeError(f"expected a number, got {json.dumps(value)}")
+    number = float(value)
+    if not (math.isfinite(number) and number >= 0):
+        raise ValueError(f"expected a finite nonnegative number, got {value}")
+    return number
+
+
+def _csv_list(value: Any) -> list[str]:
+    if isinstance(value, str):
+        items = [item.strip() for item in value.split(",")]
+    elif isinstance(value, list):
+        items = [str(item) for item in value]
     else:
-        parser.add_argument("--kernel", help="kernel description JSON file")
-    parser.add_argument("--out", help="output directory")
-    parser.add_argument("--config", help="JSON config file; explicit flags override it")
-    parser.add_argument("--tol-eig", type=float, dest="tol_eig", help="eigenlevel tolerance")
-    parser.add_argument("--tol-recon", type=float, dest="tol_recon", help="reconstruction tolerance")
-    parser.add_argument("--tol-quotient", type=float, dest="tol_quotient", help="metric zero threshold")
-    parser.add_argument("--rank-cutoff", type=float, dest="rank_cutoff", help="eigenvalue cutoff")
+        raise TypeError("expected a comma-separated list")
+    items = [item for item in items if item]
+    if not items:
+        raise ValueError("empty list")
+    return items
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="mercerkit", description="Spectral pipeline for matrix-valued kernels.")
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-
-    p = sub.add_parser("validate", help="check kernel axioms on the atom set")
-    _add_common(p)
-    p.set_defaults(func=cmd_validate)
-
-    p = sub.add_parser("metric", help="kernel pseudo-metric, quotient classes and support")
-    _add_common(p)
-    p.set_defaults(func=cmd_metric)
-
-    p = sub.add_parser("decompose", help="spectrum and eigenfunctions of the kernel operator")
-    _add_common(p)
-    p.set_defaults(func=cmd_decompose)
-
-    p = sub.add_parser("reconstruct", help="truncation error table of the eigen-series")
-    _add_common(p)
-    p.add_argument("--subset", help="comma-separated atom ids (default: measure support)")
-    p.add_argument("--truncations", help="comma-separated truncation orders (default: all)")
-    p.set_defaults(func=cmd_reconstruct)
-
-    p = sub.add_parser("frames", help="per-component scalar frames with Parseval checks")
-    _add_common(p)
-    p.set_defaults(func=cmd_frames)
-
-    p = sub.add_parser("synthesize", help="build a matrix kernel from scalar frames")
-    _add_common(p, multi_kernel=True)
-    p.add_argument("--frames", nargs="+", help="frame CSV files, one per component")
-    p.set_defaults(func=cmd_synthesize)
-
-    return parser
-
-
-# ---------------------------------------------------------------------------
-# option resolution and I/O helpers
-# ---------------------------------------------------------------------------
-
-
-def _load_config(args: argparse.Namespace) -> dict[str, Any]:
-    if getattr(args, "config", None) is None:
-        return {}
+def _load_config(path: str) -> dict[str, Any]:
     try:
-        with open(args.config, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8") as fh:
             config = json.load(fh)
     except OSError as exc:
         raise CliError(EXIT_USAGE, f"cannot read config file: {exc}") from None
     except json.JSONDecodeError as exc:
-        raise CliError(EXIT_USAGE, f"{args.config}: line {exc.lineno}: {exc.msg}") from None
+        raise CliError(EXIT_USAGE, f"{path}: line {exc.lineno}: {exc.msg}") from None
     if not isinstance(config, dict):
-        raise CliError(EXIT_USAGE, f"{args.config}: config must be a JSON object")
+        raise CliError(EXIT_USAGE, f"{path}: config must be a JSON object")
     return config
 
 
-def _opt(args: argparse.Namespace, config: Mapping[str, Any], key: str, default: Any = None) -> Any:
-    value = getattr(args, key, None)
-    if value is not None:
-        return value
-    if key in config:
-        return config[key]
-    return default
-
-
-def _required(args: argparse.Namespace, config: Mapping[str, Any], key: str) -> Any:
-    value = _opt(args, config, key)
-    if value is None:
-        raise CliError(EXIT_USAGE, f"missing required option --{key.replace('_', '-')}")
-    return value
-
-
-def _load_space(path: str) -> AtomSpace:
+def _read(what: str, value: Any, load: Callable[[str], Any]) -> Any:
+    """``load`` the file at path ``value``; a missing or malformed file is a usage error."""
+    path = _path(value)
     try:
-        return load_atoms(path)
+        return load(path)
     except OSError as exc:
-        raise CliError(EXIT_USAGE, f"cannot read atoms file: {exc}") from None
-    except AtomFileError as exc:
+        raise CliError(EXIT_USAGE, f"cannot read {what} file: {exc}") from None
+    except ValueError as exc:  # AtomFileError, KernelSpecError, malformed frame rows
         raise CliError(EXIT_USAGE, str(exc)) from None
 
 
-def _load_kernel(path: str) -> MatrixKernel:
-    try:
-        return kernel_from_file(path)
-    except OSError as exc:
-        raise CliError(EXIT_USAGE, f"cannot read kernel file: {exc}") from None
-    except KernelSpecError as exc:
-        raise CliError(EXIT_USAGE, str(exc)) from None
+def _scalar_kernels(value: Any) -> list[MatrixKernel]:
+    paths = [_path(value)] if isinstance(value, str) else _paths(value)
+    kernels = [_read("kernel", path, kernel_from_file) for path in paths]
+    for path, kernel in zip(paths, kernels):
+        if kernel.n != 1:
+            raise CliError(EXIT_USAGE, f"--kernel: {path}: synthesize needs scalar kernels")
+    return kernels
 
 
-def _outdir(path: str) -> Path:
-    out = Path(path)
+def _outdir(value: Any) -> Path:
+    out = Path(_path(value))
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise CliError(EXIT_USAGE, f"cannot create output directory: {exc}") from None
     return out
+
+
+@dataclass(frozen=True)
+class _Option:
+    """An option: its key (config key and ``dest``), help, check and argparse settings."""
+
+    key: str
+    help: str
+    check: Callable[[Any], Any]
+    required: bool = False
+    settings: Mapping[str, Any] = field(default_factory=dict)
+
+    @property
+    def flag(self) -> str:
+        return "--" + self.key.replace("_", "-")
+
+
+_CONFIG = _Option("config", "JSON config file; explicit flags override it", _load_config)
+_ATOMS = _Option(
+    "atoms", "atom CSV file (header id,w,c1,...,cd)", lambda v: _read("atoms", v, load_atoms), required=True
+)
+_KERNEL = _Option(
+    "kernel", "kernel description JSON file", lambda v: _read("kernel", v, kernel_from_file), required=True
+)
+_KERNELS = _Option(
+    "kernel", "scalar kernel JSON file (repeatable)", _scalar_kernels, settings={"action": "append"}
+)
+_OUT = _Option("out", "output directory", _outdir, required=True)
+_TOL_RECON = _Option("tol_recon", "reconstruction tolerance", _nonnegative)
+_TOL_QUOTIENT = _Option("tol_quotient", "metric zero threshold", _nonnegative)
+_RANK_CUTOFF = _Option("rank_cutoff", "eigenvalue cutoff", _nonnegative)
+_SUBSET = _Option("subset", "comma-separated atom ids (default: measure support)", _csv_list)
+_TRUNCATIONS = _Option(
+    "truncations",
+    "comma-separated truncation orders (default: all)",
+    lambda v: sorted({int(m) for m in _csv_list(v)}),
+)
+_FRAMES = _Option(
+    "frames",
+    "frame CSV files, one per component",
+    lambda v: [_read("frame", path, read_frame) for path in _paths(v)],
+    settings={"nargs": "+"},
+)
+
+
+def _resolve(args: argparse.Namespace, options: Sequence[_Option]) -> None:
+    """Set each option on ``args`` to its checked value: the flag, else the config key.
+
+    A ``TypeError``/``ValueError`` from a check is reported as ``--flag: message``.
+    Config keys that none of ``options`` reads are ignored.
+    """
+    config = {} if args.config is None else _CONFIG.check(args.config)
+    for option in options:
+        value = getattr(args, option.key)
+        if value is None:
+            value = config.get(option.key)
+        if value is None:
+            if option.required:
+                raise CliError(EXIT_USAGE, f"missing required option {option.flag}")
+        else:
+            try:
+                value = option.check(value)
+            except (TypeError, ValueError) as exc:
+                raise CliError(EXIT_USAGE, f"{option.flag}: {exc}") from None
+        setattr(args, option.key, value)
 
 
 def _text_lines(value: Any, prefix: str = "") -> list[str]:
@@ -209,120 +246,66 @@ def _native(value: Any) -> Any:
         return {key: _native(v) for key, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_native(v) for v in value]
-    if isinstance(value, np.bool_):
-        return bool(value)
-    if isinstance(value, np.integer):
-        return int(value)
+    if isinstance(value, (np.bool_, np.integer)):
+        return value.item()
     if isinstance(value, (float, np.floating)):
         value = float(value)
         return value if math.isfinite(value) else None
     return value
 
 
+def _write_text(path: Path, lines: Sequence[str]) -> None:
+    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8", newline="")
+
+
 def _write_report(out: Path, data: dict[str, Any]) -> None:
     data = _native(data)
-    with open(out / "report.json", "w", encoding="utf-8", newline="") as fh:
-        json.dump(data, fh, indent=2, sort_keys=True, allow_nan=False)
-        fh.write("\n")
-    with open(out / "report.txt", "w", encoding="utf-8", newline="") as fh:
-        for line in _text_lines(data):
-            fh.write(line + "\n")
+    _write_text(out / "report.json", [json.dumps(data, indent=2, sort_keys=True, allow_nan=False)])
+    _write_text(out / "report.txt", _text_lines(data))
 
 
-def _csv_list(value: Any, key: str) -> list[str]:
-    if isinstance(value, str):
-        items = [item.strip() for item in value.split(",")]
-    elif isinstance(value, Sequence):
-        items = [str(item) for item in value]
-    else:
-        raise CliError(EXIT_USAGE, f"--{key}: expected a comma-separated list")
-    items = [item for item in items if item]
-    if not items:
-        raise CliError(EXIT_USAGE, f"--{key}: empty list")
-    return items
+def _about(args: argparse.Namespace, kernel: MatrixKernel) -> dict[str, Any]:
+    return {"kernel": kernel.label, "n_atoms": len(args.atoms)}
 
 
-# ---------------------------------------------------------------------------
-# shared pipeline pieces
-# ---------------------------------------------------------------------------
-
-
-def _validated(space: AtomSpace, kernel: MatrixKernel, out: Path, command: str) -> dict[str, Any]:
-    """Run validation; on failure write the report and abort with exit 2."""
-    report = validate_kernel(kernel, space.atoms)
+def _validation(args: argparse.Namespace, kernel: MatrixKernel) -> dict[str, Any]:
+    """The axiom report of ``kernel`` on the atoms; a failed one exits 2."""
+    report = validate_kernel(kernel, args.atoms.atoms)
+    validation = report.to_dict()
     if not report.passed:
-        _write_report(
-            out,
-            {
-                "command": command,
-                "kernel": kernel.label,
-                "n_atoms": len(space),
-                "validation": report.to_dict(),
-                "passed": False,
-            },
+        raise CliError(
+            EXIT_VALIDATION, report={**_about(args, kernel), "validation": validation, "passed": False}
         )
-        raise SystemExit(EXIT_VALIDATION)
-    return report.to_dict()
+    return validation
 
 
-def _decompose(
-    space: AtomSpace, kernel: MatrixKernel, out: Path, command: str, rank_cutoff: float | None
-) -> tuple[dict[str, Any], SpectralDecomposition, SpectralDecomposition, tuple[float, float]]:
-    validation = _validated(space, kernel, out, command)
-    nu = rescale_measure(space, kernel)
+def _operator(args: argparse.Namespace, kernel: MatrixKernel) -> tuple[dict[str, Any], DiscreteOperator]:
+    """Validate, rescale and assemble; an empty measure support exits 3."""
+    validation = _validation(args, kernel)
+    nu = rescale_measure(args.atoms, kernel)
     try:
-        op = assemble_operator(space, kernel, nu)
+        return validation, assemble_operator(args.atoms, kernel, nu)
     except EmptySupportError as exc:
-        _write_report(
-            out,
-            {
-                "command": command,
-                "kernel": kernel.label,
-                "n_atoms": len(space),
-                "validation": validation,
-                "degenerate": str(exc),
-                "passed": False,
-            },
-        )
-        raise SystemExit(EXIT_DEGENERATE) from None
+        report = {**_about(args, kernel), "validation": validation, "degenerate": str(exc), "passed": False}
+        raise CliError(EXIT_DEGENERATE, report=report) from None
+
+
+def _spectrum(args: argparse.Namespace) -> tuple[dict[str, Any], SpectralDecomposition, tuple[float, float]]:
+    """Validation, the decomposition cut at ``--rank-cutoff``, the trace identity of the full one."""
+    validation, op = _operator(args, args.kernel)
     full = eigendecompose(op, rank_cutoff=0.0)
-    dec = truncate(full, rank_cutoff)
-    return validation, full, dec, trace_check(full)
+    return validation, truncate(full, args.rank_cutoff), trace_check(full)
 
 
-# ---------------------------------------------------------------------------
-# commands
-# ---------------------------------------------------------------------------
+def _validate_report(args: argparse.Namespace) -> dict[str, Any]:
+    return {**_about(args, args.kernel), "validation": _validation(args, args.kernel), "passed": True}
 
 
-def cmd_validate(args: argparse.Namespace) -> int:
-    config = _load_config(args)
-    space = _load_space(_required(args, config, "atoms"))
-    kernel = _load_kernel(_required(args, config, "kernel"))
-    out = _outdir(_required(args, config, "out"))
-    report = validate_kernel(kernel, space.atoms)
-    _write_report(
-        out,
-        {
-            "command": "validate",
-            "kernel": kernel.label,
-            "n_atoms": len(space),
-            "validation": report.to_dict(),
-            "passed": report.passed,
-        },
-    )
-    return EXIT_OK if report.passed else EXIT_VALIDATION
-
-
-def cmd_metric(args: argparse.Namespace) -> int:
-    config = _load_config(args)
-    space = _load_space(_required(args, config, "atoms"))
-    kernel = _load_kernel(_required(args, config, "kernel"))
-    out = _outdir(_required(args, config, "out"))
-    validation = _validated(space, kernel, out, "metric")
+def _metric_report(args: argparse.Namespace) -> dict[str, Any]:
+    space, kernel, out = args.atoms, args.kernel, args.out
+    validation = _validation(args, kernel)
     metric = pseudo_metric(space, kernel)
-    tol = _opt(args, config, "tol_quotient")
-    tol = metric.quotient_tol if tol is None else float(tol)
+    tol = metric.quotient_tol if args.tol_quotient is None else args.tol_quotient
     classes = quotient(space, metric, tol)
     sup = support(space, metric, tol)
 
@@ -336,204 +319,101 @@ def cmd_metric(args: argparse.Namespace) -> int:
             for cid, (rep, members) in enumerate(zip(classes.representatives, classes.classes))
         ]
     }
-    with open(out / "quotient.json", "w", encoding="utf-8", newline="") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    with open(out / "support.txt", "w", encoding="utf-8", newline="") as fh:
-        for label in sup.members:
-            fh.write(label + "\n")
+    _write_text(out / "quotient.json", [json.dumps(payload, indent=2, sort_keys=True)])
+    _write_text(out / "support.txt", sup.members)
 
     # summed over the full-length array, so the two sums are equal exactly
     # when no positive mass lies off the support
     in_support = np.array([label in sup for label in space.labels])
     support_mass = float(np.sum(np.where(in_support, space.mu, 0.0)))
     total_mass = space.total_mass()
-    _write_report(
-        out,
-        {
-            "command": "metric",
-            "kernel": kernel.label,
-            "n_atoms": len(space),
-            "validation": validation,
-            "tol_quotient": tol,
-            "class_count": len(classes.representatives),
-            "support_size": len(sup),
-            "support_mass": support_mass,
-            "total_mass": total_mass,
-            "mass_ok": support_mass == total_mass,
-            "passed": support_mass == total_mass,
-        },
-    )
-    return EXIT_OK
+    return {
+        **_about(args, kernel),
+        "validation": validation,
+        "tol_quotient": tol,
+        "class_count": len(classes.representatives),
+        "support_size": len(sup),
+        "support_mass": support_mass,
+        "total_mass": total_mass,
+        "mass_ok": support_mass == total_mass,
+        "passed": support_mass == total_mass,
+    }
 
 
-def cmd_decompose(args: argparse.Namespace) -> int:
-    config = _load_config(args)
-    space = _load_space(_required(args, config, "atoms"))
-    kernel = _load_kernel(_required(args, config, "kernel"))
-    out = _outdir(_required(args, config, "out"))
-    cutoff = _opt(args, config, "rank_cutoff")
-    validation, full, dec, (lhs, rhs) = _decompose(
-        space, kernel, out, "decompose", None if cutoff is None else float(cutoff)
-    )
+def _spectrum_report(args: argparse.Namespace) -> dict[str, Any]:
+    validation, dec, (lhs, rhs) = _spectrum(args)
     residual = abs(lhs - rhs)
     trace_tol = TRACE_TOL_REL * max(1.0, abs(rhs))
-    write_spectrum(dec, out / "spectrum.csv")
-    write_eigenfunctions(dec, out / "eigenfunctions.csv")
+    write_spectrum(dec, args.out / "spectrum.csv")
+    write_eigenfunctions(dec, args.out / "eigenfunctions.csv")
     trace_ok = residual <= trace_tol
-    _write_report(
-        out,
-        {
-            "command": "decompose",
-            "kernel": kernel.label,
-            "n_atoms": len(space),
-            "positive_atoms": len(dec.positive_indices),
-            "validation": validation,
-            "m_nu": dec.nu.m_nu,
-            "rank": dec.rank,
-            "spectrum_head": [float(s) for s in dec.sigmas[:8]],
-            "trace": {
-                "eigenvalue_sum": lhs,
-                "trace_budget": rhs,
-                "residual": residual,
-                "tol": trace_tol,
-                "ok": trace_ok,
-            },
-            "passed": trace_ok,
-        },
-    )
-    return EXIT_OK
+    return {
+        **_about(args, args.kernel),
+        "positive_atoms": len(dec.positive_indices),
+        "validation": validation,
+        "m_nu": dec.nu.m_nu,
+        "rank": dec.rank,
+        "spectrum_head": [float(s) for s in dec.sigmas[:8]],
+        "trace": {"eigenvalue_sum": lhs, "trace_budget": rhs, "residual": residual, "tol": trace_tol, "ok": trace_ok},
+        "passed": trace_ok,
+    }
 
 
-def cmd_reconstruct(args: argparse.Namespace) -> int:
-    config = _load_config(args)
-    space = _load_space(_required(args, config, "atoms"))
-    kernel = _load_kernel(_required(args, config, "kernel"))
-    out = _outdir(_required(args, config, "out"))
-    cutoff = _opt(args, config, "rank_cutoff")
-    validation, full, dec, _ = _decompose(
-        space, kernel, out, "reconstruct", None if cutoff is None else float(cutoff)
-    )
+def _errors_report(args: argparse.Namespace) -> dict[str, Any]:
+    _, dec, _ = _spectrum(args)
     sup = dec.support
-    subset_opt = _opt(args, config, "subset")
-    if subset_opt is None:
-        subset = list(sup.members)
-    else:
-        subset = _csv_list(subset_opt, "subset")
-        for label in subset:
-            if label not in space.labels:
-                raise CliError(EXIT_USAGE, f"--subset: unknown atom id {label!r}")
+    subset = list(sup.members) if args.subset is None else args.subset
+    for label in subset:
+        if label not in args.atoms.labels:
+            raise CliError(EXIT_USAGE, f"--subset: unknown atom id {label!r}")
     off_support = [label for label in subset if label not in sup]
-
-    trunc_opt = _opt(args, config, "truncations")
-    if trunc_opt is None:
-        steps = None
-    else:
-        try:
-            steps = sorted({int(v) for v in _csv_list(trunc_opt, "truncations")})
-        except ValueError as exc:
-            raise CliError(EXIT_USAGE, f"--truncations: {exc}") from None
-        bad = [m for m in steps if not 0 <= m <= dec.rank]
-        if bad:
-            raise CliError(EXIT_USAGE, f"--truncations: {bad[0]} out of range 0..{dec.rank}")
+    steps = args.truncations
+    bad = [m for m in steps or () if not 0 <= m <= dec.rank]
+    if bad:
+        raise CliError(EXIT_USAGE, f"--truncations: {bad[0]} out of range 0..{dec.rank}")
     table = reconstruction_error(dec, subset, steps)
-    write_error_table(table, out / "errors.csv")
+    write_error_table(table, args.out / "errors.csv")
 
-    tol_recon = _opt(args, config, "tol_recon")
-    tol_recon = default_tol_recon(dec) if tol_recon is None else float(tol_recon)
+    tol_recon = default_tol_recon(dec) if args.tol_recon is None else args.tol_recon
     full_rows = [err for m, err in table if m == dec.rank]
-    guaranteed = not off_support
-    recon_ok = bool(full_rows and full_rows[0] <= tol_recon) if guaranteed else None
-    _write_report(
-        out,
-        {
-            "command": "reconstruct",
-            "kernel": kernel.label,
-            "n_atoms": len(space),
-            "rank": dec.rank,
-            "subset_size": len(subset),
-            "off_support": off_support,
-            "rows": len(table),
-            "final_m": table[-1][0],
-            "final_error": table[-1][1],
-            "tol_recon": tol_recon,
-            "full_rank_ok": recon_ok,
-            "passed": recon_ok is not False,
-        },
-    )
-    return EXIT_OK
+    recon_ok = None if off_support else bool(full_rows and full_rows[0] <= tol_recon)
+    return {
+        **_about(args, args.kernel),
+        "rank": dec.rank,
+        "subset_size": len(subset),
+        "off_support": off_support,
+        "rows": len(table),
+        "final_m": table[-1][0],
+        "final_error": table[-1][1],
+        "tol_recon": tol_recon,
+        "full_rank_ok": recon_ok,
+        "passed": recon_ok is not False,
+    }
 
 
-def cmd_frames(args: argparse.Namespace) -> int:
-    config = _load_config(args)
-    space = _load_space(_required(args, config, "atoms"))
-    kernel = _load_kernel(_required(args, config, "kernel"))
-    out = _outdir(_required(args, config, "out"))
-    cutoff = _opt(args, config, "rank_cutoff")
-    validation, full, dec, _ = _decompose(
-        space, kernel, out, "frames", None if cutoff is None else float(cutoff)
-    )
-    tol_recon = _opt(args, config, "tol_recon")
-    tol_recon = default_tol_recon(dec) if tol_recon is None else float(tol_recon)
+def _frames_report(args: argparse.Namespace) -> dict[str, Any]:
+    _, dec, _ = _spectrum(args)
+    tol_recon = default_tol_recon(dec) if args.tol_recon is None else args.tol_recon
     blocks = []
-    all_ok = True
     for j in range(dec.n):
         frame = extract_frame(dec, j)
-        write_frame(frame, out / f"frame_j{j}.csv")
+        write_frame(frame, args.out / f"frame_j{j}.csv")
         deviation = frame_check(frame, dec)
-        ok = deviation <= tol_recon
-        all_ok = all_ok and ok
-        blocks.append({"j": j, "deviation": deviation, "ok": ok})
-    _write_report(
-        out,
-        {
-            "command": "frames",
-            "kernel": kernel.label,
-            "n_atoms": len(space),
-            "rank": dec.rank,
-            "tol_recon": tol_recon,
-            "blocks": blocks,
-            "passed": all_ok,
-        },
-    )
-    return EXIT_OK
+        blocks.append({"j": j, "deviation": deviation, "ok": deviation <= tol_recon})
+    return {
+        **_about(args, args.kernel),
+        "rank": dec.rank,
+        "tol_recon": tol_recon,
+        "blocks": blocks,
+        "passed": all(block["ok"] for block in blocks),
+    }
 
 
-def cmd_synthesize(args: argparse.Namespace) -> int:
-    config = _load_config(args)
-    space = _load_space(_required(args, config, "atoms"))
-    out = _outdir(_required(args, config, "out"))
-    kernel_opt = _opt(args, config, "kernel")
-    kernel_paths = [kernel_opt] if isinstance(kernel_opt, str) else list(kernel_opt or [])
-    frame_opt = _opt(args, config, "frames")
-    frame_paths = list(frame_opt) if frame_opt else []
-    if not kernel_paths and not frame_paths:
+def _synthesis_report(args: argparse.Namespace) -> dict[str, Any]:
+    space, originals = args.atoms, args.kernel or []
+    if not originals and not args.frames:
         raise CliError(EXIT_USAGE, "synthesize needs --kernel files or --frames files")
-
-    originals = [_load_kernel(p) for p in kernel_paths]
-    for k, kernel in enumerate(originals):
-        if kernel.n != 1:
-            raise CliError(EXIT_USAGE, f"--kernel: {kernel_paths[k]}: synthesize needs scalar kernels")
-
-    if frame_paths:
-        try:
-            frames = [read_frame(p) for p in frame_paths]
-        except (OSError, ValueError) as exc:
-            raise CliError(EXIT_USAGE, str(exc)) from None
-    else:
-        frames = []
-        for kernel in originals:
-            _validated(space, kernel, out, "synthesize")
-            nu = rescale_measure(space, kernel)
-            try:
-                op = assemble_operator(space, kernel, nu)
-            except EmptySupportError as exc:
-                _write_report(
-                    out,
-                    {"command": "synthesize", "degenerate": str(exc), "passed": False},
-                )
-                raise SystemExit(EXIT_DEGENERATE) from None
-            frames.append(extract_frame(eigendecompose(op), 0))
+    frames = args.frames or [extract_frame(eigendecompose(_operator(args, k)[1]), 0) for k in originals]
     try:
         family = align_frames(frames)
     except ValueError as exc:
@@ -545,11 +425,10 @@ def cmd_synthesize(args: argparse.Namespace) -> int:
         atoms = [space.atoms[space.index(label)] for label in family.atoms]
     except KeyError as exc:
         raise CliError(EXIT_USAGE, f"--frames: {exc.args[0]}") from None
-    write_precomputed(synth, atoms, out / "kernel.csv")
+    write_precomputed(synth, atoms, args.out / "kernel.csv")
     report = validate_kernel(synth, atoms)
 
     data: dict[str, Any] = {
-        "command": "synthesize",
         "n": synth.n,
         "frame_count": int(family.values.shape[0]),
         "n_atoms": len(atoms),
@@ -558,15 +437,39 @@ def cmd_synthesize(args: argparse.Namespace) -> int:
     }
     if originals:
         deviation = verify_diagonal_blocks(synth, originals, atoms)
-        top = max(0.0, *(float(diagonal_blocks(k, atoms)[:, 0, 0].real.max()) for k in originals))
-        tol_recon = _opt(args, config, "tol_recon")
-        tol_recon = 1e-8 * (1.0 + top) if tol_recon is None else float(tol_recon)
-        data["diagonal_deviation"] = deviation
-        data["tol_recon"] = tol_recon
-        data["diagonal_ok"] = deviation <= tol_recon
+        tol_recon = tol_recon_of(originals, atoms) if args.tol_recon is None else args.tol_recon
+        data.update(diagonal_deviation=deviation, tol_recon=tol_recon, diagonal_ok=deviation <= tol_recon)
         data["passed"] = report.passed and data["diagonal_ok"]
-    _write_report(out, data)
-    return EXIT_OK if report.passed else EXIT_VALIDATION
+    if not report.passed:
+        raise CliError(EXIT_VALIDATION, report=data)
+    return data
+
+
+_BASE = (_ATOMS, _KERNEL, _OUT)
+_SERIES = _BASE + (_RANK_CUTOFF,)
+# name -> (help, the options it reads in the order they are resolved, body)
+_COMMANDS: dict[str, tuple[str, tuple[_Option, ...], Callable[[argparse.Namespace], dict[str, Any]]]] = {
+    "validate": ("check kernel axioms on the atom set", _BASE, _validate_report),
+    "metric": ("kernel pseudo-metric, quotient classes and support", _BASE + (_TOL_QUOTIENT,), _metric_report),
+    "decompose": ("spectrum and eigenfunctions of the kernel operator", _SERIES, _spectrum_report),
+    "reconstruct": (
+        "truncation error table of the eigen-series", _SERIES + (_TOL_RECON, _SUBSET, _TRUNCATIONS), _errors_report
+    ),
+    "frames": ("per-component scalar frames with Parseval checks", _SERIES + (_TOL_RECON,), _frames_report),
+    "synthesize": (
+        "build a matrix kernel from scalar frames", (_ATOMS, _KERNELS, _OUT, _TOL_RECON, _FRAMES), _synthesis_report
+    ),
+}
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = _Parser(prog="mercerkit", description="Spectral pipeline for matrix-valued kernels.")
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+    for name, (help_text, options, _) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for option in (*options, _CONFIG):
+            p.add_argument(option.flag, dest=option.key, help=option.help, **option.settings)
+    return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -575,13 +478,19 @@ def main(argv: Sequence[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    _, options, body = _COMMANDS[args.command]
     try:
-        return args.func(args)
-    except CliError as exc:
-        print(f"mercerkit: error: {exc.message}", file=sys.stderr)
-        return exc.code
-    except SystemExit as exc:
-        return int(exc.code or 0)
+        _resolve(args, options)
+        report, code = body(args), EXIT_OK
+    except (CliError, KernelEvaluationError) as exc:
+        # a precomputed table that misses a pair is a bad input file
+        error = exc if isinstance(exc, CliError) else CliError(EXIT_USAGE, str(exc))
+        if error.message is not None:
+            print(f"mercerkit: error: {error.message}", file=sys.stderr)
+        report, code = error.report, error.code
+    if report is not None:
+        _write_report(args.out, {"command": args.command, **report})
+    return code
 
 
 if __name__ == "__main__":  # pragma: no cover

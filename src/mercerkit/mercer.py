@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .kernels import _csv_cells, _flat, _readonly, _write_csv, diagonal_blocks, gram
+from .kernels import MatrixKernel, _csv_cells, _flat, _readonly, _write_csv, diagonal_blocks, gram
 from .operators import RKHSElement, SpectralDecomposition
 from .space import Atom, AtomSpace, SupportSet
 
@@ -33,6 +33,7 @@ __all__ = [
     "reconstruct",
     "reconstruction_error",
     "rkhs_inner",
+    "tol_recon_of",
     "write_error_table",
     "write_frame",
 ]
@@ -47,8 +48,17 @@ class OffSupportError(ValueError):
 
 def default_tol_recon(dec: SpectralDecomposition) -> float:
     """Scale-aware tolerance for series reconstruction deviations."""
-    diag = np.einsum("xll->xl", diagonal_blocks(dec.kernel, dec.space.atoms)).real
-    return TOL_RECON_SCALE * (1.0 + max(float(diag.max()), 0.0))
+    return tol_recon_of([dec.kernel], dec.space.atoms)
+
+
+def tol_recon_of(kernels: Sequence[MatrixKernel], atoms: Sequence[Atom]) -> float:
+    """Reconstruction tolerance ``TOL_RECON_SCALE * (1 + t)``.
+
+    ``t`` is the largest real diagonal entry of any ``K(x, x)`` over the
+    kernels and atoms, floored at 0.
+    """
+    top = max(float(np.einsum("xll->xl", diagonal_blocks(k, atoms)).real.max()) for k in kernels)
+    return TOL_RECON_SCALE * (1.0 + max(top, 0.0))
 
 
 def _atom_index(space: AtomSpace, x: str | Atom) -> int:

@@ -9,6 +9,7 @@ are orthonormal against the rescaled weights.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -152,6 +153,16 @@ class SpectralDecomposition:
         return support_of(self.space, metric)
 
 
+def _cutoff(sigmas: np.ndarray, rank_cutoff: float | None) -> float:
+    """Eigenvalues at or below this are dropped; ``sigmas`` is in descending order."""
+    if rank_cutoff is None:
+        return RANK_CUTOFF_REL * max(float(sigmas[0]) if sigmas.size else 0.0, 0.0)
+    cutoff = float(rank_cutoff)
+    if not (math.isfinite(cutoff) and cutoff >= 0):
+        raise ValueError(f"rank_cutoff must be finite and nonnegative, got {rank_cutoff!r}")
+    return cutoff
+
+
 def eigendecompose(op: DiscreteOperator, rank_cutoff: float | None = None) -> SpectralDecomposition:
     """Diagonalize the operator and build eigenfunctions on every atom.
 
@@ -163,14 +174,7 @@ def eigendecompose(op: DiscreteOperator, rank_cutoff: float | None = None) -> Sp
     evals, evecs = np.linalg.eigh(op.matrix)
     evals = evals[::-1]
     evecs = evecs[:, ::-1]
-    sigma1 = float(evals[0]) if evals.size else 0.0
-    if rank_cutoff is None:
-        cutoff = RANK_CUTOFF_REL * max(sigma1, 0.0)
-    else:
-        cutoff = float(rank_cutoff)
-        if cutoff < 0:
-            raise ValueError("rank_cutoff must be nonnegative")
-    keep = evals > max(cutoff, 0.0)
+    keep = evals > _cutoff(evals, rank_cutoff)
     sigmas = np.asarray(evals[keep], dtype=float)
     vectors = evecs[:, keep]
 
@@ -210,9 +214,7 @@ def _extend(
 
 def truncate(dec: SpectralDecomposition, rank_cutoff: float | None = None) -> SpectralDecomposition:
     """Drop eigenpairs at or below a new cutoff without re-diagonalizing."""
-    sigma1 = float(dec.sigmas[0]) if dec.rank else 0.0
-    cutoff = RANK_CUTOFF_REL * max(sigma1, 0.0) if rank_cutoff is None else float(rank_cutoff)
-    keep = int(np.sum(dec.sigmas > max(cutoff, 0.0)))
+    keep = int(np.sum(dec.sigmas > _cutoff(dec.sigmas, rank_cutoff)))
     return SpectralDecomposition(
         dec.space, dec.kernel, dec.nu, dec.sigmas[:keep], dec.funcs[:keep]
     )

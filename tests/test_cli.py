@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -454,6 +456,69 @@ def test_synthesize_rejects_frames_off_the_atom_file(tmp_path, three_atoms, caps
 
 
 # ---------------------------------------------------------------------------
+# exit paths shared by every subcommand
+# ---------------------------------------------------------------------------
+
+SUBCOMMANDS = ["validate", "metric", "decompose", "reconstruct", "frames", "synthesize"]
+
+
+def run_subcommand(command, atoms, kernel, out):
+    # synthesize computes its frames from the kernel, so it validates and decomposes it too
+    return main([command, "--atoms", str(atoms), "--kernel", str(kernel), "--out", str(out)])
+
+
+@pytest.mark.parametrize("command", SUBCOMMANDS)
+def test_shared_exit_paths(tmp_path, command):
+    atoms = write_atoms(tmp_path, [("a", 1.0, 0.0), ("b", 1.0, 1.0)])
+    table = tmp_path / "table.csv"
+    table.write_text("x_id,t_id,l,j,re,im\na,a,0,0,1.0,0.0\nb,b,0,0,1.0,0.0\na,b,0,0,0.5,0.0\nb,a,0,0,0.9,0.0\n")
+    asymmetric = write_kernel(tmp_path, {"type": "precomputed", "path": "table.csv"})
+    out = tmp_path / "asymmetric"
+    assert run_subcommand(command, atoms, asymmetric, out) == 2
+    report = report_of(out)
+    assert set(report) == {"command", "kernel", "n_atoms", "validation", "passed"}
+    assert (report["command"], report["n_atoms"], report["passed"]) == (command, 2, False)
+    assert report["validation"]["hermitian_ok"] is False
+
+    zero = write_atoms(tmp_path, [("a", 0.0, 0.0), ("b", 0.0, 1.0)], name="zero.csv")
+    out = tmp_path / "zero_mass"
+    code = run_subcommand(command, zero, write_kernel(tmp_path, GAUSSIAN), out)
+    report = report_of(out)
+    if command in ("validate", "metric"):  # neither needs positive mass
+        assert code == 0
+        assert report["passed"] is True
+        return
+    assert code == 3
+    assert set(report) == {"command", "kernel", "n_atoms", "validation", "degenerate", "passed"}
+    assert (report["command"], report["kernel"], report["n_atoms"]) == (command, "gaussian(gamma=1.0)", 2)
+    assert report["validation"]["passed"] is True
+    assert "empty support" in report["degenerate"]
+    assert report["passed"] is False
+
+
+@pytest.mark.parametrize("command", SUBCOMMANDS)
+def test_table_missing_an_atom_is_usage_error(tmp_path, three_atoms, capsys, command):
+    (tmp_path / "table.csv").write_text("x_id,t_id,l,j,re,im\na,a,0,0,1.0,0.0\nb,b,0,0,1.0,0.0\na,b,0,0,0.5,0.0\n")
+    kernel = write_kernel(tmp_path, {"type": "precomputed", "path": "table.csv"})
+    assert run_subcommand(command, three_atoms, kernel, tmp_path / "out") == 1
+    assert capsys.readouterr().err == "mercerkit: error: precomputed kernel has no entry for pair ('a', 'c')\n"
+
+
+@pytest.mark.parametrize("value", ["nan", "-1", "-1e-300", "inf", "-inf"])
+@pytest.mark.parametrize(
+    "command, flag",
+    [("decompose", "--rank-cutoff"), ("reconstruct", "--tol-recon"), ("metric", "--tol-quotient")],
+)
+def test_rejects_non_finite_or_negative_tolerance(tmp_path, three_atoms, capsys, command, flag, value):
+    kernel = write_kernel(tmp_path, GAUSSIAN)
+    out = tmp_path / "out"
+    argv = [command, "--atoms", str(three_atoms), "--kernel", str(kernel), "--out", str(out)]
+    assert main(argv + [f"{flag}={value}"]) == 1
+    assert capsys.readouterr().err == f"mercerkit: error: {flag}: expected a finite nonnegative number, got {value}\n"
+    assert not (out / "report.json").exists()
+
+
+# ---------------------------------------------------------------------------
 # config file and precedence
 # ---------------------------------------------------------------------------
 
@@ -504,6 +569,50 @@ def test_config_must_be_object(tmp_path, three_atoms, capsys):
     assert "config must be a JSON object" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command, value, message",
+    [
+        ("validate", {"atoms": 5}, "--atoms: expected a file path, got 5"),
+        ("validate", {"kernel": ["k.json"]}, '--kernel: expected a file path, got ["k.json"]'),
+        ("decompose", {"rank_cutoff": "abc"}, "--rank-cutoff: could not convert string to float: 'abc'"),
+        ("frames", {"rank_cutoff": -1}, "--rank-cutoff: expected a finite nonnegative number, got -1"),
+        ("reconstruct", {"tol_recon": "x"}, "--tol-recon: could not convert string to float: 'x'"),
+        ("metric", {"tol_quotient": [0.1]}, "--tol-quotient: expected a number, got [0.1]"),
+        ("reconstruct", {"subset": 3}, "--subset: expected a comma-separated list"),
+        ("synthesize", {"frames": "f.csv"}, '--frames: expected a list of file paths, got "f.csv"'),
+        ("synthesize", {"kernel": [1]}, "--kernel: expected a file path, got 1"),
+    ],
+)
+def test_config_values_are_checked_like_flags(tmp_path, three_atoms, capsys, command, value, message):
+    config = tmp_path / "config.json"
+    base = {"atoms": str(three_atoms), "kernel": str(write_kernel(tmp_path, GAUSSIAN)), "out": str(tmp_path / "out")}
+    config.write_text(json.dumps({**base, **value}))
+    assert main([command, "--config", str(config)]) == 1
+    assert capsys.readouterr().err == f"mercerkit: error: {message}\n"
+
+
+def test_one_config_serves_every_subcommand(tmp_path, three_atoms):
+    # keys a subcommand does not read are ignored
+    config = tmp_path / "config.json"
+    config.write_text(
+        json.dumps(
+            {
+                "atoms": str(three_atoms),
+                "kernel": str(write_kernel(tmp_path, GAUSSIAN)),
+                "rank_cutoff": 0.0,
+                "tol_recon": "1e-6",
+                "tol_quotient": 0,
+                "truncations": [0, 1],
+            }
+        )
+    )
+    for command in SUBCOMMANDS:
+        assert main([command, "--config", str(config), "--out", str(tmp_path / command)]) == 0
+    assert report_of(tmp_path / "reconstruct")["tol_recon"] == 1e-6
+    assert report_of(tmp_path / "synthesize")["tol_recon"] == 1e-6
+    assert report_of(tmp_path / "metric")["tol_quotient"] == 0.0
+
+
 # ---------------------------------------------------------------------------
 # argparse plumbing
 # ---------------------------------------------------------------------------
@@ -522,3 +631,17 @@ def test_unknown_command_is_usage_error(capsys):
 def test_help_exits_clean(capsys):
     assert main(["--help"]) == 0
     assert "validate" in capsys.readouterr().out
+
+
+def test_readme_command_lines_parse():
+    # a flag dropped from the parser fails here instead of leaving the README stale
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Command line", 1)[1].split("\n## ", 1)[0]
+    lines = [line for line in section.splitlines() if line.startswith("mercerkit ")]
+    assert len(lines) >= len(SUBCOMMANDS)
+    parser = cli.build_parser()
+    for line in lines:
+        try:
+            parser.parse_args(shlex.split(line)[1:])
+        except SystemExit:
+            pytest.fail(f"README line does not parse: {line}")

@@ -176,6 +176,18 @@ def test_truncate_matches_fresh_cutoff():
     assert truncate(full, 0.0).rank == full.rank
 
 
+@pytest.mark.parametrize("cutoff", [-1.0, -1e-300, math.nan, math.inf, -math.inf])
+def test_eigendecompose_and_truncate_reject_bad_cutoff(cutoff):
+    # a nan cutoff used to keep no eigenvalue and a negative one to keep every positive one
+    space = random_space(np.random.default_rng(7), 5, dim=1)
+    kernel = build_kernel({"type": "gaussian", "gamma": 1.0})
+    op = assemble_operator(space, kernel, rescale_measure(space, kernel))
+    with pytest.raises(ValueError, match="rank_cutoff must be finite and nonnegative"):
+        eigendecompose(op, rank_cutoff=cutoff)
+    with pytest.raises(ValueError, match="rank_cutoff must be finite and nonnegative"):
+        truncate(eigendecompose(op, rank_cutoff=0.0), cutoff)
+
+
 @pytest.mark.parametrize("spec", [spec for _, spec in ZOO], ids=ZOO_IDS)
 def test_eigenfunctions_orthonormal_in_l2(spec):
     rng = np.random.default_rng(41)
