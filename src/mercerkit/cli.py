@@ -79,7 +79,17 @@ class CliError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse variant mapping usage errors to exit code 1."""
+    """argparse variant mapping usage errors to exit code 1.
+
+    Each parser rejects the arguments it does not know itself, so a
+    subcommand's stray flag is reported with the subcommand's usage line.
+    """
+
+    def parse_known_args(self, args=None, namespace=None):  # type: ignore[override]
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return namespace, extras
 
     def error(self, message: str) -> None:  # type: ignore[override]
         self.print_usage(sys.stderr)
@@ -398,7 +408,7 @@ def _frames_report(args: argparse.Namespace) -> dict[str, Any]:
     for j in range(dec.n):
         frame = extract_frame(dec, j)
         write_frame(frame, args.out / f"frame_j{j}.csv")
-        deviation = frame_check(frame, dec)
+        deviation = frame_check(frame, dec, j)
         blocks.append({"j": j, "deviation": deviation, "ok": deviation <= tol_recon})
     return {
         **_about(args, args.kernel),

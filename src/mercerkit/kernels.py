@@ -14,7 +14,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from io import StringIO
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, Sequence
@@ -25,7 +25,6 @@ if TYPE_CHECKING:  # pragma: no cover - annotations only
     from .space import Atom
 
 __all__ = [
-    "BlockGram",
     "KernelEvaluationError",
     "KernelSpecError",
     "KernelSymmetryError",
@@ -79,9 +78,6 @@ class MatrixKernel:
     eval: Callable[[Atom, Atom], np.ndarray]
     label: str = "custom"
     batch: Batch | None = None
-
-    def __call__(self, x: Atom, t: Atom) -> np.ndarray:
-        return self.eval(x, t)
 
 
 def _readonly(arr: np.ndarray) -> np.ndarray:
@@ -542,29 +538,24 @@ def write_precomputed(kernel: MatrixKernel, atoms: Sequence[Atom], path: str | P
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
-class BlockGram:
-    """Hermitian Gram matrix of all kernel blocks; index (x, l) -> x*n + l."""
-
-    atoms: tuple[str, ...]
-    n: int
-    matrix: np.ndarray
+def _hermitian_gram(kernel: MatrixKernel, atoms: Sequence[Atom]) -> tuple[float, np.ndarray]:
+    """Hermitian deviation of the flat block Gram matrix, and its Hermitian part."""
+    raw = _flat(gram(kernel, atoms))
+    return _hermitian_deviation(raw), 0.5 * (raw + raw.conj().T)
 
 
-def assemble_block_gram(kernel: MatrixKernel, atoms: Sequence[Atom], tol_sym: float = TOL_SYM) -> BlockGram:
-    """Evaluate all blocks and enforce Hermitian symmetry.
+def assemble_block_gram(kernel: MatrixKernel, atoms: Sequence[Atom], tol_sym: float = TOL_SYM) -> np.ndarray:
+    """Read-only Hermitian Gram matrix of all blocks; index ``(x, l) -> x*n + l``.
 
     Asymmetry up to ``tol_sym`` is averaged away; anything larger raises
     :class:`KernelSymmetryError` carrying the maximum deviation.
     """
-    raw = _flat(gram(kernel, atoms))
-    dev = _hermitian_deviation(raw)
+    dev, matrix = _hermitian_gram(kernel, atoms)
     if dev > tol_sym:
         raise KernelSymmetryError(
             f"kernel violates Hermitian pair symmetry: max deviation {dev:.3e} exceeds {tol_sym:.3e}"
         )
-    matrix = 0.5 * (raw + raw.conj().T)
-    return BlockGram(tuple(a.label for a in atoms), kernel.n, _readonly(matrix))
+    return _readonly(matrix)
 
 
 @dataclass(frozen=True, eq=False)
@@ -586,18 +577,7 @@ class ValidationReport:
         return self.hermitian_ok and self.psd_ok
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "n_atoms": self.n_atoms,
-            "n": self.n,
-            "hermitian_deviation": self.hermitian_deviation,
-            "tol_sym": self.tol_sym,
-            "min_eigenvalue": self.min_eigenvalue,
-            "max_eigenvalue": self.max_eigenvalue,
-            "tol_psd": self.tol_psd,
-            "hermitian_ok": self.hermitian_ok,
-            "psd_ok": self.psd_ok,
-            "passed": self.passed,
-        }
+        return {**asdict(self), "passed": self.passed}
 
 
 def validate_kernel(kernel: MatrixKernel, atoms: Sequence[Atom], tol_sym: float = TOL_SYM) -> ValidationReport:
@@ -605,12 +585,13 @@ def validate_kernel(kernel: MatrixKernel, atoms: Sequence[Atom], tol_sym: float 
 
     Failures are reported, not raised: the report carries the maximum
     Hermitian deviation and the minimum Gram eigenvalue together with the
-    tolerances used for the verdict.
+    tolerances used for the verdict.  An overflowing kernel fails both checks
+    on its non-finite entries, without numpy warnings.
     """
-    raw = _flat(gram(kernel, atoms))
-    dev = _hermitian_deviation(raw)
-    if np.isfinite(raw).all():
-        eigs = np.linalg.eigvalsh(0.5 * (raw + raw.conj().T))
+    with np.errstate(over="ignore", invalid="ignore"):
+        dev, matrix = _hermitian_gram(kernel, atoms)
+    if np.isfinite(matrix).all():
+        eigs = np.linalg.eigvalsh(matrix)
     else:
         # the eigensolver does not converge on non-finite entries; both checks fail on nan
         eigs = np.array([np.nan])

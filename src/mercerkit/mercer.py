@@ -17,11 +17,10 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .kernels import MatrixKernel, _csv_cells, _flat, _readonly, _write_csv, diagonal_blocks, gram
-from .operators import RKHSElement, SpectralDecomposition
-from .space import Atom, AtomSpace, SupportSet
+from .operators import RKHSElement, SpectralDecomposition, _resolve_atom
+from .space import Atom, SupportSet
 
 __all__ = [
-    "MercerExpansion",
     "OffSupportError",
     "ScalarFrame",
     "default_tol_recon",
@@ -61,32 +60,21 @@ def tol_recon_of(kernels: Sequence[MatrixKernel], atoms: Sequence[Atom]) -> floa
     return TOL_RECON_SCALE * (1.0 + max(top, 0.0))
 
 
-def _atom_index(space: AtomSpace, x: str | Atom) -> int:
-    return space.index(x.label if isinstance(x, Atom) else x)
+def _check_truncation(dec: SpectralDecomposition, m: int) -> None:
+    if not 0 <= m <= dec.rank:
+        raise ValueError(f"truncation {m} out of range 0..{dec.rank}")
 
 
-@dataclass(frozen=True, eq=False)
-class MercerExpansion:
-    """A truncation of the eigen-series to its ``m`` leading terms."""
-
-    dec: SpectralDecomposition
-    m: int
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.m <= self.dec.rank:
-            raise ValueError(f"truncation {self.m} out of range 0..{self.dec.rank}")
-
-
-def reconstruct(exp: MercerExpansion, x: str | Atom, t: str | Atom) -> np.ndarray:
-    """Evaluate the ``m``-term partial series at a pair of atoms.
+def reconstruct(dec: SpectralDecomposition, x: str | Atom, t: str | Atom, m: int | None = None) -> np.ndarray:
+    """Evaluate the ``m``-term partial series at a pair of atoms (default: all terms).
 
     Entry ``(l, j)`` is ``sum_i sigma_i f_i^l(x) conj(f_i^j(t))``, the rank-m
     eigen-factorization of the block Gram; at full rank it reproduces
     ``K(x,t)`` on the support.
     """
-    dec, m = exp.dec, exp.m
-    ix = _atom_index(dec.space, x)
-    it = _atom_index(dec.space, t)
+    m = dec.rank if m is None else m
+    _check_truncation(dec, m)
+    ix, it = (dec.space.index(_resolve_atom(dec.space, a).label) for a in (x, t))
     return np.einsum(
         "i,il,ij->lj",
         dec.sigmas[:m],
@@ -111,8 +99,7 @@ def reconstruction_error(
     idx = [dec.space.index(label) for label in labels]
     steps = sorted(set(int(m) for m in ms)) if ms is not None else list(range(dec.rank + 1))
     for m in steps:
-        if not 0 <= m <= dec.rank:
-            raise ValueError(f"truncation {m} out of range 0..{dec.rank}")
+        _check_truncation(dec, m)
     # flat (x, l), (t, j) matrices: each term is one rank-one update in place
     resid = _flat(gram(dec.kernel, [dec.space.atoms[i] for i in idx]))
     f_sub = dec.funcs[:, idx, :]
@@ -201,30 +188,34 @@ def rkhs_inner(
 class ScalarFrame:
     """Scaled eigenfunction component values ``sqrt(sigma_i) f_i^j`` over atoms.
 
-    Rows are frame vectors for the scalar kernel cut from diagonal block
-    ``block``; the family is Parseval on the measure support.
+    Rows are frame vectors for the scalar kernel cut from one diagonal
+    block; the family is Parseval on the measure support.
     """
 
-    block: int
     atoms: tuple[str, ...]
     values: np.ndarray
 
 
-def extract_frame(dec: SpectralDecomposition, j: int) -> ScalarFrame:
-    """Frame of component ``j`` (zero-based) of the scaled eigenfunctions."""
+def _check_component(dec: SpectralDecomposition, j: int) -> None:
     if not 0 <= j < dec.n:
         raise ValueError(f"component {j} out of range 0..{dec.n - 1}")
+
+
+def extract_frame(dec: SpectralDecomposition, j: int) -> ScalarFrame:
+    """Frame of component ``j`` (zero-based) of the scaled eigenfunctions."""
+    _check_component(dec, j)
     values = np.sqrt(dec.sigmas)[:, None] * dec.funcs[:, :, j]
-    return ScalarFrame(j, dec.space.labels, _readonly(values))
+    return ScalarFrame(dec.space.labels, _readonly(values))
 
 
 def frame_check(
     frame: ScalarFrame,
     dec: SpectralDecomposition,
+    j: int,
     support: SupportSet | None = None,
     combinations: Sequence[tuple[Sequence[str], Sequence[complex]]] = (),
 ) -> float:
-    """Max deviation of the Parseval identity for the frame's scalar kernel.
+    """Max deviation of the Parseval identity for the scalar kernel of component ``j``.
 
     For every support atom the squared frame coefficients of the kernel
     section must sum to the diagonal value ``K(x,x)[j,j]``; optional
@@ -234,8 +225,8 @@ def frame_check(
     """
     if frame.atoms != dec.space.labels:
         raise ValueError("frame atoms do not match the decomposition's atom order")
+    _check_component(dec, j)
     sup = dec.support if support is None else support
-    j = frame.block
     atoms = dec.space.atoms
     idx = [dec.space.index(label) for label in sup.members]
     targets = diagonal_blocks(dec.kernel, [atoms[i] for i in idx])[:, j, j].real
@@ -304,4 +295,4 @@ def read_frame(path: str | Path) -> ScalarFrame:
     values = np.zeros((max_i + 1, len(order)), dtype=complex)
     for i, x, value in rows:
         values[i, x] = value
-    return ScalarFrame(0, tuple(order), _readonly(values))
+    return ScalarFrame(tuple(order), _readonly(values))

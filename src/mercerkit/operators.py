@@ -101,9 +101,8 @@ def assemble_operator(space: AtomSpace, kernel: MatrixKernel, nu: RescaledMeasur
     if not indices:
         raise EmptySupportError("measure has empty support: every atom weight is zero")
     atoms = [space.atoms[i] for i in indices]
-    block_gram = assemble_block_gram(kernel, atoms)
     scale = np.sqrt(np.repeat(nu.weights[list(indices)], kernel.n))
-    matrix = block_gram.matrix * scale[:, None] * scale[None, :]
+    matrix = assemble_block_gram(kernel, atoms) * scale[:, None] * scale[None, :]
     return DiscreteOperator(space, kernel, nu, indices, _readonly(matrix))
 
 

@@ -154,15 +154,10 @@ def load_atoms(path: str | Path) -> AtomSpace:
 
 @dataclass(frozen=True, eq=False)
 class PseudoMetricMatrix:
-    """Pairwise kernel distances plus the scale-aware zero threshold."""
+    """Pairwise kernel distances in atom order plus the scale-aware zero threshold."""
 
-    atoms: tuple[str, ...]
     d: np.ndarray
     quotient_tol: float
-
-    def value(self, x: str, t: str) -> float:
-        idx = {label: i for i, label in enumerate(self.atoms)}
-        return float(self.d[idx[x], idx[t]])
 
 
 def _quotient_tol(diag: np.ndarray) -> float:
@@ -187,7 +182,7 @@ def pseudo_metric(space: AtomSpace, kernel: MatrixKernel) -> PseudoMetricMatrix:
     diag = np.einsum("xxlj->xlj", blocks)
     delta = (diag[:, None] + diag[None, :]) - (blocks + blocks.swapaxes(0, 1))
     d = np.sqrt(_spectral_norms(delta))
-    return PseudoMetricMatrix(space.labels, _mirror_upper(d), _quotient_tol(diag))
+    return PseudoMetricMatrix(_mirror_upper(d), _quotient_tol(diag))
 
 
 def pseudo_metric_prime(space: AtomSpace, kernel: MatrixKernel) -> PseudoMetricMatrix:
@@ -202,7 +197,7 @@ def pseudo_metric_prime(space: AtomSpace, kernel: MatrixKernel) -> PseudoMetricM
     cross = np.trace(blocks, axis1=2, axis2=3).real.T
     val = traces[:, None] + traces[None, :] - 2.0 * cross
     d = np.sqrt(np.maximum(val, 0.0))
-    return PseudoMetricMatrix(space.labels, _mirror_upper(d), _quotient_tol(diag))
+    return PseudoMetricMatrix(_mirror_upper(d), _quotient_tol(diag))
 
 
 @dataclass(frozen=True, eq=False)
@@ -225,37 +220,36 @@ class Quotient:
         return tuple(tuple(b) for b in buckets)
 
 
+def _components(metric: PseudoMetricMatrix, tol: float | None) -> np.ndarray:
+    """Root of each atom's connected component in the graph ``d <= tol``.
+
+    The root is the smallest atom index of the component; ``tol`` is as in
+    :func:`quotient`.
+    """
+    if tol is None:
+        tol = metric.quotient_tol
+    elif not (math.isfinite(tol := float(tol)) and tol >= 0):
+        raise ValueError(f"tol must be finite and nonnegative, got {tol!r}")
+    i, k = np.nonzero(np.triu(metric.d <= tol, 1))
+    root = np.arange(len(metric.d))
+    while True:
+        lo, hi = np.minimum(root[i], root[k]), np.maximum(root[i], root[k])
+        if np.array_equal(lo, hi):
+            return root
+        # hook the larger root of each close pair under the smaller, then flatten
+        np.minimum.at(root, hi, lo)
+        while not np.array_equal(root[root], root):
+            root = root[root]
+
+
 def quotient(space: AtomSpace, metric: PseudoMetricMatrix, tol: float | None = None) -> Quotient:
-    """Glue atoms whose distance is at most ``tol`` (transitively closed)."""
-    tol = metric.quotient_tol if tol is None else float(tol)
-    n_atoms = len(space.labels)
-    parent = list(range(n_atoms))
+    """Glue atoms whose distance is at most ``tol`` (transitively closed).
 
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for i in range(n_atoms):
-        for k in range(i + 1, n_atoms):
-            if metric.d[i, k] <= tol:
-                ri, rk = find(i), find(k)
-                if ri != rk:
-                    # keep the smaller index as root so representatives come first
-                    lo, hi = (ri, rk) if ri < rk else (rk, ri)
-                    parent[hi] = lo
-
-    class_ids: list[int] = []
-    reps: list[str] = []
-    root_to_cid: dict[int, int] = {}
-    for i, label in enumerate(space.labels):
-        root = find(i)
-        if root not in root_to_cid:
-            root_to_cid[root] = len(reps)
-            reps.append(space.labels[root])
-        class_ids.append(root_to_cid[root])
-    return Quotient(space.labels, tuple(class_ids), tuple(reps))
+    ``tol`` defaults to ``metric.quotient_tol``; a negative or non-finite
+    one raises ``ValueError``.
+    """
+    roots, class_ids = np.unique(_components(metric, tol), return_inverse=True)
+    return Quotient(space.labels, tuple(class_ids.tolist()), tuple(space.labels[r] for r in roots))
 
 
 @dataclass(frozen=True, eq=False)
@@ -276,20 +270,14 @@ class SupportSet:
 
 
 def support(space: AtomSpace, metric: PseudoMetricMatrix, tol: float | None = None) -> SupportSet:
-    """Atoms within ``tol`` of positive mass, transitively closed under ``tol``."""
-    tol = metric.quotient_tol if tol is None else float(tol)
-    mask = space.mu > 0
-    if mask.any():
-        mask = (metric.d[:, mask] <= tol).any(axis=1)
-        while True:
-            grown = mask | (metric.d[:, mask] <= tol).any(axis=1)
-            if np.array_equal(grown, mask):
-                break
-            mask = grown
-    else:
-        mask = np.zeros(len(space.labels), dtype=bool)
-    members = tuple(label for label, keep in zip(space.labels, mask) if keep)
-    return SupportSet(members)
+    """Atoms within ``tol`` of positive mass, transitively closed under ``tol``.
+
+    These are the connected components of ``d <= tol`` that hold positive
+    mass; ``tol`` is as in :func:`quotient`.
+    """
+    roots = _components(metric, tol)
+    mask = np.isin(roots, roots[space.mu > 0])
+    return SupportSet(tuple(label for label, keep in zip(space.labels, mask) if keep))
 
 
 def merge_classes(space: AtomSpace, q: Quotient) -> AtomSpace:

@@ -14,7 +14,6 @@ import pytest
 from conftest import ZOO, decompose_space, delta_kernel, random_space, space_from
 from mercerkit import (
     FrameFamily,
-    MercerExpansion,
     RKHSElement,
     assemble_block_gram,
     build_kernel,
@@ -130,8 +129,7 @@ def test_criterion_04_support_restriction():
     # zero-mass atom under the identity kernel: the series cannot see it
     space = space_from([0.0, 1.0, 2.0], [1.0, 1.0, 0.0])
     dec = decompose_space(space, delta_kernel(1))
-    exp = MercerExpansion(dec, dec.rank)
-    synthesized = complex(reconstruct(exp, "c", "c")[0, 0])
+    synthesized = complex(reconstruct(dec, "c", "c")[0, 0])
     actual = complex(dec.kernel.eval(space.atoms[2], space.atoms[2])[0, 0])
     ok = synthesized == 0.0 and actual == 1.0
     _verdict(4, "support restriction", ok, f"series value {synthesized}, kernel value {actual}")
@@ -152,7 +150,7 @@ def test_criterion_05_orthonormal_feature_family():
         # v_i = sum_t K(.,t) f_i(t) nu_t / sqrt(sigma_i); ill-conditioned at
         # the spectral tail, so cut the relative rank at 1e-6
         dec = truncate(full, 1e-6 * float(full.sigmas[0]))
-        gram = assemble_block_gram(dec.kernel, space.atoms).matrix
+        gram = assemble_block_gram(dec.kernel, space.atoms)
         weights = dec.nu.weights
         y = (dec.funcs * weights[None, :, None]).reshape(dec.rank, -1).T
         y = y / np.sqrt(dec.sigmas)[None, :]
@@ -201,7 +199,7 @@ def test_criterion_06_parseval_frames():
                 labels = list(rng.choice(members, size=min(3, len(members)), replace=False))
                 coeffs = rng.standard_normal(len(labels)) + 1j * rng.standard_normal(len(labels))
                 combos.append((labels, coeffs))
-            deviation = frame_check(extract_frame(dec, j), dec, combinations=combos)
+            deviation = frame_check(extract_frame(dec, j), dec, j, combinations=combos)
             worst = max(worst, deviation / tol_recon)
     ok = worst <= 1.0
     _verdict(6, "Parseval frames", ok, f"worst deviation at {worst:.2e} of tolerance")

@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import shlex
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -241,6 +242,20 @@ def test_metric_validates_kernel(tmp_path, three_atoms, row):
         assert report["passed"] is False
         assert report["validation"]["hermitian_ok"] is False
     assert not (tmp_path / "metric" / "metric.csv").exists()
+
+
+def test_overflowing_kernel_fails_validation_quietly(tmp_path, three_atoms, capsys):
+    # (x t + 100)^400 overflows: the axiom checks fail on the non-finite Gram, with no numpy warning
+    kernel = write_kernel(tmp_path, {"type": "polynomial", "degree": 400, "offset": 100.0})
+    for command in ("validate", "metric", "decompose"):
+        out = tmp_path / command
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([command, "--atoms", str(three_atoms), "--kernel", str(kernel), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == ""
+        report = json.loads((out / "report.json").read_text(), parse_constant=_reject_constant)
+        assert report["passed"] is False
+        assert report["validation"]["psd_ok"] is False
 
 
 def test_no_subcommand_evaluates_builtin_kernels_pair_by_pair(tmp_path, monkeypatch):
@@ -626,6 +641,28 @@ def test_no_arguments_is_usage_error(capsys):
 def test_unknown_command_is_usage_error(capsys):
     assert main(["frobnicate"]) == 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [
+        ("validate", "--rank-cutoff"),
+        ("metric", "--rank-cutoff"),
+        ("decompose", "--tol-quotient"),
+        ("reconstruct", "--tol-quotient"),
+        ("frames", "--subset"),
+        ("synthesize", "--rank-cutoff"),
+    ],
+)
+def test_stray_flag_prints_the_subcommand_usage(tmp_path, three_atoms, capsys, command, flag):
+    kernel = write_kernel(tmp_path, GAUSSIAN)
+    out = tmp_path / "out"
+    argv = [command, "--atoms", str(three_atoms), "--kernel", str(kernel), "--out", str(out), flag, "1"]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: mercerkit {command} [-h]")
+    assert err.endswith(f"mercerkit {command}: error: unrecognized arguments: {flag} 1\n")
+    assert not out.exists()
 
 
 def test_help_exits_clean(capsys):

@@ -178,8 +178,8 @@ def test_block_gram_gaussian_hand():
     kernel = build_kernel({"type": "gaussian", "gamma": 1.0})
     gram = assemble_block_gram(kernel, space.atoms)
     e = math.exp(-1.0)
-    np.testing.assert_allclose(gram.matrix, [[1.0, e], [e, 1.0]], atol=1e-16)
-    assert gram.atoms == ("a", "b")
+    np.testing.assert_allclose(gram, [[1.0, e], [e, 1.0]], atol=1e-16)
+    assert not gram.flags.writeable
 
 
 def test_block_gram_layout_interleaves_components():
@@ -192,8 +192,8 @@ def test_block_gram_layout_interleaves_components():
     kernel = build_kernel(spec)
     space = space_from([0.0, 4.0], [1.0, 1.0])
     gram = assemble_block_gram(kernel, space.atoms)
-    assert gram.matrix.shape == (4, 4)
-    np.testing.assert_array_equal(gram.matrix[0:2, 2:4], [[2.0, 1.0], [1.0, 2.0]])
+    assert gram.shape == (4, 4)
+    np.testing.assert_array_equal(gram[0:2, 2:4], [[2.0, 1.0], [1.0, 2.0]])
 
 
 def test_assemble_rejects_large_asymmetry():
@@ -217,8 +217,8 @@ def test_assemble_averages_tiny_asymmetry():
     kernel = MatrixKernel(n=1, eval=ev, label="wobble")
     space = space_from([0.0, 1.0], [1.0, 1.0])
     gram = assemble_block_gram(kernel, space.atoms)
-    np.testing.assert_array_equal(gram.matrix, gram.matrix.conj().T)
-    assert complex(gram.matrix[0, 1]) == pytest.approx(0.5 + wobble / 2, rel=1e-12)
+    np.testing.assert_array_equal(gram, gram.conj().T)
+    assert complex(gram[0, 1]) == pytest.approx(0.5 + wobble / 2, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,6 @@ import pytest
 
 from conftest import ZOO, ZOO_IDS, decompose_space, delta_kernel, random_space, space_from
 from mercerkit import (
-    MercerExpansion,
     OffSupportError,
     RKHSElement,
     build_kernel,
@@ -37,17 +36,16 @@ def test_reconstruct_constant_kernel_hand():
     # single eigenpair sigma=1, f=1: the one-term series is exactly K
     space = space_from([0.0, 1.0], [1.0, 1.0])
     dec = decompose_space(space, {"type": "constant", "value": 1.0})
-    exp = MercerExpansion(dec, dec.rank)
-    assert complex(reconstruct(exp, "a", "b")[0, 0]) == pytest.approx(1.0, abs=1e-13)
+    assert complex(reconstruct(dec, "a", "b")[0, 0]) == pytest.approx(1.0, abs=1e-13)
 
 
 def test_reconstruct_validates_truncation_order():
     space = space_from([0.0, 1.0], [1.0, 1.0])
     dec = decompose_space(space, {"type": "constant", "value": 1.0})
     with pytest.raises(ValueError):
-        MercerExpansion(dec, dec.rank + 1)
+        reconstruct(dec, "a", "b", dec.rank + 1)
     with pytest.raises(ValueError):
-        MercerExpansion(dec, -1)
+        reconstruct(dec, "a", "b", -1)
 
 
 @pytest.mark.parametrize("spec", [spec for _, spec in ZOO], ids=ZOO_IDS)
@@ -60,12 +58,11 @@ def test_full_rank_reconstruction(spec):
     assert table[-1][0] == dec.rank
     assert table[-1][1] <= tol
     # the partial series converges pointwise on the support too
-    exp = MercerExpansion(dec, dec.rank)
     kernel = dec.kernel
     for label in dec.support.members:
         atom = space.atoms[space.index(label)]
         np.testing.assert_allclose(
-            reconstruct(exp, label, label), np.asarray(kernel.eval(atom, atom)), atol=tol
+            reconstruct(dec, label, label), np.asarray(kernel.eval(atom, atom)), atol=tol
         )
 
 
@@ -114,17 +111,16 @@ def test_off_diagonal_remainder_bounded_by_diagonals():
     tol = default_tol_eig(dec)
     labels = dec.support.members
     for m in (0, dec.rank // 2, dec.rank):
-        exp = MercerExpansion(dec, m)
         diag_rem = {}
         for label in labels:
             atom = space.atoms[space.index(label)]
-            rem = np.asarray(dec.kernel.eval(atom, atom)) - reconstruct(exp, label, label)
+            rem = np.asarray(dec.kernel.eval(atom, atom)) - reconstruct(dec, label, label, m)
             diag_rem[label] = max(float(np.max(np.diag(rem).real)), 0.0)
         for x in labels:
             for t in labels:
                 ax = space.atoms[space.index(x)]
                 at = space.atoms[space.index(t)]
-                rem = np.asarray(dec.kernel.eval(ax, at)) - reconstruct(exp, x, t)
+                rem = np.asarray(dec.kernel.eval(ax, at)) - reconstruct(dec, x, t, m)
                 bound = np.sqrt(diag_rem[x] * diag_rem[t]) + tol
                 assert np.max(np.abs(rem)) <= bound
 
@@ -167,8 +163,7 @@ def test_reconstruction_differs_off_support():
     # zero-mass isolated atom: the series vanishes there but the kernel does not
     space = space_from([0.0, 1.0, 2.0], [1.0, 1.0, 0.0])
     dec = decompose_space(space, delta_kernel(1))
-    exp = MercerExpansion(dec, dec.rank)
-    assert complex(reconstruct(exp, "c", "c")[0, 0]) == 0.0
+    assert complex(reconstruct(dec, "c", "c")[0, 0]) == 0.0
     atom = space.atoms[2]
     assert complex(dec.kernel.eval(atom, atom)[0, 0]) == 1.0
 
@@ -292,7 +287,7 @@ def test_frame_values_ones_for_rank_one_separable():
     for j in range(2):
         frame = extract_frame(dec, j)
         np.testing.assert_allclose(frame.values, np.ones((1, 2)), atol=1e-13)
-        assert frame_check(frame, dec) <= 1e-13
+        assert frame_check(frame, dec, j) <= 1e-13
 
 
 @pytest.mark.parametrize("spec", [spec for _, spec in ZOO], ids=ZOO_IDS)
@@ -308,7 +303,7 @@ def test_frames_are_parseval_on_support(spec):
         coeffs = rng.standard_normal(len(labels)) + 1j * rng.standard_normal(len(labels))
         combos.append((labels, coeffs))
     for j in range(dec.n):
-        deviation = frame_check(extract_frame(dec, j), dec, combinations=combos)
+        deviation = frame_check(extract_frame(dec, j), dec, j, combinations=combos)
         assert deviation <= tol
 
 
@@ -319,7 +314,24 @@ def test_frame_check_requires_matching_atom_order():
     other = space_from([0.0, 1.0], [1.0, 1.0], labels=("u", "v"))
     dec_other = decompose_space(other, {"type": "constant", "value": 1.0})
     with pytest.raises(ValueError, match="atom"):
-        frame_check(frame, dec_other)
+        frame_check(frame, dec_other, 0)
+
+
+def test_frame_check_after_file_round_trip(tmp_path):
+    # the component comes from the caller, so a frame read back from a file
+    # is checked against the diagonal block it was cut from
+    spec = {"type": "diagonal", "blocks": [{"type": "gaussian", "gamma": 1.0}, {"type": "constant", "value": 3.0}]}
+    rng = np.random.default_rng(8)
+    dec = decompose_space(random_space(rng, 8, dim=2), spec)
+    frame = extract_frame(dec, 1)
+    path = tmp_path / "frame_j1.csv"
+    write_frame(frame, path)
+    back = read_frame(path)
+    assert back.atoms == frame.atoms
+    assert frame_check(back, dec, 1) <= 1e-12
+    assert frame_check(back, dec, 1) == frame_check(frame, dec, 1)
+    with pytest.raises(ValueError, match="component"):
+        frame_check(back, dec, 2)
 
 
 def test_extract_frame_rejects_bad_component():
@@ -345,16 +357,14 @@ def test_series_invariant_under_atom_permutation():
     dec = decompose_space(space, spec)
     dec_shuffled = decompose_space(shuffled, spec)
     tol = default_tol_recon(dec)
-    exp = MercerExpansion(dec, dec.rank)
-    exp_shuffled = MercerExpansion(dec_shuffled, dec_shuffled.rank)
     for x in space.labels[:5]:
         for t in space.labels[:5]:
             np.testing.assert_allclose(
-                reconstruct(exp, x, t), reconstruct(exp_shuffled, x, t), atol=tol
+                reconstruct(dec, x, t), reconstruct(dec_shuffled, x, t), atol=tol
             )
     for j in range(dec.n):
-        assert frame_check(extract_frame(dec, j), dec) <= tol
-        assert frame_check(extract_frame(dec_shuffled, j), dec_shuffled) <= tol
+        assert frame_check(extract_frame(dec, j), dec, j) <= tol
+        assert frame_check(extract_frame(dec_shuffled, j), dec_shuffled, j) <= tol
 
 
 # ---------------------------------------------------------------------------

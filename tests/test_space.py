@@ -89,10 +89,10 @@ def test_gaussian_metric_hand_value():
     kernel = build_kernel({"type": "gaussian", "gamma": 1.0})
     metric = pseudo_metric(space, kernel)
     expected = math.sqrt(2.0 - 2.0 * math.exp(-1.0))
-    assert abs(metric.value("a", "b") - expected) < 1e-14
-    assert metric.value("a", "a") == 0.0
+    assert abs(metric.d[space.index("a"), space.index("b")] - expected) < 1e-14
+    assert metric.d[space.index("a"), space.index("a")] == 0.0
     prime = pseudo_metric_prime(space, kernel)
-    assert abs(prime.value("a", "b") - expected) < 1e-14
+    assert abs(prime.d[space.index("a"), space.index("b")] - expected) < 1e-14
 
 
 def test_constant_kernel_metric_is_zero():
@@ -111,8 +111,9 @@ def test_identity_block_kernel_saturates_norm_ratio():
     # K(x,x) = I_2, cross blocks zero: d = sqrt(2), d' = 2 = sqrt(n) * d
     space = space_from([0.0, 1.0], [1.0, 1.0])
     kernel = delta_kernel(2)
-    d = pseudo_metric(space, kernel).value("a", "b")
-    dp = pseudo_metric_prime(space, kernel).value("a", "b")
+    ab = space.index("a"), space.index("b")
+    d = pseudo_metric(space, kernel).d[ab]
+    dp = pseudo_metric_prime(space, kernel).d[ab]
     assert abs(d - math.sqrt(2.0)) < 1e-14
     assert abs(dp - 2.0) < 1e-14
 
@@ -151,9 +152,9 @@ def test_quotient_merges_by_transitive_closure():
     kernel = build_kernel({"type": "gaussian", "gamma": 1.0})
     metric = pseudo_metric(space, kernel)
     tol = 3e-8
-    assert metric.value("a", "b") <= tol
-    assert metric.value("b", "c") <= tol
-    assert metric.value("a", "c") > tol
+    assert metric.d[space.index("a"), space.index("b")] <= tol
+    assert metric.d[space.index("b"), space.index("c")] <= tol
+    assert metric.d[space.index("a"), space.index("c")] > tol
     q = quotient(space, metric, tol)
     assert q.class_ids == (0, 0, 0)
     assert q.representatives == ("a",)
@@ -246,7 +247,7 @@ def test_support_closure_chains_through_zero_mass_atoms():
     metric = pseudo_metric(space, kernel)
     tol = 3e-8
     # c is farther than tol from the only massive atom; it joins through b
-    assert metric.value("a", "c") > tol
+    assert metric.d[space.index("a"), space.index("c")] > tol
     sup = support(space, metric, tol)
     assert sup.members == ("a", "b", "c")
 
@@ -280,3 +281,78 @@ def test_metric_prime_matches_trace_formula():
             ktx = np.trace(np.asarray(kernel.eval(t, x))).real
             expected = math.sqrt(max(kxx + ktt - 2.0 * ktx, 0.0))
             assert abs(prime.d[i, k] - expected) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# quotient and support against the plain closure algorithms
+# ---------------------------------------------------------------------------
+
+
+def reference_quotient(space, metric, tol):
+    """Union-find over every pair, the smaller root kept, class ids by first occurrence."""
+    n_atoms = len(space.labels)
+    parent = list(range(n_atoms))
+
+    def find(a):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    for i in range(n_atoms):
+        for k in range(i + 1, n_atoms):
+            if metric.d[i, k] <= tol:
+                ri, rk = find(i), find(k)
+                if ri != rk:
+                    lo, hi = (ri, rk) if ri < rk else (rk, ri)
+                    parent[hi] = lo
+    class_ids, reps, root_to_cid = [], [], {}
+    for i in range(n_atoms):
+        root = find(i)
+        if root not in root_to_cid:
+            root_to_cid[root] = len(reps)
+            reps.append(space.labels[root])
+        class_ids.append(root_to_cid[root])
+    return tuple(class_ids), tuple(reps)
+
+
+def reference_support(space, metric, tol):
+    """Atoms within ``tol`` of positive mass, grown until the set stops changing."""
+    mask = space.mu > 0
+    if mask.any():
+        mask = (metric.d[:, mask] <= tol).any(axis=1)
+        while True:
+            grown = mask | (metric.d[:, mask] <= tol).any(axis=1)
+            if np.array_equal(grown, mask):
+                break
+            mask = grown
+    else:
+        mask = np.zeros(len(space.labels), dtype=bool)
+    return tuple(label for label, keep in zip(space.labels, mask) if keep)
+
+
+@pytest.mark.parametrize("tol", [None, 0.0, 0.05, 0.5], ids=["default", "0", "0.05", "0.5"])
+def test_quotient_and_support_match_reference_closure(tol):
+    rng = np.random.default_rng(2024)
+    specs = [spec for _, spec in ZOO]
+    for case in range(60):
+        n_atoms = int(rng.integers(1, 25))
+        # coordinates on a coarse grid, so repeated atoms are common
+        coords = rng.integers(-3, 4, size=(n_atoms, 2)) * 0.25
+        mu = rng.uniform(0.5, 1.5, n_atoms) * (rng.random(n_atoms) < 0.6)
+        space = space_from(coords, mu, labels=tuple(f"x{i}" for i in range(n_atoms)))
+        metric = pseudo_metric(space, build_kernel(specs[case % len(specs)]))
+        used = metric.quotient_tol if tol is None else tol
+        q = quotient(space, metric, tol)
+        assert (q.class_ids, q.representatives) == reference_quotient(space, metric, used)
+        assert support(space, metric, tol).members == reference_support(space, metric, used)
+
+
+@pytest.mark.parametrize("tol", [-1e-12, -1.0, float("nan"), float("inf")])
+def test_quotient_and_support_reject_bad_tol(tol):
+    space = space_from([0.0, 1.0], [1.0, 0.0])
+    metric = pseudo_metric(space, build_kernel({"type": "gaussian", "gamma": 1.0}))
+    with pytest.raises(ValueError, match="tol"):
+        quotient(space, metric, tol)
+    with pytest.raises(ValueError, match="tol"):
+        support(space, metric, tol)

@@ -20,8 +20,8 @@ from mercerkit import (
 )
 
 
-def _frame(block, atoms, rows):
-    return ScalarFrame(block, tuple(atoms), np.asarray(rows, dtype=complex))
+def _frame(atoms, rows):
+    return ScalarFrame(tuple(atoms), np.asarray(rows, dtype=complex))
 
 
 # ---------------------------------------------------------------------------
@@ -30,8 +30,8 @@ def _frame(block, atoms, rows):
 
 
 def test_align_pads_shorter_frames_with_zeros():
-    f0 = _frame(0, ("a", "b"), [[1.0, 2.0], [3.0, 4.0]])
-    f1 = _frame(1, ("a", "b"), [[5.0, 6.0], [7.0, 8.0], [9.0, 10.0]])
+    f0 = _frame(("a", "b"), [[1.0, 2.0], [3.0, 4.0]])
+    f1 = _frame(("a", "b"), [[5.0, 6.0], [7.0, 8.0], [9.0, 10.0]])
     family = align_frames([f0, f1])
     assert family.atoms == ("a", "b")
     assert family.values.shape == (3, 2, 2)
@@ -41,20 +41,20 @@ def test_align_pads_shorter_frames_with_zeros():
 
 
 def test_align_preserves_equal_sized_frames():
-    f0 = _frame(0, ("a",), [[1.0 + 2.0j]])
-    f1 = _frame(0, ("a",), [[-3.0j]])
+    f0 = _frame(("a",), [[1.0 + 2.0j]])
+    f1 = _frame(("a",), [[-3.0j]])
     family = align_frames([f0, f1])
     np.testing.assert_array_equal(family.values[:, :, 0], f0.values)
     np.testing.assert_array_equal(family.values[:, :, 1], f1.values)
 
 
 def test_align_rejects_mismatched_atoms():
-    f0 = _frame(0, ("a", "b"), [[1.0, 2.0]])
-    f1 = _frame(0, ("a", "c"), [[1.0, 2.0]])
+    f0 = _frame(("a", "b"), [[1.0, 2.0]])
+    f1 = _frame(("a", "c"), [[1.0, 2.0]])
     with pytest.raises(ValueError, match="frames disagree on the atom set"):
         align_frames([f0, f1])
     with pytest.raises(ValueError, match="frames disagree on the atom set"):
-        align_frames([f0, _frame(0, ("b", "a"), [[2.0, 1.0]])])
+        align_frames([f0, _frame(("b", "a"), [[2.0, 1.0]])])
 
 
 def test_align_requires_a_frame():
@@ -69,7 +69,7 @@ def test_align_requires_a_frame():
 
 def test_ones_frames_give_all_ones_blocks():
     family = align_frames(
-        [_frame(0, ("a", "b"), [[1.0, 1.0]]), _frame(1, ("a", "b"), [[1.0, 1.0]])]
+        [_frame(("a", "b"), [[1.0, 1.0]]), _frame(("a", "b"), [[1.0, 1.0]])]
     )
     kernel = synthesize_kernel(family)
     assert kernel.n == 2
@@ -83,7 +83,7 @@ def test_ones_frames_give_all_ones_blocks():
 def test_block_entries_are_frame_inner_products():
     # K(x,t)[l,j] = sum_i f_i^j(t) conj(f_i^l(x)), checked entrywise
     family = align_frames(
-        [_frame(0, ("a", "b"), [[1.0, 1.0j]]), _frame(1, ("a", "b"), [[2.0, 0.0]])]
+        [_frame(("a", "b"), [[1.0, 1.0j]]), _frame(("a", "b"), [[2.0, 0.0]])]
     )
     kernel = synthesize_kernel(family)
     space = space_from([0.0, 1.0], [1.0, 1.0])
@@ -96,7 +96,7 @@ def test_block_entries_are_frame_inner_products():
 
 def test_zero_frame_component_vanishes():
     family = align_frames(
-        [_frame(0, ("a", "b"), [[1.0, 2.0]]), _frame(1, ("a", "b"), [[0.0, 0.0]])]
+        [_frame(("a", "b"), [[1.0, 2.0]]), _frame(("a", "b"), [[0.0, 0.0]])]
     )
     kernel = synthesize_kernel(family)
     space = space_from([0.0, 1.0], [1.0, 1.0])
@@ -109,7 +109,7 @@ def test_zero_frame_component_vanishes():
 
 
 def test_synthesized_kernel_undefined_off_family():
-    family = align_frames([_frame(0, ("a",), [[1.0]])])
+    family = align_frames([_frame(("a",), [[1.0]])])
     kernel = synthesize_kernel(family)
     space = space_from([0.0, 1.0], [1.0, 1.0])
     with pytest.raises(KernelEvaluationError, match="'b'"):
@@ -176,7 +176,7 @@ def test_halved_frames_shrink_diagonal_blocks():
     spec = {"type": "gaussian", "gamma": 1.0}
     dec = decompose_space(space, spec)
     frame = extract_frame(dec, 0)
-    halved = ScalarFrame(0, frame.atoms, 0.5 * frame.values)
+    halved = ScalarFrame(frame.atoms, 0.5 * frame.values)
     synthesized = synthesize_kernel(align_frames([halved]))
     deviation = verify_diagonal_blocks(synthesized, [build_kernel(spec)], space.atoms)
     assert deviation == pytest.approx(0.75, abs=1e-9)
@@ -188,7 +188,7 @@ def test_halved_frames_shrink_diagonal_blocks():
 
 
 def test_verify_rejects_wrong_original_count():
-    family = align_frames([_frame(0, ("a",), [[1.0]]), _frame(1, ("a",), [[1.0]])])
+    family = align_frames([_frame(("a",), [[1.0]]), _frame(("a",), [[1.0]])])
     kernel = synthesize_kernel(family)
     space = space_from([0.0], [1.0])
     with pytest.raises(ValueError, match="one scalar original"):
@@ -196,7 +196,7 @@ def test_verify_rejects_wrong_original_count():
 
 
 def test_verify_rejects_matrix_originals():
-    family = align_frames([_frame(0, ("a",), [[1.0]])])
+    family = align_frames([_frame(("a",), [[1.0]])])
     kernel = synthesize_kernel(family)
     space = space_from([0.0], [1.0])
     matrix_kernel = build_kernel(

@@ -88,7 +88,7 @@ def test_write_error_table_bytes(tmp_path):
 
 
 def test_write_frame_bytes_and_read_back(tmp_path):
-    frame = ScalarFrame(0, LABELS, _values((4, len(LABELS))))
+    frame = ScalarFrame(LABELS, _values((4, len(LABELS))))
     path = tmp_path / "frame.csv"
     write_frame(frame, path)
     rows = [["i", "atom_id", "value_re", "value_im"]]
