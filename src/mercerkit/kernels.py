@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import warnings
 from dataclasses import asdict, dataclass
 from io import StringIO
 from pathlib import Path
@@ -87,16 +88,20 @@ def _readonly(arr: np.ndarray) -> np.ndarray:
 
 
 def _csv_cells(labels: Iterable[str]) -> list[str]:
-    """Labels rendered as CSV cells with minimal quoting, exactly as ``csv.writer`` writes them."""
+    """Labels rendered as CSV cells with minimal quoting, exactly as ``csv.writer`` writes them.
+
+    The writer has its default ``"\\r\\n"`` line terminator, whose characters
+    it quotes: a label holding a bare ``"\\r"`` would otherwise end its row.
+    """
     buf = StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
+    writer = csv.writer(buf, lineterminator="\r\n")
     cells = []
     for label in labels:
         buf.seek(0)
         buf.truncate()
         # a trailing empty field, because a row of one empty field is written as ""
         writer.writerow([label, ""])
-        cells.append(buf.getvalue()[:-2])
+        cells.append(buf.getvalue()[: -len(",\r\n")])
     return cells
 
 
@@ -113,6 +118,67 @@ def _write_csv(path: str | Path, header: Sequence[str], chunks: Iterable[Sequenc
             rows = "\n".join(map(",".join, zip(*columns)))
             if rows:
                 fh.write(rows + "\n")
+
+
+def _read_csv(path: str | Path, row: np.dtype) -> np.ndarray | None:
+    """Data rows of a CSV file whose header is the field names of ``row``, in one ``np.loadtxt`` pass.
+
+    Returns ``None`` if the header differs, there is no data row, or numpy's
+    tokenizer rejects any row; the caller's ``csv.reader`` loop then reads
+    the file and words the error.  numpy reads the rest of the stream that
+    ``csv.reader`` read the header from, opened with ``newline=""`` as the
+    loops open it (given a path, numpy would turn a quoted ``\\r\\n`` into
+    ``\\n``).  Both split fields alike: no comment character, ``""`` inside
+    quotes, a quote inside an unquoted cell kept; numpy skips only empty
+    lines.  Label columns have dtype ``object`` and keep their cells
+    unstripped.
+    """
+    with open(path, encoding="utf-8-sig", newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        # a header record spanning lines is left to the loop
+        if header is None or reader.line_num != 1 or [h.strip() for h in header] != list(row.names):
+            return None
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # numpy warns on a file without data rows
+                return np.loadtxt(fh, dtype=row, delimiter=",", quotechar='"', comments=None, ndmin=1)
+        except (ValueError, Warning):
+            return None
+
+
+def _in_range(limit: int, *columns: np.ndarray) -> bool:
+    """Whether every entry of the nonempty integer columns lies in ``0 .. limit - 1``."""
+    return all(col.min() >= 0 and col.max() < limit for col in columns)
+
+
+def _labels(cells: np.ndarray) -> tuple[dict[str, int], np.ndarray]:
+    """Stripped labels numbered in order of first appearance (C order), and each cell's number."""
+    raw = cells.ravel().tolist()
+    index: dict[str, int] = {}
+    number = {cell: index.setdefault(cell.strip(), len(index)) for cell in dict.fromkeys(raw)}
+    return index, np.fromiter(map(number.__getitem__, raw), np.intp, len(raw)).reshape(cells.shape)
+
+
+def _scatter(
+    shape: tuple[int, ...], keys: tuple[np.ndarray, ...], re: np.ndarray, im: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Complex array of ``shape`` holding ``re``, ``im`` at the index columns ``keys``, and its stored mask.
+
+    A position given twice keeps its last row.  Parts are assigned, not
+    summed as ``re + 1j * im``, which would turn ``im = inf`` into a ``nan``
+    real part and lose a ``-0.0``.
+    """
+    flat = np.ravel_multi_index(keys, shape)
+    # advanced-index assignment does not say which of repeated indices wins, so keep the last row
+    last = len(flat) - 1 - np.unique(flat[::-1], return_index=True)[1]
+    pos = flat[last]
+    values = np.zeros(shape, dtype=complex)
+    values.real.flat[pos] = re[last]
+    values.imag.flat[pos] = im[last]
+    stored = np.zeros(shape, dtype=bool)
+    stored.flat[pos] = True
+    return values, stored
 
 
 def _batched(n: int, batch: Batch, label: str) -> MatrixKernel:
@@ -417,7 +483,9 @@ def kernel_from_file(path: str | Path) -> MatrixKernel:
 # precomputed tables
 # ---------------------------------------------------------------------------
 
-_PRECOMPUTED_HEADER = ["x_id", "t_id", "l", "j", "re", "im"]
+_PRECOMPUTED_ROW = np.dtype(
+    [("x_id", object), ("t_id", object), ("l", np.int64), ("j", np.int64), ("re", float), ("im", float)]
+)
 
 
 def read_precomputed(path: str | Path) -> MatrixKernel:
@@ -427,48 +495,17 @@ def read_precomputed(path: str | Path) -> MatrixKernel:
     Hermitian symmetry; explicitly stored values are never overwritten, so a
     file carrying inconsistent mirrors keeps its asymmetry (validation will
     catch it).  A value stored twice keeps its last row.  Component indices
-    are zero-based.
+    are zero-based, and a component index ``k`` needs ``(k+1)^2 <= 2 * rows``
+    data rows, which every complete table has.
     """
     path = Path(path)
-    index: dict[str, int] = {}
-    keys: list[tuple[int, int, int, int]] = []
-    values: list[complex] = []
-    with open(path, encoding="utf-8-sig", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise KernelSpecError(f"{path}: empty file") from None
-        if [h.strip() for h in header] != _PRECOMPUTED_HEADER:
-            raise KernelSpecError(f"{path}: line 1: header must be {','.join(_PRECOMPUTED_HEADER)}")
-        for line_no, row in enumerate(reader, start=2):
-            try:
-                x_id, t_id, l, j, re, im = row
-                l, j, value = int(l), int(j), complex(float(re), float(im))
-            except ValueError as exc:
-                if not "".join(row).strip():
-                    continue  # blank line
-                if len(row) != 6:
-                    raise KernelSpecError(f"{path}: line {line_no}: expected 6 fields, got {len(row)}") from None
-                raise KernelSpecError(f"{path}: line {line_no}: {exc}") from None
-            if l < 0 or j < 0:
-                raise KernelSpecError(f"{path}: line {line_no}: component indices must be nonnegative")
-            x, t = index.setdefault(x_id.strip(), len(index)), index.setdefault(t_id.strip(), len(index))
-            keys.append((x, t, l, j))
-            values.append(value)
-    if not values:
-        raise KernelSpecError(f"{path}: no data rows")
-
-    size = len(index)
-    key = np.array(keys).T
-    n = int(key[2:].max()) + 1
-    blocks = np.zeros((size, size, n, n), dtype=complex)
-    stored = np.zeros((size, size, n, n), dtype=bool)
-    # advanced-index assignment does not say which of repeated indices wins, so keep the last row
-    flat = np.ravel_multi_index(tuple(key), blocks.shape)
-    last = len(flat) - 1 - np.unique(flat[::-1], return_index=True)[1]
-    blocks.flat[flat[last]] = np.array(values)[last]
-    stored.flat[flat[last]] = True
+    rows = _read_csv(path, _PRECOMPUTED_ROW)
+    if rows is None or not _in_range(_component_limit(len(rows)), rows["l"], rows["j"]):
+        rows = _precomputed_rows(path)
+    index, ids = _labels(np.stack([rows["x_id"], rows["t_id"]], axis=1))
+    size, n = len(index), int(max(rows["l"].max(), rows["j"].max())) + 1
+    keys = (ids[:, 0], ids[:, 1], rows["l"], rows["j"])
+    blocks, stored = _scatter((size, size, n, n), keys, rows["re"], rows["im"])
 
     pairs = stored.any(axis=(2, 3))
     defined = pairs | pairs.T
@@ -495,6 +532,52 @@ def read_precomputed(path: str | Path) -> MatrixKernel:
         return table[ix, it]
 
     return _batched(n, batch, f"precomputed({path.name})")
+
+
+def _component_limit(count: int) -> int:
+    """Bound on the component indices of a table of ``count`` data rows: ``(k+1)^2 <= 2 * count``."""
+    return math.isqrt(2 * count)
+
+
+def _precomputed_rows(path: Path) -> np.ndarray:
+    """The data rows of a block table, one ``csv.reader`` row at a time.
+
+    This is the reference parse: it raises :class:`KernelSpecError` naming the
+    first bad line.
+    """
+    rows: list[tuple[str, str, int, int, float, float]] = []
+    lines: list[int] = []
+    with open(path, encoding="utf-8-sig", newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise KernelSpecError(f"{path}: empty file") from None
+        if [h.strip() for h in header] != list(_PRECOMPUTED_ROW.names):
+            raise KernelSpecError(f"{path}: line 1: header must be {','.join(_PRECOMPUTED_ROW.names)}")
+        for line_no, row in enumerate(reader, start=2):
+            try:
+                x_id, t_id, l, j, re, im = row
+                l, j, re, im = int(l), int(j), float(re), float(im)
+            except ValueError as exc:
+                if not "".join(row).strip():
+                    continue  # blank line
+                if len(row) != 6:
+                    raise KernelSpecError(f"{path}: line {line_no}: expected 6 fields, got {len(row)}") from None
+                raise KernelSpecError(f"{path}: line {line_no}: {exc}") from None
+            if l < 0 or j < 0:
+                raise KernelSpecError(f"{path}: line {line_no}: component indices must be nonnegative")
+            rows.append((x_id, t_id, l, j, re, im))
+            lines.append(line_no)
+    if not rows:
+        raise KernelSpecError(f"{path}: no data rows")
+    limit = _component_limit(len(rows))
+    for line_no, (_, _, l, j, _, _) in zip(lines, rows):
+        if max(l, j) >= limit:
+            raise KernelSpecError(
+                f"{path}: line {line_no}: component index {max(l, j)} is out of range for {len(rows)} data rows"
+            )
+    return np.array(rows, dtype=_PRECOMPUTED_ROW)
 
 
 def write_precomputed(kernel: MatrixKernel, atoms: Sequence[Atom], path: str | Path) -> None:
@@ -530,7 +613,7 @@ def write_precomputed(kernel: MatrixKernel, atoms: Sequence[Atom], path: str | P
                 map(repr, values.imag.tolist()),
             )
 
-    _write_csv(path, _PRECOMPUTED_HEADER, chunks())
+    _write_csv(path, _PRECOMPUTED_ROW.names, chunks())
 
 
 # ---------------------------------------------------------------------------

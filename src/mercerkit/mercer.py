@@ -16,7 +16,19 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .kernels import MatrixKernel, _csv_cells, _flat, _readonly, _write_csv, diagonal_blocks, gram
+from .kernels import (
+    MatrixKernel,
+    _csv_cells,
+    _flat,
+    _in_range,
+    _labels,
+    _read_csv,
+    _readonly,
+    _scatter,
+    _write_csv,
+    diagonal_blocks,
+    gram,
+)
 from .operators import RKHSElement, SpectralDecomposition, _resolve_atom
 from .space import Atom, SupportSet
 
@@ -249,6 +261,9 @@ def write_error_table(table: Sequence[tuple[int, float]], path: str | Path) -> N
     _write_csv(path, ["m", "max_abs_error"], [rows])
 
 
+_FRAME_ROW = np.dtype([("i", np.int64), ("atom_id", object), ("value_re", float), ("value_im", float)])
+
+
 def write_frame(frame: ScalarFrame, path: str | Path) -> None:
     """Write ``i,atom_id,value_re,value_im`` rows for one frame, one frame vector at a time."""
     labels = _csv_cells(frame.atoms)
@@ -256,43 +271,55 @@ def write_frame(frame: ScalarFrame, path: str | Path) -> None:
         ([str(i)] * len(labels), labels, map(repr, row.real.tolist()), map(repr, row.imag.tolist()))
         for i, row in enumerate(frame.values)
     )
-    _write_csv(path, ["i", "atom_id", "value_re", "value_im"], chunks)
+    _write_csv(path, _FRAME_ROW.names, chunks)
 
 
 def read_frame(path: str | Path) -> ScalarFrame:
-    """Read a frame CSV back; atom order is first appearance order."""
+    """Read a frame CSV back; atom order is first appearance order.
+
+    Every frame index must lie below the number of data rows.  A value
+    stored twice keeps its last row, and a value never stored is zero.
+    """
     path = Path(path)
-    order: list[str] = []
-    seen: dict[str, int] = {}
-    rows: list[tuple[int, int, complex]] = []
-    max_i = -1
+    rows = _read_csv(path, _FRAME_ROW)
+    if rows is None or not _in_range(len(rows), rows["i"]):
+        rows = _frame_rows(path)
+    index, x = _labels(rows["atom_id"])
+    shape = (int(rows["i"].max(initial=-1)) + 1, len(index))
+    values, _ = _scatter(shape, (rows["i"], x), rows["value_re"], rows["value_im"])
+    return ScalarFrame(tuple(index), _readonly(values))
+
+
+def _frame_rows(path: Path) -> np.ndarray:
+    """The data rows of a frame file, one ``csv.reader`` row at a time.
+
+    This is the reference parse: it raises ``ValueError`` naming the first
+    bad line.
+    """
+    rows: list[tuple[int, str, float, float]] = []
+    lines: list[int] = []
     with open(path, encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
         except StopIteration:
             raise ValueError(f"{path}: empty file") from None
-        if [h.strip() for h in header] != ["i", "atom_id", "value_re", "value_im"]:
-            raise ValueError(f"{path}: line 1: header must be i,atom_id,value_re,value_im")
+        if [h.strip() for h in header] != list(_FRAME_ROW.names):
+            raise ValueError(f"{path}: line 1: header must be {','.join(_FRAME_ROW.names)}")
         for line_no, row in enumerate(reader, start=2):
             if not row or all(not cell.strip() for cell in row):
                 continue
             if len(row) != 4:
                 raise ValueError(f"{path}: line {line_no}: expected 4 fields, got {len(row)}")
             try:
-                i = int(row[0])
-                value = complex(float(row[2]), float(row[3]))
+                i, re, im = int(row[0]), float(row[2]), float(row[3])
             except ValueError as exc:
                 raise ValueError(f"{path}: line {line_no}: {exc}") from None
             if i < 0:
                 raise ValueError(f"{path}: line {line_no}: frame index must be nonnegative")
-            label = row[1].strip()
-            if label not in seen:
-                seen[label] = len(order)
-                order.append(label)
-            rows.append((i, seen[label], value))
-            max_i = max(max_i, i)
-    values = np.zeros((max_i + 1, len(order)), dtype=complex)
-    for i, x, value in rows:
-        values[i, x] = value
-    return ScalarFrame(tuple(order), _readonly(values))
+            rows.append((i, row[1], re, im))
+            lines.append(line_no)
+    for line_no, (i, *_) in zip(lines, rows):
+        if i >= len(rows):
+            raise ValueError(f"{path}: line {line_no}: frame index {i} is out of range for {len(rows)} data rows")
+    return np.array(rows, dtype=_FRAME_ROW)

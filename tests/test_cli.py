@@ -460,6 +460,31 @@ def test_synthesize_rejects_negative_frame_index(tmp_path, three_atoms, capsys, 
     assert not (out / "kernel.csv").exists()
 
 
+def test_synthesize_rejects_frame_index_beyond_the_rows(tmp_path, three_atoms, capsys):
+    # a dense frame this tall would take terabytes; the index is checked before anything is allocated
+    frame = tmp_path / "frame.csv"
+    frame.write_text("i,atom_id,value_re,value_im\n0,a,1.0,0.0\n0,b,2.0,0.0\n100000000000,c,3.0,0.0\n0,c,3.0,0.0\n")
+    out = tmp_path / "out"
+    code = main(["synthesize", "--atoms", str(three_atoms), "--frames", str(frame), "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err == f"mercerkit: error: {frame}: line 4: frame index 100000000000 is out of range for 4 data rows\n"
+    assert not (out / "kernel.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["validate", "synthesize"])
+def test_table_rejects_component_index_beyond_the_rows(tmp_path, three_atoms, capsys, command):
+    # (k+1)^2 <= 2 * rows holds for every complete table; l = j = 300000 would ask for a 1.3 TiB table
+    table = tmp_path / "table.csv"
+    table.write_text("x_id,t_id,l,j,re,im\na,a,0,0,1.0,0.0\nb,b,0,0,1.0,0.0\nc,c,300000,300000,1.0,0.0\n")
+    kernel = write_kernel(tmp_path, {"type": "precomputed", "path": "table.csv"})
+    flag = ["--kernel", str(kernel)]
+    code = main([command, "--atoms", str(three_atoms), *flag, "--out", str(tmp_path / "out")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err == f"mercerkit: error: {table}: line 4: component index 300000 is out of range for 3 data rows\n"
+
+
 def test_synthesize_rejects_frames_off_the_atom_file(tmp_path, three_atoms, capsys):
     frame = tmp_path / "frame.csv"
     frame.write_text("i,atom_id,value_re,value_im\n0,zz,1.0,0.0\n")

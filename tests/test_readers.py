@@ -1,0 +1,221 @@
+"""Frame files and block tables read through numpy's tokenizer equal the ``csv.reader`` row loop.
+
+``read_frame`` and ``read_precomputed`` parse every data row in one
+``np.loadtxt`` pass and fall back to their row loops, kept as the reference,
+when numpy rejects a row or an index is out of range.  Both paths must give
+bit-identical arrays and labels, or the same exception with the same message.
+"""
+
+from __future__ import annotations
+
+import csv
+
+import numpy as np
+import pytest
+
+from mercerkit import (
+    AtomSpace,
+    MatrixKernel,
+    ScalarFrame,
+    gram,
+    kernels,
+    mercer,
+    read_frame,
+    read_precomputed,
+    write_frame,
+    write_precomputed,
+)
+
+LOOPS = ((mercer, "_frame_rows"), (kernels, "_precomputed_rows"))
+
+
+# Data rows of each case.  A tuple holds the raw cells (i, label, re, im) of a
+# frame row, written to a table as label,label,i,i,re,im; a string is written
+# as it is to both.  The last item says which path must read the file: "fast",
+# "loop", or None for either.
+CASES = {
+    "quoted": ([("0", '"a,1"', "1.5", "-2.0"), ("0", '"b""q"', "3.0", "0.25")], "fast"),
+    "hash_label": ([("0", "a#b", "1.0", "0.0"), ("0", "#", "2.0", "1.0")], "fast"),
+    "empty_label": ([("0", "", "1.0", "0.0"), ("0", "x", "2.0", "0.0"), ("0", '""', "3.0", "0.0")], "fast"),
+    "padded_label": ([("0", " a ", "1.0", "0.0"), ("0", '" b"', "2.0", "0.0"), ("0", "a", "3.0", "0.0")], "fast"),
+    "repeated": ([("0", "a", "1.0", "0.0"), ("0", "b", "2.0", "3.0"), ("0", "a", "-5.0", "6.0")], "fast"),
+    "edge_floats": (
+        [("0", "a", "nan", "-inf"), ("0", "b", "-0.0", "5e-324"), ("0", "c", "inf", "-0.0"),
+         ("0", "d", "-nan", "1e308")],
+        "fast",
+    ),
+    "spaced_numbers": ([(" 0 ", "a", " 1.0 ", "\t2.0"), ("+0", "b", "1e0", "-0")], "fast"),
+    "two_vectors": ([("0", "a", "1.0", "0.0"), ("1", "a", "2.0", "0.0"), ("0", "b", "3.0", "0.0")], "fast"),
+    "blank_lines": (["", ("0", "a", "1.0", "0.0"), "", "", ("0", "b", "2.0", "0.0"), ""], "fast"),
+    "quoted_newline": ([("0", '"a\r\nb"', "1.0", "0.0"), ("0", '"c\nd"', "2.0", "0.0")], "fast"),
+    "underscore_float": ([("0", "a", "1_0", "0.0")], None),
+    "underscore_index": ([("1_0", "a", "1.0", "0.0")] + [("0", f"b{k}", "1.0", "0.0") for k in range(10)], None),
+    "unicode_digits": ([("0", "a", "١", "0.0")], None),
+    "whitespace_row": ([("0", "a", "1.0", "0.0"), "  ,  , ,\t", ("0", "b", "2.0", "0.0")], None),
+    "unterminated_quote": ([("0", '"a', "1.0", "0.0"), ("0", "b", "2.0", "0.0")], None),
+    "no_rows": ([], None),
+    "float_index": ([("1.0", "a", "1.0", "0.0")], "loop"),
+    "negative_index": ([("0", "a", "1.0", "0.0"), ("-1", "b", "2.0", "0.0")], "loop"),
+    "index_beyond_rows": ([("0", "a", "1.0", "0.0"), ("2", "b", "2.0", "0.0")], "loop"),
+    "three_fields": ([("0", "a", "1.0", "0.0"), "0,b,2.0"], "loop"),
+    "five_fields": ([("0", "a", "1.0", "0.0"), "0,b,2.0,0.0,9"], "loop"),
+    "bad_float": ([("0", "a", "one", "0.0")], "loop"),
+}
+
+
+def _frame_line(row) -> str:
+    return row if isinstance(row, str) else ",".join(row)
+
+
+def _table_line(row) -> str:
+    if isinstance(row, str):
+        return row
+    i, label, re, im = row
+    return ",".join((label, label, i, i, re, im))
+
+
+def _frame_outcome(path):
+    try:
+        frame = read_frame(path)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return frame.atoms, frame.values.shape, frame.values.tobytes()
+
+
+def _table_outcome(path):
+    try:
+        kernel = read_precomputed(path)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    # every data row parsed, so csv.reader sees the reader's labels
+    with open(path, encoding="utf-8-sig", newline="") as fh:
+        rows = [row for row in list(csv.reader(fh))[1:] if "".join(row).strip()]
+    labels = tuple(dict.fromkeys(cell.strip() for row in rows for cell in row[:2]))
+    atoms = AtomSpace(labels, np.zeros((len(labels), 0)), np.ones(len(labels))).atoms
+    blocks = {}
+    for x in atoms:
+        for t in atoms:
+            try:
+                blocks[x.label, t.label] = gram(kernel, [x], [t]).tobytes()
+            except kernels.KernelEvaluationError as exc:
+                blocks[x.label, t.label] = str(exc)
+    return kernel.n, kernel.label, labels, blocks
+
+
+def read_both(outcome, path):
+    """``outcome(path)`` as read, the number of row-loop calls it made, and ``outcome`` through the loop alone."""
+    calls = []
+    with pytest.MonkeyPatch.context() as patch:
+        for module, name in LOOPS:
+            loop = getattr(module, name)
+            patch.setattr(module, name, lambda p, loop=loop: calls.append(p) or loop(p))
+        fast = outcome(path)
+    with pytest.MonkeyPatch.context() as patch:
+        for module, _ in LOOPS:
+            patch.setattr(module, "_read_csv", lambda p, row: None)
+        reference = outcome(path)
+    return fast, len(calls), reference
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
+@pytest.mark.parametrize("bom", ["", "\ufeff"], ids=["plain", "bom"])
+@pytest.mark.parametrize("case", list(CASES))
+@pytest.mark.parametrize("kind", ["frame", "table"])
+def test_fast_path_equals_row_loop(tmp_path, kind, case, bom, newline):
+    rows, path_taken = CASES[case]
+    header, line, outcome = {
+        "frame": ("i,atom_id,value_re,value_im", _frame_line, _frame_outcome),
+        "table": ("x_id,t_id,l,j,re,im", _table_line, _table_outcome),
+    }[kind]
+    path = tmp_path / f"{kind}.csv"
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(bom + "".join(text + newline for text in [header] + [line(row) for row in rows]))
+    fast, loop_calls, reference = read_both(outcome, path)
+    assert fast == reference
+    if path_taken is not None:
+        assert loop_calls == (path_taken == "loop")
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "",
+        "i,atom_id,value\n0,a,1\n",
+        "x_id,t_id,l,j,re\n",
+        'i,atom_id,value_re,"value_im\n"\n0,a,1.0,2.0\n',
+        'x_id,t_id,l,j,re,"im\n"\na,a,0,0,1.0,2.0\n',
+    ],
+    ids=["empty", "frame_header", "table_header", "frame_header_two_lines", "table_header_two_lines"],
+)
+@pytest.mark.parametrize("outcome", [_frame_outcome, _table_outcome], ids=["frame", "table"])
+def test_headers_are_read_alike(tmp_path, outcome, text):
+    path = tmp_path / "file.csv"
+    path.write_bytes(text.encode())
+    fast, loop_calls, reference = read_both(outcome, path)
+    assert fast == reference
+    assert loop_calls == 1
+
+
+def test_cr_line_endings(tmp_path):
+    path = tmp_path / "frame.csv"
+    path.write_bytes(b"i,atom_id,value_re,value_im\r0,a,1.0,2.0\r1,a,3.0,4.0\r")
+    fast, _, reference = read_both(_frame_outcome, path)
+    assert fast == reference == (("a",), (2, 1), np.array([[1 + 2j], [3 + 4j]]).tobytes())
+
+
+# ---------------------------------------------------------------------------
+# what the writers produce is read by numpy's tokenizer
+# ---------------------------------------------------------------------------
+
+LABELS = ("a,1", 'b"q', "c d", "", "e#f", "g\r\nh", "i\rj")
+EDGES = (-0.0, 0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 1e308, 1e16, 0.1)
+
+
+@pytest.fixture
+def no_loop(monkeypatch):
+    def refuse(path):
+        raise AssertionError(f"row loop used for {path}")
+
+    for module, name in LOOPS:
+        monkeypatch.setattr(module, name, refuse)
+
+
+def _edge_values(shape) -> np.ndarray:
+    rng = np.random.default_rng(613)
+    values = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    flat = values.reshape(-1)
+    flat.real[: len(EDGES)] = EDGES
+    flat.imag[: len(EDGES)] = EDGES[::-1]
+    flat.imag[len(EDGES) : 2 * len(EDGES)] = EDGES
+    return values
+
+
+def written_entries(n_atoms: int, n: int) -> np.ndarray:
+    """Entries ``write_precomputed`` writes: blocks ``x <= t``, the upper triangle of diagonal blocks."""
+    written = np.zeros((n_atoms, n_atoms, n, n), dtype=bool)
+    for i in range(n_atoms):
+        written[i, i] = np.triu(np.ones((n, n), dtype=bool))
+        written[i, i + 1 :] = True
+    return written
+
+
+def table_kernel(blocks: np.ndarray) -> MatrixKernel:
+    return MatrixKernel(n=blocks.shape[-1], eval=lambda x, t: None, batch=lambda xs, ts: blocks.copy())
+
+
+def test_written_frame_takes_fast_path(tmp_path, no_loop):
+    frame = ScalarFrame(LABELS, _edge_values((5, len(LABELS))))
+    path = tmp_path / "frame.csv"
+    write_frame(frame, path)
+    back = read_frame(path)
+    assert back.atoms == LABELS
+    assert back.values.tobytes() == frame.values.tobytes()
+
+
+def test_written_table_takes_fast_path(tmp_path, no_loop):
+    atoms = AtomSpace(LABELS, np.zeros((len(LABELS), 0)), np.ones(len(LABELS))).atoms
+    blocks = _edge_values((len(LABELS), len(LABELS), 2, 2))
+    path = tmp_path / "table.csv"
+    write_precomputed(table_kernel(blocks), atoms, path)
+    written = written_entries(len(LABELS), 2)
+    assert gram(read_precomputed(path), atoms)[written].tobytes() == blocks[written].tobytes()
