@@ -496,7 +496,9 @@ def read_precomputed(path: str | Path) -> MatrixKernel:
     file carrying inconsistent mirrors keeps its asymmetry (validation will
     catch it).  A value stored twice keeps its last row.  Component indices
     are zero-based, and a component index ``k`` needs ``(k+1)^2 <= 2 * rows``
-    data rows, which every complete table has.
+    data rows, which every complete table has.  The table is built dense, one
+    block per pair of atoms; if that does not fit in memory,
+    :class:`KernelSpecError` names the path and the shape.
     """
     path = Path(path)
     rows = _read_csv(path, _PRECOMPUTED_ROW)
@@ -505,13 +507,18 @@ def read_precomputed(path: str | Path) -> MatrixKernel:
     index, ids = _labels(np.stack([rows["x_id"], rows["t_id"]], axis=1))
     size, n = len(index), int(max(rows["l"].max(), rows["j"].max())) + 1
     keys = (ids[:, 0], ids[:, 1], rows["l"], rows["j"])
-    blocks, stored = _scatter((size, size, n, n), keys, rows["re"], rows["im"])
-
-    pairs = stored.any(axis=(2, 3))
-    defined = pairs | pairs.T
-    # entry (x, t, l, j) of the mirror block is conj K(t, x)[j, l]
-    missing = defined[:, :, None, None] & ~(stored | stored.transpose(1, 0, 3, 2))
-    blocks = np.where(stored, blocks, np.conj(blocks.transpose(1, 0, 3, 2)))
+    shape = (size, size, n, n)
+    try:
+        blocks, stored = _scatter(shape, keys, rows["re"], rows["im"])
+        pairs = stored.any(axis=(2, 3))
+        defined = pairs | pairs.T
+        # entry (x, t, l, j) of the mirror block is conj K(t, x)[j, l]
+        missing = defined[:, :, None, None] & ~(stored | stored.transpose(1, 0, 3, 2))
+        blocks = np.where(stored, blocks, np.conj(blocks.transpose(1, 0, 3, 2)))
+    except MemoryError:
+        raise KernelSpecError(
+            f"cannot read kernel table file: {path}: a dense table of shape {shape} does not fit in memory"
+        ) from None
     if missing.any():
         labels = list(index)
         a, b, p, q = np.argwhere(missing)[0]

@@ -102,30 +102,44 @@ def reconstruction_error(
 ) -> list[tuple[int, float]]:
     """Max-entry deviation of each partial series from the kernel.
 
-    Checks all pairs from ``subset`` (default: the measure support).  Returns
-    ``(m, error)`` rows with ``error = max |K(x,t) - K_m(x,t)|`` over pairs
-    and components.  On the support the diagonal remainder dominates, so the
-    table is nonincreasing in ``m`` up to eigen-level noise.
+    Checks all pairs from ``subset`` (default: the measure support; repeated
+    and off-support atoms are allowed).  Returns ``(m, error)`` rows with
+    ``error = max |K(x,t) - K_m(x,t)|`` over pairs and components.
+
+    Only the row ``m = rank`` is computed entry by entry, with one matrix
+    product.  A row ``m < rank`` is the largest diagonal entry of the
+    remainder ``R_m = K - K_m``, ``K(x,x)[l,l] - sum_{i<m} sigma_i
+    |f_i^l(x)|^2`` floored at 0, which is the max-entry error whenever
+    ``R_m`` is positive semidefinite, since then ``|R_ij| <= sqrt(R_ii
+    R_jj)``.  For a positive semidefinite kernel it is, on any finite atom
+    set: ``R_m`` is the Nystrom remainder (a Schur complement of the
+    positive-mass block) plus the dropped terms ``sigma_i f_i f_i^H``.
+    These rows are exactly nonincreasing in ``m``.  A kernel that passes
+    validation while slightly indefinite (within ``tol_psd``) or asymmetric
+    (within ``tol_sym``) can make them understate the max entry by about
+    that much.
     """
     labels = tuple(subset) if subset is not None else dec.support.members
     idx = [dec.space.index(label) for label in labels]
     steps = sorted(set(int(m) for m in ms)) if ms is not None else list(range(dec.rank + 1))
     for m in steps:
         _check_truncation(dec, m)
-    # flat (x, l), (t, j) matrices: each term is one rank-one update in place
+    # flat (x, l), (t, j) matrices
     resid = _flat(gram(dec.kernel, [dec.space.atoms[i] for i in idx]))
-    f_sub = dec.funcs[:, idx, :]
-    term = np.empty_like(resid)
+    diag = np.diagonal(resid).real.copy()
+    f = dec.funcs[:, idx, :].reshape(dec.rank, resid.shape[0])
+    # kept[m] = sum_{i<m} sigma_i |f_i|^2: a running sum of nonnegative terms,
+    # so each diagonal remainder diag - kept[m] is exactly nonincreasing in m
+    terms = dec.sigmas[:, None] * (f.real**2 + f.imag**2)
+    kept = np.cumsum(np.vstack([np.zeros_like(diag), terms]), axis=0)
     table: list[tuple[int, float]] = []
-    prev = 0
     for m in steps:
-        for i in range(prev, m):
-            f = f_sub[i].reshape(-1)
-            np.multiply.outer(f, np.conj(f), out=term)
-            term *= dec.sigmas[i]
-            resid -= term
-        prev = m
-        table.append((m, float(np.max(np.abs(resid))) if resid.size else 0.0))
+        if m < dec.rank:
+            err = np.max(diag - kept[m], initial=0.0)
+        else:
+            resid -= (f.T * dec.sigmas) @ f.conj()
+            err = np.max(np.abs(resid), initial=0.0)
+        table.append((m, float(err)))
     return table
 
 
@@ -278,7 +292,9 @@ def read_frame(path: str | Path) -> ScalarFrame:
     """Read a frame CSV back; atom order is first appearance order.
 
     Every frame index must lie below the number of data rows.  A value
-    stored twice keeps its last row, and a value never stored is zero.
+    stored twice keeps its last row, and a value never stored is zero.  The
+    frame is built dense, one value per frame index and atom; if that does
+    not fit in memory, ``ValueError`` names the path and the shape.
     """
     path = Path(path)
     rows = _read_csv(path, _FRAME_ROW)
@@ -286,7 +302,12 @@ def read_frame(path: str | Path) -> ScalarFrame:
         rows = _frame_rows(path)
     index, x = _labels(rows["atom_id"])
     shape = (int(rows["i"].max(initial=-1)) + 1, len(index))
-    values, _ = _scatter(shape, (rows["i"], x), rows["value_re"], rows["value_im"])
+    try:
+        values, _ = _scatter(shape, (rows["i"], x), rows["value_re"], rows["value_im"])
+    except MemoryError:
+        raise ValueError(
+            f"cannot read frame file: {path}: a dense frame of shape {shape} does not fit in memory"
+        ) from None
     return ScalarFrame(tuple(index), _readonly(values))
 
 

@@ -27,7 +27,7 @@ from .kernels import (
     diagonal_blocks,
     gram,
 )
-from .space import Atom, AtomSpace, SupportSet, pseudo_metric, support as support_of
+from .space import Atom, AtomSpace, SupportSet, _zero_mass_support
 
 __all__ = [
     "DiscreteOperator",
@@ -148,8 +148,7 @@ class SpectralDecomposition:
 
     @cached_property
     def support(self) -> SupportSet:
-        metric = pseudo_metric(self.space, self.kernel)
-        return support_of(self.space, metric)
+        return _zero_mass_support(self.space, self.kernel)
 
 
 def _cutoff(sigmas: np.ndarray, rank_cutoff: float | None) -> float:

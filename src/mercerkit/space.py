@@ -180,9 +180,14 @@ def pseudo_metric(space: AtomSpace, kernel: MatrixKernel) -> PseudoMetricMatrix:
     """
     blocks = gram(kernel, space.atoms)
     diag = np.einsum("xxlj->xlj", blocks)
-    delta = (diag[:, None] + diag[None, :]) - (blocks + blocks.swapaxes(0, 1))
-    d = np.sqrt(_spectral_norms(delta))
+    d = _distances(diag, diag, blocks, blocks)
     return PseudoMetricMatrix(_mirror_upper(d), _quotient_tol(diag))
+
+
+def _distances(diag_x: np.ndarray, diag_t: np.ndarray, k_xt: np.ndarray, k_tx: np.ndarray) -> np.ndarray:
+    """Kernel distance of every ``x`` to every ``t`` from ``K(x,x)``, ``K(t,t)``, ``K(x,t)`` and ``K(t,x)``."""
+    delta = (diag_x[:, None] + diag_t[None, :]) - (k_xt + k_tx.swapaxes(0, 1))
+    return np.sqrt(_spectral_norms(delta))
 
 
 def pseudo_metric_prime(space: AtomSpace, kernel: MatrixKernel) -> PseudoMetricMatrix:
@@ -220,18 +225,21 @@ class Quotient:
         return tuple(tuple(b) for b in buckets)
 
 
-def _components(metric: PseudoMetricMatrix, tol: float | None) -> np.ndarray:
-    """Root of each atom's connected component in the graph ``d <= tol``.
-
-    The root is the smallest atom index of the component; ``tol`` is as in
-    :func:`quotient`.
-    """
+def _close_pairs(metric: PseudoMetricMatrix, tol: float | None) -> tuple[np.ndarray, np.ndarray]:
+    """Index pairs ``x < t`` with ``d(x, t) <= tol``; ``tol`` is as in :func:`quotient`."""
     if tol is None:
         tol = metric.quotient_tol
     elif not (math.isfinite(tol := float(tol)) and tol >= 0):
         raise ValueError(f"tol must be finite and nonnegative, got {tol!r}")
-    i, k = np.nonzero(np.triu(metric.d <= tol, 1))
-    root = np.arange(len(metric.d))
+    return np.nonzero(np.triu(metric.d <= tol, 1))
+
+
+def _components(size: int, i: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """Root of each of ``size`` atoms' connected component in the graph with edges ``(i, k)``.
+
+    The root is the smallest atom index of the component.
+    """
+    root = np.arange(size)
     while True:
         lo, hi = np.minimum(root[i], root[k]), np.maximum(root[i], root[k])
         if np.array_equal(lo, hi):
@@ -248,7 +256,7 @@ def quotient(space: AtomSpace, metric: PseudoMetricMatrix, tol: float | None = N
     ``tol`` defaults to ``metric.quotient_tol``; a negative or non-finite
     one raises ``ValueError``.
     """
-    roots, class_ids = np.unique(_components(metric, tol), return_inverse=True)
+    roots, class_ids = np.unique(_components(len(space), *_close_pairs(metric, tol)), return_inverse=True)
     return Quotient(space.labels, tuple(class_ids.tolist()), tuple(space.labels[r] for r in roots))
 
 
@@ -275,7 +283,28 @@ def support(space: AtomSpace, metric: PseudoMetricMatrix, tol: float | None = No
     These are the connected components of ``d <= tol`` that hold positive
     mass; ``tol`` is as in :func:`quotient`.
     """
-    roots = _components(metric, tol)
+    return _holding_mass(space, _components(len(space), *_close_pairs(metric, tol)))
+
+
+def _zero_mass_support(space: AtomSpace, kernel: MatrixKernel) -> SupportSet:
+    """:func:`support` at the default ``tol``, from the distances of the zero-mass atoms only.
+
+    Every positive-mass atom is in the support, and a path from a zero-mass
+    atom to positive mass, cut at its first positive-mass atom, has only
+    edges that touch a zero-mass atom.  So the ``Z x N`` distances from the
+    ``Z`` zero-mass atoms decide the support, as the ``N x N`` ones do.
+    """
+    # the whole Gram, as pseudo_metric evaluates it: the same blocks give the same distances
+    blocks = gram(kernel, space.atoms)
+    diag = np.einsum("xxlj->xlj", blocks)
+    zero = np.flatnonzero(space.mu <= 0)
+    d = _distances(diag[zero], diag, blocks[zero], blocks[:, zero])
+    z, t = np.nonzero(d <= _quotient_tol(diag))
+    return _holding_mass(space, _components(len(space), zero[z], t))
+
+
+def _holding_mass(space: AtomSpace, roots: np.ndarray) -> SupportSet:
+    """The atoms whose component root is shared with a positive-mass atom."""
     mask = np.isin(roots, roots[space.mu > 0])
     return SupportSet(tuple(label for label, keep in zip(space.labels, mask) if keep))
 

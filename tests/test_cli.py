@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mercerkit import build_kernel, cli, validate_kernel
+from mercerkit import build_kernel, cli, kernels, mercer, validate_kernel
 from mercerkit.cli import main
 from mercerkit.space import load_atoms
 
@@ -483,6 +483,40 @@ def test_table_rejects_component_index_beyond_the_rows(tmp_path, three_atoms, ca
     assert code == 1
     err = capsys.readouterr().err
     assert err == f"mercerkit: error: {table}: line 4: component index 300000 is out of range for 3 data rows\n"
+
+
+def no_memory(*args):
+    raise MemoryError("Unable to allocate 57.4 GiB for an array")
+
+
+def test_synthesize_reports_a_frame_too_large_to_hold(tmp_path, three_atoms, capsys, monkeypatch):
+    # the dense build fails as it would for a 60,000-row frame of 60,000 atoms; nothing is allocated here
+    monkeypatch.setattr(mercer, "_scatter", no_memory)
+    frame = tmp_path / "frame.csv"
+    frame.write_text("i,atom_id,value_re,value_im\n0,a,1.0,0.0\n0,b,2.0,0.0\n1,c,3.0,0.0\n")
+    out = tmp_path / "out"
+    code = main(["synthesize", "--atoms", str(three_atoms), "--frames", str(frame), "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err == (
+        f"mercerkit: error: cannot read frame file: {frame}: a dense frame of shape (2, 3) does not fit in memory\n"
+    )
+    assert not (out / "kernel.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["validate", "reconstruct"])
+def test_table_too_large_to_hold_is_a_file_error(tmp_path, three_atoms, capsys, monkeypatch, command):
+    monkeypatch.setattr(kernels, "_scatter", no_memory)
+    table = tmp_path / "table.csv"
+    table.write_text("x_id,t_id,l,j,re,im\na,a,0,0,1.0,0.0\nb,b,0,0,1.0,0.0\nc,c,0,0,1.0,0.0\na,b,1,1,1.0,0.0\n")
+    kernel = write_kernel(tmp_path, {"type": "precomputed", "path": "table.csv"})
+    code = main([command, "--atoms", str(three_atoms), "--kernel", str(kernel), "--out", str(tmp_path / "out")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err == (
+        f"mercerkit: error: cannot read kernel table file: {table}: "
+        "a dense table of shape (3, 3, 2, 2) does not fit in memory\n"
+    )
 
 
 def test_synthesize_rejects_frames_off_the_atom_file(tmp_path, three_atoms, capsys):

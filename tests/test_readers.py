@@ -15,6 +15,7 @@ import pytest
 
 from mercerkit import (
     AtomSpace,
+    KernelSpecError,
     MatrixKernel,
     ScalarFrame,
     gram,
@@ -219,3 +220,43 @@ def test_written_table_takes_fast_path(tmp_path, no_loop):
     write_precomputed(table_kernel(blocks), atoms, path)
     written = written_entries(len(LABELS), 2)
     assert gram(read_precomputed(path), atoms)[written].tobytes() == blocks[written].tobytes()
+
+
+# ---------------------------------------------------------------------------
+# a file too large to hold dense is a reader error, not a crash
+# ---------------------------------------------------------------------------
+
+
+def no_memory(*args, **kwargs):
+    raise MemoryError("Unable to allocate 57.4 GiB for an array")
+
+
+class NumpyWithout:
+    """The numpy module, except that one of its functions fails to allocate."""
+
+    def __init__(self, name: str) -> None:
+        self.name = name
+
+    def __getattr__(self, attr: str):
+        return no_memory if attr == self.name else getattr(np, attr)
+
+
+def test_frame_too_large_to_hold_names_path_and_shape(tmp_path, monkeypatch):
+    monkeypatch.setattr(mercer, "_scatter", no_memory)
+    path = tmp_path / "frame.csv"
+    path.write_text("i,atom_id,value_re,value_im\n0,a,1.0,0.0\n1,b,2.0,0.0\n2,c,3.0,0.0\n")
+    with pytest.raises(ValueError) as info:
+        read_frame(path)
+    assert str(info.value) == f"cannot read frame file: {path}: a dense frame of shape (3, 3) does not fit in memory"
+
+
+@pytest.mark.parametrize("patch", [(kernels, "_scatter", no_memory), (kernels, "np", NumpyWithout("where"))],
+                         ids=["scatter", "mirror_fill"])
+def test_table_too_large_to_hold_names_path_and_shape(tmp_path, monkeypatch, patch):
+    monkeypatch.setattr(*patch)
+    path = tmp_path / "table.csv"
+    path.write_text("x_id,t_id,l,j,re,im\na,a,0,0,1.0,0.0\na,b,0,0,0.5,0.0\nb,b,0,0,1.0,0.0\n")
+    with pytest.raises(KernelSpecError) as info:
+        read_precomputed(path)
+    expected = f"cannot read kernel table file: {path}: a dense table of shape (2, 2, 1, 1) does not fit in memory"
+    assert str(info.value) == expected

@@ -7,10 +7,11 @@ import math
 import numpy as np
 import pytest
 
-from conftest import ZOO, ZOO_IDS, delta_kernel, random_space, space_from
+from conftest import ZOO, ZOO_IDS, decompose_space, delta_kernel, random_space, space_from
 from mercerkit import (
     AtomFileError,
     AtomSpace,
+    ScalarFrame,
     build_kernel,
     load_atoms,
     merge_classes,
@@ -18,7 +19,10 @@ from mercerkit import (
     pseudo_metric_prime,
     quotient,
     support,
+    write_frame,
+    write_precomputed,
 )
+from mercerkit.space import _zero_mass_support
 
 
 # ---------------------------------------------------------------------------
@@ -356,3 +360,86 @@ def test_quotient_and_support_reject_bad_tol(tol):
         quotient(space, metric, tol)
     with pytest.raises(ValueError, match="tol"):
         support(space, metric, tol)
+
+
+# ---------------------------------------------------------------------------
+# the support from the zero-mass atoms' distances alone
+# ---------------------------------------------------------------------------
+
+
+def file_kernels(tmp_path, space):
+    """A ``precomputed`` table and a ``frame_synth`` kernel over ``space``, both 2 x 2."""
+    table = tmp_path / "table.csv"
+    write_precomputed(build_kernel(dict(ZOO)["separable_complex"]), space.atoms, table)
+    # frame values are functions of the coordinates, so repeated atoms stay at distance 0
+    phases = space.coords @ np.array([[1.0, -0.5, 2.0], [0.3, 1.0, -1.0]])
+    paths = []
+    for j, scale in enumerate((1.0, 0.5j)):
+        paths.append(str(tmp_path / f"frame{j}.csv"))
+        write_frame(ScalarFrame(space.labels, scale * np.exp(1j * (j + 1) * phases).T), paths[-1])
+    return [
+        build_kernel({"type": "precomputed", "path": str(table)}),
+        build_kernel({"type": "frame_synth", "frames": paths}),
+    ]
+
+
+def kernels_over(tmp_path, space):
+    return [build_kernel(spec) for _, spec in ZOO] + file_kernels(tmp_path, space)
+
+
+def test_zero_mass_support_equals_full_metric_support(tmp_path):
+    rng = np.random.default_rng(4242)
+    for case in range(12):
+        n_atoms = int(rng.integers(1, 16))
+        # coordinates on a coarse grid, so repeated atoms are common
+        coords = rng.integers(-2, 3, size=(n_atoms, 2)) * 0.5
+        mu = rng.uniform(0.5, 1.5, n_atoms) * (rng.random(n_atoms) < [0.0, 0.5, 1.0][case % 3])
+        space = space_from(coords, mu, labels=tuple(f"x{i}" for i in range(n_atoms)))
+        for kernel in kernels_over(tmp_path, space):
+            expected = support(space, pseudo_metric(space, kernel))
+            assert _zero_mass_support(space, kernel).members == expected.members, (case, kernel.label)
+
+
+def test_decomposition_support_is_the_full_metric_support(tmp_path):
+    rng = np.random.default_rng(4243)
+    coords = rng.integers(-2, 3, size=(14, 2)) * 0.5
+    mu = rng.uniform(0.5, 1.5, 14) * (rng.random(14) < 0.5)
+    mu[0] = 1.0
+    space = space_from(coords, mu, labels=tuple(f"x{i}" for i in range(14)))
+    for kernel in kernels_over(tmp_path, space):
+        assert decompose_space(space, kernel).support.members == support(space, pseudo_metric(space, kernel)).members
+
+
+def feature_frame(labels, steps):
+    """One frame vector ``phi`` on a grid of 0.8e-9, so its kernel is ``phi(x) phi(t)``.
+
+    Atoms one step apart are at distance 0.8e-9, below the default zero
+    threshold ``1e-9 * (1 + max phi)``; two steps apart, 1.6e-9 is above it.
+    So closeness is not transitive, and the support grows only along chains
+    of single steps.
+    """
+    return ScalarFrame(labels, np.asarray(steps, dtype=complex)[None, :] * 0.8e-9)
+
+
+def chain_space(tmp_path, steps, mu):
+    """Atoms ``x0, x1, ...`` with the kernel of :func:`feature_frame`, read through a ``frame_synth`` file."""
+    labels = tuple(f"x{i}" for i in range(len(steps)))
+    path = tmp_path / "frame.csv"
+    write_frame(feature_frame(labels, steps), path)
+    kernel = build_kernel({"type": "frame_synth", "frames": [str(path)]})
+    return space_from(np.zeros(len(labels)), mu, labels=labels), kernel
+
+
+def test_zero_mass_support_follows_chains_through_zero_mass_atoms(tmp_path):
+    space, kernel = chain_space(tmp_path, [0, 1, 2, 3, 5], [1.0, 0.0, 0.0, 0.0, 0.0])
+    metric = pseudo_metric(space, kernel)
+    # x3 is three steps from the only mass and joins through x1 and x2; x4 is cut off
+    assert metric.d[0, 2] > metric.quotient_tol
+    assert support(space, metric).members == ("x0", "x1", "x2", "x3")
+    assert _zero_mass_support(space, kernel).members == ("x0", "x1", "x2", "x3")
+    rng = np.random.default_rng(4244)
+    for _ in range(40):
+        n_atoms = int(rng.integers(2, 12))
+        mu = rng.uniform(0.5, 1.5, n_atoms) * (rng.random(n_atoms) < 0.3)
+        space, kernel = chain_space(tmp_path, rng.integers(0, 8, n_atoms), mu)
+        assert _zero_mass_support(space, kernel).members == support(space, pseudo_metric(space, kernel)).members
