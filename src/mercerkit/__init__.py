@@ -5,141 +5,18 @@ form the kernel pseudo-metric with its quotient and support, rescale the
 measure, diagonalize the discrete kernel operator, and use the resulting
 eigenpairs for series reconstruction, frame extraction, and synthesis of
 new kernels from scalar frame families.
+
+Each module declares its public names in its own ``__all__``; the package
+re-exports exactly those.
 """
 
-from .space import (
-    Atom,
-    AtomFileError,
-    AtomSpace,
-    PseudoMetricMatrix,
-    Quotient,
-    SupportSet,
-    load_atoms,
-    merge_classes,
-    pseudo_metric,
-    pseudo_metric_prime,
-    quotient,
-    support,
-)
-from .kernels import (
-    KernelEvaluationError,
-    KernelSpecError,
-    KernelSymmetryError,
-    MatrixKernel,
-    ValidationReport,
-    assemble_block_gram,
-    build_kernel,
-    diagonal_blocks,
-    gram,
-    kernel_from_file,
-    psd_tolerance,
-    read_precomputed,
-    spectral_norm,
-    validate_kernel,
-    write_precomputed,
-)
-from .operators import (
-    DiscreteOperator,
-    EmptySupportError,
-    RKHSElement,
-    RescaledMeasure,
-    SpectralDecomposition,
-    adjoint_embed,
-    assemble_operator,
-    default_tol_eig,
-    eigendecompose,
-    embedding_norm_bound_check,
-    extend_eigenfunction,
-    rescale_measure,
-    trace_check,
-    truncate,
-    write_eigenfunctions,
-    write_spectrum,
-)
-from .mercer import (
-    OffSupportError,
-    ScalarFrame,
-    default_tol_recon,
-    extract_frame,
-    frame_check,
-    pointwise,
-    project,
-    read_frame,
-    reconstruct,
-    reconstruction_error,
-    rkhs_inner,
-    write_error_table,
-    write_frame,
-)
-from .synthesis import (
-    FrameFamily,
-    align_frames,
-    synthesize_kernel,
-    verify_diagonal_blocks,
-)
+from . import kernels, mercer, operators, space, synthesis
+from .kernels import *  # noqa: F403
+from .mercer import *  # noqa: F403
+from .operators import *  # noqa: F403
+from .space import *  # noqa: F403
+from .synthesis import *  # noqa: F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Atom",
-    "AtomFileError",
-    "AtomSpace",
-    "DiscreteOperator",
-    "EmptySupportError",
-    "FrameFamily",
-    "KernelEvaluationError",
-    "KernelSpecError",
-    "KernelSymmetryError",
-    "MatrixKernel",
-    "OffSupportError",
-    "PseudoMetricMatrix",
-    "Quotient",
-    "RKHSElement",
-    "RescaledMeasure",
-    "ScalarFrame",
-    "SpectralDecomposition",
-    "SupportSet",
-    "ValidationReport",
-    "adjoint_embed",
-    "align_frames",
-    "assemble_block_gram",
-    "assemble_operator",
-    "build_kernel",
-    "default_tol_eig",
-    "default_tol_recon",
-    "diagonal_blocks",
-    "eigendecompose",
-    "embedding_norm_bound_check",
-    "extend_eigenfunction",
-    "extract_frame",
-    "frame_check",
-    "gram",
-    "kernel_from_file",
-    "load_atoms",
-    "merge_classes",
-    "pointwise",
-    "project",
-    "psd_tolerance",
-    "pseudo_metric",
-    "pseudo_metric_prime",
-    "quotient",
-    "read_frame",
-    "read_precomputed",
-    "reconstruct",
-    "reconstruction_error",
-    "rescale_measure",
-    "rkhs_inner",
-    "spectral_norm",
-    "support",
-    "synthesize_kernel",
-    "trace_check",
-    "truncate",
-    "validate_kernel",
-    "verify_diagonal_blocks",
-    "write_eigenfunctions",
-    "write_error_table",
-    "write_frame",
-    "write_precomputed",
-    "write_spectrum",
-    "__version__",
-]
+__all__ = [*space.__all__, *kernels.__all__, *operators.__all__, *mercer.__all__, *synthesis.__all__]

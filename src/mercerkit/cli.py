@@ -55,7 +55,7 @@ from .operators import (
     write_eigenfunctions,
     write_spectrum,
 )
-from .space import load_atoms, pseudo_metric, quotient, support
+from .space import AtomSpace, load_atoms, pseudo_metric, quotient, support
 from .synthesis import align_frames, synthesize_kernel, verify_diagonal_blocks
 
 __all__ = ["main"]
@@ -280,7 +280,7 @@ def _about(args: argparse.Namespace, kernel: MatrixKernel) -> dict[str, Any]:
 
 def _validation(args: argparse.Namespace, kernel: MatrixKernel) -> dict[str, Any]:
     """The axiom report of ``kernel`` on the atoms; a failed one exits 2."""
-    report = validate_kernel(kernel, args.atoms.atoms)
+    report = validate_kernel(kernel, args.atoms)
     validation = report.to_dict()
     if not report.passed:
         raise CliError(
@@ -432,9 +432,11 @@ def _synthesis_report(args: argparse.Namespace) -> dict[str, Any]:
         raise CliError(EXIT_DEGENERATE, "synthesized family has no atoms")
     synth = synthesize_kernel(family)
     try:
-        atoms = [space.atoms[space.index(label)] for label in family.atoms]
+        idx = [space.index(label) for label in family.atoms]
     except KeyError as exc:
         raise CliError(EXIT_USAGE, f"--frames: {exc.args[0]}") from None
+    # the family's atoms, in its order: every stage below evaluates over them
+    atoms = AtomSpace(family.atoms, space.coords[idx], space.mu[idx])
     write_precomputed(synth, atoms, args.out / "kernel.csv")
     report = validate_kernel(synth, atoms)
 

@@ -1,12 +1,13 @@
 """Matrix-valued kernels: constructor zoo, block Gram assembly, validation.
 
-A kernel is its evaluator together with the output dimension ``n``.  Every
-built-in kernel evaluates in batch: ``gram(kernel, xs, ts)`` returns the
-blocks ``K(x, t)`` for all pairs at once, shape ``(len(xs), len(ts), n, n)``,
-and its per-pair ``eval`` runs the same code on a single pair.  A kernel
-given only by a per-pair evaluator is evaluated pair by pair.  Nothing is
-assumed: Hermitian pair symmetry and positive semidefiniteness of the block
-Gram matrix are checked explicitly.
+A kernel is its evaluator together with the output dimension ``n``, and
+it is evaluated over an atom space: ``gram(kernel, space, rows, cols)``
+returns the blocks ``K(x, t)`` for the atoms at the integer index arrays
+``rows`` and ``cols``, shape ``(len(rows), len(cols), n, n)``.  Every
+built-in kernel evaluates these blocks in batch; a kernel given only by a
+per-pair evaluator is evaluated pair by pair.  Nothing is assumed: Hermitian
+pair symmetry and positive semidefiniteness of the block Gram matrix are
+checked explicitly.
 """
 
 from __future__ import annotations
@@ -23,7 +24,9 @@ from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, Sequence
 import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover - annotations only
-    from .space import Atom
+    from numpy.typing import ArrayLike
+
+    from .space import Atom, AtomSpace
 
 __all__ = [
     "KernelEvaluationError",
@@ -62,21 +65,23 @@ class KernelEvaluationError(LookupError):
     """Raised when a table-backed kernel is evaluated outside its table."""
 
 
-Batch = Callable[[Sequence["Atom"], Sequence["Atom"]], np.ndarray]
+Batch = Callable[["AtomSpace", np.ndarray, np.ndarray], np.ndarray]
 
 
 @dataclass(frozen=True, eq=False)
 class MatrixKernel:
     """An ``n x n`` matrix-valued kernel given by its evaluator.
 
-    ``batch(xs, ts)``, when present, returns the blocks for every pair of
-    ``xs`` and ``ts`` as a new array of shape ``(len(xs), len(ts), n, n)``;
-    it is what :func:`gram` uses.  Without it, blocks come from ``eval`` pair
-    by pair.
+    ``batch(space, rows, cols)``, when present, returns the blocks for every
+    pair of the atoms of ``space`` at the nonempty index arrays ``rows`` and
+    ``cols`` as a new array of shape ``(len(rows), len(cols), n, n)``; it is
+    what :func:`gram` uses, and it gets ``cols is rows`` when the two sets are
+    the same.  Without it, blocks come from ``eval(x, t)`` on :class:`Atom`
+    pairs, one pair at a time.  Built-in kernels carry only ``batch``.
     """
 
     n: int
-    eval: Callable[[Atom, Atom], np.ndarray]
+    eval: Callable[[Atom, Atom], np.ndarray] | None = None
     label: str = "custom"
     batch: Batch | None = None
 
@@ -181,36 +186,37 @@ def _scatter(
     return values, stored
 
 
-def _batched(n: int, batch: Batch, label: str) -> MatrixKernel:
-    """Kernel whose per-pair evaluator is its batched one on a single pair."""
-
-    def ev(x: Atom, t: Atom) -> np.ndarray:
-        xs = (x,)
-        # a pair of one atom with itself is a one-atom Gram, so it keeps its exact symmetry
-        return batch(xs, xs if t is x else (t,))[0, 0]
-
-    return MatrixKernel(n=n, eval=ev, label=label, batch=batch)
+def _positions(index: Mapping[str, int], labels: Sequence[str]) -> np.ndarray:
+    """Each label's entry in ``index``, or -1 for a label it lacks."""
+    return np.fromiter((index.get(label, -1) for label in labels), np.intp, len(labels))
 
 
-def gram(kernel: MatrixKernel, xs: Sequence[Atom], ts: Sequence[Atom] | None = None) -> np.ndarray:
-    """Blocks ``K(x, t)`` for every ``x`` in ``xs`` and ``t`` in ``ts`` (default ``xs``).
+def gram(
+    kernel: MatrixKernel, space: AtomSpace, rows: ArrayLike | None = None, cols: ArrayLike | None = None
+) -> np.ndarray:
+    """Blocks ``K(x, t)`` for the atoms ``x`` of ``space`` at ``rows`` and ``t`` at ``cols``.
 
-    Returns a new complex array of shape ``(len(xs), len(ts), n, n)``.
+    ``rows`` and ``cols`` are integer index arrays into the atoms; ``rows``
+    defaults to every atom, and ``cols`` to the same atoms as ``rows``, which
+    keeps a built-in kernel's product of a set with itself exactly Hermitian.
+    Returns a new complex array of shape ``(len(rows), len(cols), n, n)``.
     """
-    ts = xs if ts is None else ts
+    rows = np.arange(len(space)) if rows is None else np.asarray(rows, dtype=np.intp)
+    cols = rows if cols is None else np.asarray(cols, dtype=np.intp)
     n = kernel.n
-    if not len(xs) or not len(ts):
-        return np.zeros((len(xs), len(ts), n, n), dtype=complex)
+    if not len(rows) or not len(cols):
+        return np.zeros((len(rows), len(cols), n, n), dtype=complex)
     if kernel.batch is not None:
-        return kernel.batch(xs, ts)
-    # a kernel given only per pair: the one place blocks are built pair by pair
-    blocks = [kernel.eval(x, t) for x in xs for t in ts]
-    return np.array(blocks, dtype=complex).reshape(len(xs), len(ts), n, n)
+        return kernel.batch(space, rows, cols)
+    # a kernel given per pair: the one place blocks are built pair by pair
+    atoms = space.atoms
+    blocks = [kernel.eval(atoms[x], atoms[t]) for x in rows.tolist() for t in cols.tolist()]
+    return np.array(blocks, dtype=complex).reshape(len(rows), len(cols), n, n)
 
 
-def diagonal_blocks(kernel: MatrixKernel, atoms: Sequence[Atom]) -> np.ndarray:
-    """Blocks ``K(x, x)`` for every atom, shape ``(len(atoms), n, n)``."""
-    return np.einsum("xxlj->xlj", gram(kernel, atoms))
+def diagonal_blocks(kernel: MatrixKernel, space: AtomSpace, rows: ArrayLike | None = None) -> np.ndarray:
+    """Blocks ``K(x, x)`` for the atoms at ``rows`` (default all), shape ``(len(rows), n, n)``."""
+    return np.einsum("xxlj->xlj", gram(kernel, space, rows))
 
 
 def _flat(blocks: np.ndarray) -> np.ndarray:
@@ -239,26 +245,26 @@ def _spectral_norms(blocks: np.ndarray) -> np.ndarray:
     return np.abs(w).max(axis=-1, initial=0.0)
 
 
-def _hermitian_spectral_norms(blocks: np.ndarray, tol_sym: float = TOL_SYM) -> np.ndarray:
-    """:func:`_spectral_norms` of matrices that must be Hermitian within ``tol_sym``."""
+def _hermitian_spectral_norms(blocks: np.ndarray) -> np.ndarray:
+    """:func:`_spectral_norms` of matrices that must be Hermitian within ``TOL_SYM``."""
     dev = _hermitian_deviation(blocks)
-    if dev > tol_sym:
+    if dev > TOL_SYM:
         raise KernelSymmetryError(
-            f"matrix is not Hermitian: max deviation {dev:.3e} exceeds {tol_sym:.3e}"
+            f"matrix is not Hermitian: max deviation {dev:.3e} exceeds {TOL_SYM:.3e}"
         )
     return _spectral_norms(blocks)
 
 
-def spectral_norm(m: np.ndarray, tol_sym: float = TOL_SYM) -> float:
+def spectral_norm(m: np.ndarray) -> float:
     """Largest absolute eigenvalue of a Hermitian matrix.
 
     Raises :class:`KernelSymmetryError` if the input deviates from Hermitian
-    symmetry by more than ``tol_sym`` in any entry.
+    symmetry by more than ``TOL_SYM`` in any entry.
     """
     a = np.asarray(m, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    return float(_hermitian_spectral_norms(a, tol_sym))
+    return float(_hermitian_spectral_norms(a))
 
 
 # ---------------------------------------------------------------------------
@@ -312,21 +318,21 @@ def _scalar_kernel(fn: Callable[[np.ndarray, np.ndarray], np.ndarray], label: st
     itself is exactly symmetric and repeated atoms are at distance exactly 0.
     """
 
-    def batch(xs: Sequence[Atom], ts: Sequence[Atom]) -> np.ndarray:
-        x = np.stack([a.coords for a in xs])
-        t = x if ts is xs else np.stack([a.coords for a in ts])
+    def batch(space: AtomSpace, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        x = space.coords[rows]
+        t = x if cols is rows else space.coords[cols]
         return fn(x[:, None, :], t[None, :, :]).astype(complex)[:, :, None, None]
 
-    return _batched(1, batch, label)
+    return MatrixKernel(1, label=label, batch=batch)
 
 
 def _constant(spec: Mapping[str, Any]) -> MatrixKernel:
     value = _real_param(spec, "value")
 
-    def batch(xs: Sequence[Atom], ts: Sequence[Atom]) -> np.ndarray:
-        return np.full((len(xs), len(ts), 1, 1), value, dtype=complex)
+    def batch(space: AtomSpace, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        return np.full((len(rows), len(cols), 1, 1), value, dtype=complex)
 
-    return _batched(1, batch, f"constant({value!r})")
+    return MatrixKernel(1, label=f"constant({value!r})", batch=batch)
 
 
 def _gaussian(spec: Mapping[str, Any]) -> MatrixKernel:
@@ -377,10 +383,10 @@ def _separable(spec: Mapping[str, Any], base_dir: Path | None) -> MatrixKernel:
     inner = _scalar_inner(spec.get("scalar"), "scalar", base_dir)
     frozen = _readonly(mat)
 
-    def batch(xs: Sequence[Atom], ts: Sequence[Atom]) -> np.ndarray:
-        return inner.batch(xs, ts) * frozen
+    def batch(space: AtomSpace, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        return inner.batch(space, rows, cols) * frozen
 
-    return _batched(mat.shape[0], batch, f"separable({inner.label})")
+    return MatrixKernel(mat.shape[0], label=f"separable({inner.label})", batch=batch)
 
 
 def _diagonal(spec: Mapping[str, Any], base_dir: Path | None) -> MatrixKernel:
@@ -389,13 +395,13 @@ def _diagonal(spec: Mapping[str, Any], base_dir: Path | None) -> MatrixKernel:
     inners = [_scalar_inner(sub, f"blocks[{b}]", base_dir) for b, sub in enumerate(blocks)]
     n = len(inners)
 
-    def batch(xs: Sequence[Atom], ts: Sequence[Atom]) -> np.ndarray:
-        out = np.zeros((len(xs), len(ts), n, n), dtype=complex)
+    def batch(space: AtomSpace, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        out = np.zeros((len(rows), len(cols), n, n), dtype=complex)
         for j, inner in enumerate(inners):
-            out[:, :, j, j] = inner.batch(xs, ts)[:, :, 0, 0]
+            out[:, :, j, j] = inner.batch(space, rows, cols)[:, :, 0, 0]
         return out
 
-    return _batched(n, batch, f"diagonal({', '.join(k.label for k in inners)})")
+    return MatrixKernel(n, label=f"diagonal({', '.join(k.label for k in inners)})", batch=batch)
 
 
 def _sum(spec: Mapping[str, Any], base_dir: Path | None) -> MatrixKernel:
@@ -408,13 +414,13 @@ def _sum(spec: Mapping[str, Any], base_dir: Path | None) -> MatrixKernel:
     n = inners[0].n
     _require(all(inner.n == n for inner in inners), "terms", "must share the same output dimension")
 
-    def batch(xs: Sequence[Atom], ts: Sequence[Atom]) -> np.ndarray:
-        out = inners[0].batch(xs, ts)
+    def batch(space: AtomSpace, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        out = inners[0].batch(space, rows, cols)
         for inner in inners[1:]:
-            out = out + inner.batch(xs, ts)
+            out = out + inner.batch(space, rows, cols)
         return out
 
-    return _batched(n, batch, f"sum({', '.join(k.label for k in inners)})")
+    return MatrixKernel(n, label=f"sum({', '.join(k.label for k in inners)})", batch=batch)
 
 
 def _precomputed(spec: Mapping[str, Any], base_dir: Path | None) -> MatrixKernel:
@@ -527,18 +533,18 @@ def read_precomputed(path: str | Path) -> MatrixKernel:
         )
     table, known = _readonly(blocks), _readonly(defined)
 
-    def batch(xs: Sequence[Atom], ts: Sequence[Atom]) -> np.ndarray:
-        ix = np.array([index.get(a.label, -1) for a in xs])[:, None]
-        it = ix.T if ts is xs else np.array([index.get(a.label, -1) for a in ts])[None, :]
+    def batch(space: AtomSpace, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        pos = _positions(index, space.labels)
+        ix = pos[rows][:, None]
+        it = ix.T if cols is rows else pos[cols][None, :]
         ok = (ix >= 0) & (it >= 0) & known[ix, it]
         if not ok.all():
             a, b = np.argwhere(~ok)[0]
-            raise KernelEvaluationError(
-                f"precomputed kernel has no entry for pair ({xs[a].label!r}, {ts[b].label!r})"
-            )
+            x, t = space.labels[rows[a]], space.labels[cols[b]]
+            raise KernelEvaluationError(f"precomputed kernel has no entry for pair ({x!r}, {t!r})")
         return table[ix, it]
 
-    return _batched(n, batch, f"precomputed({path.name})")
+    return MatrixKernel(n, label=f"precomputed({path.name})", batch=batch)
 
 
 def _component_limit(count: int) -> int:
@@ -587,16 +593,16 @@ def _precomputed_rows(path: Path) -> np.ndarray:
     return np.array(rows, dtype=_PRECOMPUTED_ROW)
 
 
-def write_precomputed(kernel: MatrixKernel, atoms: Sequence[Atom], path: str | Path) -> None:
-    """Write kernel values over ``atoms`` as a block table CSV.
+def write_precomputed(kernel: MatrixKernel, space: AtomSpace, path: str | Path) -> None:
+    """Write kernel values over the atoms of ``space`` as a block table CSV.
 
     Only blocks with ``x <= t`` in atom order are emitted, and only the upper
     triangle of each diagonal block; the reader restores the rest by
     Hermitian symmetry.
     """
-    blocks = gram(kernel, atoms)
-    size, n = len(atoms), kernel.n
-    cells = _csv_cells(a.label for a in atoms)
+    blocks = gram(kernel, space)
+    size, n = len(space), kernel.n
+    cells = _csv_cells(space.labels)
     # block row x: the upper triangle of block (x, x), then every block (x, t) with t after x
     first = np.ones((size, n, n), dtype=bool)
     first[0] = np.triu(first[0])
@@ -628,22 +634,22 @@ def write_precomputed(kernel: MatrixKernel, atoms: Sequence[Atom], path: str | P
 # ---------------------------------------------------------------------------
 
 
-def _hermitian_gram(kernel: MatrixKernel, atoms: Sequence[Atom]) -> tuple[float, np.ndarray]:
+def _hermitian_gram(kernel: MatrixKernel, space: AtomSpace, rows: ArrayLike | None = None) -> tuple[float, np.ndarray]:
     """Hermitian deviation of the flat block Gram matrix, and its Hermitian part."""
-    raw = _flat(gram(kernel, atoms))
+    raw = _flat(gram(kernel, space, rows))
     return _hermitian_deviation(raw), 0.5 * (raw + raw.conj().T)
 
 
-def assemble_block_gram(kernel: MatrixKernel, atoms: Sequence[Atom], tol_sym: float = TOL_SYM) -> np.ndarray:
-    """Read-only Hermitian Gram matrix of all blocks; index ``(x, l) -> x*n + l``.
+def assemble_block_gram(kernel: MatrixKernel, space: AtomSpace, rows: ArrayLike | None = None) -> np.ndarray:
+    """Read-only Hermitian Gram matrix of the atoms at ``rows`` (default all); index ``(x, l) -> x*n + l``.
 
-    Asymmetry up to ``tol_sym`` is averaged away; anything larger raises
+    Asymmetry up to ``TOL_SYM`` is averaged away; anything larger raises
     :class:`KernelSymmetryError` carrying the maximum deviation.
     """
-    dev, matrix = _hermitian_gram(kernel, atoms)
-    if dev > tol_sym:
+    dev, matrix = _hermitian_gram(kernel, space, rows)
+    if dev > TOL_SYM:
         raise KernelSymmetryError(
-            f"kernel violates Hermitian pair symmetry: max deviation {dev:.3e} exceeds {tol_sym:.3e}"
+            f"kernel violates Hermitian pair symmetry: max deviation {dev:.3e} exceeds {TOL_SYM:.3e}"
         )
     return _readonly(matrix)
 
@@ -670,8 +676,8 @@ class ValidationReport:
         return {**asdict(self), "passed": self.passed}
 
 
-def validate_kernel(kernel: MatrixKernel, atoms: Sequence[Atom], tol_sym: float = TOL_SYM) -> ValidationReport:
-    """Check Hermitian pair symmetry and block Gram positivity.
+def validate_kernel(kernel: MatrixKernel, space: AtomSpace) -> ValidationReport:
+    """Check Hermitian pair symmetry and block Gram positivity over the atoms of ``space``.
 
     Failures are reported, not raised: the report carries the maximum
     Hermitian deviation and the minimum Gram eigenvalue together with the
@@ -679,7 +685,7 @@ def validate_kernel(kernel: MatrixKernel, atoms: Sequence[Atom], tol_sym: float 
     on its non-finite entries, without numpy warnings.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        dev, matrix = _hermitian_gram(kernel, atoms)
+        dev, matrix = _hermitian_gram(kernel, space)
     if np.isfinite(matrix).all():
         eigs = np.linalg.eigvalsh(matrix)
     else:
@@ -688,13 +694,13 @@ def validate_kernel(kernel: MatrixKernel, atoms: Sequence[Atom], tol_sym: float 
     min_eig, max_eig = float(eigs[0]), float(eigs[-1])
     tol_psd = psd_tolerance(max_eig)
     return ValidationReport(
-        n_atoms=len(atoms),
+        n_atoms=len(space),
         n=kernel.n,
         hermitian_deviation=dev,
-        tol_sym=tol_sym,
+        tol_sym=TOL_SYM,
         min_eigenvalue=min_eig,
         max_eigenvalue=max_eig,
         tol_psd=tol_psd,
-        hermitian_ok=dev <= tol_sym,
+        hermitian_ok=dev <= TOL_SYM,
         psd_ok=min_eig >= -tol_psd,
     )

@@ -29,8 +29,8 @@ from .kernels import (
     diagonal_blocks,
     gram,
 )
-from .operators import RKHSElement, SpectralDecomposition, _resolve_atom
-from .space import Atom, SupportSet
+from .operators import RKHSElement, SpectralDecomposition
+from .space import AtomSpace
 
 __all__ = [
     "OffSupportError",
@@ -59,16 +59,16 @@ class OffSupportError(ValueError):
 
 def default_tol_recon(dec: SpectralDecomposition) -> float:
     """Scale-aware tolerance for series reconstruction deviations."""
-    return tol_recon_of([dec.kernel], dec.space.atoms)
+    return tol_recon_of([dec.kernel], dec.space)
 
 
-def tol_recon_of(kernels: Sequence[MatrixKernel], atoms: Sequence[Atom]) -> float:
+def tol_recon_of(kernels: Sequence[MatrixKernel], space: AtomSpace) -> float:
     """Reconstruction tolerance ``TOL_RECON_SCALE * (1 + t)``.
 
     ``t`` is the largest real diagonal entry of any ``K(x, x)`` over the
-    kernels and atoms, floored at 0.
+    kernels and the atoms of ``space``, floored at 0.
     """
-    top = max(float(np.einsum("xll->xl", diagonal_blocks(k, atoms)).real.max()) for k in kernels)
+    top = max(float(np.einsum("xll->xl", diagonal_blocks(k, space)).real.max()) for k in kernels)
     return TOL_RECON_SCALE * (1.0 + max(top, 0.0))
 
 
@@ -77,8 +77,8 @@ def _check_truncation(dec: SpectralDecomposition, m: int) -> None:
         raise ValueError(f"truncation {m} out of range 0..{dec.rank}")
 
 
-def reconstruct(dec: SpectralDecomposition, x: str | Atom, t: str | Atom, m: int | None = None) -> np.ndarray:
-    """Evaluate the ``m``-term partial series at a pair of atoms (default: all terms).
+def reconstruct(dec: SpectralDecomposition, x: str, t: str, m: int | None = None) -> np.ndarray:
+    """Evaluate the ``m``-term partial series at the atoms labelled ``x`` and ``t`` (default: all terms).
 
     Entry ``(l, j)`` is ``sum_i sigma_i f_i^l(x) conj(f_i^j(t))``, the rank-m
     eigen-factorization of the block Gram; at full rank it reproduces
@@ -86,7 +86,7 @@ def reconstruct(dec: SpectralDecomposition, x: str | Atom, t: str | Atom, m: int
     """
     m = dec.rank if m is None else m
     _check_truncation(dec, m)
-    ix, it = (dec.space.index(_resolve_atom(dec.space, a).label) for a in (x, t))
+    ix, it = dec.space.index(x), dec.space.index(t)
     return np.einsum(
         "i,il,ij->lj",
         dec.sigmas[:m],
@@ -116,7 +116,7 @@ def reconstruction_error(
     positive-mass block) plus the dropped terms ``sigma_i f_i f_i^H``.
     These rows are exactly nonincreasing in ``m``.  A kernel that passes
     validation while slightly indefinite (within ``tol_psd``) or asymmetric
-    (within ``tol_sym``) can make them understate the max entry by about
+    (within ``TOL_SYM``) can make them understate the max entry by about
     that much.
     """
     labels = tuple(subset) if subset is not None else dec.support.members
@@ -125,7 +125,7 @@ def reconstruction_error(
     for m in steps:
         _check_truncation(dec, m)
     # flat (x, l), (t, j) matrices
-    resid = _flat(gram(dec.kernel, [dec.space.atoms[i] for i in idx]))
+    resid = _flat(gram(dec.kernel, dec.space, idx))
     diag = np.diagonal(resid).real.copy()
     f = dec.funcs[:, idx, :].reshape(dec.rank, resid.shape[0])
     # kept[m] = sum_{i<m} sigma_i |f_i|^2: a running sum of nonnegative terms,
@@ -151,18 +151,17 @@ def pointwise(dec: SpectralDecomposition, element: RKHSElement) -> np.ndarray:
             raise ValueError(f"expected {dec.rank} coefficients, got {coeffs.shape[0]}")
         return np.einsum("i,ixl->xl", coeffs * np.sqrt(dec.sigmas), dec.funcs)
     sources, ys = _section_table(dec, element)
-    return np.einsum("tslm,sm->tl", gram(dec.kernel, dec.space.atoms, sources), ys)
+    return np.einsum("tslm,sm->tl", gram(dec.kernel, dec.space, None, sources), ys)
 
 
-def _section_table(dec: SpectralDecomposition, element: RKHSElement) -> tuple[list[Atom], np.ndarray]:
-    """Base atoms and coefficient vectors ``(S, n)`` of a section-form element."""
-    atoms = dec.space.atoms
-    sources = [atoms[dec.space.index(label)] for label, _ in element.sections]
+def _section_table(dec: SpectralDecomposition, element: RKHSElement) -> tuple[list[int], np.ndarray]:
+    """Base atom indices and coefficient vectors ``(S, n)`` of a section-form element."""
+    sources = [dec.space.index(label) for label, _ in element.sections]
     ys = np.array([y for _, y in element.sections], dtype=complex).reshape(len(sources), dec.n)
     return sources, ys
 
 
-def project(section: RKHSElement, dec: SpectralDecomposition, support: SupportSet | None = None) -> RKHSElement:
+def project(section: RKHSElement, dec: SpectralDecomposition) -> RKHSElement:
     """Spectral coefficients of a kernel-section element.
 
     By the reproducing property the coefficient against the ``i``-th scaled
@@ -172,10 +171,9 @@ def project(section: RKHSElement, dec: SpectralDecomposition, support: SupportSe
     """
     if section.sections is None:
         raise ValueError("project expects a kernel-section element")
-    sup = dec.support if support is None else support
     coeffs = np.zeros(dec.rank, dtype=complex)
     for label, y in section.sections:
-        if label not in sup:
+        if label not in dec.support:
             raise OffSupportError(
                 f"atom {label!r} lies outside the measure support; "
                 "the section has no spectral representation"
@@ -186,12 +184,7 @@ def project(section: RKHSElement, dec: SpectralDecomposition, support: SupportSe
     return RKHSElement.spectral(coeffs)
 
 
-def rkhs_inner(
-    h1: RKHSElement,
-    h2: RKHSElement,
-    dec: SpectralDecomposition,
-    support: SupportSet | None = None,
-) -> complex:
+def rkhs_inner(h1: RKHSElement, h2: RKHSElement, dec: SpectralDecomposition) -> complex:
     """Kernel-space inner product, linear in the first argument.
 
     Spectral forms contract coefficientwise (the scaled eigenfunctions are
@@ -204,10 +197,10 @@ def rkhs_inner(
     if not h1.is_spectral and not h2.is_spectral:
         xs, ys = _section_table(dec, h1)
         ts, yps = _section_table(dec, h2)
-        return complex(np.einsum("tl,txlm,xm->", np.conj(yps), gram(dec.kernel, ts, xs), ys))
+        return complex(np.einsum("tl,txlm,xm->", np.conj(yps), gram(dec.kernel, dec.space, ts, xs), ys))
     if h1.is_spectral:
-        return rkhs_inner(h1, project(h2, dec, support), dec)
-    return rkhs_inner(project(h1, dec, support), h2, dec)
+        return rkhs_inner(h1, project(h2, dec), dec)
+    return rkhs_inner(project(h1, dec), h2, dec)
 
 
 @dataclass(frozen=True, eq=False)
@@ -238,7 +231,6 @@ def frame_check(
     frame: ScalarFrame,
     dec: SpectralDecomposition,
     j: int,
-    support: SupportSet | None = None,
     combinations: Sequence[tuple[Sequence[str], Sequence[complex]]] = (),
 ) -> float:
     """Max deviation of the Parseval identity for the scalar kernel of component ``j``.
@@ -252,16 +244,14 @@ def frame_check(
     if frame.atoms != dec.space.labels:
         raise ValueError("frame atoms do not match the decomposition's atom order")
     _check_component(dec, j)
-    sup = dec.support if support is None else support
-    atoms = dec.space.atoms
-    idx = [dec.space.index(label) for label in sup.members]
-    targets = diagonal_blocks(dec.kernel, [atoms[i] for i in idx])[:, j, j].real
+    idx = [dec.space.index(label) for label in dec.support.members]
+    targets = diagonal_blocks(dec.kernel, dec.space, idx)[:, j, j].real
     totals = np.sum(np.abs(frame.values[:, idx]) ** 2, axis=0)
     deviation = float(np.max(np.abs(targets - totals), initial=0.0))
     for labels, coeffs in combinations:
         idx = [dec.space.index(label) for label in labels]
         a = np.asarray(list(coeffs), dtype=complex)
-        block = gram(dec.kernel, [atoms[i] for i in idx])[:, :, j, j]
+        block = gram(dec.kernel, dec.space, idx)[:, :, j, j]
         norm_sq = float((np.conj(a) @ block @ a).real)
         frame_coeffs = np.conj(frame.values[:, idx]) @ a
         total = float(np.sum(np.abs(frame_coeffs) ** 2))

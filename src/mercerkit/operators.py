@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -27,7 +27,7 @@ from .kernels import (
     diagonal_blocks,
     gram,
 )
-from .space import Atom, AtomSpace, SupportSet, _zero_mass_support
+from .space import AtomSpace, SupportSet, _zero_mass_support
 
 __all__ = [
     "DiscreteOperator",
@@ -72,7 +72,7 @@ def rescale_measure(space: AtomSpace, kernel: MatrixKernel) -> RescaledMeasure:
     Also returns the trace budget ``m_nu = sum_x tr K(x,x) nu_x``, which the
     eigenvalue sum of the operator must reproduce.
     """
-    diag = diagonal_blocks(kernel, space.atoms)
+    diag = diagonal_blocks(kernel, space)
     weights = space.mu / (1.0 + _hermitian_spectral_norms(diag))
     traces = np.trace(diag, axis1=1, axis2=2).real
     m_nu = float(np.sum(traces * weights))
@@ -97,13 +97,12 @@ class DiscreteOperator:
 
 def assemble_operator(space: AtomSpace, kernel: MatrixKernel, nu: RescaledMeasure) -> DiscreteOperator:
     """Assemble the operator matrix over atoms with positive rescaled weight."""
-    indices = tuple(int(i) for i in np.flatnonzero(nu.weights > 0))
-    if not indices:
+    pos = np.flatnonzero(nu.weights > 0)
+    if not pos.size:
         raise EmptySupportError("measure has empty support: every atom weight is zero")
-    atoms = [space.atoms[i] for i in indices]
-    scale = np.sqrt(np.repeat(nu.weights[list(indices)], kernel.n))
-    matrix = assemble_block_gram(kernel, atoms) * scale[:, None] * scale[None, :]
-    return DiscreteOperator(space, kernel, nu, indices, _readonly(matrix))
+    scale = np.sqrt(np.repeat(nu.weights[pos], kernel.n))
+    matrix = assemble_block_gram(kernel, space, pos) * scale[:, None] * scale[None, :]
+    return DiscreteOperator(space, kernel, nu, tuple(pos.tolist()), _readonly(matrix))
 
 
 def _normalize_phase(column: np.ndarray) -> np.ndarray:
@@ -188,26 +187,26 @@ def eigendecompose(op: DiscreteOperator, rank_cutoff: float | None = None) -> Sp
         f_pos = cols.reshape(rank, len(pos), n) / np.sqrt(nu.weights[pos])[None, :, None]
         funcs[:, pos, :] = f_pos
         if zero.size:
-            funcs[:, zero, :] = _extend(op, [space.atoms[z] for z in zero], f_pos, sigmas)
+            funcs[:, zero, :] = _extend(op, zero, f_pos, sigmas)
     return SpectralDecomposition(space, kernel, nu, _readonly(sigmas), _readonly(funcs))
 
 
 def _extend(
     op: DiscreteOperator | SpectralDecomposition,
-    xs: Sequence[Atom],
+    rows: np.ndarray,
     f_pos: np.ndarray,
     sigmas: np.ndarray,
 ) -> np.ndarray:
-    """Kernel-sum extension ``(1 / sigma_i) sum_t K(x,t) f_i(t) nu_t`` at the atoms ``xs``.
+    """Kernel-sum extension ``(1 / sigma_i) sum_t K(x,t) f_i(t) nu_t`` at the atoms at ``rows``.
 
     The sum runs over the positive-weight atoms of ``op``; ``f_pos`` holds
     the eigenfunction values there, shape ``(rank, P, n)``.  The result has
-    shape ``(rank, len(xs), n)``.
+    shape ``(rank, len(rows), n)``.
     """
     pos = np.flatnonzero(op.nu.weights > 0)
-    blocks = gram(op.kernel, xs, [op.space.atoms[p] for p in pos]) * op.nu.weights[pos][None, :, None, None]
+    blocks = gram(op.kernel, op.space, rows, pos) * op.nu.weights[pos][None, :, None, None]
     values = f_pos.reshape(len(sigmas), -1) @ _flat(blocks).T
-    return values.reshape(len(sigmas), len(xs), -1) / sigmas[:, None, None]
+    return values.reshape(len(sigmas), len(rows), -1) / sigmas[:, None, None]
 
 
 def truncate(dec: SpectralDecomposition, rank_cutoff: float | None = None) -> SpectralDecomposition:
@@ -218,14 +217,8 @@ def truncate(dec: SpectralDecomposition, rank_cutoff: float | None = None) -> Sp
     )
 
 
-def _resolve_atom(space: AtomSpace, x: str | Atom) -> Atom:
-    if isinstance(x, Atom):
-        return x
-    return space.atoms[space.index(x)]
-
-
-def extend_eigenfunction(dec: SpectralDecomposition, i: int, x: str | Atom) -> np.ndarray:
-    """Evaluate the continuous representative of eigenfunction ``i`` at any atom.
+def extend_eigenfunction(dec: SpectralDecomposition, i: int, x: str) -> np.ndarray:
+    """Evaluate the continuous representative of eigenfunction ``i`` at the atom labelled ``x``.
 
     Computes ``(1 / sigma_i) * sum_t K(x,t) f_i(t) nu_t`` over the operator
     atoms.  On those atoms this reproduces the stored eigenvector values up
@@ -236,7 +229,7 @@ def extend_eigenfunction(dec: SpectralDecomposition, i: int, x: str | Atom) -> n
             f"eigenindex {i} is below the rank cutoff (retained rank {dec.rank})"
         )
     f_pos = dec.funcs[i : i + 1, list(dec.positive_indices), :]
-    return _extend(dec, [_resolve_atom(dec.space, x)], f_pos, dec.sigmas[i : i + 1])[0, 0]
+    return _extend(dec, np.array([dec.space.index(x)]), f_pos, dec.sigmas[i : i + 1])[0, 0]
 
 
 def default_tol_eig(dec: SpectralDecomposition) -> float:

@@ -178,7 +178,7 @@ def pseudo_metric(space: AtomSpace, kernel: MatrixKernel) -> PseudoMetricMatrix:
     ``K(x,x) + K(t,t) - K(x,t) - K(t,x)``, which equals the squared operator
     gap ``sup_{|y| <= 1} |K_x y - K_t y|`` of the section maps.
     """
-    blocks = gram(kernel, space.atoms)
+    blocks = gram(kernel, space)
     diag = np.einsum("xxlj->xlj", blocks)
     d = _distances(diag, diag, blocks, blocks)
     return PseudoMetricMatrix(_mirror_upper(d), _quotient_tol(diag))
@@ -196,7 +196,7 @@ def pseudo_metric_prime(space: AtomSpace, kernel: MatrixKernel) -> PseudoMetricM
     ``d'(x,t)^2 = tr K(x,x) + tr K(t,t) - 2 Re tr K(t,x)`` sums the squared
     section gaps over components, so ``d <= d' <= sqrt(n) d``.
     """
-    blocks = gram(kernel, space.atoms)
+    blocks = gram(kernel, space)
     diag = np.einsum("xxlj->xlj", blocks)
     traces = np.trace(diag, axis1=1, axis2=2).real
     cross = np.trace(blocks, axis1=2, axis2=3).real.T
@@ -295,7 +295,7 @@ def _zero_mass_support(space: AtomSpace, kernel: MatrixKernel) -> SupportSet:
     ``Z`` zero-mass atoms decide the support, as the ``N x N`` ones do.
     """
     # the whole Gram, as pseudo_metric evaluates it: the same blocks give the same distances
-    blocks = gram(kernel, space.atoms)
+    blocks = gram(kernel, space)
     diag = np.einsum("xxlj->xlj", blocks)
     zero = np.flatnonzero(space.mu <= 0)
     d = _distances(diag[zero], diag, blocks[zero], blocks[:, zero])

@@ -21,9 +21,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .kernels import KernelEvaluationError, MatrixKernel, _batched, _readonly, gram
+from .kernels import KernelEvaluationError, MatrixKernel, _positions, _readonly, gram
 from .mercer import ScalarFrame
-from .space import Atom
+from .space import AtomSpace
 
 __all__ = ["FrameFamily", "align_frames", "synthesize_kernel", "verify_diagonal_blocks"]
 
@@ -68,51 +68,51 @@ def align_frames(frames: Sequence[ScalarFrame]) -> FrameFamily:
 def synthesize_kernel(family: FrameFamily) -> MatrixKernel:
     """Kernel whose block entries are inner products of the frame columns.
 
-    The blocks over atom sets ``xs`` and ``ts`` come from one matrix product
-    of the frame values.  Defined only on the family's atoms; evaluating
-    elsewhere raises :class:`KernelEvaluationError`.
+    The blocks over two sets of atoms come from one matrix product of the
+    frame values at their labels.  Defined only on the family's atoms;
+    evaluating elsewhere raises :class:`KernelEvaluationError`.
     """
     index = {label: i for i, label in enumerate(family.atoms)}
     values = family.values
     count, n = values.shape[0], family.n
 
-    def columns(atoms: Sequence[Atom]) -> np.ndarray:
-        try:
-            rows = [index[a.label] for a in atoms]
-        except KeyError as exc:
-            raise KernelEvaluationError(
-                f"synthesized kernel is undefined at atom {exc.args[0]!r}"
-            ) from None
-        return values[:, rows, :].reshape(count, len(rows) * n)
+    def batch(space: AtomSpace, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        pos = _positions(index, space.labels)
 
-    def batch(xs: Sequence[Atom], ts: Sequence[Atom]) -> np.ndarray:
-        vx = columns(xs)
-        if ts is xs:
+        def columns(idx: np.ndarray) -> np.ndarray:
+            missing = pos[idx] < 0
+            if missing.any():
+                label = space.labels[idx[np.argmax(missing)]]
+                raise KernelEvaluationError(f"synthesized kernel is undefined at atom {label!r}")
+            return values[:, pos[idx], :].reshape(count, len(idx) * n)
+
+        vx = columns(rows)
+        if cols is rows:
             blocks = np.conj(vx.T) @ vx
             # a product with itself is Hermitian; make its rounding so, too
             blocks += np.conj(blocks.T)
             blocks *= 0.5
         else:
-            blocks = np.conj(vx.T) @ columns(ts)
-        return blocks.reshape(len(xs), n, len(ts), n).transpose(0, 2, 1, 3)
+            blocks = np.conj(vx.T) @ columns(cols)
+        return blocks.reshape(len(rows), n, len(cols), n).transpose(0, 2, 1, 3)
 
-    return _batched(n, batch, f"frame_synth(n={n})")
+    return MatrixKernel(n, label=f"frame_synth(n={n})", batch=batch)
 
 
 def verify_diagonal_blocks(
     synthesized: MatrixKernel,
     originals: Sequence[MatrixKernel],
-    atoms: Sequence[Atom],
+    space: AtomSpace,
 ) -> float:
-    """Max deviation of the synthesized diagonal blocks from scalar originals."""
+    """Max deviation of the synthesized diagonal blocks from scalar originals over the atoms of ``space``."""
     if len(originals) != synthesized.n:
         raise ValueError("need one scalar original per synthesized component")
     for j, kernel in enumerate(originals):
         if kernel.n != 1:
             raise ValueError(f"original {j} is not scalar")
-    blocks = gram(synthesized, atoms)
+    blocks = gram(synthesized, space)
     deviation = 0.0
     for j, kernel in enumerate(originals):
-        diff = blocks[:, :, j, j] - gram(kernel, atoms)[:, :, 0, 0]
+        diff = blocks[:, :, j, j] - gram(kernel, space)[:, :, 0, 0]
         deviation = max(deviation, float(np.max(np.abs(diff), initial=0.0)))
     return deviation

@@ -22,6 +22,7 @@ from mercerkit import (
     embedding_norm_bound_check,
     extract_frame,
     frame_check,
+    gram,
     merge_classes,
     pseudo_metric,
     pseudo_metric_prime,
@@ -54,7 +55,7 @@ def test_criterion_01_kernel_axioms():
         for _ in range(100):
             n_atoms = int(rng.integers(2, 51))
             space = random_space(rng, n_atoms, dim=2)
-            report = validate_kernel(kernel, space.atoms)
+            report = validate_kernel(kernel, space)
             worst_dev = max(worst_dev, report.hermitian_deviation)
             worst_margin = min(worst_margin, report.min_eigenvalue + report.tol_psd)
             if report.hermitian_deviation > 1e-12 or not report.psd_ok:
@@ -107,7 +108,7 @@ def test_criterion_03_series_reconstruction():
         # diagonal remainders K(x,x)_jj - sum_{i<m} sigma_i |f_i^j(x)|^2
         sup_ix = [space.index(label) for label in dec.support.members]
         diag0 = np.array(
-            [np.diag(np.asarray(dec.kernel.eval(space.atoms[ix], space.atoms[ix]))).real for ix in sup_ix]
+            [np.diag(gram(dec.kernel, space, [ix], [ix])[0, 0]).real for ix in sup_ix]
         )
         partial = np.cumsum(
             dec.sigmas[:, None, None] * np.abs(dec.funcs[:, sup_ix, :]) ** 2, axis=0
@@ -130,7 +131,7 @@ def test_criterion_04_support_restriction():
     space = space_from([0.0, 1.0, 2.0], [1.0, 1.0, 0.0])
     dec = decompose_space(space, delta_kernel(1))
     synthesized = complex(reconstruct(dec, "c", "c")[0, 0])
-    actual = complex(dec.kernel.eval(space.atoms[2], space.atoms[2])[0, 0])
+    actual = complex(gram(dec.kernel, space, [2], [2])[0, 0][0, 0])
     ok = synthesized == 0.0 and actual == 1.0
     _verdict(4, "support restriction", ok, f"series value {synthesized}, kernel value {actual}")
 
@@ -150,7 +151,7 @@ def test_criterion_05_orthonormal_feature_family():
         # v_i = sum_t K(.,t) f_i(t) nu_t / sqrt(sigma_i); ill-conditioned at
         # the spectral tail, so cut the relative rank at 1e-6
         dec = truncate(full, 1e-6 * float(full.sigmas[0]))
-        gram = assemble_block_gram(dec.kernel, space.atoms)
+        gram = assemble_block_gram(dec.kernel, space)
         weights = dec.nu.weights
         y = (dec.funcs * weights[None, :, None]).reshape(dec.rank, -1).T
         y = y / np.sqrt(dec.sigmas)[None, :]
@@ -219,7 +220,7 @@ def test_criterion_07_synthesis():
         tol_recon = max(tol_recon, default_tol_recon(dec))
     family = FrameFamily(space.labels, np.stack([f.values for f in frames], axis=2))
     synthesized = synthesize_kernel(family)
-    round_trip = verify_diagonal_blocks(synthesized, [build_kernel(s) for s in specs], space.atoms)
+    round_trip = verify_diagonal_blocks(synthesized, [build_kernel(s) for s in specs], space)
 
     # arbitrary (non-Parseval) families still produce valid kernels
     families_ok = True
@@ -227,18 +228,20 @@ def test_criterion_07_synthesis():
         count = int(rng.integers(1, 6))
         n = int(rng.integers(1, 4))
         values = rng.standard_normal((count, 10, n)) + 1j * rng.standard_normal((count, 10, n))
-        report = validate_kernel(synthesize_kernel(FrameFamily(space.labels, values)), space.atoms)
+        report = validate_kernel(synthesize_kernel(FrameFamily(space.labels, values)), space)
         families_ok = families_ok and report.passed and report.hermitian_deviation <= 1e-12
 
     # halving one frame shrinks its diagonal block to a quarter
     base = decompose_space(space, specs[0])
     halved = FrameFamily(space.labels, 0.5 * extract_frame(base, 0).values[:, :, None])
     deviation = verify_diagonal_blocks(
-        synthesize_kernel(halved), [build_kernel(specs[0])], space.atoms
+        synthesize_kernel(halved), [build_kernel(specs[0])], space
     )
     kernel = build_kernel(specs[0])
     top = max(
-        float(np.max(np.abs(kernel.eval(x, t)))) for x in space.atoms for t in space.atoms
+        float(np.max(np.abs(gram(kernel, space, [x], [t])[0, 0])))
+        for x in range(len(space))
+        for t in range(len(space))
     )
     counterexample = abs(deviation - 0.75 * top) <= 1e-9
 

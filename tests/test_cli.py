@@ -412,7 +412,7 @@ def test_synthesize_round_trip_from_kernels(tmp_path, three_atoms):
     synth = build_kernel({"type": "precomputed", "path": str(out / "kernel.csv")})
     space = load_atoms(three_atoms)
     assert synth.n == 2
-    assert validate_kernel(synth, space.atoms).passed
+    assert validate_kernel(synth, space).passed
     assert main(["validate", "--atoms", str(three_atoms), "--kernel", str(spec), "--out", str(out / "v")]) == 0
 
 

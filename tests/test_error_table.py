@@ -24,7 +24,7 @@ KERNELS = [build_kernel(spec) for _, spec in ZOO]
 def reference_table(dec, labels, steps) -> list[float]:
     """``max |K - K_m|`` over all pairs and components of ``labels``, for each ``m`` in ``steps``."""
     idx = [dec.space.index(label) for label in labels]
-    resid = gram(dec.kernel, [dec.space.atoms[i] for i in idx])
+    resid = gram(dec.kernel, dec.space, idx)
     f = dec.funcs[:, idx, :]
     table, done = [], 0
     for m in steps:
@@ -76,12 +76,10 @@ def test_full_rank_row_is_the_max_entry_of_an_indefinite_remainder():
     # positive term is [[-0.5, 0.5], [0.5, -0.5]], whose diagonal is negative
     table = np.array([[1.0, 2.0], [2.0, 1.0]], dtype=complex)
 
-    def batch(xs, ts):
-        ix = [ord(a.label) - ord("a") for a in xs]
-        it = [ord(a.label) - ord("a") for a in ts]
-        return table[np.ix_(ix, it)][:, :, None, None]
+    def batch(space, rows, cols):
+        return table[np.ix_(rows, cols)][:, :, None, None]
 
-    kernel = MatrixKernel(n=1, eval=lambda x, t: batch([x], [t])[0, 0], batch=batch)
+    kernel = MatrixKernel(n=1, batch=batch)
     dec = decompose_space(space_from([0.0, 1.0], [1.0, 1.0]), kernel)
     assert dec.rank == 1
     (m, err), = reconstruction_error(dec, ms=[1])

@@ -16,6 +16,7 @@ from mercerkit import (
     MatrixKernel,
     assemble_block_gram,
     build_kernel,
+    gram,
     kernel_from_file,
     psd_tolerance,
     read_precomputed,
@@ -30,35 +31,34 @@ from mercerkit import (
 # ---------------------------------------------------------------------------
 
 
-def _atoms(coords, labels=None):
-    space = space_from(coords, np.ones(len(coords)), labels)
-    return space.atoms
+def _space(coords, labels=None):
+    return space_from(coords, np.ones(len(coords)), labels)
 
 
 def test_constant_eval():
     k = build_kernel({"type": "constant", "value": 1.0})
-    a, b = _atoms([[0.0], [9.0]])
+    space = _space([[0.0], [9.0]])
     assert k.n == 1
-    np.testing.assert_array_equal(k.eval(a, b), [[1.0]])
+    np.testing.assert_array_equal(gram(k, space, [0], [1])[0, 0], [[1.0]])
 
 
 def test_gaussian_eval_hand():
     k = build_kernel({"type": "gaussian", "gamma": 1.0})
-    a, b = _atoms([[0.0], [1.0]])
-    assert complex(k.eval(a, b)[0, 0]) == pytest.approx(math.exp(-1.0), abs=1e-16)
-    assert complex(k.eval(a, a)[0, 0]) == 1.0
+    space = _space([[0.0], [1.0]])
+    assert complex(gram(k, space, [0], [1])[0, 0][0, 0]) == pytest.approx(math.exp(-1.0), abs=1e-16)
+    assert complex(gram(k, space, [0], [0])[0, 0][0, 0]) == 1.0
 
 
 def test_laplacian_eval_hand():
     k = build_kernel({"type": "laplacian", "gamma": 0.7})
-    a, b = _atoms([[0.0, 0.0], [1.0, -2.0]])
-    assert complex(k.eval(a, b)[0, 0]) == pytest.approx(math.exp(-0.7 * 3.0), rel=1e-15)
+    space = _space([[0.0, 0.0], [1.0, -2.0]])
+    assert complex(gram(k, space, [0], [1])[0, 0][0, 0]) == pytest.approx(math.exp(-0.7 * 3.0), rel=1e-15)
 
 
 def test_polynomial_eval_hand():
     k = build_kernel({"type": "polynomial", "degree": 2, "offset": 1.0})
-    a, b = _atoms([[1.0, 2.0], [3.0, 4.0]])
-    assert complex(k.eval(a, b)[0, 0]) == (11.0 + 1.0) ** 2
+    space = _space([[1.0, 2.0], [3.0, 4.0]])
+    assert complex(gram(k, space, [0], [1])[0, 0][0, 0]) == (11.0 + 1.0) ** 2
 
 
 def test_separable_constant_blocks_equal_matrix():
@@ -68,8 +68,8 @@ def test_separable_constant_blocks_equal_matrix():
         "scalar": {"type": "constant", "value": 1.0},
     }
     k = build_kernel(spec)
-    a, b = _atoms([[0.0], [5.0]])
-    np.testing.assert_array_equal(k.eval(a, b), [[2.0, 1.0], [1.0, 2.0]])
+    space = _space([[0.0], [5.0]])
+    np.testing.assert_array_equal(gram(k, space, [0], [1])[0, 0], [[2.0, 1.0], [1.0, 2.0]])
     assert k.n == 2
 
 
@@ -80,9 +80,9 @@ def test_separable_complex_entries():
         "scalar": {"type": "gaussian", "gamma": 1.2},
     }
     k = build_kernel(spec)
-    a, b = _atoms([[0.0], [1.0]])
+    space = _space([[0.0], [1.0]])
     g = math.exp(-1.2)
-    block = k.eval(a, b)
+    block = gram(k, space, [0], [1])[0, 0]
     assert complex(block[0, 1]) == pytest.approx(1j * g, rel=1e-15)
     assert complex(block[1, 0]) == pytest.approx(-1j * g, rel=1e-15)
 
@@ -93,8 +93,8 @@ def test_diagonal_kernel_blocks():
         "blocks": [{"type": "gaussian", "gamma": 1.0}, {"type": "constant", "value": 1.0}],
     }
     k = build_kernel(spec)
-    a, b = _atoms([[0.0], [1.0]])
-    block = k.eval(a, b)
+    space = _space([[0.0], [1.0]])
+    block = gram(k, space, [0], [1])[0, 0]
     assert complex(block[0, 0]) == pytest.approx(math.exp(-1.0), rel=1e-15)
     assert complex(block[1, 1]) == 1.0
     assert complex(block[0, 1]) == 0.0
@@ -106,8 +106,8 @@ def test_sum_kernel_is_pointwise_sum():
         "terms": [{"type": "gaussian", "gamma": 1.0}, {"type": "constant", "value": 0.5}],
     }
     k = build_kernel(spec)
-    a, b = _atoms([[0.0], [1.0]])
-    assert complex(k.eval(a, b)[0, 0]) == pytest.approx(math.exp(-1.0) + 0.5, rel=1e-15)
+    space = _space([[0.0], [1.0]])
+    assert complex(gram(k, space, [0], [1])[0, 0][0, 0]) == pytest.approx(math.exp(-1.0) + 0.5, rel=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -164,11 +164,12 @@ def test_unknown_type_message():
 def test_hermitian_pair_law(spec):
     rng = np.random.default_rng(11)
     kernel = build_kernel(spec)
-    atoms = random_space(rng, 10, dim=3).atoms
+    space = random_space(rng, 10, dim=3)
     worst = 0.0
-    for x in atoms:
-        for t in atoms:
-            dev = np.max(np.abs(np.asarray(kernel.eval(x, t)) - np.asarray(kernel.eval(t, x)).conj().T))
+    for x in range(len(space)):
+        for t in range(len(space)):
+            k_xt, k_tx = gram(kernel, space, [x], [t])[0, 0], gram(kernel, space, [t], [x])[0, 0]
+            dev = np.max(np.abs(k_xt - k_tx.conj().T))
             worst = max(worst, float(dev))
     assert worst <= 1e-12
 
@@ -176,7 +177,7 @@ def test_hermitian_pair_law(spec):
 def test_block_gram_gaussian_hand():
     space = space_from([0.0, 1.0], [1.0, 1.0])
     kernel = build_kernel({"type": "gaussian", "gamma": 1.0})
-    gram = assemble_block_gram(kernel, space.atoms)
+    gram = assemble_block_gram(kernel, space)
     e = math.exp(-1.0)
     np.testing.assert_allclose(gram, [[1.0, e], [e, 1.0]], atol=1e-16)
     assert not gram.flags.writeable
@@ -191,7 +192,7 @@ def test_block_gram_layout_interleaves_components():
     }
     kernel = build_kernel(spec)
     space = space_from([0.0, 4.0], [1.0, 1.0])
-    gram = assemble_block_gram(kernel, space.atoms)
+    gram = assemble_block_gram(kernel, space)
     assert gram.shape == (4, 4)
     np.testing.assert_array_equal(gram[0:2, 2:4], [[2.0, 1.0], [1.0, 2.0]])
 
@@ -203,7 +204,7 @@ def test_assemble_rejects_large_asymmetry():
     kernel = MatrixKernel(n=1, eval=ev, label="skew")
     space = space_from([0.0, 1.0], [1.0, 1.0])
     with pytest.raises(KernelSymmetryError, match="Hermitian pair symmetry"):
-        assemble_block_gram(kernel, space.atoms)
+        assemble_block_gram(kernel, space)
 
 
 def test_assemble_averages_tiny_asymmetry():
@@ -216,7 +217,7 @@ def test_assemble_averages_tiny_asymmetry():
 
     kernel = MatrixKernel(n=1, eval=ev, label="wobble")
     space = space_from([0.0, 1.0], [1.0, 1.0])
-    gram = assemble_block_gram(kernel, space.atoms)
+    gram = assemble_block_gram(kernel, space)
     np.testing.assert_array_equal(gram, gram.conj().T)
     assert complex(gram[0, 1]) == pytest.approx(0.5 + wobble / 2, rel=1e-12)
 
@@ -231,7 +232,7 @@ def test_validate_zoo_kernels_pass(spec):
     rng = np.random.default_rng(5)
     kernel = build_kernel(spec)
     space = random_space(rng, 14, dim=2)
-    report = validate_kernel(kernel, space.atoms)
+    report = validate_kernel(kernel, space)
     assert report.passed
     assert report.hermitian_deviation <= 1e-12
     assert report.min_eigenvalue >= -report.tol_psd
@@ -243,7 +244,7 @@ def test_validate_flags_indefinite_kernel():
 
     kernel = MatrixKernel(n=1, eval=ev, label="negative")
     space = space_from([0.0, 1.0], [1.0, 1.0])
-    report = validate_kernel(kernel, space.atoms)
+    report = validate_kernel(kernel, space)
     assert report.hermitian_ok
     assert not report.psd_ok
     assert not report.passed
@@ -259,7 +260,7 @@ def test_validate_flags_asymmetric_kernel_without_raising():
 
     kernel = MatrixKernel(n=1, eval=ev, label="skew")
     space = space_from([0.0, 1.0], [1.0, 1.0])
-    report = validate_kernel(kernel, space.atoms)
+    report = validate_kernel(kernel, space)
     assert not report.hermitian_ok
     assert not report.passed
 
@@ -290,12 +291,13 @@ def test_precomputed_roundtrip(tmp_path):
     kernel = build_kernel(spec)
     space = space_from([0.0, 1.0, 2.5], [1.0, 1.0, 1.0])
     path = tmp_path / "kernel.csv"
-    write_precomputed(kernel, space.atoms, path)
+    write_precomputed(kernel, space, path)
     back = read_precomputed(path)
     assert back.n == 2
-    for x in space.atoms:
-        for t in space.atoms:
-            np.testing.assert_allclose(back.eval(x, t), kernel.eval(x, t), atol=1e-15)
+    for x in range(len(space)):
+        for t in range(len(space)):
+            expected = gram(kernel, space, [x], [t])[0, 0]
+            np.testing.assert_allclose(gram(back, space, [x], [t])[0, 0], expected, atol=1e-15)
 
 
 def test_precomputed_mirror_fill(tmp_path):
@@ -308,9 +310,8 @@ def test_precomputed_mirror_fill(tmp_path):
     )
     kernel = read_precomputed(path)
     space = space_from([0.0, 1.0], [1.0, 1.0])
-    a, b = space.atoms
-    assert complex(kernel.eval(a, b)[0, 0]) == 0.25 + 0.5j
-    assert complex(kernel.eval(b, a)[0, 0]) == 0.25 - 0.5j
+    assert complex(gram(kernel, space, [0], [1])[0, 0][0, 0]) == 0.25 + 0.5j
+    assert complex(gram(kernel, space, [1], [0])[0, 0][0, 0]) == 0.25 - 0.5j
 
 
 def test_precomputed_unknown_pair_raises(tmp_path):
@@ -318,9 +319,8 @@ def test_precomputed_unknown_pair_raises(tmp_path):
     path.write_text("x_id,t_id,l,j,re,im\na,a,0,0,1.0,0.0\n")
     kernel = read_precomputed(path)
     space = space_from([0.0, 1.0], [1.0, 1.0])
-    a, b = space.atoms
     with pytest.raises(KernelEvaluationError, match="'b'"):
-        kernel.eval(a, b)
+        gram(kernel, space, [0], [1])
 
 
 def test_precomputed_missing_entry_raises(tmp_path):
@@ -351,12 +351,11 @@ def test_kernel_from_file_and_relative_paths(tmp_path):
     inner.mkdir()
     base = build_kernel({"type": "gaussian", "gamma": 1.0})
     space = space_from([0.0, 1.0], [1.0, 1.0])
-    write_precomputed(base, space.atoms, inner / "grid.csv")
+    write_precomputed(base, space, inner / "grid.csv")
     spec_path = tmp_path / "kernel.json"
     spec_path.write_text(json.dumps({"type": "precomputed", "path": "tables/grid.csv"}))
     kernel = kernel_from_file(spec_path)
-    a, b = space.atoms
-    assert complex(kernel.eval(a, b)[0, 0]) == pytest.approx(math.exp(-1.0), rel=1e-15)
+    assert complex(gram(kernel, space, [0], [1])[0, 0][0, 0]) == pytest.approx(math.exp(-1.0), rel=1e-15)
 
 
 def test_kernel_from_file_reports_json_errors(tmp_path):
@@ -381,6 +380,6 @@ def test_frame_synth_kernel_from_frames(tmp_path):
     kernel = kernel_from_file(spec_path)
     assert kernel.n == 2
     space = space_from([0.0, 1.0], [1.0, 1.0])
-    for x in space.atoms:
-        for t in space.atoms:
-            np.testing.assert_array_equal(kernel.eval(x, t), np.ones((2, 2)))
+    for x in range(len(space)):
+        for t in range(len(space)):
+            np.testing.assert_array_equal(gram(kernel, space, [x], [t])[0, 0], np.ones((2, 2)))

@@ -60,9 +60,9 @@ def test_full_rank_reconstruction(spec):
     # the partial series converges pointwise on the support too
     kernel = dec.kernel
     for label in dec.support.members:
-        atom = space.atoms[space.index(label)]
+        ix = space.index(label)
         np.testing.assert_allclose(
-            reconstruct(dec, label, label), np.asarray(kernel.eval(atom, atom)), atol=tol
+            reconstruct(dec, label, label), gram(kernel, space, [ix], [ix])[0, 0], atol=tol
         )
 
 
@@ -93,8 +93,7 @@ def test_diagonal_remainders_monotone_and_nonnegative():
     tol = default_tol_eig(dec)
     for label in dec.support.members:
         ix = space.index(label)
-        atom = space.atoms[ix]
-        diag = np.diag(np.asarray(dec.kernel.eval(atom, atom))).real.copy()
+        diag = np.diag(gram(dec.kernel, space, [ix], [ix])[0, 0]).real.copy()
         remainders = [float(np.max(diag))]
         for i in range(dec.rank):
             diag = diag - dec.sigmas[i] * np.abs(dec.funcs[i, ix]) ** 2
@@ -113,14 +112,13 @@ def test_off_diagonal_remainder_bounded_by_diagonals():
     for m in (0, dec.rank // 2, dec.rank):
         diag_rem = {}
         for label in labels:
-            atom = space.atoms[space.index(label)]
-            rem = np.asarray(dec.kernel.eval(atom, atom)) - reconstruct(dec, label, label, m)
+            ix = space.index(label)
+            rem = gram(dec.kernel, space, [ix], [ix])[0, 0] - reconstruct(dec, label, label, m)
             diag_rem[label] = max(float(np.max(np.diag(rem).real)), 0.0)
         for x in labels:
             for t in labels:
-                ax = space.atoms[space.index(x)]
-                at = space.atoms[space.index(t)]
-                rem = np.asarray(dec.kernel.eval(ax, at)) - reconstruct(dec, x, t, m)
+                k_xt = gram(dec.kernel, space, [space.index(x)], [space.index(t)])[0, 0]
+                rem = k_xt - reconstruct(dec, x, t, m)
                 bound = np.sqrt(diag_rem[x] * diag_rem[t]) + tol
                 assert np.max(np.abs(rem)) <= bound
 
@@ -138,7 +136,7 @@ def test_reconstruction_error_matches_einsum_reference(spec):
     ):
         subset = dec.support.members if labels is None else labels
         idx = [space.index(label) for label in subset]
-        k = gram(dec.kernel, [space.atoms[i] for i in idx])
+        k = gram(dec.kernel, space, idx)
         f = dec.funcs[:, idx, :]
         steps = range(dec.rank + 1) if ms is None else sorted(set(ms))
         expected = []
@@ -164,8 +162,7 @@ def test_reconstruction_differs_off_support():
     space = space_from([0.0, 1.0, 2.0], [1.0, 1.0, 0.0])
     dec = decompose_space(space, delta_kernel(1))
     assert complex(reconstruct(dec, "c", "c")[0, 0]) == 0.0
-    atom = space.atoms[2]
-    assert complex(dec.kernel.eval(atom, atom)[0, 0]) == 1.0
+    assert complex(gram(dec.kernel, space, [2], [2])[0, 0][0, 0]) == 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -185,9 +182,8 @@ def test_pointwise_section_is_kernel_column():
     y = np.array([0.3, -0.7 + 0.2j])
     h = RKHSElement.from_sections([("x2", y)])
     values = pointwise(dec, h)
-    source = space.atoms[2]
-    for i, atom in enumerate(space.atoms):
-        np.testing.assert_allclose(values[i], np.asarray(dec.kernel.eval(atom, source)) @ y, atol=1e-14)
+    for i in range(len(space)):
+        np.testing.assert_allclose(values[i], gram(dec.kernel, space, [i], [2])[0, 0] @ y, atol=1e-14)
 
 
 def test_project_then_pointwise_round_trips_sections():
@@ -232,9 +228,8 @@ def test_rkhs_inner_section_route_equals_kernel_entry():
     for (t_label, j, x_label, l) in [("x0", 0, "x1", 1), ("x3", 1, "x2", 0)]:
         h1 = RKHSElement.from_sections([(t_label, np.eye(2)[j])])
         h2 = RKHSElement.from_sections([(x_label, np.eye(2)[l])])
-        t_atom = space.atoms[space.index(t_label)]
-        x_atom = space.atoms[space.index(x_label)]
-        expected = complex(np.asarray(dec.kernel.eval(x_atom, t_atom))[l, j])
+        ix, it = space.index(x_label), space.index(t_label)
+        expected = complex(gram(dec.kernel, space, [ix], [it])[0, 0][l, j])
         assert rkhs_inner(h1, h2, dec) == pytest.approx(expected, abs=1e-14)
 
 

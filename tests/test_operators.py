@@ -209,7 +209,7 @@ def test_eigen_equation_residual(spec):
     op = assemble_operator(space, kernel, nu)
     dec = eigendecompose(op)
     pos = list(dec.positive_indices)
-    gram = assemble_block_gram(kernel, [space.atoms[p] for p in pos])
+    gram = assemble_block_gram(kernel, space, pos)
     weights = np.repeat(nu.weights[pos], kernel.n)
     stacked = dec.funcs[:, pos, :].reshape(dec.rank, -1)
     applied = stacked @ (gram * weights).T

@@ -92,14 +92,14 @@ def _table_outcome(path):
     with open(path, encoding="utf-8-sig", newline="") as fh:
         rows = [row for row in list(csv.reader(fh))[1:] if "".join(row).strip()]
     labels = tuple(dict.fromkeys(cell.strip() for row in rows for cell in row[:2]))
-    atoms = AtomSpace(labels, np.zeros((len(labels), 0)), np.ones(len(labels))).atoms
+    space = AtomSpace(labels, np.zeros((len(labels), 0)), np.ones(len(labels)))
     blocks = {}
-    for x in atoms:
-        for t in atoms:
+    for x, x_label in enumerate(labels):
+        for t, t_label in enumerate(labels):
             try:
-                blocks[x.label, t.label] = gram(kernel, [x], [t]).tobytes()
+                blocks[x_label, t_label] = gram(kernel, space, [x], [t]).tobytes()
             except kernels.KernelEvaluationError as exc:
-                blocks[x.label, t.label] = str(exc)
+                blocks[x_label, t_label] = str(exc)
     return kernel.n, kernel.label, labels, blocks
 
 
@@ -201,7 +201,7 @@ def written_entries(n_atoms: int, n: int) -> np.ndarray:
 
 
 def table_kernel(blocks: np.ndarray) -> MatrixKernel:
-    return MatrixKernel(n=blocks.shape[-1], eval=lambda x, t: None, batch=lambda xs, ts: blocks.copy())
+    return MatrixKernel(n=blocks.shape[-1], batch=lambda space, rows, cols: blocks[np.ix_(rows, cols)])
 
 
 def test_written_frame_takes_fast_path(tmp_path, no_loop):
@@ -214,12 +214,12 @@ def test_written_frame_takes_fast_path(tmp_path, no_loop):
 
 
 def test_written_table_takes_fast_path(tmp_path, no_loop):
-    atoms = AtomSpace(LABELS, np.zeros((len(LABELS), 0)), np.ones(len(LABELS))).atoms
+    space = AtomSpace(LABELS, np.zeros((len(LABELS), 0)), np.ones(len(LABELS)))
     blocks = _edge_values((len(LABELS), len(LABELS), 2, 2))
     path = tmp_path / "table.csv"
-    write_precomputed(table_kernel(blocks), atoms, path)
+    write_precomputed(table_kernel(blocks), space, path)
     written = written_entries(len(LABELS), 2)
-    assert gram(read_precomputed(path), atoms)[written].tobytes() == blocks[written].tobytes()
+    assert gram(read_precomputed(path), space)[written].tobytes() == blocks[written].tobytes()
 
 
 # ---------------------------------------------------------------------------

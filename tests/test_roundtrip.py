@@ -64,8 +64,8 @@ def test_table_round_trip(tmp_path_factory, labels, data):
     blocks = _complex(data.draw, (len(labels), len(labels), n, n))
     space = AtomSpace(tuple(labels), np.zeros((len(labels), 0)), np.ones(len(labels)))
     path = tmp_path_factory.mktemp("table") / "table.csv"
-    write_precomputed(table_kernel(blocks), space.atoms, path)
-    stripped = AtomSpace(tuple(label.strip() for label in labels), space.coords, space.mu).atoms
+    write_precomputed(table_kernel(blocks), space, path)
+    stripped = AtomSpace(tuple(label.strip() for label in labels), space.coords, space.mu)
     fast, loop = (gram(kernel, stripped) for kernel in _fast_and_loop(read_precomputed, path))
     assert fast.tobytes() == loop.tobytes()
     written = written_entries(len(labels), n)

@@ -13,6 +13,7 @@ from mercerkit import (
     AtomSpace,
     ScalarFrame,
     build_kernel,
+    gram,
     load_atoms,
     merge_classes,
     pseudo_metric,
@@ -202,14 +203,13 @@ def test_quotient_respects_kernel_values(spec):
     metric = pseudo_metric(space, kernel)
     q = quotient(space, metric)
     assert q.class_ids == (0, 0, 1, 1, 2)
-    atoms = space.atoms
     diag_norm = max(
-        float(np.linalg.norm(np.asarray(kernel.eval(s, s)), 2)) for s in atoms
+        float(np.linalg.norm(gram(kernel, space, [s], [s])[0, 0], 2)) for s in range(len(space))
     )
     bound = kernel.n * metric.quotient_tol * (1.0 + math.sqrt(diag_norm))
     for x, t in [(0, 1), (2, 3)]:
-        for s in atoms:
-            dev = np.max(np.abs(np.asarray(kernel.eval(s, atoms[x])) - np.asarray(kernel.eval(s, atoms[t]))))
+        for s in range(len(space)):
+            dev = np.max(np.abs(gram(kernel, space, [s], [x])[0, 0] - gram(kernel, space, [s], [t])[0, 0]))
             assert dev <= bound
 
 
@@ -277,12 +277,11 @@ def test_metric_prime_matches_trace_formula():
     )
     space = random_space(rng, 6, dim=2)
     prime = pseudo_metric_prime(space, kernel)
-    atoms = space.atoms
-    for i, x in enumerate(atoms):
-        for k, t in enumerate(atoms):
-            kxx = np.trace(np.asarray(kernel.eval(x, x))).real
-            ktt = np.trace(np.asarray(kernel.eval(t, t))).real
-            ktx = np.trace(np.asarray(kernel.eval(t, x))).real
+    for i in range(len(space)):
+        for k in range(len(space)):
+            kxx = np.trace(gram(kernel, space, [i], [i])[0, 0]).real
+            ktt = np.trace(gram(kernel, space, [k], [k])[0, 0]).real
+            ktx = np.trace(gram(kernel, space, [k], [i])[0, 0]).real
             expected = math.sqrt(max(kxx + ktt - 2.0 * ktx, 0.0))
             assert abs(prime.d[i, k] - expected) < 1e-12
 
@@ -370,7 +369,7 @@ def test_quotient_and_support_reject_bad_tol(tol):
 def file_kernels(tmp_path, space):
     """A ``precomputed`` table and a ``frame_synth`` kernel over ``space``, both 2 x 2."""
     table = tmp_path / "table.csv"
-    write_precomputed(build_kernel(dict(ZOO)["separable_complex"]), space.atoms, table)
+    write_precomputed(build_kernel(dict(ZOO)["separable_complex"]), space, table)
     # frame values are functions of the coordinates, so repeated atoms stay at distance 0
     phases = space.coords @ np.array([[1.0, -0.5, 2.0], [0.3, 1.0, -1.0]])
     paths = []

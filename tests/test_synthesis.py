@@ -14,6 +14,7 @@ from mercerkit import (
     build_kernel,
     default_tol_recon,
     extract_frame,
+    gram,
     synthesize_kernel,
     validate_kernel,
     verify_diagonal_blocks,
@@ -74,10 +75,10 @@ def test_ones_frames_give_all_ones_blocks():
     kernel = synthesize_kernel(family)
     assert kernel.n == 2
     space = space_from([0.0, 1.0], [1.0, 1.0])
-    for x in space.atoms:
-        for t in space.atoms:
-            np.testing.assert_array_equal(kernel.eval(x, t), np.ones((2, 2)))
-    assert validate_kernel(kernel, space.atoms).passed
+    for x in range(len(space)):
+        for t in range(len(space)):
+            np.testing.assert_array_equal(gram(kernel, space, [x], [t])[0, 0], np.ones((2, 2)))
+    assert validate_kernel(kernel, space).passed
 
 
 def test_block_entries_are_frame_inner_products():
@@ -87,11 +88,11 @@ def test_block_entries_are_frame_inner_products():
     )
     kernel = synthesize_kernel(family)
     space = space_from([0.0, 1.0], [1.0, 1.0])
-    a, b = space.atoms
-    assert complex(kernel.eval(a, a)[0, 1]) == 2.0
-    assert complex(kernel.eval(a, b)[0, 1]) == 0.0
-    assert complex(kernel.eval(b, a)[0, 1]) == -2.0j  # conj(i) * 2
-    assert complex(kernel.eval(b, b)[0, 0]) == 1.0  # conj(i) * i
+    a, b = 0, 1
+    assert complex(gram(kernel, space, [a], [a])[0, 0][0, 1]) == 2.0
+    assert complex(gram(kernel, space, [a], [b])[0, 0][0, 1]) == 0.0
+    assert complex(gram(kernel, space, [b], [a])[0, 0][0, 1]) == -2.0j  # conj(i) * 2
+    assert complex(gram(kernel, space, [b], [b])[0, 0][0, 0]) == 1.0  # conj(i) * i
 
 
 def test_zero_frame_component_vanishes():
@@ -100,9 +101,9 @@ def test_zero_frame_component_vanishes():
     )
     kernel = synthesize_kernel(family)
     space = space_from([0.0, 1.0], [1.0, 1.0])
-    for x in space.atoms:
-        for t in space.atoms:
-            block = kernel.eval(x, t)
+    for x in range(len(space)):
+        for t in range(len(space)):
+            block = gram(kernel, space, [x], [t])[0, 0]
             assert complex(block[1, 1]) == 0.0
             assert complex(block[0, 1]) == 0.0
             assert complex(block[1, 0]) == 0.0
@@ -113,7 +114,7 @@ def test_synthesized_kernel_undefined_off_family():
     kernel = synthesize_kernel(family)
     space = space_from([0.0, 1.0], [1.0, 1.0])
     with pytest.raises(KernelEvaluationError, match="'b'"):
-        kernel.eval(space.atoms[0], space.atoms[1])
+        gram(kernel, space, [0], [1])
 
 
 def test_random_families_synthesize_valid_kernels():
@@ -126,7 +127,7 @@ def test_random_families_synthesize_valid_kernels():
         values = rng.standard_normal((count, 5, n)) + 1j * rng.standard_normal((count, 5, n))
         family = FrameFamily(space.labels, values)
         kernel = synthesize_kernel(family)
-        report = validate_kernel(kernel, space.atoms)
+        report = validate_kernel(kernel, space)
         assert report.passed
         assert report.hermitian_deviation == 0.0
 
@@ -137,8 +138,9 @@ def test_diagonal_blocks_equal_squared_frame_sums_exactly():
     space = space_from([0.0, 1.0, 2.0], [1.0, 1.0, 1.0])
     family = FrameFamily(space.labels, values)
     kernel = synthesize_kernel(family)
-    for ix, atom in enumerate(space.atoms):
-        block = kernel.eval(atom, atom)
+    for ix in range(len(space)):
+        # cols left out: the atom with itself, whose product is exactly Hermitian
+        block = gram(kernel, space, [ix])[0, 0]
         for j in range(2):
             target = float(np.sum(np.abs(values[:, ix, j]) ** 2))
             entry = complex(block[j, j])
@@ -163,9 +165,9 @@ def test_round_trip_reproduces_scalar_diagonals():
         frames.append(extract_frame(dec, 0))
         tol = max(tol, default_tol_recon(dec))
     synthesized = synthesize_kernel(align_frames(frames))
-    deviation = verify_diagonal_blocks(synthesized, kernels, space.atoms)
+    deviation = verify_diagonal_blocks(synthesized, kernels, space)
     assert deviation <= tol
-    assert validate_kernel(synthesized, space.atoms).passed
+    assert validate_kernel(synthesized, space).passed
 
 
 def test_halved_frames_shrink_diagonal_blocks():
@@ -178,7 +180,7 @@ def test_halved_frames_shrink_diagonal_blocks():
     frame = extract_frame(dec, 0)
     halved = ScalarFrame(frame.atoms, 0.5 * frame.values)
     synthesized = synthesize_kernel(align_frames([halved]))
-    deviation = verify_diagonal_blocks(synthesized, [build_kernel(spec)], space.atoms)
+    deviation = verify_diagonal_blocks(synthesized, [build_kernel(spec)], space)
     assert deviation == pytest.approx(0.75, abs=1e-9)
 
 
@@ -192,7 +194,7 @@ def test_verify_rejects_wrong_original_count():
     kernel = synthesize_kernel(family)
     space = space_from([0.0], [1.0])
     with pytest.raises(ValueError, match="one scalar original"):
-        verify_diagonal_blocks(kernel, [build_kernel({"type": "constant", "value": 1.0})], space.atoms)
+        verify_diagonal_blocks(kernel, [build_kernel({"type": "constant", "value": 1.0})], space)
 
 
 def test_verify_rejects_matrix_originals():
@@ -203,4 +205,4 @@ def test_verify_rejects_matrix_originals():
         {"type": "diagonal", "blocks": [{"type": "constant", "value": 1.0}, {"type": "constant", "value": 1.0}]}
     )
     with pytest.raises(ValueError, match="not scalar"):
-        verify_diagonal_blocks(kernel, [matrix_kernel], space.atoms)
+        verify_diagonal_blocks(kernel, [matrix_kernel], space)

@@ -105,9 +105,9 @@ def test_write_frame_bytes_and_read_back(tmp_path):
 def test_write_precomputed_bytes_and_read_back(tmp_path):
     space = _space()
     blocks = _values((len(space), len(space), 2, 2))
-    kernel = MatrixKernel(n=2, eval=lambda x, t: None, batch=lambda xs, ts: blocks.copy())
+    kernel = MatrixKernel(n=2, batch=lambda space, rows, cols: blocks[np.ix_(rows, cols)])
     path = tmp_path / "table.csv"
-    write_precomputed(kernel, space.atoms, path)
+    write_precomputed(kernel, space, path)
     rows = [["x_id", "t_id", "l", "j", "re", "im"]]
     written = np.zeros(blocks.shape, dtype=bool)
     for i, x in enumerate(space.labels):
@@ -118,7 +118,7 @@ def test_write_precomputed_bytes_and_read_back(tmp_path):
                     rows.append([x, space.labels[k], l, j, repr(value.real), repr(value.imag)])
                     written[i, k, l, j] = True
     assert path.read_bytes() == _reference(rows)
-    back = gram(read_precomputed(path), space.atoms)
+    back = gram(read_precomputed(path), space)
     assert _bits(back[written]) == _bits(blocks[written])
 
 
