@@ -78,12 +78,18 @@ class MatrixKernel:
     what :func:`gram` uses, and it gets ``cols is rows`` when the two sets are
     the same.  Without it, blocks come from ``eval(x, t)`` on :class:`Atom`
     pairs, one pair at a time.  Built-in kernels carry only ``batch``.
+
+    ``separable`` holds the factors ``(k, B)`` of a separable kernel
+    ``K(x, t) = k(x, t) B``: the scalar kernel ``k`` and the read-only
+    ``n x n`` matrix ``B``.  Eigensolves, validation and the pseudo-metric
+    work through these factors instead of the full block Gram matrix.
     """
 
     n: int
     eval: Callable[[Atom, Atom], np.ndarray] | None = None
     label: str = "custom"
     batch: Batch | None = None
+    separable: tuple[MatrixKernel, np.ndarray] | None = None
 
 
 def _readonly(arr: np.ndarray) -> np.ndarray:
@@ -199,7 +205,9 @@ def gram(
     ``rows`` and ``cols`` are integer index arrays into the atoms; ``rows``
     defaults to every atom, and ``cols`` to the same atoms as ``rows``, which
     keeps a built-in kernel's product of a set with itself exactly Hermitian.
-    Returns a new complex array of shape ``(len(rows), len(cols), n, n)``.
+    Returns a new real or complex array of shape ``(len(rows), len(cols), n,
+    n)``; the nonempty blocks of the built-in scalar kernels, and of sums of
+    them, are real.
     """
     rows = np.arange(len(space)) if rows is None else np.asarray(rows, dtype=np.intp)
     cols = rows if cols is None else np.asarray(cols, dtype=np.intp)
@@ -234,25 +242,38 @@ def _hermitian_deviation(blocks: np.ndarray) -> float:
     """Largest entry of ``|M - M^H|`` over a stack of square matrices."""
     if not blocks.size:
         return 0.0
-    return float(np.max(np.abs(blocks - np.conj(np.swapaxes(blocks, -1, -2)))))
+    # one temporary the size of the input: the difference is written into the conjugate
+    diff = np.conj(np.swapaxes(blocks, -1, -2))
+    return float(np.max(np.abs(np.subtract(blocks, diff, out=diff))))
 
 
 def _spectral_norms(blocks: np.ndarray) -> np.ndarray:
     """Largest absolute eigenvalue of the Hermitian part of each matrix in a stack."""
     if blocks.shape[-1] == 1:
         return np.abs(blocks[..., 0, 0].real)
-    w = np.linalg.eigvalsh(0.5 * (blocks + np.conj(np.swapaxes(blocks, -1, -2))))
+    w = np.linalg.eigvalsh(_hermitian(blocks))
     return np.abs(w).max(axis=-1, initial=0.0)
 
 
-def _hermitian_spectral_norms(blocks: np.ndarray) -> np.ndarray:
-    """:func:`_spectral_norms` of matrices that must be Hermitian within ``TOL_SYM``."""
+def _require_hermitian(blocks: np.ndarray) -> None:
+    """Raise :class:`KernelSymmetryError` unless every matrix of the stack is Hermitian within ``TOL_SYM``."""
     dev = _hermitian_deviation(blocks)
     if dev > TOL_SYM:
         raise KernelSymmetryError(
             f"matrix is not Hermitian: max deviation {dev:.3e} exceeds {TOL_SYM:.3e}"
         )
-    return _spectral_norms(blocks)
+
+
+def _hermitian(m: np.ndarray) -> np.ndarray:
+    """Hermitian part ``(M + M^H) / 2`` of each square matrix in a stack, as a new array.
+
+    A real symmetric matrix comes back equal.  The sum is formed in the one
+    new array, where ``0.5 * (M + M^H)`` would allocate three.
+    """
+    part = np.conj(np.swapaxes(m, -1, -2), order="C")
+    np.add(m, part, out=part)
+    part *= 0.5
+    return part
 
 
 def spectral_norm(m: np.ndarray) -> float:
@@ -264,7 +285,8 @@ def spectral_norm(m: np.ndarray) -> float:
     a = np.asarray(m, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    return float(_hermitian_spectral_norms(a))
+    _require_hermitian(a)
+    return float(_spectral_norms(a))
 
 
 # ---------------------------------------------------------------------------
@@ -311,7 +333,7 @@ def _parse_complex_matrix(obj: Any, field: str) -> np.ndarray:
 
 
 def _scalar_kernel(fn: Callable[[np.ndarray, np.ndarray], np.ndarray], label: str) -> MatrixKernel:
-    """Scalar kernel from ``fn(x, t)``: real values over broadcast coordinate arrays.
+    """Scalar kernel from ``fn(x, t)``: real values over broadcast coordinate arrays, kept real.
 
     ``fn`` gets coordinates of shape ``(N, 1, d)`` and ``(1, M, d)``.  Distance
     kernels use the coordinate difference ``x - t``, so the Gram of a set with
@@ -321,7 +343,7 @@ def _scalar_kernel(fn: Callable[[np.ndarray, np.ndarray], np.ndarray], label: st
     def batch(space: AtomSpace, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         x = space.coords[rows]
         t = x if cols is rows else space.coords[cols]
-        return fn(x[:, None, :], t[None, :, :]).astype(complex)[:, :, None, None]
+        return fn(x[:, None, :], t[None, :, :])[:, :, None, None]
 
     return MatrixKernel(1, label=label, batch=batch)
 
@@ -330,7 +352,7 @@ def _constant(spec: Mapping[str, Any]) -> MatrixKernel:
     value = _real_param(spec, "value")
 
     def batch(space: AtomSpace, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        return np.full((len(rows), len(cols), 1, 1), value, dtype=complex)
+        return np.full((len(rows), len(cols), 1, 1), value)
 
     return MatrixKernel(1, label=f"constant({value!r})", batch=batch)
 
@@ -374,7 +396,7 @@ def _separable(spec: Mapping[str, Any], base_dir: Path | None) -> MatrixKernel:
     mat = _parse_complex_matrix(spec.get("matrix"), "matrix")
     dev = _hermitian_deviation(mat)
     _require(dev <= TOL_SYM, "matrix", f"must be Hermitian (max deviation {dev:.3e})")
-    eigs = np.linalg.eigvalsh(0.5 * (mat + mat.conj().T))
+    eigs = np.linalg.eigvalsh(_hermitian(mat))
     _require(
         float(eigs[0]) >= -psd_tolerance(float(eigs[-1])),
         "matrix",
@@ -386,7 +408,7 @@ def _separable(spec: Mapping[str, Any], base_dir: Path | None) -> MatrixKernel:
     def batch(space: AtomSpace, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         return inner.batch(space, rows, cols) * frozen
 
-    return MatrixKernel(mat.shape[0], label=f"separable({inner.label})", batch=batch)
+    return MatrixKernel(mat.shape[0], label=f"separable({inner.label})", batch=batch, separable=(inner, frozen))
 
 
 def _diagonal(spec: Mapping[str, Any], base_dir: Path | None) -> MatrixKernel:
@@ -634,24 +656,20 @@ def write_precomputed(kernel: MatrixKernel, space: AtomSpace, path: str | Path) 
 # ---------------------------------------------------------------------------
 
 
-def _hermitian_gram(kernel: MatrixKernel, space: AtomSpace, rows: ArrayLike | None = None) -> tuple[float, np.ndarray]:
-    """Hermitian deviation of the flat block Gram matrix, and its Hermitian part."""
-    raw = _flat(gram(kernel, space, rows))
-    return _hermitian_deviation(raw), 0.5 * (raw + raw.conj().T)
-
-
 def assemble_block_gram(kernel: MatrixKernel, space: AtomSpace, rows: ArrayLike | None = None) -> np.ndarray:
     """Read-only Hermitian Gram matrix of the atoms at ``rows`` (default all); index ``(x, l) -> x*n + l``.
 
     Asymmetry up to ``TOL_SYM`` is averaged away; anything larger raises
-    :class:`KernelSymmetryError` carrying the maximum deviation.
+    :class:`KernelSymmetryError` carrying the maximum deviation.  The matrix
+    is real when the kernel's blocks are.
     """
-    dev, matrix = _hermitian_gram(kernel, space, rows)
+    raw = _flat(gram(kernel, space, rows))
+    dev = _hermitian_deviation(raw)
     if dev > TOL_SYM:
         raise KernelSymmetryError(
             f"kernel violates Hermitian pair symmetry: max deviation {dev:.3e} exceeds {TOL_SYM:.3e}"
         )
-    return _readonly(matrix)
+    return _readonly(_hermitian(raw))
 
 
 @dataclass(frozen=True, eq=False)
@@ -667,13 +685,19 @@ class ValidationReport:
     tol_psd: float
     hermitian_ok: bool
     psd_ok: bool
+    # labels of the first pair (x, t) in atom order whose block K(x, t) has a non-finite entry
+    nonfinite_pair: tuple[str, str] | None = None
 
     @property
     def passed(self) -> bool:
         return self.hermitian_ok and self.psd_ok
 
     def to_dict(self) -> dict[str, Any]:
-        return {**asdict(self), "passed": self.passed}
+        """The fields and the verdict; ``nonfinite_pair`` only when there is one."""
+        data = {**asdict(self), "passed": self.passed}
+        if self.nonfinite_pair is None:
+            del data["nonfinite_pair"]
+        return data
 
 
 def validate_kernel(kernel: MatrixKernel, space: AtomSpace) -> ValidationReport:
@@ -682,16 +706,35 @@ def validate_kernel(kernel: MatrixKernel, space: AtomSpace) -> ValidationReport:
     Failures are reported, not raised: the report carries the maximum
     Hermitian deviation and the minimum Gram eigenvalue together with the
     tolerances used for the verdict.  An overflowing kernel fails both checks
-    on its non-finite entries, without numpy warnings.
+    on its non-finite entries, without numpy warnings, and the report names
+    the first pair of atoms whose block has one.
+
+    The eigenvalues of a separable kernel ``k B`` are the products of those
+    of the Hermitian parts of the scalar Gram matrix ``G_k`` and of ``B``.
+    They are exact when ``G_k`` is symmetric, as every built-in scalar
+    kernel's is; otherwise they are off by at most the product of the
+    spectral norms of the anti-Hermitian parts of ``G_k`` and ``B``.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        dev, matrix = _hermitian_gram(kernel, space)
-    if np.isfinite(matrix).all():
-        eigs = np.linalg.eigvalsh(matrix)
-    else:
+        raw = _flat(gram(kernel, space))
+        dev = _hermitian_deviation(raw)
+    size, n = len(space), kernel.n
+    finite = np.isfinite(raw).reshape(size, n, size, n).all(axis=(1, 3))
+    nonfinite = None
+    if not finite.all():
         # the eigensolver does not converge on non-finite entries; both checks fail on nan
+        x, t = np.argwhere(~finite)[0]
+        nonfinite = (space.labels[x], space.labels[t])
         eigs = np.array([np.nan])
-    min_eig, max_eig = float(eigs[0]), float(eigs[-1])
+    elif kernel.separable is not None:
+        scalar, matrix = kernel.separable
+        g = _flat(gram(scalar, space))
+        eigs = np.outer(np.linalg.eigvalsh(_hermitian(g)), np.linalg.eigvalsh(_hermitian(matrix)))
+    else:
+        matrix = _hermitian(raw)
+        del raw  # only the Hermitian part stays in memory while it is solved
+        eigs = np.linalg.eigvalsh(matrix)
+    min_eig, max_eig = float(eigs.min()), float(eigs.max())
     tol_psd = psd_tolerance(max_eig)
     return ValidationReport(
         n_atoms=len(space),
@@ -703,4 +746,5 @@ def validate_kernel(kernel: MatrixKernel, space: AtomSpace) -> ValidationReport:
         tol_psd=tol_psd,
         hermitian_ok=dev <= TOL_SYM,
         psd_ok=min_eig >= -tol_psd,
+        nonfinite_pair=nonfinite,
     )

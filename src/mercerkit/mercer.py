@@ -137,8 +137,9 @@ def reconstruction_error(
         if m < dec.rank:
             err = np.max(diag - kept[m], initial=0.0)
         else:
-            resid -= (f.T * dec.sigmas) @ f.conj()
-            err = np.max(np.abs(resid), initial=0.0)
+            # the remainder is written over the series: complex even where the kernel's blocks are real
+            series = (f.T * dec.sigmas) @ f.conj()
+            err = np.max(np.abs(np.subtract(resid, series, out=series)), initial=0.0)
         table.append((m, float(err)))
     return table
 

@@ -20,8 +20,10 @@ from .kernels import (
     MatrixKernel,
     _csv_cells,
     _flat,
-    _hermitian_spectral_norms,
+    _hermitian,
     _readonly,
+    _require_hermitian,
+    _spectral_norms,
     _write_csv,
     assemble_block_gram,
     diagonal_blocks,
@@ -69,11 +71,22 @@ class RescaledMeasure:
 def rescale_measure(space: AtomSpace, kernel: MatrixKernel) -> RescaledMeasure:
     """Divide each weight by ``1 + |K(x,x)|`` (spectral norm of the diagonal block).
 
+    For a separable kernel ``k B`` that norm is ``|k(x,x)| ||B||_2``, with
+    ``||B||_2`` the spectral norm of the Hermitian part of ``B``.
+
     Also returns the trace budget ``m_nu = sum_x tr K(x,x) nu_x``, which the
     eigenvalue sum of the operator must reproduce.
     """
-    diag = diagonal_blocks(kernel, space)
-    weights = space.mu / (1.0 + _hermitian_spectral_norms(diag))
+    if kernel.separable is None:
+        diag = diagonal_blocks(kernel, space)
+        norms = _spectral_norms(diag)
+    else:
+        # the blocks k(x,x) B, multiplied as the kernel's own blocks are
+        scalar, matrix = kernel.separable
+        k = diagonal_blocks(scalar, space)[:, 0, 0]
+        diag, norms = k[:, None, None] * matrix, np.abs(k) * _spectral_norms(matrix)
+    _require_hermitian(diag)
+    weights = space.mu / (1.0 + norms)
     traces = np.trace(diag, axis1=1, axis2=2).real
     m_nu = float(np.sum(traces * weights))
     return RescaledMeasure(_readonly(weights), m_nu)
@@ -105,15 +118,16 @@ def assemble_operator(space: AtomSpace, kernel: MatrixKernel, nu: RescaledMeasur
     return DiscreteOperator(space, kernel, nu, tuple(pos.tolist()), _readonly(matrix))
 
 
-def _normalize_phase(column: np.ndarray) -> np.ndarray:
-    """Rotate so the first nonzero entry is real positive."""
-    mags = np.abs(column)
-    peak = float(mags.max(initial=0.0))
-    if peak == 0.0:
-        return column
-    first = int(np.argmax(mags > 1e-12 * peak))
-    phase = column[first] / abs(column[first])
-    return column * np.conj(phase)
+def _normalize_phase(vectors: np.ndarray) -> np.ndarray:
+    """Rotate each column so its first entry above ``1e-12`` of the column's peak magnitude is real positive.
+
+    Every column must be nonzero, as an eigenvector is.
+    """
+    mags = np.abs(vectors)
+    first = np.argmax(mags > 1e-12 * mags.max(axis=0), axis=0)
+    lead = vectors[first, np.arange(vectors.shape[1])]
+    # hypot, as abs() of one complex number computes it; np.abs of a complex array can differ in the last bit
+    return vectors * np.conj(lead / np.hypot(lead.real, lead.imag))
 
 
 @dataclass(frozen=True, eq=False)
@@ -160,6 +174,35 @@ def _cutoff(sigmas: np.ndarray, rank_cutoff: float | None) -> float:
     return cutoff
 
 
+def _eigenpairs(op: DiscreteOperator, rank_cutoff: float | None) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues of the operator above the cutoff, descending, and their eigenvectors as columns.
+
+    The operator of a separable kernel ``k B`` is ``(W^(1/2) G_k W^(1/2))
+    (x) B`` (Kronecker product, index ``x*n + l``), so its eigenpairs are
+    the products of those of the ``P x P`` and ``n x n`` factors, ordered by a
+    stable sort.  Every other kernel's operator matrix is solved whole.
+    """
+    if op.kernel.separable is None:
+        evals, evecs = np.linalg.eigh(op.matrix)
+        evals, evecs = evals[::-1], evecs[:, ::-1]
+        keep = evals > _cutoff(evals, rank_cutoff)
+        return np.asarray(evals[keep], dtype=float), evecs[:, keep]
+    scalar, matrix = op.kernel.separable
+    pos = list(op.indices)
+    scale = np.sqrt(op.nu.weights[pos])
+    g = _hermitian(_flat(gram(scalar, op.space, pos))) * scale[:, None] * scale[None, :]
+    lam, u = np.linalg.eigh(g)
+    mu, v = np.linalg.eigh(_hermitian(matrix))
+    # factors clipped at zero: two negative rounding-level eigenvalues make no positive product
+    products = np.outer(np.maximum(lam, 0.0), np.maximum(mu, 0.0)).ravel()
+    order = np.argsort(-products, kind="stable")
+    evals = products[order]
+    order = order[evals > _cutoff(evals, rank_cutoff)]
+    p, l = np.divmod(order, op.kernel.n)
+    vectors = (u[:, None, p] * v[None, :, l]).reshape(len(pos) * op.kernel.n, len(order))
+    return products[order], vectors
+
+
 def eigendecompose(op: DiscreteOperator, rank_cutoff: float | None = None) -> SpectralDecomposition:
     """Diagonalize the operator and build eigenfunctions on every atom.
 
@@ -167,14 +210,10 @@ def eigendecompose(op: DiscreteOperator, rank_cutoff: float | None = None) -> Sp
     cutoff ``sigma_1 * 1e-12``; pass ``0.0`` to keep the full positive
     spectrum).  Each eigenvector is normalized so its first nonzero entry is
     real positive, which makes outputs deterministic up to eigenvalue ties.
+    A real operator matrix gets a real eigensolve, and a separable kernel's
+    operator is solved through its factors.
     """
-    evals, evecs = np.linalg.eigh(op.matrix)
-    evals = evals[::-1]
-    evecs = evecs[:, ::-1]
-    keep = evals > _cutoff(evals, rank_cutoff)
-    sigmas = np.asarray(evals[keep], dtype=float)
-    vectors = evecs[:, keep]
-
+    sigmas, vectors = _eigenpairs(op, rank_cutoff)
     space, kernel, nu = op.space, op.kernel, op.nu
     n = kernel.n
     rank = int(sigmas.shape[0])
@@ -183,7 +222,7 @@ def eigendecompose(op: DiscreteOperator, rank_cutoff: float | None = None) -> Sp
 
     funcs = np.zeros((rank, len(space.labels), n), dtype=complex)
     if rank:
-        cols = np.stack([_normalize_phase(vectors[:, i]) for i in range(rank)])
+        cols = _normalize_phase(vectors).T
         f_pos = cols.reshape(rank, len(pos), n) / np.sqrt(nu.weights[pos])[None, :, None]
         funcs[:, pos, :] = f_pos
         if zero.size:

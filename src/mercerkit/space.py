@@ -160,8 +160,9 @@ class PseudoMetricMatrix:
     quotient_tol: float
 
 
-def _quotient_tol(diag: np.ndarray) -> float:
-    top = float(_spectral_norms(diag).max(initial=0.0))
+def _quotient_tol(norms: np.ndarray) -> float:
+    """Zero threshold of the metric from the spectral norms of the blocks ``K(x, x)``."""
+    top = float(norms.max(initial=0.0))
     return QUOTIENT_TOL_SCALE * (1.0 + math.sqrt(max(top, 0.0)))
 
 
@@ -178,16 +179,30 @@ def pseudo_metric(space: AtomSpace, kernel: MatrixKernel) -> PseudoMetricMatrix:
     ``K(x,x) + K(t,t) - K(x,t) - K(t,x)``, which equals the squared operator
     gap ``sup_{|y| <= 1} |K_x y - K_t y|`` of the section maps.
     """
+    d, tol = _distances(space, kernel)
+    return PseudoMetricMatrix(_mirror_upper(d), tol)
+
+
+def _distances(space: AtomSpace, kernel: MatrixKernel, rows: np.ndarray | None = None) -> tuple[np.ndarray, float]:
+    """Kernel distance from each atom at ``rows`` (default all) to every atom, and the metric's zero threshold.
+
+    For a separable kernel ``k B`` the gap matrix is ``c B`` with ``c =
+    k(x,x) + k(t,t) - k(x,t) - k(t,x)``, so ``d(x,t)^2 = |Re c| ||B||_2``
+    (``||B||_2`` the spectral norm of the Hermitian part of ``B``); ``c`` is
+    real for a Hermitian ``k``.
+    """
+    sub = slice(None) if rows is None else rows
+    if kernel.separable is not None:
+        scalar, matrix = kernel.separable
+        g = gram(scalar, space)[:, :, 0, 0]
+        k = np.diagonal(g)
+        b_norm = _spectral_norms(matrix)
+        gap = ((k[sub, None] + k[None, :]) - (g[sub] + g[:, sub].T)).real
+        return np.sqrt(np.abs(gap) * b_norm), _quotient_tol(np.abs(k) * b_norm)
     blocks = gram(kernel, space)
     diag = np.einsum("xxlj->xlj", blocks)
-    d = _distances(diag, diag, blocks, blocks)
-    return PseudoMetricMatrix(_mirror_upper(d), _quotient_tol(diag))
-
-
-def _distances(diag_x: np.ndarray, diag_t: np.ndarray, k_xt: np.ndarray, k_tx: np.ndarray) -> np.ndarray:
-    """Kernel distance of every ``x`` to every ``t`` from ``K(x,x)``, ``K(t,t)``, ``K(x,t)`` and ``K(t,x)``."""
-    delta = (diag_x[:, None] + diag_t[None, :]) - (k_xt + k_tx.swapaxes(0, 1))
-    return np.sqrt(_spectral_norms(delta))
+    delta = (diag[sub, None] + diag[None, :]) - (blocks[sub] + blocks[:, sub].swapaxes(0, 1))
+    return np.sqrt(_spectral_norms(delta)), _quotient_tol(_spectral_norms(diag))
 
 
 def pseudo_metric_prime(space: AtomSpace, kernel: MatrixKernel) -> PseudoMetricMatrix:
@@ -202,7 +217,7 @@ def pseudo_metric_prime(space: AtomSpace, kernel: MatrixKernel) -> PseudoMetricM
     cross = np.trace(blocks, axis1=2, axis2=3).real.T
     val = traces[:, None] + traces[None, :] - 2.0 * cross
     d = np.sqrt(np.maximum(val, 0.0))
-    return PseudoMetricMatrix(_mirror_upper(d), _quotient_tol(diag))
+    return PseudoMetricMatrix(_mirror_upper(d), _quotient_tol(_spectral_norms(diag)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -294,12 +309,10 @@ def _zero_mass_support(space: AtomSpace, kernel: MatrixKernel) -> SupportSet:
     edges that touch a zero-mass atom.  So the ``Z x N`` distances from the
     ``Z`` zero-mass atoms decide the support, as the ``N x N`` ones do.
     """
-    # the whole Gram, as pseudo_metric evaluates it: the same blocks give the same distances
-    blocks = gram(kernel, space)
-    diag = np.einsum("xxlj->xlj", blocks)
+    # the distances as pseudo_metric computes them, on the zero-mass rows only
     zero = np.flatnonzero(space.mu <= 0)
-    d = _distances(diag[zero], diag, blocks[zero], blocks[:, zero])
-    z, t = np.nonzero(d <= _quotient_tol(diag))
+    d, tol = _distances(space, kernel, zero)
+    z, t = np.nonzero(d <= tol)
     return _holding_mass(space, _components(len(space), zero[z], t))
 
 

@@ -258,6 +258,21 @@ def test_overflowing_kernel_fails_validation_quietly(tmp_path, three_atoms, caps
         assert report["validation"]["psd_ok"] is False
 
 
+def test_validation_names_the_first_nonfinite_pair(tmp_path, three_atoms, capsys):
+    # (x t)^800 on x = 0, 1, 2.5 is finite on every pair with a and on (b, b); (b, c) is the first to overflow
+    kernel = write_kernel(tmp_path, {"type": "polynomial", "degree": 800, "offset": 0.0})
+    out = tmp_path / "out"
+    assert main(["validate", "--atoms", str(three_atoms), "--kernel", str(kernel), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == ""
+    report = json.loads((out / "report.json").read_text(), parse_constant=_reject_constant)
+    assert report["validation"]["nonfinite_pair"] == ["b", "c"]
+    assert 'validation.nonfinite_pair: ["b", "c"]' in (out / "report.txt").read_text().splitlines()
+    # a finite Gram leaves the key out
+    finite = write_kernel(tmp_path, GAUSSIAN, name="gaussian.json")
+    assert main(["validate", "--atoms", str(three_atoms), "--kernel", str(finite), "--out", str(out)]) == 0
+    assert "nonfinite_pair" not in json.loads((out / "report.json").read_text())["validation"]
+
+
 def test_no_subcommand_evaluates_builtin_kernels_pair_by_pair(tmp_path, monkeypatch):
     # every consumer reads whole blocks; a reintroduced per-pair loop counts here
     calls = []

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import ZOO, ZOO_IDS, decompose_space, delta_kernel, random_space, space_from
+from mercerkit import operators
 from mercerkit import (
     EmptySupportError,
     RKHSElement,
@@ -152,6 +153,49 @@ def test_phase_convention_first_entry_real_positive():
         first = row[np.abs(row) > 1e-12 * peak][0]
         assert abs(first.imag) <= 1e-12 * peak
         assert first.real > 0
+
+
+def _normalize_column(column: np.ndarray) -> np.ndarray:
+    """Reference for ``_normalize_phase``, one column at a time: the first entry above 1e-12 of the peak real positive."""
+    mags = np.abs(column)
+    first = int(np.argmax(mags > 1e-12 * float(mags.max())))
+    return column * np.conj(column[first] / abs(column[first]))
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_normalize_phase_matches_the_per_column_reference(dtype):
+    rng = np.random.default_rng(29)
+    vectors = rng.standard_normal((12, 9)).astype(dtype)
+    if dtype is complex:
+        vectors += 1j * rng.standard_normal((12, 9))
+    # leading entries at, just under and just over 1e-12 of the column's peak
+    peaks = np.abs(vectors).max(axis=0)
+    vectors[0, :3] = 1e-12 * peaks[:3] * np.array([1.0, 0.5, 2.0])
+    vectors[:4, 3] = 0.0
+    expected = np.stack([_normalize_column(vectors[:, i]) for i in range(9)], axis=1)
+    assert operators._normalize_phase(vectors).tobytes() == expected.tobytes()
+
+
+def test_separable_spectrum_has_no_product_of_two_negative_eigenvalues():
+    # two atoms at one point make G_k singular, B = f^H f has rank one; the solvers may return
+    # negative rounding-level eigenvalues for both, whose product is positive
+    f = np.array([[2 - 1j, 1 - 1j, -2j]])
+    b = f.conj().T @ f
+    spec = {
+        "type": "separable",
+        "matrix": [[[z.real, z.imag] for z in row] for row in b.tolist()],
+        "scalar": {"type": "gaussian", "gamma": 1.0},
+    }
+    space = space_from([0.0, 0.0, 0.5], [1.0, 1.0, 1.0])
+    kernel = build_kernel(spec)
+    nu = rescale_measure(space, kernel)
+    scale = np.sqrt(nu.weights)
+    lam = np.linalg.eigh(assemble_block_gram(kernel.separable[0], space) * scale[:, None] * scale[None, :])[0]
+    mu = np.linalg.eigh(b)[0]
+    if not ((lam < 0).any() and (mu < 0).any()):
+        pytest.skip("no negative rounding-level eigenvalue in both factors with this LAPACK")
+    dec = eigendecompose(assemble_operator(space, kernel, nu), rank_cutoff=0.0)
+    assert dec.rank == np.sum(lam > 0) * np.sum(mu > 0)
 
 
 def test_rank_cutoff_drops_tail():
