@@ -27,8 +27,6 @@ import numpy as np
 from .kernels import (
     KernelEvaluationError,
     MatrixKernel,
-    _csv_cells,
-    _write_csv,
     kernel_from_file,
     validate_kernel,
     write_precomputed,
@@ -57,6 +55,7 @@ from .operators import (
 )
 from .space import AtomSpace, load_atoms, pseudo_metric, quotient, support
 from .synthesis import align_frames, synthesize_kernel, verify_diagonal_blocks
+from .tables import _csv_cells, _write_csv
 
 __all__ = ["main"]
 
@@ -320,9 +319,8 @@ def _metric_report(args: argparse.Namespace) -> dict[str, Any]:
     sup = support(space, metric, tol)
 
     labels = _csv_cells(space.labels)
-    # one chunk per row: its label, then its distances joined as one rendered cell
-    rows = (([label], [",".join(map(repr, d.tolist()))]) for label, d in zip(labels, metric.d))
-    _write_csv(out / "metric.csv", ["id"] + labels, rows)
+    # one row per atom: its label, then its distance to every atom
+    _write_csv(out / "metric.csv", ["id"] + labels, (len(labels),), [(labels, 0), metric.d])
     payload = {
         "classes": [
             {"id": cid, "representative": rep, "members": list(members)}

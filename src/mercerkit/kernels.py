@@ -15,13 +15,13 @@ from __future__ import annotations
 import csv
 import json
 import math
-import warnings
 from dataclasses import asdict, dataclass
-from io import StringIO
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Mapping, Sequence
 
 import numpy as np
+
+from .tables import _complex_columns, _csv_cells, _read_csv, _write_csv
 
 if TYPE_CHECKING:  # pragma: no cover - annotations only
     from numpy.typing import ArrayLike
@@ -96,66 +96,6 @@ def _readonly(arr: np.ndarray) -> np.ndarray:
     out = np.ascontiguousarray(arr)
     out.setflags(write=False)
     return out
-
-
-def _csv_cells(labels: Iterable[str]) -> list[str]:
-    """Labels rendered as CSV cells with minimal quoting, exactly as ``csv.writer`` writes them.
-
-    The writer has its default ``"\\r\\n"`` line terminator, whose characters
-    it quotes: a label holding a bare ``"\\r"`` would otherwise end its row.
-    """
-    buf = StringIO()
-    writer = csv.writer(buf, lineterminator="\r\n")
-    cells = []
-    for label in labels:
-        buf.seek(0)
-        buf.truncate()
-        # a trailing empty field, because a row of one empty field is written as ""
-        writer.writerow([label, ""])
-        cells.append(buf.getvalue()[: -len(",\r\n")])
-    return cells
-
-
-def _write_csv(path: str | Path, header: Sequence[str], chunks: Iterable[Sequence[Iterable[str]]]) -> None:
-    """Write a CSV file from its header cells and chunks of rendered columns.
-
-    Cells are written as given, so labels go through :func:`_csv_cells`
-    first.  Each chunk is a sequence of equal-length columns and becomes that
-    many rows; only one chunk's strings are held at a time.
-    """
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        for columns in chunks:
-            rows = "\n".join(map(",".join, zip(*columns)))
-            if rows:
-                fh.write(rows + "\n")
-
-
-def _read_csv(path: str | Path, row: np.dtype) -> np.ndarray | None:
-    """Data rows of a CSV file whose header is the field names of ``row``, in one ``np.loadtxt`` pass.
-
-    Returns ``None`` if the header differs, there is no data row, or numpy's
-    tokenizer rejects any row; the caller's ``csv.reader`` loop then reads
-    the file and words the error.  numpy reads the rest of the stream that
-    ``csv.reader`` read the header from, opened with ``newline=""`` as the
-    loops open it (given a path, numpy would turn a quoted ``\\r\\n`` into
-    ``\\n``).  Both split fields alike: no comment character, ``""`` inside
-    quotes, a quote inside an unquoted cell kept; numpy skips only empty
-    lines.  Label columns have dtype ``object`` and keep their cells
-    unstripped.
-    """
-    with open(path, encoding="utf-8-sig", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        # a header record spanning lines is left to the loop
-        if header is None or reader.line_num != 1 or [h.strip() for h in header] != list(row.names):
-            return None
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")  # numpy warns on a file without data rows
-                return np.loadtxt(fh, dtype=row, delimiter=",", quotechar='"', comments=None, ndmin=1)
-        except (ValueError, Warning):
-            return None
 
 
 def _in_range(limit: int, *columns: np.ndarray) -> bool:
@@ -332,18 +272,28 @@ def _parse_complex_matrix(obj: Any, field: str) -> np.ndarray:
     return mat
 
 
-def _scalar_kernel(fn: Callable[[np.ndarray, np.ndarray], np.ndarray], label: str) -> MatrixKernel:
-    """Scalar kernel from ``fn(x, t)``: real values over broadcast coordinate arrays, kept real.
+def _scalar_kernel(
+    term: Callable[[np.ndarray, np.ndarray], np.ndarray], finish: Callable[[np.ndarray], np.ndarray], label: str
+) -> MatrixKernel:
+    """Scalar kernel ``finish(sum_c term(x_c, t_c))`` over the coordinates ``c``: real values, kept real.
 
-    ``fn`` gets coordinates of shape ``(N, 1, d)`` and ``(1, M, d)``.  Distance
-    kernels use the coordinate difference ``x - t``, so the Gram of a set with
-    itself is exactly symmetric and repeated atoms are at distance exactly 0.
+    ``term`` gets one coordinate of the atoms as shapes ``(N, 1)`` and
+    ``(1, M)``, and the ``(N, M)`` terms are added one coordinate at a time,
+    with no ``(N, M, d)`` temporary.  That is the order in which numpy sums a
+    last axis of fewer than 8 entries, so up to 7 coordinates the values
+    equal those of ``term(x[:, None], t[None]).sum(-1)`` bit for bit; from 8
+    on, numpy sums pairwise and the last bit can differ.  Distance kernels use
+    the coordinate difference ``x - t``, so the Gram of a set with itself is
+    exactly symmetric and repeated atoms are at distance exactly 0.
     """
 
     def batch(space: AtomSpace, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         x = space.coords[rows]
         t = x if cols is rows else space.coords[cols]
-        return fn(x[:, None, :], t[None, :, :])[:, :, None, None]
+        total = np.zeros((len(x), len(t)))
+        for c in range(x.shape[1]):
+            total += term(x[:, c, None], t[None, :, c])
+        return finish(total)[:, :, None, None]
 
     return MatrixKernel(1, label=label, batch=batch)
 
@@ -360,17 +310,13 @@ def _constant(spec: Mapping[str, Any]) -> MatrixKernel:
 def _gaussian(spec: Mapping[str, Any]) -> MatrixKernel:
     gamma = _real_param(spec, "gamma")
     _require(gamma > 0, "gamma", "must be positive")
-    return _scalar_kernel(
-        lambda x, t: np.exp(-gamma * np.square(x - t).sum(axis=-1)), f"gaussian(gamma={gamma!r})"
-    )
+    return _scalar_kernel(lambda x, t: np.square(x - t), lambda s: np.exp(-gamma * s), f"gaussian(gamma={gamma!r})")
 
 
 def _laplacian(spec: Mapping[str, Any]) -> MatrixKernel:
     gamma = _real_param(spec, "gamma")
     _require(gamma > 0, "gamma", "must be positive")
-    return _scalar_kernel(
-        lambda x, t: np.exp(-gamma * np.abs(x - t).sum(axis=-1)), f"laplacian(gamma={gamma!r})"
-    )
+    return _scalar_kernel(lambda x, t: np.abs(x - t), lambda s: np.exp(-gamma * s), f"laplacian(gamma={gamma!r})")
 
 
 def _polynomial(spec: Mapping[str, Any]) -> MatrixKernel:
@@ -380,8 +326,7 @@ def _polynomial(spec: Mapping[str, Any]) -> MatrixKernel:
     offset = _real_param(spec, "offset")
     _require(offset >= 0, "offset", "must be nonnegative")
     return _scalar_kernel(
-        lambda x, t: ((x * t).sum(axis=-1) + offset) ** degree,
-        f"polynomial(degree={degree}, offset={offset!r})",
+        np.multiply, lambda s: (s + offset) ** degree, f"polynomial(degree={degree}, offset={offset!r})"
     )
 
 
@@ -623,32 +568,15 @@ def write_precomputed(kernel: MatrixKernel, space: AtomSpace, path: str | Path) 
     Hermitian symmetry.
     """
     blocks = gram(kernel, space)
-    size, n = len(space), kernel.n
     cells = _csv_cells(space.labels)
-    # block row x: the upper triangle of block (x, x), then every block (x, t) with t after x
-    first = np.ones((size, n, n), dtype=bool)
-    first[0] = np.triu(first[0])
-    triangle = n * (n + 1) // 2
-    components = [str(c) for c in range(n)]
-    _, l, j = np.nonzero(first)
-    l_cells = [components[c] for c in l.tolist()]
-    j_cells = [components[c] for c in j.tolist()]
-    t_cells = [cell for cell in cells for _ in range(n * n)]
+    components = [str(c) for c in range(kernel.n)]
+    columns = [(cells, 0), (cells, 1), (components, 2), (components, 3), *_complex_columns(blocks)]
 
-    def chunks() -> Iterable[tuple[Iterable[str], ...]]:
-        for i, x in enumerate(cells):
-            rows = triangle + (size - 1 - i) * n * n
-            values = blocks[i, i:][first[: size - i]]
-            yield (
-                [x] * rows,
-                [x] * triangle + t_cells[(i + 1) * n * n :],
-                l_cells[:rows],
-                j_cells[:rows],
-                map(repr, values.real.tolist()),
-                map(repr, values.imag.tolist()),
-            )
+    def upper(x: np.ndarray, t: np.ndarray, l: np.ndarray, j: np.ndarray) -> np.ndarray:
+        # block row x: the upper triangle of block (x, x), then every block (x, t) with t after x
+        return (t > x) | ((t == x) & (l <= j))
 
-    _write_csv(path, _PRECOMPUTED_ROW.names, chunks())
+    _write_csv(path, _PRECOMPUTED_ROW.names, blocks.shape, columns, upper)
 
 
 # ---------------------------------------------------------------------------

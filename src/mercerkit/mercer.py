@@ -18,19 +18,17 @@ import numpy as np
 
 from .kernels import (
     MatrixKernel,
-    _csv_cells,
     _flat,
     _in_range,
     _labels,
-    _read_csv,
     _readonly,
     _scatter,
-    _write_csv,
     diagonal_blocks,
     gram,
 )
 from .operators import RKHSElement, SpectralDecomposition
 from .space import AtomSpace
+from .tables import _complex_columns, _csv_cells, _read_csv, _write_csv
 
 __all__ = [
     "OffSupportError",
@@ -262,8 +260,8 @@ def frame_check(
 
 def write_error_table(table: Sequence[tuple[int, float]], path: str | Path) -> None:
     """Write ``m,max_abs_error`` rows."""
-    rows = ([str(int(m)) for m, _ in table], [repr(float(err)) for _, err in table])
-    _write_csv(path, ["m", "max_abs_error"], [rows])
+    errors = np.array([float(err) for _, err in table])
+    _write_csv(path, ["m", "max_abs_error"], errors.shape, [([str(int(m)) for m, _ in table], 0), errors])
 
 
 _FRAME_ROW = np.dtype([("i", np.int64), ("atom_id", object), ("value_re", float), ("value_im", float)])
@@ -271,12 +269,9 @@ _FRAME_ROW = np.dtype([("i", np.int64), ("atom_id", object), ("value_re", float)
 
 def write_frame(frame: ScalarFrame, path: str | Path) -> None:
     """Write ``i,atom_id,value_re,value_im`` rows for one frame, one frame vector at a time."""
-    labels = _csv_cells(frame.atoms)
-    chunks = (
-        ([str(i)] * len(labels), labels, map(repr, row.real.tolist()), map(repr, row.imag.tolist()))
-        for i, row in enumerate(frame.values)
-    )
-    _write_csv(path, _FRAME_ROW.names, chunks)
+    values = frame.values
+    columns = [([str(i) for i in range(len(values))], 0), (_csv_cells(frame.atoms), 1), *_complex_columns(values)]
+    _write_csv(path, _FRAME_ROW.names, values.shape, columns)
 
 
 def read_frame(path: str | Path) -> ScalarFrame:

@@ -18,18 +18,17 @@ import numpy as np
 
 from .kernels import (
     MatrixKernel,
-    _csv_cells,
     _flat,
     _hermitian,
     _readonly,
     _require_hermitian,
     _spectral_norms,
-    _write_csv,
     assemble_block_gram,
     diagonal_blocks,
     gram,
 )
 from .space import AtomSpace, SupportSet, _zero_mass_support
+from .tables import _complex_columns, _csv_cells, _write_csv
 
 __all__ = [
     "DiscreteOperator",
@@ -365,8 +364,7 @@ def embedding_norm_bound_check(h: RKHSElement, dec: SpectralDecomposition) -> tu
 
 def write_spectrum(dec: SpectralDecomposition, path) -> None:
     """Write ``i,sigma`` rows, eigenindex ascending (sigma descending)."""
-    rows = ([str(i) for i in range(dec.rank)], map(repr, dec.sigmas.tolist()))
-    _write_csv(path, ["i", "sigma"], [rows])
+    _write_csv(path, ["i", "sigma"], dec.sigmas.shape, [([str(i) for i in range(dec.rank)], 0), dec.sigmas])
 
 
 def write_eigenfunctions(dec: SpectralDecomposition, path) -> None:
@@ -374,19 +372,10 @@ def write_eigenfunctions(dec: SpectralDecomposition, path) -> None:
 
     Rows go out one eigenindex at a time, atoms in order, components inside.
     """
-    n = dec.n
-    labels = [cell for cell in _csv_cells(dec.space.labels) for _ in range(n)]
-    components = [str(j) for j in range(n)] * len(dec.space.labels)
-
-    def chunks():
-        for i in range(dec.rank):
-            values = dec.funcs[i].reshape(-1)
-            yield (
-                [str(i)] * len(labels),
-                labels,
-                components,
-                map(repr, values.real.tolist()),
-                map(repr, values.imag.tolist()),
-            )
-
-    _write_csv(path, ["i", "atom_id", "j", "re", "im"], chunks())
+    columns = [
+        ([str(i) for i in range(dec.rank)], 0),
+        (_csv_cells(dec.space.labels), 1),
+        ([str(j) for j in range(dec.n)], 2),
+        *_complex_columns(dec.funcs),
+    ]
+    _write_csv(path, ["i", "atom_id", "j", "re", "im"], dec.funcs.shape, columns)

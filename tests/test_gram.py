@@ -173,6 +173,31 @@ def test_gram_of_an_empty_set():
     assert diagonal_blocks(kernel, space, []).shape == (0, 2, 2)
 
 
+# the expressions the scalar kernels evaluated before they summed one coordinate at a time
+_BROADCAST = {
+    "gaussian": lambda x, t: np.exp(-0.7 * np.square(x[:, None] - t[None]).sum(axis=-1)),
+    "laplacian": lambda x, t: np.exp(-0.7 * np.abs(x[:, None] - t[None]).sum(axis=-1)),
+    "polynomial": lambda x, t: ((x[:, None] * t[None]).sum(axis=-1) + 0.5) ** 3,
+}
+
+
+@pytest.mark.parametrize("d", range(1, 8))
+@pytest.mark.parametrize("kind", sorted(_BROADCAST))
+def test_coordinate_sums_equal_the_broadcast_sum_bit_for_bit(kind, d):
+    coords = np.random.default_rng(d).standard_normal((12, d))
+    coords[5] = coords[2]  # a repeated atom
+    coords[7] = 0.0
+    coords[8] = -0.0
+    space = AtomSpace(tuple(f"x{i}" for i in range(12)), coords, np.ones(12))
+    params = {"gaussian": {"gamma": 0.7}, "laplacian": {"gamma": 0.7}, "polynomial": {"degree": 3, "offset": 0.5}}
+    kernel = build_kernel({"type": kind, **params[kind]})
+    other = np.random.default_rng(d + 100).standard_normal((5, d))
+    both = AtomSpace(space.labels + tuple(f"y{i}" for i in range(5)), np.vstack([coords, other]), np.ones(17))
+    rows, cols = np.arange(12), np.arange(12, 17)
+    for got, x, t in ((gram(kernel, space), coords, coords), (gram(kernel, both, rows, cols), coords, other)):
+        assert got[:, :, 0, 0].tobytes() == _BROADCAST[kind](x, t).tobytes()
+
+
 def test_repeated_atoms_have_identical_blocks():
     space = _space()
     for _, spec in ZOO:

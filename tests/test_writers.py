@@ -27,11 +27,30 @@ from mercerkit import (
     write_spectrum,
 )
 from mercerkit.cli import main
+from mercerkit.tables import _BATCH
 
-# labels that need quoting, one with an inner space, and the empty label
-LABELS = ("a,1", 'b"q', "c d", "", "e")
-# floats at the edges of repr: negative zero, exponent forms, the smallest subnormal
-EDGES = (-0.0, 1e16, 1e-5, 5e-324, 0.1, -1 / 3)
+# labels that need quoting, one with an inner space, the empty label, and one beyond ASCII
+LABELS = ("a,1", 'b"q', "c d", "", "e", "\u00e9\u03b2\u20ac")
+# floats at the edges of repr: negative zero, where the layout or the digit count changes,
+# the smallest subnormal, a power of two, values repr must render itself, and infinities
+EDGES = (
+    -0.0,
+    1e16,
+    1e-5,
+    1e-4,
+    9.999999999999999e-05,
+    1e15,
+    9999999999999998.0,
+    1e17,
+    5e-324,
+    2.0**-1022,
+    2.0**1023,
+    2.7392337464290868e16,
+    0.1,
+    -1 / 3,
+    np.inf,
+    -np.inf,
+)
 
 
 def _reference(rows) -> bytes:
@@ -47,8 +66,18 @@ def _values(shape) -> np.ndarray:
     values = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     flat = values.reshape(-1)
     flat.real[: len(EDGES)] = EDGES
-    flat.imag[len(EDGES) : 2 * len(EDGES)] = EDGES[::-1]
+    flat.imag[: len(EDGES)] = EDGES[::-1]
     return values
+
+
+def _eigenfunction_rows(funcs, labels) -> list[list]:
+    rows = [["i", "atom_id", "j", "re", "im"]]
+    for i in range(funcs.shape[0]):
+        for x, label in enumerate(labels):
+            for j in range(funcs.shape[2]):
+                value = complex(funcs[i, x, j])
+                rows.append([i, label, j, repr(value.real), repr(value.imag)])
+    return rows
 
 
 def _bits(values) -> bytes:
@@ -67,13 +96,7 @@ def test_write_eigenfunctions_bytes(tmp_path):
     dec = SpectralDecomposition(space, kernel, rescale_measure(space, kernel), sigmas, funcs)
     path = tmp_path / "eigenfunctions.csv"
     write_eigenfunctions(dec, path)
-    rows = [["i", "atom_id", "j", "re", "im"]]
-    for i in range(dec.rank):
-        for x, label in enumerate(space.labels):
-            for j in range(dec.n):
-                value = complex(funcs[i, x, j])
-                rows.append([i, label, j, repr(value.real), repr(value.imag)])
-    assert path.read_bytes() == _reference(rows)
+    assert path.read_bytes() == _reference(_eigenfunction_rows(funcs, space.labels))
 
     path = tmp_path / "spectrum.csv"
     write_spectrum(dec, path)
@@ -139,3 +162,58 @@ def test_metric_csv_bytes(tmp_path):
     rows = [["id"] + list(space.labels)]
     rows += [[label] + [repr(float(v)) for v in d[i]] for i, label in enumerate(space.labels)]
     assert (out / "metric.csv").read_bytes() == _reference(rows)
+
+
+def test_write_eigenfunctions_across_render_batches(tmp_path):
+    space = _space()
+    kernel = build_kernel({"type": "diagonal", "blocks": [{"type": "gaussian", "gamma": 1.0}] * 2})
+    per_index = 2 * len(space) * 2  # floats of one eigenindex: atoms, components, real and imaginary parts
+    assert _BATCH % per_index, "a batch should end inside one eigenindex's rows"
+    rank = 3 * _BATCH // per_index + 1
+    sigmas = np.linspace(1.0, 0.5, rank)
+    funcs = _values((rank, len(space), 2))
+    dec = SpectralDecomposition(space, kernel, rescale_measure(space, kernel), sigmas, funcs)
+    path = tmp_path / "eigenfunctions.csv"
+    write_eigenfunctions(dec, path)
+    assert path.read_bytes() == _reference(_eigenfunction_rows(funcs, space.labels))
+
+
+def test_real_values_write_zero_imaginary_cells_and_complex_ones_keep_their_sign(tmp_path):
+    real = _values((3, len(LABELS))).real
+    path = tmp_path / "real.csv"
+    write_frame(ScalarFrame(LABELS, real), path)
+    rows = [["i", "atom_id", "value_re", "value_im"]]
+    rows += [[i, label, repr(float(real[i, x])), "0.0"] for i in range(3) for x, label in enumerate(LABELS)]
+    assert path.read_bytes() == _reference(rows)
+    # a complex array whose imaginary parts are all +0.0 writes the same cells
+    complex_path = tmp_path / "complex.csv"
+    write_frame(ScalarFrame(LABELS, real.astype(complex)), complex_path)
+    assert complex_path.read_bytes() == path.read_bytes()
+
+    signed = real.astype(complex)
+    signed.imag = np.copysign(0.0, np.arange(real.size).reshape(real.shape) % 2 - 0.5)
+    path = tmp_path / "signed.csv"
+    write_frame(ScalarFrame(LABELS, signed), path)
+    text = path.read_text(encoding="utf-8").splitlines()[1:]
+    assert [line.rsplit(",", 1)[1] for line in text] == ["-0.0", "0.0"] * (real.size // 2)
+    assert _bits(read_frame(path).values) == _bits(signed)
+
+    space = _space()
+    path = tmp_path / "table.csv"
+    write_precomputed(build_kernel({"type": "gaussian", "gamma": 0.5}), space, path)
+    cells = [line.rsplit(",", 1)[1] for line in path.read_text(encoding="utf-8").splitlines()[1:]]
+    assert cells == ["0.0"] * (len(space) * (len(space) + 1) // 2)
+
+
+def test_long_labels_shrink_the_batch_not_the_bytes(tmp_path):
+    # a label this long leaves room for two rows in one batch's character array
+    labels = ("x" * 100_000, "short", "é" * 30_000)
+    values = _values((6, len(labels)))
+    path = tmp_path / "frame.csv"
+    write_frame(ScalarFrame(labels, values), path)
+    rows = [["i", "atom_id", "value_re", "value_im"]]
+    for i in range(values.shape[0]):
+        for x, label in enumerate(labels):
+            value = complex(values[i, x])
+            rows.append([i, label, repr(value.real), repr(value.imag)])
+    assert path.read_bytes() == _reference(rows)
