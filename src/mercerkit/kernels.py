@@ -81,8 +81,7 @@ class MatrixKernel:
 
     ``separable`` holds the factors ``(k, B)`` of a separable kernel
     ``K(x, t) = k(x, t) B``: the scalar kernel ``k`` and the read-only
-    ``n x n`` matrix ``B``.  Eigensolves, validation and the pseudo-metric
-    work through these factors instead of the full block Gram matrix.
+    ``n x n`` matrix ``B``.  It is read only through :func:`_factors`.
     """
 
     n: int
@@ -96,6 +95,22 @@ def _readonly(arr: np.ndarray) -> np.ndarray:
     out = np.ascontiguousarray(arr)
     out.setflags(write=False)
     return out
+
+
+_ONE = _readonly(np.ones((1, 1)))
+
+
+def _factors(kernel: MatrixKernel) -> tuple[MatrixKernel, np.ndarray]:
+    """The factors ``(core, B)`` of ``kernel``: ``(k, B)`` for a separable ``k B``, else ``(kernel, [[1.0]])``.
+
+    One factor is ``1 x 1``, so ``core(x, t) * B`` gives the bits of the
+    kernel's blocks and its Gram is the Kronecker product of the core's Gram
+    and ``B``.  Eigenvalues of the Hermitian parts multiply, and so do the
+    spectral norms of the blocks'; the metric's gap is the core's gap times
+    ``B``.  The products are exact when the core's Gram is Hermitian, as
+    every built-in kernel's is.
+    """
+    return (kernel, _ONE) if kernel.separable is None else kernel.separable
 
 
 def _in_range(limit: int, *columns: np.ndarray) -> bool:
@@ -164,7 +179,8 @@ def gram(
 
 def diagonal_blocks(kernel: MatrixKernel, space: AtomSpace, rows: ArrayLike | None = None) -> np.ndarray:
     """Blocks ``K(x, x)`` for the atoms at ``rows`` (default all), shape ``(len(rows), n, n)``."""
-    return np.einsum("xxlj->xlj", gram(kernel, space, rows))
+    core, matrix = _factors(kernel)
+    return np.einsum("xxlj->xlj", gram(core, space, rows)) * matrix
 
 
 def _flat(blocks: np.ndarray) -> np.ndarray:
@@ -637,11 +653,9 @@ def validate_kernel(kernel: MatrixKernel, space: AtomSpace) -> ValidationReport:
     on its non-finite entries, without numpy warnings, and the report names
     the first pair of atoms whose block has one.
 
-    The eigenvalues of a separable kernel ``k B`` are the products of those
-    of the Hermitian parts of the scalar Gram matrix ``G_k`` and of ``B``.
-    They are exact when ``G_k`` is symmetric, as every built-in scalar
-    kernel's is; otherwise they are off by at most the product of the
-    spectral norms of the anti-Hermitian parts of ``G_k`` and ``B``.
+    The eigenvalues are the products of those of the Hermitian parts of the
+    core's Gram matrix and of ``B`` (see :func:`_factors`); the finite check
+    and the deviation read the kernel's whole block Gram matrix.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         raw = _flat(gram(kernel, space))
@@ -654,14 +668,11 @@ def validate_kernel(kernel: MatrixKernel, space: AtomSpace) -> ValidationReport:
         x, t = np.argwhere(~finite)[0]
         nonfinite = (space.labels[x], space.labels[t])
         eigs = np.array([np.nan])
-    elif kernel.separable is not None:
-        scalar, matrix = kernel.separable
-        g = _flat(gram(scalar, space))
-        eigs = np.outer(np.linalg.eigvalsh(_hermitian(g)), np.linalg.eigvalsh(_hermitian(matrix)))
     else:
-        matrix = _hermitian(raw)
+        core, matrix = _factors(kernel)
+        part = _hermitian(raw if core is kernel else _flat(gram(core, space)))
         del raw  # only the Hermitian part stays in memory while it is solved
-        eigs = np.linalg.eigvalsh(matrix)
+        eigs = np.outer(np.linalg.eigvalsh(part), np.linalg.eigvalsh(_hermitian(matrix)))
     min_eig, max_eig = float(eigs.min()), float(eigs.max())
     tol_psd = psd_tolerance(max_eig)
     return ValidationReport(

@@ -18,6 +18,7 @@ import numpy as np
 
 from .kernels import (
     MatrixKernel,
+    _factors,
     _flat,
     _hermitian,
     _readonly,
@@ -70,20 +71,14 @@ class RescaledMeasure:
 def rescale_measure(space: AtomSpace, kernel: MatrixKernel) -> RescaledMeasure:
     """Divide each weight by ``1 + |K(x,x)|`` (spectral norm of the diagonal block).
 
-    For a separable kernel ``k B`` that norm is ``|k(x,x)| ||B||_2``, with
-    ``||B||_2`` the spectral norm of the Hermitian part of ``B``.
-
-    Also returns the trace budget ``m_nu = sum_x tr K(x,x) nu_x``, which the
-    eigenvalue sum of the operator must reproduce.
+    The blocks are the core's times ``B``, and their norms the core's times
+    ``||B||_2`` (see :func:`_factors`).  Also returns the trace budget
+    ``m_nu = sum_x tr K(x,x) nu_x``, which the eigenvalue sum of the operator
+    must reproduce.
     """
-    if kernel.separable is None:
-        diag = diagonal_blocks(kernel, space)
-        norms = _spectral_norms(diag)
-    else:
-        # the blocks k(x,x) B, multiplied as the kernel's own blocks are
-        scalar, matrix = kernel.separable
-        k = diagonal_blocks(scalar, space)[:, 0, 0]
-        diag, norms = k[:, None, None] * matrix, np.abs(k) * _spectral_norms(matrix)
+    core, matrix = _factors(kernel)
+    k = diagonal_blocks(core, space)
+    diag, norms = k * matrix, _spectral_norms(k) * _spectral_norms(matrix)
     _require_hermitian(diag)
     weights = space.mu / (1.0 + norms)
     traces = np.trace(diag, axis1=1, axis2=2).real
@@ -95,9 +90,10 @@ def rescale_measure(space: AtomSpace, kernel: MatrixKernel) -> RescaledMeasure:
 class DiscreteOperator:
     """Symmetric realization of the kernel integral operator.
 
-    ``matrix`` is ``D^(1/2) G D^(1/2)`` with ``G`` the block Gram matrix over
-    the atoms listed in ``indices`` (those with positive rescaled weight) and
-    ``D`` the diagonal of their weights, replicated per component.
+    ``matrix`` is ``D^(1/2) G D^(1/2)`` with ``G`` the block Gram matrix of
+    the kernel's core (see :func:`_factors`) over the atoms listed in
+    ``indices`` (those with positive rescaled weight) and ``D`` the diagonal
+    of their weights, one per core component.  The operator is ``matrix (x) B``.
     """
 
     space: AtomSpace
@@ -112,8 +108,9 @@ def assemble_operator(space: AtomSpace, kernel: MatrixKernel, nu: RescaledMeasur
     pos = np.flatnonzero(nu.weights > 0)
     if not pos.size:
         raise EmptySupportError("measure has empty support: every atom weight is zero")
-    scale = np.sqrt(np.repeat(nu.weights[pos], kernel.n))
-    matrix = assemble_block_gram(kernel, space, pos) * scale[:, None] * scale[None, :]
+    core, _ = _factors(kernel)
+    scale = np.sqrt(np.repeat(nu.weights[pos], core.n))
+    matrix = assemble_block_gram(core, space, pos) * scale[:, None] * scale[None, :]
     return DiscreteOperator(space, kernel, nu, tuple(pos.tolist()), _readonly(matrix))
 
 
@@ -176,29 +173,22 @@ def _cutoff(sigmas: np.ndarray, rank_cutoff: float | None) -> float:
 def _eigenpairs(op: DiscreteOperator, rank_cutoff: float | None) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues of the operator above the cutoff, descending, and their eigenvectors as columns.
 
-    The operator of a separable kernel ``k B`` is ``(W^(1/2) G_k W^(1/2))
-    (x) B`` (Kronecker product, index ``x*n + l``), so its eigenpairs are
-    the products of those of the ``P x P`` and ``n x n`` factors, ordered by a
-    stable sort.  Every other kernel's operator matrix is solved whole.
+    The operator is ``op.matrix (x) B`` (index ``x*n + l``), so its
+    eigenpairs are products of the factors', each factor clipped at zero (two
+    negative rounding-level eigenvalues make no positive product).  A stable
+    sort from ``op.matrix``'s descending order keeps the eigenvectors inside a
+    tie in the order of the whole solve of a kernel that is not separable.
     """
-    if op.kernel.separable is None:
-        evals, evecs = np.linalg.eigh(op.matrix)
-        evals, evecs = evals[::-1], evecs[:, ::-1]
-        keep = evals > _cutoff(evals, rank_cutoff)
-        return np.asarray(evals[keep], dtype=float), evecs[:, keep]
-    scalar, matrix = op.kernel.separable
-    pos = list(op.indices)
-    scale = np.sqrt(op.nu.weights[pos])
-    g = _hermitian(_flat(gram(scalar, op.space, pos))) * scale[:, None] * scale[None, :]
-    lam, u = np.linalg.eigh(g)
+    _, matrix = _factors(op.kernel)
+    lam, u = np.linalg.eigh(op.matrix)
+    lam, u = lam[::-1], u[:, ::-1]
     mu, v = np.linalg.eigh(_hermitian(matrix))
-    # factors clipped at zero: two negative rounding-level eigenvalues make no positive product
     products = np.outer(np.maximum(lam, 0.0), np.maximum(mu, 0.0)).ravel()
     order = np.argsort(-products, kind="stable")
     evals = products[order]
     order = order[evals > _cutoff(evals, rank_cutoff)]
-    p, l = np.divmod(order, op.kernel.n)
-    vectors = (u[:, None, p] * v[None, :, l]).reshape(len(pos) * op.kernel.n, len(order))
+    p, l = np.divmod(order, len(mu))
+    vectors = (u[:, None, p] * v[None, :, l]).reshape(len(lam) * len(mu), len(order))
     return products[order], vectors
 
 
@@ -209,8 +199,8 @@ def eigendecompose(op: DiscreteOperator, rank_cutoff: float | None = None) -> Sp
     cutoff ``sigma_1 * 1e-12``; pass ``0.0`` to keep the full positive
     spectrum).  Each eigenvector is normalized so its first nonzero entry is
     real positive, which makes outputs deterministic up to eigenvalue ties.
-    A real operator matrix gets a real eigensolve, and a separable kernel's
-    operator is solved through its factors.
+    The operator is solved through its factors ``op.matrix`` and ``B``, and
+    a real ``op.matrix`` gets a real eigensolve.
     """
     sigmas, vectors = _eigenpairs(op, rank_cutoff)
     space, kernel, nu = op.space, op.kernel, op.nu

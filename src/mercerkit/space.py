@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .kernels import MatrixKernel, _readonly, _spectral_norms, gram
+from .kernels import MatrixKernel, _factors, _readonly, _spectral_norms, gram
 
 __all__ = [
     "Atom",
@@ -186,23 +186,16 @@ def pseudo_metric(space: AtomSpace, kernel: MatrixKernel) -> PseudoMetricMatrix:
 def _distances(space: AtomSpace, kernel: MatrixKernel, rows: np.ndarray | None = None) -> tuple[np.ndarray, float]:
     """Kernel distance from each atom at ``rows`` (default all) to every atom, and the metric's zero threshold.
 
-    For a separable kernel ``k B`` the gap matrix is ``c B`` with ``c =
-    k(x,x) + k(t,t) - k(x,t) - k(t,x)``, so ``d(x,t)^2 = |Re c| ||B||_2``
-    (``||B||_2`` the spectral norm of the Hermitian part of ``B``); ``c`` is
-    real for a Hermitian ``k``.
+    Both are read off the kernel's core and scaled by ``||B||_2``, the
+    spectral norm of the Hermitian part of ``B`` (see :func:`_factors`).
     """
     sub = slice(None) if rows is None else rows
-    if kernel.separable is not None:
-        scalar, matrix = kernel.separable
-        g = gram(scalar, space)[:, :, 0, 0]
-        k = np.diagonal(g)
-        b_norm = _spectral_norms(matrix)
-        gap = ((k[sub, None] + k[None, :]) - (g[sub] + g[:, sub].T)).real
-        return np.sqrt(np.abs(gap) * b_norm), _quotient_tol(np.abs(k) * b_norm)
-    blocks = gram(kernel, space)
+    core, matrix = _factors(kernel)
+    blocks = gram(core, space)
     diag = np.einsum("xxlj->xlj", blocks)
     delta = (diag[sub, None] + diag[None, :]) - (blocks[sub] + blocks[:, sub].swapaxes(0, 1))
-    return np.sqrt(_spectral_norms(delta)), _quotient_tol(_spectral_norms(diag))
+    b_norm = _spectral_norms(matrix)
+    return np.sqrt(_spectral_norms(delta) * b_norm), _quotient_tol(_spectral_norms(diag) * b_norm)
 
 
 def pseudo_metric_prime(space: AtomSpace, kernel: MatrixKernel) -> PseudoMetricMatrix:

@@ -88,6 +88,21 @@ def test_assemble_operator_skips_zero_mass_atoms():
     assert op.matrix.shape == (2, 2)
 
 
+def test_separable_operator_is_the_scalar_factor():
+    # the operator of k B is matrix (x) B: matrix is P x P, not (P n) x (P n)
+    spec = dict(ZOO)["separable_complex"]
+    kernel = build_kernel(spec)
+    space = random_space(np.random.default_rng(31), 7, dim=2, zero_mass=2)
+    nu = rescale_measure(space, kernel)
+    op = assemble_operator(space, kernel, nu)
+    pos = np.flatnonzero(nu.weights > 0)
+    assert op.indices == tuple(pos.tolist())
+    assert op.matrix.shape == (5, 5)
+    scale = np.sqrt(nu.weights[pos])
+    expected = assemble_block_gram(build_kernel(spec["scalar"]), space, pos) * scale[:, None] * scale[None, :]
+    np.testing.assert_array_equal(op.matrix, expected)
+
+
 def test_assemble_operator_empty_support():
     space = space_from([0.0, 1.0], [0.0, 0.0])
     kernel = delta_kernel(1)

@@ -1,15 +1,18 @@
-"""The real and separable solver paths against the dense complex one.
+"""The one factored solve path, using the kernel's structure, against the dense complex solve.
 
-A built-in scalar kernel has a real Gram matrix and gets real eigensolves; a
-separable kernel ``k B`` is solved through its factors ``k`` and ``B``.  The
-reference is the same kernel with its blocks cast to complex and its
-structure hidden, which takes the dense complex path.  Random atom sets from
-``hypothesis`` (repeated and zero-mass atoms are common) and random positive
-semidefinite ``B`` (singular ones, and the identity with its many ties) check
-that both paths give the same spectrum within ``default_tol_eig``, series
-that rebuild the Gram within ``tol_recon``, and equal validation verdicts,
-quotient classes and supports.  A second test records every solve and pins
-each kernel to its path.
+Every kernel is solved as ``core (x) B``: a separable kernel ``k B`` has
+core ``k``, and any other kernel is its own core with ``B = [[1]]``.  A real
+core (a built-in scalar kernel) gets real eigensolves, and no solve is
+larger than the core's block Gram matrix.  The reference is the same kernel
+with its blocks cast to complex and its structure hidden: a complex core
+with ``B = [[1]]``.  Random atom sets from ``hypothesis`` (repeated and
+zero-mass atoms are common) and random positive semidefinite ``B`` (singular
+ones, and the identity with its many ties) check that both give the same
+spectrum within ``default_tol_eig``, series that rebuild the Gram within
+``tol_recon``, and equal validation verdicts, quotient classes and supports.
+A second test records every solve and pins its size and dtype to the
+kernel's core; a third checks that a kernel and the same kernel times
+``[[1]]`` agree bit for bit inside an exact eigenvalue tie.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ import pytest
 
 from conftest import decompose_space
 from mercerkit import (
+    AtomSpace,
     MatrixKernel,
     build_kernel,
     default_tol_eig,
@@ -157,3 +161,15 @@ def test_each_kernel_takes_its_solver_path(tmp_path, monkeypatch, spec):
     else:
         # one matrix per solve, never larger than the 9 x 9 scalar Gram
         assert all(len(shape) == 2 and shape[0] <= 9 for shape, _ in solves), solves
+
+
+def test_a_kernel_and_its_product_with_one_take_one_path():
+    # atoms 10 apart: the gaussian Gram at gamma = 50 is exactly the identity, so with equal
+    # weights every eigenvalue ties, and the order inside the tie is the solver's
+    scalar = {"type": "gaussian", "gamma": 50.0}
+    space = AtomSpace(("a", "b", "c", "d"), [[0.0], [10.0], [20.0], [30.0]], [1.0, 1.0, 1.0, 1.0])
+    dec = decompose_space(space, scalar)
+    dec_one = decompose_space(space, {"type": "separable", "matrix": [[1.0]], "scalar": scalar})
+    assert np.all(dec.sigmas == dec.sigmas[0])
+    assert np.array_equal(dec_one.sigmas, dec.sigmas)
+    assert np.array_equal(dec_one.funcs, dec.funcs)
