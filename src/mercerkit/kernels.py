@@ -12,7 +12,6 @@ checked explicitly.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import asdict, dataclass
@@ -21,7 +20,7 @@ from typing import TYPE_CHECKING, Any, Callable, Mapping, Sequence
 
 import numpy as np
 
-from .tables import _complex_columns, _csv_cells, _read_csv, _write_csv
+from .tables import _complex_columns, _csv_cells, _Indices, _read_table, _write_csv
 
 if TYPE_CHECKING:  # pragma: no cover - annotations only
     from numpy.typing import ArrayLike
@@ -111,11 +110,6 @@ def _factors(kernel: MatrixKernel) -> tuple[MatrixKernel, np.ndarray]:
     every built-in kernel's is.
     """
     return (kernel, _ONE) if kernel.separable is None else kernel.separable
-
-
-def _in_range(limit: int, *columns: np.ndarray) -> bool:
-    """Whether every entry of the nonempty integer columns lies in ``0 .. limit - 1``."""
-    return all(col.min() >= 0 and col.max() < limit for col in columns)
 
 
 def _labels(cells: np.ndarray) -> tuple[dict[str, int], np.ndarray]:
@@ -309,7 +303,9 @@ def _scalar_kernel(
         total = np.zeros((len(x), len(t)))
         for c in range(x.shape[1]):
             total += term(x[:, c, None], t[None, :, c])
-        return finish(total)[:, :, None, None]
+        # a gaussian's exponent may overflow to -inf, whose exp is exactly 0
+        with np.errstate(over="ignore"):
+            return finish(total)[:, :, None, None]
 
     return MatrixKernel(1, label=label, batch=batch)
 
@@ -406,25 +402,20 @@ def _sum(spec: Mapping[str, Any], base_dir: Path | None) -> MatrixKernel:
     return MatrixKernel(n, label=f"sum({', '.join(k.label for k in inners)})", batch=batch)
 
 
+def _file_path(path: Any, field: str, base_dir: Path | None) -> Path:
+    """The file path given in ``field``, a relative one taken from ``base_dir``."""
+    _require(isinstance(path, str) and bool(path), field, "must be a file path")
+    return Path(path) if base_dir is None else base_dir / path
+
+
 def _precomputed(spec: Mapping[str, Any], base_dir: Path | None) -> MatrixKernel:
-    path = spec.get("path")
-    _require(isinstance(path, str) and bool(path), "path", "must be a file path")
-    full = Path(path)
-    if not full.is_absolute() and base_dir is not None:
-        full = base_dir / full
-    return read_precomputed(full)
+    return read_precomputed(_file_path(spec.get("path"), "path", base_dir))
 
 
 def _frame_synth(spec: Mapping[str, Any], base_dir: Path | None) -> MatrixKernel:
     paths = spec.get("frames")
     _require(isinstance(paths, Sequence) and len(paths) >= 1, "frames", "must list at least one frame file")
-    resolved = []
-    for k, p in enumerate(paths):
-        _require(isinstance(p, str) and bool(p), f"frames[{k}]", "must be a file path")
-        full = Path(p)
-        if not full.is_absolute() and base_dir is not None:
-            full = base_dir / full
-        resolved.append(full)
+    resolved = [_file_path(p, f"frames[{k}]", base_dir) for k, p in enumerate(paths)]
     # deferred import: synthesis sits above this module in the layering
     from .mercer import read_frame
     from .synthesis import align_frames, synthesize_kernel
@@ -460,12 +451,14 @@ def build_kernel(spec: Mapping[str, Any], base_dir: Path | None = None) -> Matri
 def kernel_from_file(path: str | Path) -> MatrixKernel:
     """Load a kernel description from a JSON file."""
     path = Path(path)
-    with open(path, encoding="utf-8") as fh:
-        try:
+    try:
+        with open(path, encoding="utf-8") as fh:
             spec = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise KernelSpecError(f"{path}: line {exc.lineno}: {exc.msg}") from None
-    return build_kernel(spec, base_dir=path.parent)
+        return build_kernel(spec, base_dir=path.parent)
+    except json.JSONDecodeError as exc:
+        raise KernelSpecError(f"{path}: line {exc.lineno}: {exc.msg}") from None
+    except RecursionError:
+        raise KernelSpecError(f"{path}: kernel description is nested too deeply") from None
 
 
 # ---------------------------------------------------------------------------
@@ -475,6 +468,8 @@ def kernel_from_file(path: str | Path) -> MatrixKernel:
 _PRECOMPUTED_ROW = np.dtype(
     [("x_id", object), ("t_id", object), ("l", np.int64), ("j", np.int64), ("re", float), ("im", float)]
 )
+# a component index k needs (k+1)^2 <= 2 * rows data rows
+_COMPONENTS = _Indices("component indices must be nonnegative", "component index", lambda count: math.isqrt(2 * count))
 
 
 def read_precomputed(path: str | Path) -> MatrixKernel:
@@ -490,9 +485,7 @@ def read_precomputed(path: str | Path) -> MatrixKernel:
     :class:`KernelSpecError` names the path and the shape.
     """
     path = Path(path)
-    rows = _read_csv(path, _PRECOMPUTED_ROW)
-    if rows is None or not _in_range(_component_limit(len(rows)), rows["l"], rows["j"]):
-        rows = _precomputed_rows(path)
+    rows = _read_table(path, _PRECOMPUTED_ROW, KernelSpecError, _COMPONENTS, need_rows=True)
     index, ids = _labels(np.stack([rows["x_id"], rows["t_id"]], axis=1))
     size, n = len(index), int(max(rows["l"].max(), rows["j"].max())) + 1
     keys = (ids[:, 0], ids[:, 1], rows["l"], rows["j"])
@@ -528,52 +521,6 @@ def read_precomputed(path: str | Path) -> MatrixKernel:
         return table[ix, it]
 
     return MatrixKernel(n, label=f"precomputed({path.name})", batch=batch)
-
-
-def _component_limit(count: int) -> int:
-    """Bound on the component indices of a table of ``count`` data rows: ``(k+1)^2 <= 2 * count``."""
-    return math.isqrt(2 * count)
-
-
-def _precomputed_rows(path: Path) -> np.ndarray:
-    """The data rows of a block table, one ``csv.reader`` row at a time.
-
-    This is the reference parse: it raises :class:`KernelSpecError` naming the
-    first bad line.
-    """
-    rows: list[tuple[str, str, int, int, float, float]] = []
-    lines: list[int] = []
-    with open(path, encoding="utf-8-sig", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise KernelSpecError(f"{path}: empty file") from None
-        if [h.strip() for h in header] != list(_PRECOMPUTED_ROW.names):
-            raise KernelSpecError(f"{path}: line 1: header must be {','.join(_PRECOMPUTED_ROW.names)}")
-        for line_no, row in enumerate(reader, start=2):
-            try:
-                x_id, t_id, l, j, re, im = row
-                l, j, re, im = int(l), int(j), float(re), float(im)
-            except ValueError as exc:
-                if not "".join(row).strip():
-                    continue  # blank line
-                if len(row) != 6:
-                    raise KernelSpecError(f"{path}: line {line_no}: expected 6 fields, got {len(row)}") from None
-                raise KernelSpecError(f"{path}: line {line_no}: {exc}") from None
-            if l < 0 or j < 0:
-                raise KernelSpecError(f"{path}: line {line_no}: component indices must be nonnegative")
-            rows.append((x_id, t_id, l, j, re, im))
-            lines.append(line_no)
-    if not rows:
-        raise KernelSpecError(f"{path}: no data rows")
-    limit = _component_limit(len(rows))
-    for line_no, (_, _, l, j, _, _) in zip(lines, rows):
-        if max(l, j) >= limit:
-            raise KernelSpecError(
-                f"{path}: line {line_no}: component index {max(l, j)} is out of range for {len(rows)} data rows"
-            )
-    return np.array(rows, dtype=_PRECOMPUTED_ROW)
 
 
 def write_precomputed(kernel: MatrixKernel, space: AtomSpace, path: str | Path) -> None:

@@ -9,7 +9,6 @@ scalar families, which are Parseval frames for the diagonal scalar kernels.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -19,7 +18,6 @@ import numpy as np
 from .kernels import (
     MatrixKernel,
     _flat,
-    _in_range,
     _labels,
     _readonly,
     _scatter,
@@ -28,7 +26,7 @@ from .kernels import (
 )
 from .operators import RKHSElement, SpectralDecomposition
 from .space import AtomSpace
-from .tables import _complex_columns, _csv_cells, _read_csv, _write_csv
+from .tables import _complex_columns, _csv_cells, _Indices, _read_table, _write_csv
 
 __all__ = [
     "OffSupportError",
@@ -265,6 +263,7 @@ def write_error_table(table: Sequence[tuple[int, float]], path: str | Path) -> N
 
 
 _FRAME_ROW = np.dtype([("i", np.int64), ("atom_id", object), ("value_re", float), ("value_im", float)])
+_FRAME_INDEX = _Indices("frame index must be nonnegative", "frame index", lambda count: count)
 
 
 def write_frame(frame: ScalarFrame, path: str | Path) -> None:
@@ -283,9 +282,7 @@ def read_frame(path: str | Path) -> ScalarFrame:
     not fit in memory, ``ValueError`` names the path and the shape.
     """
     path = Path(path)
-    rows = _read_csv(path, _FRAME_ROW)
-    if rows is None or not _in_range(len(rows), rows["i"]):
-        rows = _frame_rows(path)
+    rows = _read_table(path, _FRAME_ROW, ValueError, _FRAME_INDEX)
     index, x = _labels(rows["atom_id"])
     shape = (int(rows["i"].max(initial=-1)) + 1, len(index))
     try:
@@ -295,38 +292,3 @@ def read_frame(path: str | Path) -> ScalarFrame:
             f"cannot read frame file: {path}: a dense frame of shape {shape} does not fit in memory"
         ) from None
     return ScalarFrame(tuple(index), _readonly(values))
-
-
-def _frame_rows(path: Path) -> np.ndarray:
-    """The data rows of a frame file, one ``csv.reader`` row at a time.
-
-    This is the reference parse: it raises ``ValueError`` naming the first
-    bad line.
-    """
-    rows: list[tuple[int, str, float, float]] = []
-    lines: list[int] = []
-    with open(path, encoding="utf-8-sig", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"{path}: empty file") from None
-        if [h.strip() for h in header] != list(_FRAME_ROW.names):
-            raise ValueError(f"{path}: line 1: header must be {','.join(_FRAME_ROW.names)}")
-        for line_no, row in enumerate(reader, start=2):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            if len(row) != 4:
-                raise ValueError(f"{path}: line {line_no}: expected 4 fields, got {len(row)}")
-            try:
-                i, re, im = int(row[0]), float(row[2]), float(row[3])
-            except ValueError as exc:
-                raise ValueError(f"{path}: line {line_no}: {exc}") from None
-            if i < 0:
-                raise ValueError(f"{path}: line {line_no}: frame index must be nonnegative")
-            rows.append((i, row[1], re, im))
-            lines.append(line_no)
-    for line_no, (i, *_) in zip(lines, rows):
-        if i >= len(rows):
-            raise ValueError(f"{path}: line {line_no}: frame index {i} is out of range for {len(rows)} data rows")
-    return np.array(rows, dtype=_FRAME_ROW)

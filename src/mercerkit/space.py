@@ -19,6 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .kernels import MatrixKernel, _factors, _readonly, _spectral_norms, gram
+from .tables import _read_table
 
 __all__ = [
     "Atom",
@@ -121,33 +122,18 @@ class AtomSpace:
 def load_atoms(path: str | Path) -> AtomSpace:
     """Read an atom CSV file with header ``id,w,c1,...,cd``."""
     path = Path(path)
-    labels: list[str] = []
-    weights: list[float] = []
-    coords: list[list[float]] = []
     with open(path, encoding="utf-8-sig", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise AtomFileError(f"{path}: empty file") from None
-        header = [h.strip() for h in header]
-        dim = len(header) - 2
-        expected = ["id", "w"] + [f"c{k}" for k in range(1, dim + 1)]
-        if dim < 0 or header != expected:
-            raise AtomFileError(f"{path}: line 1: header must be id,w,c1,...,cd, got {','.join(header)}")
-        for line_no, row in enumerate(reader, start=2):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            if len(row) != len(header):
-                raise AtomFileError(f"{path}: line {line_no}: expected {len(header)} fields, got {len(row)}")
-            labels.append(row[0].strip())
-            try:
-                weights.append(float(row[1]))
-                coords.append([float(cell) for cell in row[2:]])
-            except ValueError as exc:
-                raise AtomFileError(f"{path}: line {line_no}: {exc}") from None
+        header = next(csv.reader(fh), None)
+    if header is None:
+        raise AtomFileError(f"{path}: empty file")
+    header = [h.strip() for h in header]
+    dim = len(header) - 2
+    if dim < 0 or header != ["id", "w"] + [f"c{k}" for k in range(1, dim + 1)]:
+        raise AtomFileError(f"{path}: line 1: header must be id,w,c1,...,cd, got {','.join(header)}")
+    rows = _read_table(path, np.dtype([("id", object)] + [(name, float) for name in header[1:]]), AtomFileError)
+    coords = np.array([rows[name] for name in header[2:]]).reshape(dim, len(rows)).T  # (N, d), also for d = 0
     try:
-        return AtomSpace(tuple(labels), np.asarray(coords, dtype=float).reshape(len(labels), dim), np.asarray(weights))
+        return AtomSpace(tuple(label.strip() for label in rows["id"]), coords, rows["w"])
     except ValueError as exc:
         raise AtomFileError(f"{path}: {exc}") from None
 

@@ -1,8 +1,10 @@
-"""CSV tables: label cells, the batch writer with its exact float text, and the batch reader.
+"""CSV tables: label cells, the batch writer with its exact float text, and the one table reader.
 
 Every table the package writes goes through :func:`_write_csv`, which
-renders floats exactly as ``repr`` does, and the block tables and frames are
-read back through :func:`_read_csv`.  The module has no public names.
+renders floats exactly as ``repr`` does.  Every table it reads (atoms, block
+tables and frames) goes through :func:`_read_table`: one ``np.loadtxt`` pass
+(:func:`_read_csv`), or the ``csv.reader`` row loop (:func:`_read_rows`)
+that words the errors.  The module has no public names.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import math
 import warnings
 from io import StringIO
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -357,8 +359,8 @@ def _read_csv(path: str | Path, row: np.dtype) -> np.ndarray | None:
     """Data rows of a CSV file whose header is the field names of ``row``, in one ``np.loadtxt`` pass.
 
     Returns ``None`` if the header differs, there is no data row, or numpy's
-    tokenizer rejects any row; the caller's ``csv.reader`` loop then reads
-    the file and words the error.  numpy reads the rest of the stream that
+    tokenizer rejects any row; :func:`_read_rows` then reads the file and
+    words the error.  numpy reads the rest of the stream that
     ``csv.reader`` read the header from, opened with ``newline=""`` as the
     loops open it (given a path, numpy would turn a quoted ``\\r\\n`` into
     ``\\n``).  Both split fields alike: no comment character, ``""`` inside
@@ -378,3 +380,82 @@ def _read_csv(path: str | Path, row: np.dtype) -> np.ndarray | None:
                 return np.loadtxt(fh, dtype=row, delimiter=",", quotechar='"', comments=None, ndmin=1)
         except (ValueError, Warning):
             return None
+
+
+def _in_range(limit: int, *columns: np.ndarray) -> bool:
+    """Whether every entry of the nonempty integer columns lies in ``0 .. limit - 1``."""
+    return all(col.min() >= 0 and col.max() < limit for col in columns)
+
+
+class _Indices(NamedTuple):
+    """How a table's integer fields are checked and named in its errors.
+
+    ``negative`` is the message for a negative index, ``name`` names the
+    largest index of a row that is out of range, and ``limit`` gives the bound
+    on the indices from the count of data rows.
+    """
+
+    negative: str
+    name: str
+    limit: Callable[[int], int]
+
+
+def _read_table(
+    path: Path, row: np.dtype, error: type[ValueError], indices: _Indices | None = None, need_rows: bool = False
+) -> np.ndarray:
+    """Data rows of the CSV file ``path``, typed by the fields of ``row``, its header.
+
+    Integer fields are indices checked by ``indices``; without it ``row`` has
+    none.  ``need_rows`` makes a file without data rows an error.  Bad input
+    raises ``error`` naming the path and the first bad line.
+    """
+    rows = _read_csv(path, row)
+    ints = [name for name in row.names if row[name].kind == "i"]
+    if rows is None or (ints and not _in_range(indices.limit(len(rows)), *(rows[name] for name in ints))):
+        rows = _read_rows(path, row, error, indices, need_rows)
+    return rows
+
+
+def _read_rows(
+    path: Path, row: np.dtype, error: type[ValueError], indices: _Indices | None, need_rows: bool
+) -> np.ndarray:
+    """The data rows of a table, one ``csv.reader`` row at a time.
+
+    This is the reference parse of :func:`_read_table`.  Blank rows are
+    skipped, label fields are kept as read and the others go through ``int``
+    or ``float``, which word the error for a bad cell.  Indices are checked
+    as Python integers, before any is held in an array.
+    """
+    convert = [{"O": str, "i": int, "f": float}[row[name].kind] for name in row.names]
+    ints = [k for k, name in enumerate(row.names) if row[name].kind == "i"]
+    rows: list[tuple] = []
+    lines: list[int] = []
+    with open(path, encoding="utf-8-sig", newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
+            raise error(f"{path}: empty file")
+        if [h.strip() for h in header] != list(row.names):
+            raise error(f"{path}: line 1: header must be {','.join(row.names)}")
+        for line_no, cells in enumerate(reader, start=2):
+            if not "".join(cells).strip():
+                continue  # blank line
+            if len(cells) != len(convert):
+                raise error(f"{path}: line {line_no}: expected {len(convert)} fields, got {len(cells)}")
+            try:
+                values = tuple(kind(cell) for kind, cell in zip(convert, cells))
+            except ValueError as exc:
+                raise error(f"{path}: line {line_no}: {exc}") from None
+            if ints and min(values[k] for k in ints) < 0:
+                raise error(f"{path}: line {line_no}: {indices.negative}")
+            rows.append(values)
+            lines.append(line_no)
+    if need_rows and not rows:
+        raise error(f"{path}: no data rows")
+    if ints:
+        limit = indices.limit(len(rows))
+        for line_no, values in zip(lines, rows):
+            top = max(values[k] for k in ints)
+            if top >= limit:
+                raise error(f"{path}: line {line_no}: {indices.name} {top} is out of range for {len(rows)} data rows")
+    return np.array(rows, dtype=row)

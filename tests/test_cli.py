@@ -585,6 +585,28 @@ def test_shared_exit_paths(tmp_path, command):
     assert report["passed"] is False
 
 
+@pytest.mark.parametrize("depth", [400, 3000])
+def test_deeply_nested_kernel_is_usage_error(tmp_path, three_atoms, capsys, depth):
+    # a sum nested 400 deep exhausts the stack while the kernel is built, one 3000 deep while JSON is read
+    gaussian = json.dumps(GAUSSIAN)
+    kernel = tmp_path / "kernel.json"
+    kernel.write_text('{"type": "sum", "terms": [' * depth + gaussian + f", {gaussian}]}}" * depth)
+    assert run_subcommand("validate", three_atoms, kernel, tmp_path / "out") == 1
+    assert capsys.readouterr().err == f"mercerkit: error: {kernel}: kernel description is nested too deeply\n"
+
+
+def test_gaussian_whose_exponent_overflows_runs_quietly(tmp_path, capsys):
+    # gamma |x - t|^2 overflows to inf off the diagonal and exp(-inf) is exactly 0: the Gram is the identity
+    atoms = write_atoms(tmp_path, [("a", 1.0, 0.0), ("b", 1.0, 10.0), ("c", 0.0, 3.0)])
+    kernel = write_kernel(tmp_path, {"type": "gaussian", "gamma": 1e308})
+    for command in SUBCOMMANDS:
+        # pytest captures warnings, so an uncaught one would not reach capsys
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert run_subcommand(command, atoms, kernel, tmp_path / command) == 0
+        assert capsys.readouterr().err == ""
+
+
 @pytest.mark.parametrize("command", SUBCOMMANDS)
 def test_table_missing_an_atom_is_usage_error(tmp_path, three_atoms, capsys, command):
     (tmp_path / "table.csv").write_text("x_id,t_id,l,j,re,im\na,a,0,0,1.0,0.0\nb,b,0,0,1.0,0.0\na,b,0,0,0.5,0.0\n")

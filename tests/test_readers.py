@@ -1,8 +1,9 @@
-"""Frame files and block tables read through numpy's tokenizer equal the ``csv.reader`` row loop.
+"""Atom files, frame files and block tables read through numpy's tokenizer equal the ``csv.reader`` row loop.
 
-``read_frame`` and ``read_precomputed`` parse every data row in one
-``np.loadtxt`` pass and fall back to their row loops, kept as the reference,
-when numpy rejects a row or an index is out of range.  Both paths must give
+``load_atoms``, ``read_frame`` and ``read_precomputed`` read their rows
+through ``tables._read_table``: one ``np.loadtxt`` pass, with the one row
+loop ``tables._read_rows`` kept as the reference and taken when numpy
+rejects a row or an index is out of range.  Both paths must give
 bit-identical arrays and labels, or the same exception with the same message.
 """
 
@@ -14,26 +15,29 @@ import numpy as np
 import pytest
 
 from mercerkit import (
+    AtomFileError,
     AtomSpace,
     KernelSpecError,
     MatrixKernel,
     ScalarFrame,
     gram,
     kernels,
+    load_atoms,
     mercer,
     read_frame,
     read_precomputed,
+    tables,
     write_frame,
     write_precomputed,
 )
 
-LOOPS = ((mercer, "_frame_rows"), (kernels, "_precomputed_rows"))
-
 
 # Data rows of each case.  A tuple holds the raw cells (i, label, re, im) of a
-# frame row, written to a table as label,label,i,i,re,im; a string is written
-# as it is to both.  The last item says which path must read the file: "fast",
-# "loop", or None for either.
+# frame row, written to a table as label,label,i,i,re,im and to an atom file as
+# label,i,re,im; a string is written as it is to all three.  The last item says
+# which path must read a frame or a table: "fast", "loop", or None for either.
+# Atom files have no integer fields, so an index that is negative, out of
+# range or not an integer does not send them to the loop.
 CASES = {
     "quoted": ([("0", '"a,1"', "1.5", "-2.0"), ("0", '"b""q"', "3.0", "0.25")], "fast"),
     "hash_label": ([("0", "a#b", "1.0", "0.0"), ("0", "#", "2.0", "1.0")], "fast"),
@@ -61,7 +65,10 @@ CASES = {
     "three_fields": ([("0", "a", "1.0", "0.0"), "0,b,2.0"], "loop"),
     "five_fields": ([("0", "a", "1.0", "0.0"), "0,b,2.0,0.0,9"], "loop"),
     "bad_float": ([("0", "a", "one", "0.0")], "loop"),
+    "twenty_digit_index": ([("0", "a", "1.0", "0.0"), ("12345678901234567890", "b", "2.0", "0.0")], "loop"),
+    "negative_index_then_bad_float": ([("-1", "a", "1.0", "0.0"), ("0", "b", "one", "0.0")], "loop"),
 }
+INDEX_CASES = {"float_index", "negative_index", "index_beyond_rows", "twenty_digit_index"}
 
 
 def _frame_line(row) -> str:
@@ -73,6 +80,35 @@ def _table_line(row) -> str:
         return row
     i, label, re, im = row
     return ",".join((label, label, i, i, re, im))
+
+
+def _atom_line(row) -> str:
+    if isinstance(row, str):
+        return row
+    i, label, re, im = row
+    return ",".join((label, i, re, im))
+
+
+def _atoms_outcome(path):
+    try:
+        space = load_atoms(path)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return space.labels, space.coords.shape, space.coords.tobytes(), space.mu.tobytes()
+
+
+# the header and the row writer of each kind of file
+FORMATS = {
+    "frame": ("i,atom_id,value_re,value_im", _frame_line),
+    "table": ("x_id,t_id,l,j,re,im", _table_line),
+    "atoms": ("id,w,c1,c2", _atom_line),
+}
+
+
+def _write_case(path, kind, rows, bom="", newline="\n"):
+    header, line = FORMATS[kind]
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(bom + "".join(text + newline for text in [header] + [line(row) for row in rows]))
 
 
 def _frame_outcome(path):
@@ -106,14 +142,12 @@ def _table_outcome(path):
 def read_both(outcome, path):
     """``outcome(path)`` as read, the number of row-loop calls it made, and ``outcome`` through the loop alone."""
     calls = []
+    loop = tables._read_rows
     with pytest.MonkeyPatch.context() as patch:
-        for module, name in LOOPS:
-            loop = getattr(module, name)
-            patch.setattr(module, name, lambda p, loop=loop: calls.append(p) or loop(p))
+        patch.setattr(tables, "_read_rows", lambda path, *args: calls.append(path) or loop(path, *args))
         fast = outcome(path)
     with pytest.MonkeyPatch.context() as patch:
-        for module, _ in LOOPS:
-            patch.setattr(module, "_read_csv", lambda p, row: None)
+        patch.setattr(tables, "_read_csv", lambda path, row: None)
         reference = outcome(path)
     return fast, len(calls), reference
 
@@ -121,40 +155,67 @@ def read_both(outcome, path):
 @pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
 @pytest.mark.parametrize("bom", ["", "\ufeff"], ids=["plain", "bom"])
 @pytest.mark.parametrize("case", list(CASES))
-@pytest.mark.parametrize("kind", ["frame", "table"])
+@pytest.mark.parametrize("kind", ["frame", "table", "atoms"])
 def test_fast_path_equals_row_loop(tmp_path, kind, case, bom, newline):
     rows, path_taken = CASES[case]
-    header, line, outcome = {
-        "frame": ("i,atom_id,value_re,value_im", _frame_line, _frame_outcome),
-        "table": ("x_id,t_id,l,j,re,im", _table_line, _table_outcome),
-    }[kind]
+    if kind == "atoms" and case in INDEX_CASES:
+        path_taken = "fast"
     path = tmp_path / f"{kind}.csv"
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(bom + "".join(text + newline for text in [header] + [line(row) for row in rows]))
+    _write_case(path, kind, rows, bom, newline)
+    outcome = {"frame": _frame_outcome, "table": _table_outcome, "atoms": _atoms_outcome}[kind]
     fast, loop_calls, reference = read_both(outcome, path)
     assert fast == reference
     if path_taken is not None:
         assert loop_calls == (path_taken == "loop")
 
 
-@pytest.mark.parametrize(
-    "text",
-    [
-        "",
-        "i,atom_id,value\n0,a,1\n",
-        "x_id,t_id,l,j,re\n",
-        'i,atom_id,value_re,"value_im\n"\n0,a,1.0,2.0\n',
-        'x_id,t_id,l,j,re,"im\n"\na,a,0,0,1.0,2.0\n',
-    ],
-    ids=["empty", "frame_header", "table_header", "frame_header_two_lines", "table_header_two_lines"],
-)
-@pytest.mark.parametrize("outcome", [_frame_outcome, _table_outcome], ids=["frame", "table"])
-def test_headers_are_read_alike(tmp_path, outcome, text):
+# Each header case, and how many times an atom file of that text goes
+# through the row loop: none when load_atoms rejects its header itself.
+HEADERS = {
+    "empty": ("", 0),
+    "frame_header": ("i,atom_id,value\n0,a,1\n", 0),
+    "table_header": ("x_id,t_id,l,j,re\n", 0),
+    "frame_header_two_lines": ('i,atom_id,value_re,"value_im\n"\n0,a,1.0,2.0\n', 0),
+    "table_header_two_lines": ('x_id,t_id,l,j,re,"im\n"\na,a,0,0,1.0,2.0\n', 0),
+    "atoms_header_only": ("id,w,c1\n", 1),
+    "atoms_header_two_lines": ('id,w,"c1\n"\na,1.0,2.0\n', 1),
+}
+
+
+@pytest.mark.parametrize("header", list(HEADERS))
+@pytest.mark.parametrize("outcome", [_frame_outcome, _table_outcome, _atoms_outcome], ids=["frame", "table", "atoms"])
+def test_headers_are_read_alike(tmp_path, outcome, header):
+    text, atom_loop_calls = HEADERS[header]
     path = tmp_path / "file.csv"
     path.write_bytes(text.encode())
     fast, loop_calls, reference = read_both(outcome, path)
     assert fast == reference
-    assert loop_calls == 1
+    assert loop_calls == (atom_loop_calls if outcome is _atoms_outcome else 1)
+
+
+@pytest.mark.parametrize(
+    "kind, case, message",
+    [
+        ("frame", "twenty_digit_index", "line 3: frame index 12345678901234567890 is out of range for 2 data rows"),
+        ("table", "twenty_digit_index", "line 3: component index 12345678901234567890 is out of range for 2 data rows"),
+        ("frame", "negative_index_then_bad_float", "line 2: frame index must be nonnegative"),
+        ("table", "negative_index_then_bad_float", "line 2: component indices must be nonnegative"),
+        ("atoms", "negative_index_then_bad_float", "line 3: could not convert string to float: 'one'"),
+    ],
+    ids=["frame-long_index", "table-long_index", "frame-negative_first", "table-negative_first", "atoms-bad_float"],
+)
+def test_first_bad_line_is_named(tmp_path, kind, case, message):
+    read, error = {
+        "frame": (read_frame, ValueError),
+        "table": (read_precomputed, KernelSpecError),
+        "atoms": (load_atoms, AtomFileError),
+    }[kind]
+    path = tmp_path / f"{kind}.csv"
+    _write_case(path, kind, CASES[case][0])
+    with pytest.raises(error) as info:
+        read(path)
+    assert type(info.value) is error
+    assert str(info.value) == f"{path}: {message}"
 
 
 def test_cr_line_endings(tmp_path):
@@ -174,11 +235,10 @@ EDGES = (-0.0, 0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 1e308, 1e16, 0.1)
 
 @pytest.fixture
 def no_loop(monkeypatch):
-    def refuse(path):
+    def refuse(path, *args):
         raise AssertionError(f"row loop used for {path}")
 
-    for module, name in LOOPS:
-        monkeypatch.setattr(module, name, refuse)
+    monkeypatch.setattr(tables, "_read_rows", refuse)
 
 
 def _edge_values(shape) -> np.ndarray:
