@@ -435,8 +435,9 @@ def _synthesis_report(args: argparse.Namespace) -> dict[str, Any]:
         raise CliError(EXIT_USAGE, f"--frames: {exc.args[0]}") from None
     # the family's atoms, in its order: every stage below evaluates over them
     atoms = AtomSpace(family.atoms, space.coords[idx], space.mu[idx])
-    write_precomputed(synth, atoms, args.out / "kernel.csv")
-    report = validate_kernel(synth, atoms)
+    # the one evaluation of the synthesized Gram: written, then handed on to the checks of its values
+    # without a name here, so that it is freed before the eigensolve of V V^H
+    report = validate_kernel(synth, atoms, write_precomputed(synth, atoms, args.out / "kernel.csv"))
 
     data: dict[str, Any] = {
         "n": synth.n,

@@ -72,15 +72,21 @@ class MatrixKernel:
     """An ``n x n`` matrix-valued kernel given by its evaluator.
 
     ``batch(space, rows, cols)``, when present, returns the blocks for every
-    pair of the atoms of ``space`` at the nonempty index arrays ``rows`` and
-    ``cols`` as a new array of shape ``(len(rows), len(cols), n, n)``; it is
-    what :func:`gram` uses, and it gets ``cols is rows`` when the two sets are
-    the same.  Without it, blocks come from ``eval(x, t)`` on :class:`Atom`
-    pairs, one pair at a time.  Built-in kernels carry only ``batch``.
+    pair of the atoms of ``space`` at the index arrays ``rows`` and ``cols``
+    (either may be empty) as a new array of shape ``(len(rows), len(cols), n,
+    n)``; it is what :func:`gram` uses, and it gets ``cols is rows`` when the
+    two sets are the same.  Without it, blocks come from ``eval(x, t)`` on
+    :class:`Atom` pairs, one pair at a time.  Built-in kernels carry only
+    ``batch``.
 
     ``separable`` holds the factors ``(k, B)`` of a separable kernel
     ``K(x, t) = k(x, t) B``: the scalar kernel ``k`` and the read-only
     ``n x n`` matrix ``B``.  It is read only through :func:`_factors`.
+
+    ``frames`` holds the factor of a kernel synthesized from frames,
+    ``K = V^H V``: the position of each frame atom by label, and the frame
+    values of shape ``(count, atoms, n)``.  It is read only through
+    :func:`_frame_factor`.
     """
 
     n: int
@@ -88,6 +94,7 @@ class MatrixKernel:
     label: str = "custom"
     batch: Batch | None = None
     separable: tuple[MatrixKernel, np.ndarray] | None = None
+    frames: tuple[Mapping[str, int], np.ndarray] | None = None
 
 
 def _readonly(arr: np.ndarray) -> np.ndarray:
@@ -146,6 +153,27 @@ def _positions(index: Mapping[str, int], labels: Sequence[str]) -> np.ndarray:
     return np.fromiter((index.get(label, -1) for label in labels), np.intp, len(labels))
 
 
+def _frame_factor(kernel: MatrixKernel, space: AtomSpace, rows: np.ndarray | None = None) -> np.ndarray | None:
+    """The factor ``V`` of a kernel synthesized as ``K = V^H V`` at the atoms of ``space`` at ``rows`` (default all).
+
+    ``V`` has shape ``(count, len(rows) * n)``, column ``x*n + l``, and the
+    dtype of the frames; any other kernel gives ``None``.  An atom that no
+    frame carries raises :class:`KernelEvaluationError`.
+    """
+    if kernel.frames is None:
+        return None
+    index, values = kernel.frames
+    rows = np.arange(len(space)) if rows is None else rows
+    at = _positions(index, space.labels)[rows]
+    missing = at < 0
+    if missing.any():
+        label = space.labels[rows[np.argmax(missing)]]
+        raise KernelEvaluationError(f"synthesized kernel is undefined at atom {label!r}")
+    # the frames' own atoms in their order, as synthesize evaluates them: a view, not a copy
+    picked = values if np.array_equal(at, np.arange(values.shape[1])) else values[:, at, :]
+    return picked.reshape(len(values), len(at) * kernel.n)
+
+
 def gram(
     kernel: MatrixKernel, space: AtomSpace, rows: ArrayLike | None = None, cols: ArrayLike | None = None
 ) -> np.ndarray:
@@ -155,14 +183,13 @@ def gram(
     defaults to every atom, and ``cols`` to the same atoms as ``rows``, which
     keeps a built-in kernel's product of a set with itself exactly Hermitian.
     Returns a new real or complex array of shape ``(len(rows), len(cols), n,
-    n)``; the nonempty blocks of the built-in scalar kernels, and of sums of
-    them, are real.
+    n)``, with the same dtype whether or not a set is empty; the blocks of the
+    built-in scalar kernels, of sums of them and of kernels synthesized from
+    real frames are real.
     """
     rows = np.arange(len(space)) if rows is None else np.asarray(rows, dtype=np.intp)
     cols = rows if cols is None else np.asarray(cols, dtype=np.intp)
     n = kernel.n
-    if not len(rows) or not len(cols):
-        return np.zeros((len(rows), len(cols), n, n), dtype=complex)
     if kernel.batch is not None:
         return kernel.batch(space, rows, cols)
     # a kernel given per pair: the one place blocks are built pair by pair
@@ -360,7 +387,8 @@ def _separable(spec: Mapping[str, Any], base_dir: Path | None) -> MatrixKernel:
         f"must be positive semidefinite (min eigenvalue {float(eigs[0]):.3e})",
     )
     inner = _scalar_inner(spec.get("scalar"), "scalar", base_dir)
-    frozen = _readonly(mat)
+    # a B without imaginary parts is held real: with a real core, the solves and eigenfunctions stay real
+    frozen = _readonly(mat if mat.imag.any() else mat.real)
 
     def batch(space: AtomSpace, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         return inner.batch(space, rows, cols) * frozen
@@ -523,12 +551,13 @@ def read_precomputed(path: str | Path) -> MatrixKernel:
     return MatrixKernel(n, label=f"precomputed({path.name})", batch=batch)
 
 
-def write_precomputed(kernel: MatrixKernel, space: AtomSpace, path: str | Path) -> None:
+def write_precomputed(kernel: MatrixKernel, space: AtomSpace, path: str | Path) -> np.ndarray:
     """Write kernel values over the atoms of ``space`` as a block table CSV.
 
     Only blocks with ``x <= t`` in atom order are emitted, and only the upper
     triangle of each diagonal block; the reader restores the rest by
-    Hermitian symmetry.
+    Hermitian symmetry.  Returns the blocks written, the kernel's Gram over
+    the atoms as :func:`gram` gives it.
     """
     blocks = gram(kernel, space)
     cells = _csv_cells(space.labels)
@@ -540,6 +569,7 @@ def write_precomputed(kernel: MatrixKernel, space: AtomSpace, path: str | Path) 
         return (t > x) | ((t == x) & (l <= j))
 
     _write_csv(path, _PRECOMPUTED_ROW.names, blocks.shape, columns, upper)
+    return blocks
 
 
 # ---------------------------------------------------------------------------
@@ -591,7 +621,22 @@ class ValidationReport:
         return data
 
 
-def validate_kernel(kernel: MatrixKernel, space: AtomSpace) -> ValidationReport:
+def _factor_eigenvalues(v: np.ndarray, order: int) -> np.ndarray | None:
+    """Eigenvalues of ``V^H V``, of order ``order``, off the smaller ``V V^H``; ``None`` if that overflows.
+
+    The two products share their nonzero eigenvalues, and ``V^H V`` has
+    ``order - len(V)`` more zeros, which pad the result (the Gram trick of
+    the Nystrom method).  A finite ``V`` can overflow in the product; the
+    caller then solves the Gram itself.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        small = _hermitian(v @ v.conj().T)
+    if not np.isfinite(small).all():
+        return None
+    return np.concatenate([np.linalg.eigvalsh(small), np.zeros(order - len(small))])
+
+
+def validate_kernel(kernel: MatrixKernel, space: AtomSpace, blocks: np.ndarray | None = None) -> ValidationReport:
     """Check Hermitian pair symmetry and block Gram positivity over the atoms of ``space``.
 
     Failures are reported, not raised: the report carries the maximum
@@ -600,13 +645,19 @@ def validate_kernel(kernel: MatrixKernel, space: AtomSpace) -> ValidationReport:
     on its non-finite entries, without numpy warnings, and the report names
     the first pair of atoms whose block has one.
 
-    The eigenvalues are the products of those of the Hermitian parts of the
-    core's Gram matrix and of ``B`` (see :func:`_factors`); the finite check
-    and the deviation read the kernel's whole block Gram matrix.
+    The finite check and the deviation read the kernel's whole block Gram
+    matrix: ``blocks`` (as :func:`gram` returns it) when the caller has
+    evaluated it already, else a new evaluation.  The eigenvalues are the
+    products of those of the Hermitian parts of the core's Gram matrix and
+    of ``B`` (see :func:`_factors`).  A kernel synthesized as ``V^H V`` from
+    fewer frame vectors than the Gram's order has them off ``V V^H``
+    instead (see :func:`_factor_eigenvalues`), and no Gram is held while
+    that is solved if the caller keeps no reference to ``blocks``.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        raw = _flat(gram(kernel, space))
+        raw = _flat(gram(kernel, space) if blocks is None else blocks)
         dev = _hermitian_deviation(raw)
+    del blocks
     size, n = len(space), kernel.n
     finite = np.isfinite(raw).reshape(size, n, size, n).all(axis=(1, 3))
     nonfinite = None
@@ -616,10 +667,19 @@ def validate_kernel(kernel: MatrixKernel, space: AtomSpace) -> ValidationReport:
         nonfinite = (space.labels[x], space.labels[t])
         eigs = np.array([np.nan])
     else:
-        core, matrix = _factors(kernel)
-        part = _hermitian(raw if core is kernel else _flat(gram(core, space)))
-        del raw  # only the Hermitian part stays in memory while it is solved
-        eigs = np.outer(np.linalg.eigvalsh(part), np.linalg.eigvalsh(_hermitian(matrix)))
+        v = _frame_factor(kernel, space)
+        eigs = None
+        if v is not None and len(v) < len(raw):
+            del raw  # no Gram is held while V V^H is solved
+            eigs = _factor_eigenvalues(v, size * n)
+            if eigs is None:  # V V^H overflows: solve a new evaluation of the Gram instead
+                raw = _flat(gram(kernel, space))
+        del v
+        if eigs is None:
+            core, matrix = _factors(kernel)
+            part = _hermitian(raw if core is kernel else _flat(gram(core, space)))
+            del raw  # only the Hermitian part stays in memory while it is solved
+            eigs = np.outer(np.linalg.eigvalsh(part), np.linalg.eigvalsh(_hermitian(matrix)))
     min_eig, max_eig = float(eigs.min()), float(eigs.max())
     tol_psd = psd_tolerance(max_eig)
     return ValidationReport(

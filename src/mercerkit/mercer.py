@@ -126,15 +126,15 @@ def reconstruction_error(
     f = dec.funcs[:, idx, :].reshape(dec.rank, resid.shape[0])
     # kept[m] = sum_{i<m} sigma_i |f_i|^2: a running sum of nonnegative terms,
     # so each diagonal remainder diag - kept[m] is exactly nonincreasing in m
-    terms = dec.sigmas[:, None] * (f.real**2 + f.imag**2)
-    kept = np.cumsum(np.vstack([np.zeros_like(diag), terms]), axis=0)
+    kept = np.cumsum(np.vstack([np.zeros_like(diag), dec.sigmas[:, None] * (f.real**2 + f.imag**2)]), axis=0)
     table: list[tuple[int, float]] = []
     for m in steps:
         if m < dec.rank:
             err = np.max(diag - kept[m], initial=0.0)
         else:
-            # the remainder is written over the series: complex even where the kernel's blocks are real
-            series = (f.T * dec.sigmas) @ f.conj()
+            # the remainder is written over the series, which has the dtype of the kernel's blocks
+            scaled = f.T * dec.sigmas
+            series = scaled @ np.conj(f, out=f)  # f is a copy, and this is its last use
             err = np.max(np.abs(np.subtract(resid, series, out=series)), initial=0.0)
         table.append((m, float(err)))
     return table

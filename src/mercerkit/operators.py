@@ -134,7 +134,10 @@ class SpectralDecomposition:
     cutoff.  ``funcs[i, x]`` holds the value of eigenfunction ``i`` at atom
     ``x`` as a vector with one entry per kernel component; values at atoms
     outside the operator (zero rescaled weight) come from the kernel-sum
-    extension and agree with the continuous representative.
+    extension and agree with the continuous representative.  ``funcs`` has
+    the dtype of the solve: float64 for a real core with a real ``B`` (the
+    built-in scalar kernels, sums of them, and separable kernels of them
+    whose ``B`` has no imaginary part), complex otherwise.
     """
 
     space: AtomSpace
@@ -199,8 +202,9 @@ def eigendecompose(op: DiscreteOperator, rank_cutoff: float | None = None) -> Sp
     cutoff ``sigma_1 * 1e-12``; pass ``0.0`` to keep the full positive
     spectrum).  Each eigenvector is normalized so its first nonzero entry is
     real positive, which makes outputs deterministic up to eigenvalue ties.
-    The operator is solved through its factors ``op.matrix`` and ``B``, and
-    a real ``op.matrix`` gets a real eigensolve.
+    The operator is solved through its factors ``op.matrix`` and ``B``; a
+    real ``op.matrix`` gets a real eigensolve, and with a real ``B`` the
+    eigenfunctions stay real.
     """
     sigmas, vectors = _eigenpairs(op, rank_cutoff)
     space, kernel, nu = op.space, op.kernel, op.nu
@@ -209,7 +213,7 @@ def eigendecompose(op: DiscreteOperator, rank_cutoff: float | None = None) -> Sp
     pos = list(op.indices)
     zero = np.flatnonzero(nu.weights <= 0)
 
-    funcs = np.zeros((rank, len(space.labels), n), dtype=complex)
+    funcs = np.zeros((rank, len(space.labels), n), dtype=vectors.dtype)
     if rank:
         cols = _normalize_phase(vectors).T
         f_pos = cols.reshape(rank, len(pos), n) / np.sqrt(nu.weights[pos])[None, :, None]
@@ -229,7 +233,8 @@ def _extend(
 
     The sum runs over the positive-weight atoms of ``op``; ``f_pos`` holds
     the eigenfunction values there, shape ``(rank, P, n)``.  The result has
-    shape ``(rank, len(rows), n)``.
+    shape ``(rank, len(rows), n)``, and is real when ``f_pos`` and the
+    kernel's blocks are.
     """
     pos = np.flatnonzero(op.nu.weights > 0)
     blocks = gram(op.kernel, op.space, rows, pos) * op.nu.weights[pos][None, :, None, None]

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .kernels import MatrixKernel, _factors, _readonly, _spectral_norms, gram
-from .tables import _read_table
+from .tables import _read_table, _records
 
 __all__ = [
     "Atom",
@@ -123,7 +123,7 @@ def load_atoms(path: str | Path) -> AtomSpace:
     """Read an atom CSV file with header ``id,w,c1,...,cd``."""
     path = Path(path)
     with open(path, encoding="utf-8-sig", newline="") as fh:
-        header = next(csv.reader(fh), None)
+        header = next(_records(csv.reader(fh), path, AtomFileError), None)
     if header is None:
         raise AtomFileError(f"{path}: empty file")
     header = [h.strip() for h in header]

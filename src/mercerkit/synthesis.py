@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .kernels import KernelEvaluationError, MatrixKernel, _positions, _readonly, gram
+from .kernels import MatrixKernel, _frame_factor, _readonly, gram
 from .mercer import ScalarFrame
 from .space import AtomSpace
 
@@ -33,7 +33,8 @@ class FrameFamily:
     """Scalar frames over a shared atom set and a shared index set.
 
     ``values[i, x, j]`` is the ``i``-th frame vector of component ``j`` at
-    atom ``x``; shorter frames are padded with zero functions.
+    atom ``x``; shorter frames are padded with zero functions.  It is real
+    when every frame is, as the frames of a real kernel's eigen-series are.
     """
 
     atoms: tuple[str, ...]
@@ -48,7 +49,9 @@ def align_frames(frames: Sequence[ScalarFrame]) -> FrameFamily:
     """Unify frames onto their common atom set and maximal index count.
 
     All frames that carry atoms must agree on them (same labels, same
-    order); an empty frame contributes an all-zero component.
+    order); an empty frame contributes an all-zero component.  The values
+    have the result type of the frames' values (at least float64): real
+    frames make a real family.
     """
     if not frames:
         raise ValueError("align_frames needs at least one frame")
@@ -58,45 +61,44 @@ def align_frames(frames: Sequence[ScalarFrame]) -> FrameFamily:
         if other != atoms:
             raise ValueError("frames disagree on the atom set")
     count = max((int(f.values.shape[0]) for f in frames), default=0)
-    values = np.zeros((count, len(atoms), len(frames)), dtype=complex)
+    values = np.zeros((count, len(atoms), len(frames)), dtype=np.result_type(float, *(f.values for f in frames)))
     for j, frame in enumerate(frames):
         if frame.values.size:
             values[: frame.values.shape[0], :, j] = frame.values
     return FrameFamily(atoms, _readonly(values))
 
 
+def _self_product(v: np.ndarray) -> np.ndarray:
+    """``V^H V`` for the frame values ``V`` of a set of atoms, made exactly Hermitian."""
+    product = np.conj(v.T) @ v
+    # a product with itself is Hermitian; make its rounding so, too
+    product += np.conj(product.T)
+    product *= 0.5
+    return product
+
+
 def synthesize_kernel(family: FrameFamily) -> MatrixKernel:
     """Kernel whose block entries are inner products of the frame columns.
 
     The blocks over two sets of atoms come from one matrix product of the
-    frame values at their labels.  Defined only on the family's atoms;
-    evaluating elsewhere raises :class:`KernelEvaluationError`.
+    frame values at their labels, real when the family is.  The kernel
+    carries the family as its factor ``V`` (``K = V^H V``, see
+    :func:`~mercerkit.kernels._frame_factor`), which validation and
+    :func:`verify_diagonal_blocks` use in place of the Gram.  Defined only on
+    the family's atoms; evaluating elsewhere raises
+    :class:`~mercerkit.kernels.KernelEvaluationError`.
     """
-    index = {label: i for i, label in enumerate(family.atoms)}
-    values = family.values
-    count, n = values.shape[0], family.n
+    n = family.n
 
     def batch(space: AtomSpace, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        pos = _positions(index, space.labels)
-
-        def columns(idx: np.ndarray) -> np.ndarray:
-            missing = pos[idx] < 0
-            if missing.any():
-                label = space.labels[idx[np.argmax(missing)]]
-                raise KernelEvaluationError(f"synthesized kernel is undefined at atom {label!r}")
-            return values[:, pos[idx], :].reshape(count, len(idx) * n)
-
-        vx = columns(rows)
-        if cols is rows:
-            blocks = np.conj(vx.T) @ vx
-            # a product with itself is Hermitian; make its rounding so, too
-            blocks += np.conj(blocks.T)
-            blocks *= 0.5
-        else:
-            blocks = np.conj(vx.T) @ columns(cols)
+        vx = _frame_factor(kernel, space, rows)
+        blocks = _self_product(vx) if cols is rows else np.conj(vx.T) @ _frame_factor(kernel, space, cols)
         return blocks.reshape(len(rows), n, len(cols), n).transpose(0, 2, 1, 3)
 
-    return MatrixKernel(n, label=f"frame_synth(n={n})", batch=batch)
+    # the batch reads the factor off the kernel it belongs to
+    index = {label: i for i, label in enumerate(family.atoms)}
+    kernel = MatrixKernel(n, label=f"frame_synth(n={n})", batch=batch, frames=(index, family.values))
+    return kernel
 
 
 def verify_diagonal_blocks(
@@ -104,15 +106,24 @@ def verify_diagonal_blocks(
     originals: Sequence[MatrixKernel],
     space: AtomSpace,
 ) -> float:
-    """Max deviation of the synthesized diagonal blocks from scalar originals over the atoms of ``space``."""
+    """Max deviation of the synthesized diagonal blocks from scalar originals over the atoms of ``space``.
+
+    Block ``j`` of a kernel synthesized as ``V^H V`` is ``V_j^H V_j``, from
+    the frame values ``V_j`` of component ``j`` alone; any other kernel's
+    blocks come from its Gram.
+    """
     if len(originals) != synthesized.n:
         raise ValueError("need one scalar original per synthesized component")
     for j, kernel in enumerate(originals):
         if kernel.n != 1:
             raise ValueError(f"original {j} is not scalar")
-    blocks = gram(synthesized, space)
+    n = synthesized.n
+    v = _frame_factor(synthesized, space)
+    blocks = gram(synthesized, space) if v is None else None
     deviation = 0.0
     for j, kernel in enumerate(originals):
-        diff = blocks[:, :, j, j] - gram(kernel, space)[:, :, 0, 0]
+        # columns x*n + j of V are component j's
+        block = blocks[:, :, j, j] if v is None else _self_product(v[:, j::n])
+        diff = block - gram(kernel, space)[:, :, 0, 0]
         deviation = max(deviation, float(np.max(np.abs(diff), initial=0.0)))
     return deviation

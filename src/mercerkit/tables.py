@@ -15,7 +15,7 @@ import math
 import warnings
 from io import StringIO
 from pathlib import Path
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Any, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -358,10 +358,10 @@ def _complex_columns(values: np.ndarray) -> list[np.ndarray | tuple[list[str], N
 def _read_csv(path: str | Path, row: np.dtype) -> np.ndarray | None:
     """Data rows of a CSV file whose header is the field names of ``row``, in one ``np.loadtxt`` pass.
 
-    Returns ``None`` if the header differs, there is no data row, or numpy's
-    tokenizer rejects any row; :func:`_read_rows` then reads the file and
-    words the error.  numpy reads the rest of the stream that
-    ``csv.reader`` read the header from, opened with ``newline=""`` as the
+    Returns ``None`` if the header differs or cannot be read, there is no
+    data row, or numpy's tokenizer rejects any row; :func:`_read_rows` then
+    reads the file and words the error.  numpy reads the rest of the stream
+    that ``csv.reader`` read the header from, opened with ``newline=""`` as the
     loops open it (given a path, numpy would turn a quoted ``\\r\\n`` into
     ``\\n``).  Both split fields alike: no comment character, ``""`` inside
     quotes, a quote inside an unquoted cell kept; numpy skips only empty
@@ -370,7 +370,10 @@ def _read_csv(path: str | Path, row: np.dtype) -> np.ndarray | None:
     """
     with open(path, encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
+        try:
+            header = next(reader, None)
+        except csv.Error:
+            return None
         # a header record spanning lines is left to the loop
         if header is None or reader.line_num != 1 or [h.strip() for h in header] != list(row.names):
             return None
@@ -416,6 +419,14 @@ def _read_table(
     return rows
 
 
+def _records(reader: Any, path: Path, error: type[ValueError]) -> Iterator[list[str]]:
+    """The records of a ``csv.reader``; a ``csv.Error`` becomes ``error`` naming the path and line."""
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise error(f"{path}: line {reader.line_num}: {exc}") from None
+
+
 def _read_rows(
     path: Path, row: np.dtype, error: type[ValueError], indices: _Indices | None, need_rows: bool
 ) -> np.ndarray:
@@ -424,14 +435,16 @@ def _read_rows(
     This is the reference parse of :func:`_read_table`.  Blank rows are
     skipped, label fields are kept as read and the others go through ``int``
     or ``float``, which word the error for a bad cell.  Indices are checked
-    as Python integers, before any is held in an array.
+    as Python integers, before any is held in an array.  A record that
+    ``csv.reader`` rejects, such as a cell over ``csv.field_size_limit()``,
+    is an error at the line where the reader stopped.
     """
     convert = [{"O": str, "i": int, "f": float}[row[name].kind] for name in row.names]
     ints = [k for k, name in enumerate(row.names) if row[name].kind == "i"]
     rows: list[tuple] = []
     lines: list[int] = []
     with open(path, encoding="utf-8-sig", newline="") as fh:
-        reader = csv.reader(fh)
+        reader = _records(csv.reader(fh), path, error)
         header = next(reader, None)
         if header is None:
             raise error(f"{path}: empty file")

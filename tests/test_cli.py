@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import dataclasses
 import json
 import shlex
@@ -542,6 +543,41 @@ def test_synthesize_rejects_frames_off_the_atom_file(tmp_path, three_atoms, caps
     )
     assert code == 1
     assert "unknown atom id: 'zz'" in capsys.readouterr().err
+
+
+# a cell longer than csv.field_size_limit() (131,072 characters by default), in a file numpy's pass rejects
+LONG_CELL = "a" * 200_000
+
+
+def field_limit_error(path, line):
+    return f"mercerkit: error: {path}: line {line}: field larger than field limit ({csv.field_size_limit()})\n"
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    [(f"id,w,c1\n{LONG_CELL},1.0,0.0\nb,1.0,oops\n", 2), (f"id,w,{LONG_CELL}\na,1.0,0.0\n", 1)],
+    ids=["data_row", "header"],
+)
+def test_atom_file_with_an_overlong_cell_is_a_file_error(tmp_path, capsys, text, line):
+    atoms = tmp_path / "atoms.csv"
+    atoms.write_text(text)
+    kernel = write_kernel(tmp_path, GAUSSIAN)
+    code = main(["validate", "--atoms", str(atoms), "--kernel", str(kernel), "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert capsys.readouterr().err == field_limit_error(atoms, line)
+
+
+@pytest.mark.parametrize("given", ["frames", "frame_synth"])
+def test_frame_file_with_an_overlong_cell_is_a_file_error(tmp_path, three_atoms, capsys, given):
+    frame = tmp_path / "frame.csv"
+    frame.write_text(f"i,atom_id,value_re,value_im\n0,{LONG_CELL},1.0,0.0\n0,b,oops,0.0\n")
+    if given == "frames":
+        argv = ["synthesize", "--frames", str(frame)]
+    else:
+        argv = ["validate", "--kernel", str(write_kernel(tmp_path, {"type": "frame_synth", "frames": ["frame.csv"]}))]
+    code = main(argv + ["--atoms", str(three_atoms), "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert capsys.readouterr().err == field_limit_error(frame, 2)
 
 
 # ---------------------------------------------------------------------------

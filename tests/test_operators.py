@@ -24,11 +24,13 @@ from mercerkit import (
     pointwise,
     pseudo_metric,
     quotient,
+    read_precomputed,
     reconstruct,
     rescale_measure,
     trace_check,
     truncate,
     write_eigenfunctions,
+    write_precomputed,
     write_spectrum,
 )
 
@@ -257,6 +259,27 @@ def test_eigenfunctions_orthonormal_in_l2(spec):
     gram = (stacked * weights) @ stacked.conj().T
     tol = default_tol_eig(dec)
     assert np.max(np.abs(gram - np.eye(dec.rank))) <= tol
+
+
+def _table_kernel(tmp_path):
+    space = random_space(np.random.default_rng(45), 9, dim=2)
+    write_precomputed(build_kernel(dict(ZOO)["separable_complex"]), space, tmp_path / "table.csv")
+    return read_precomputed(tmp_path / "table.csv")
+
+
+# a real core with a real B: every scalar kernel, and a separable one whose B has no imaginary part
+REAL_SOLVES = {"constant", "gaussian", "laplacian", "polynomial", "separable", "sum"}
+
+
+@pytest.mark.parametrize("name", ZOO_IDS + ["table", "per_pair"])
+def test_eigenfunctions_take_the_dtype_of_the_solve(tmp_path, name):
+    kernels = {"table": lambda: _table_kernel(tmp_path), "per_pair": delta_kernel}
+    kernel = kernels[name]() if name in kernels else build_kernel(dict(ZOO)[name])
+    # two zero-mass atoms: their values come from the extension
+    space = random_space(np.random.default_rng(47), 9, dim=2, zero_mass=2)
+    dec = decompose_space(space, kernel)
+    assert dec.rank
+    assert dec.funcs.dtype == (np.float64 if name in REAL_SOLVES else np.complex128)
 
 
 @pytest.mark.parametrize("spec", [spec for _, spec in ZOO], ids=ZOO_IDS)

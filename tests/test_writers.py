@@ -8,12 +8,14 @@ import json
 
 import numpy as np
 
+from conftest import decompose_space, random_space
 from mercerkit import (
     AtomSpace,
     MatrixKernel,
     ScalarFrame,
     SpectralDecomposition,
     build_kernel,
+    extract_frame,
     gram,
     load_atoms,
     pseudo_metric,
@@ -203,6 +205,22 @@ def test_real_values_write_zero_imaginary_cells_and_complex_ones_keep_their_sign
     write_precomputed(build_kernel({"type": "gaussian", "gamma": 0.5}), space, path)
     cells = [line.rsplit(",", 1)[1] for line in path.read_text(encoding="utf-8").splitlines()[1:]]
     assert cells == ["0.0"] * (len(space) * (len(space) + 1) // 2)
+
+
+def test_real_eigenfunctions_write_the_bytes_of_their_complex_cast(tmp_path):
+    # a real core and a real B give float64 eigenfunctions; zero-mass atoms take the extension
+    space = random_space(np.random.default_rng(53), 12, dim=2, zero_mass=3)
+    spec = {"type": "separable", "matrix": [[2.0, 0.5], [0.5, 1.0]], "scalar": {"type": "gaussian", "gamma": 0.8}}
+    dec = decompose_space(space, spec)
+    assert dec.funcs.dtype == np.float64
+    cast = SpectralDecomposition(dec.space, dec.kernel, dec.nu, dec.sigmas, dec.funcs.astype(complex))
+    for d, name in ((dec, "real"), (cast, "cast")):
+        (tmp_path / name).mkdir()
+        write_eigenfunctions(d, tmp_path / name / "eigenfunctions.csv")
+        for j in range(d.n):
+            write_frame(extract_frame(d, j), tmp_path / name / f"frame_j{j}.csv")
+    for path in sorted((tmp_path / "real").iterdir()):
+        assert path.read_bytes() == (tmp_path / "cast" / path.name).read_bytes(), path.name
 
 
 def test_long_labels_shrink_the_batch_not_the_bytes(tmp_path):
