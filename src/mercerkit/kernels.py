@@ -128,21 +128,22 @@ def _labels(cells: np.ndarray) -> tuple[dict[str, int], np.ndarray]:
 
 
 def _scatter(
-    shape: tuple[int, ...], keys: tuple[np.ndarray, ...], re: np.ndarray, im: np.ndarray
+    shape: tuple[int, ...], keys: tuple[np.ndarray, ...], re: np.ndarray, im: np.ndarray | None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Complex array of ``shape`` holding ``re``, ``im`` at the index columns ``keys``, and its stored mask.
+    """Array of ``shape`` holding ``re``, ``im`` at the index columns ``keys``, and its stored mask.
 
-    A position given twice keeps its last row.  Parts are assigned, not
-    summed as ``re + 1j * im``, which would turn ``im = inf`` into a ``nan``
-    real part and lose a ``-0.0``.
+    The array is complex, or real without ``im``.  A position given twice
+    keeps its last row.  Parts are assigned, not summed as ``re + 1j * im``, which would
+    turn ``im = inf`` into a ``nan`` real part and lose a ``-0.0``.
     """
     flat = np.ravel_multi_index(keys, shape)
     # advanced-index assignment does not say which of repeated indices wins, so keep the last row
     last = len(flat) - 1 - np.unique(flat[::-1], return_index=True)[1]
     pos = flat[last]
-    values = np.zeros(shape, dtype=complex)
+    values = np.zeros(shape, dtype=float if im is None else complex)
     values.real.flat[pos] = re[last]
-    values.imag.flat[pos] = im[last]
+    if im is not None:
+        values.imag.flat[pos] = im[last]
     stored = np.zeros(shape, dtype=bool)
     stored.flat[pos] = True
     return values, stored
@@ -403,9 +404,14 @@ def _diagonal(spec: Mapping[str, Any], base_dir: Path | None) -> MatrixKernel:
     n = len(inners)
 
     def batch(space: AtomSpace, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        out = np.zeros((len(rows), len(cols), n, n), dtype=complex)
+        out = None
         for j, inner in enumerate(inners):
-            out[:, :, j, j] = inner.batch(space, rows, cols)[:, :, 0, 0]
+            gram = inner.batch(space, rows, cols)[:, :, 0, 0]
+            if out is None:
+                out = np.zeros((len(rows), len(cols), n, n), dtype=gram.dtype)
+            elif not np.can_cast(gram.dtype, out.dtype):
+                out = out.astype(np.result_type(out, gram))
+            out[:, :, j, j] = gram
         return out
 
     return MatrixKernel(n, label=f"diagonal({', '.join(k.label for k in inners)})", batch=batch)

@@ -279,14 +279,18 @@ def read_frame(path: str | Path) -> ScalarFrame:
     Every frame index must lie below the number of data rows.  A value
     stored twice keeps its last row, and a value never stored is zero.  The
     frame is built dense, one value per frame index and atom; if that does
-    not fit in memory, ``ValueError`` names the path and the shape.
+    not fit in memory, ``ValueError`` names the path and the shape.  It is
+    real (float64) if every ``value_im`` cell is ``+0.0``, bit for bit, as
+    :func:`write_frame` writes the frames of a real kernel; a ``-0.0`` cell
+    keeps it complex.
     """
     path = Path(path)
     rows = _read_table(path, _FRAME_ROW, ValueError, _FRAME_INDEX)
     index, x = _labels(rows["atom_id"])
     shape = (int(rows["i"].max(initial=-1)) + 1, len(index))
+    im = rows["value_im"]
     try:
-        values, _ = _scatter(shape, (rows["i"], x), rows["value_re"], rows["value_im"])
+        values, _ = _scatter(shape, (rows["i"], x), rows["value_re"], im if im.view(np.int64).any() else None)
     except MemoryError:
         raise ValueError(
             f"cannot read frame file: {path}: a dense frame of shape {shape} does not fit in memory"

@@ -1,7 +1,13 @@
 """CSV tables: label cells, the batch writer with its exact float text, and the one table reader.
 
 Every table the package writes goes through :func:`_write_csv`, which
-renders floats exactly as ``repr`` does.  Every table it reads (atoms, block
+renders floats exactly as ``repr`` does (:func:`_render`).  It writes rows
+in batches sized to a budget of working memory, ``_BUDGET`` bytes, with
+every cell of a batch at a fixed width in one uint8 array: a float cell is
+``_CELL`` = 25 bytes, its text from the first byte, padded with ``_PAD``,
+then the separator.  The padding is dropped as the batch is written.  The
+lookup tables of the renderer are built once per process (:func:`_tables`).
+Every table it reads (atoms, block
 tables and frames) goes through :func:`_read_table`: one ``np.loadtxt`` pass
 (:func:`_read_csv`), or the ``csv.reader`` row loop (:func:`_read_rows`)
 that words the errors.  The module has no public names.
@@ -10,6 +16,7 @@ that words the errors.  The module has no public names.
 from __future__ import annotations
 
 import csv
+import functools
 import itertools
 import math
 import warnings
@@ -40,22 +47,30 @@ def _csv_cells(labels: Iterable[str]) -> list[str]:
     return cells
 
 
-# Floats rendered at a time: enough that numpy's cost per call is small
-# beside the work per value, few enough that a batch's arrays stay under 1 MB.
-_BATCH = 2048
-# Bytes of one batch's character array at most, however long the labels are.
-_CANVAS = 1 << 18
-# Distance in scaled units (see _FloatText) within which a candidate, a tie or
+# Working memory of one batch in bytes, what the writer took when it rendered
+# 2048 floats at a time in cells of 47 bytes.  A batch takes as many rows as
+# fit at _FLOAT_BYTES per float and three bytes per character of a row (the
+# row, the mask of its kept bytes and the bytes written); that estimate is
+# above the peak tracemalloc measures (tests/test_writers.py guards it).
+_BUDGET = 1_000_000
+_FLOAT_BYTES = 112
+# A float cell: its text in 24 bytes, padded with _PAD, then the separator.
+_CELL = 25
+# Padding: never a byte of UTF-8 text, and dropped when a batch is written.
+_PAD = 0xFF
+# Distance in scaled units (see _scaled) within which a candidate, a tie or
 # a rounding boundary is left to repr; the scaled value is off by under 1e-13.
 _MARGIN = 1e-9
-# A float cell: sign, 17 digits, "0", ".", "0000", the 17 digits again, "e+000"
-# and the separator.  Each value keeps the characters of its layout.
-_FLOAT_CELL = np.frombuffer(b"-" + b"0" * 17 + b"0.0000" + b"0" * 17 + b"e+000,", dtype=np.uint8)
 # Layouts by decimal exponent k: positional for k = -4 .. 15 (layouts 0 .. 19),
-# then scientific with a two-digit and a three-digit exponent (20 and 21).
+# then scientific with a two-digit and a three-digit exponent (20 and 21).  A
+# cell's code is (sign * _LAYOUTS + layout) * 18 + count of significant digits.
 _LAYOUTS = 22
-# Grid steps of the 15-, 16- and 17-digit candidates, in units of the 17th digit.
-_UNITS = np.array([[100.0], [10.0], [1.0]])
+# Decimal exponents of the exponent table: beyond 1e+-270 repr renders the value.
+_KMAX = 330
+# Little-endian words of eight characters: the first character is the lowest byte.
+_WORD = np.dtype("<u8")
+# The character "0" in every byte of a word.
+_ZEROS = 0x3030303030303030
 
 
 def _pow10(s: int) -> tuple[float, float]:
@@ -77,12 +92,179 @@ def _veltkamp(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return hi, a - hi
 
 
+def _layout_words() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The words ``head``, ``tail`` and ``text`` of each code's cell, as arrays of shape ``(3, codes)``.
+
+    A cell's text starts at byte 0 and is padded with ``_PAD`` to 24 bytes.
+    It takes the 17 digits moved on by the sign's byte where ``head`` is set,
+    and moved on by the bytes of the sign, the point and the zeros of
+    ``0.000`` where ``tail`` is set.  ``text`` holds every other byte: the
+    sign, the point, those zeros and ``_PAD``; it leaves 0 where the exponent
+    of a scientific layout goes (see :func:`_exponent_words`).  A negative
+    value's cell is a positive one's moved on by its sign.  The tables are
+    built with float comparisons, as the rendering computes: the first run of
+    each numpy loop in a process maps its machine code into memory, so the
+    writer keeps to few loops.
+    """
+    b = np.arange(24.0)
+    layout = np.arange(float(_LAYOUTS))[:, None, None]
+    nd = np.arange(18.0)[:, None]
+    small, sci = layout < 4, layout >= _LAYOUTS - 2
+    # digits before the point: k + 1, one in scientific layouts, none in 0.000ddd
+    q = np.where(sci, 1.0, np.where(small, 0.0, layout - 3))
+    dot = np.where(small, 1.0, q)
+    # the first byte of the digits after the point, and the byte after the last digit
+    start = np.where(small, 5 - layout, dot + 1)
+    end = np.where(small, start + nd, np.where(sci, np.maximum(nd, 1.0) + (nd > 1), np.maximum(nd, q + 1) + 1))
+    shape = (_LAYOUTS, 18, 24)
+    head = np.broadcast_to(~small & (b < q), shape)
+    tail = (b >= start) & (b < end)
+    exponent = sci & (b >= end) & (b < end + np.where(layout == _LAYOUTS - 1, 5.0, 4.0))
+    text = np.full(shape, _PAD, dtype=np.uint8)
+    text[(b == dot) & (~sci | (nd > 1))] = ord(".")
+    text[np.broadcast_to(small & ((b == 0) | ((b >= 2) & (b < start))), shape)] = ord("0")
+    text[head | tail | exponent] = 0
+    pad, none = np.uint8(_PAD), np.uint8(0)
+    words = []
+    for cells, sign in ((np.where(head, pad, none), 0), (np.where(tail, pad, none), 0), (text, ord("-"))):
+        signed = np.empty((2, *shape), dtype=np.uint8)
+        signed[0] = cells
+        # a negative value's cell: the sign, then a positive one's
+        signed[1, ..., 0] = sign
+        signed[1, ..., 1:] = cells[..., :-1]
+        words.append(signed.view(_WORD).reshape(-1, 3).T.copy())
+    return tuple(words)
+
+
+def _exponent_words() -> np.ndarray:
+    """By decimal exponent ``k`` from ``-_KMAX``, ``e+dd`` or ``e+ddd`` in a word; 0 if ``k`` is not scientific."""
+    k = np.arange(-_KMAX, _KMAX + 1.0)
+    a = np.abs(k)
+    hundreds, tens = np.floor(a / 100), np.floor(a / 10)
+    three = a >= 100
+    chars = np.zeros((len(k), 8))
+    chars[:, 0] = ord("e")
+    chars[:, 1] = np.where(k < 0, float(ord("-")), float(ord("+")))
+    chars[:, 2] = np.where(three, hundreds, tens) + ord("0")
+    chars[:, 3] = np.where(three, tens - 10 * hundreds, a - 10 * tens) + ord("0")
+    chars[:, 4] = np.where(three, a - 10 * tens + ord("0"), 0.0)
+    chars[(k >= -4) & (k <= 15)] = 0.0
+    return chars.astype(np.uint8).view(_WORD).reshape(-1)
+
+
+def _move(words: np.ndarray, bits: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> None:
+    """Move the 24 characters of each column of ``words`` (3, n) on by ``bits`` (below 64) into ``out``.
+
+    ``out`` may be ``words``: the last word is moved first.
+    """
+    for j in (2, 1):
+        np.right_shift(words[j - 1], np.subtract(64, bits, out=scratch), out=scratch)
+        np.left_shift(words[j], bits, out=out[j])
+        out[j] |= scratch
+    np.left_shift(words[0], bits, out=out[0])
+
+
+class _Tables:
+    """What rendering needs besides the values, built once per process by :func:`_tables`.
+
+    - ``quads``: the digits of ``0000`` to ``9999`` as the numbers 0 to 9 in
+      the low four bytes of a word, and ``zeros``: the count of their
+      trailing zeros, 4 for ``0000``
+    - ``head``, ``tail``, ``text``: the words of each code (see
+      :func:`_layout_words`)
+    - ``exponents``: the word of each decimal exponent (see
+      :func:`_exponent_words`)
+    - ``powers``: rows ``hi, hi_high, hi_low, lo`` of ``10**s`` from
+      ``s = first``, extended as exponents are met
+
+    Integers are held as floats or words throughout, exactly.
+    """
+
+    def __init__(self) -> None:
+        # 0000 to 9999 as two pairs of 00 to 99, the first pair in the low bytes
+        pair = np.arange(100.0)
+        tens = np.floor(pair / 10)
+        ones = pair - 10 * tens
+        self.quads = np.repeat((tens + ones * 2.0**8).astype(_WORD), 100)
+        self.quads |= np.tile((tens * 2.0**16 + ones * 2.0**24).astype(_WORD), 100)
+        zeros = np.where(ones == 0, np.where(tens == 0, 2.0, 1.0), 0.0)
+        self.zeros = np.tile(zeros.astype(np.uint8), 100)
+        self.zeros[::100] = (zeros + 2).astype(np.uint8)  # the second pair is 00
+        self.head, self.tail, self.text = _layout_words()
+        self.exponents = _exponent_words()
+        self.first = 0
+        self.powers = np.zeros((4, 0))
+
+    def factors(self, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The table of powers and the index in it of ``10**s``, for the integer exponents ``s`` (floats)."""
+        first, last = min(int(s.min()), self.first), max(int(s.max()) + 1, self.first + self.powers.shape[1])
+        if first < self.first or last > self.first + self.powers.shape[1]:
+            his, los = zip(*map(_pow10, range(first, last)))
+            his = np.array(his)
+            self.first, self.powers = first, np.stack([his, *_veltkamp(his), np.array(los)])
+        return self.powers, (s - self.first).astype(np.intp)
+
+
+@functools.cache
+def _tables() -> _Tables:
+    return _Tables()
+
+
+def _scaled(y: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, ...]:
+    """``y * 10**(16 - k)`` as ``high * 1e8 + low + frac``, and the gaps to the neighbouring doubles.
+
+    ``high`` and ``low`` are integers below ``1e9`` and ``1e8``, and
+    ``0 <= frac < 1``.  ``10**(16 - k)`` is the double-double ``hi + lo``,
+    and the product with ``hi`` is exact (Dekker's product, as numpy has no
+    FMA), so the scaled value is off by about ``2**-104`` of itself.  The
+    gaps are half the distance to each neighbouring double, scaled alike;
+    below a power of two it is half as wide.  The arithmetic runs in place,
+    in six arrays besides ``y`` and ``k``.
+    """
+    powers, index = _tables().factors(16 - k)
+    hi, factor = powers[0].take(index), powers[1].take(index)
+    p = y * hi
+    yh, yl = _veltkamp(y)
+    # (((yh * hh - p) + yh * hl + yl * hh) + yl * hl) + y * lo, each product exact
+    tail = yh * factor
+    tail -= p
+    powers[2].take(index, out=factor, mode="clip")
+    yh *= factor
+    tail += yh
+    powers[1].take(index, out=factor, mode="clip")
+    factor *= yl
+    tail += factor
+    powers[2].take(index, out=factor, mode="clip")
+    factor *= yl
+    tail += factor
+    powers[3].take(index, out=factor, mode="clip")
+    factor *= y
+    tail += factor
+    whole = np.floor(tail, out=yh)
+    tail -= whole
+    # p is an integer below 2**57, and high * 1e8 one of at most 49 significant bits: both exact
+    high = np.floor(np.divide(p, 1e8, out=yl), out=yl)
+    low = p
+    low -= np.multiply(high, 1e8, out=factor)
+    low += whole
+    carry = np.floor(np.divide(low, 1e8, out=whole), out=whole)
+    high += carry
+    low -= np.multiply(carry, 1e8, out=carry)
+    mantissa = np.frexp(y, out=(carry, np.empty(len(y), dtype=np.intc)))[0]
+    # y / mantissa is the power of two 2**exponent, exactly
+    up_gap = np.divide(y, mantissa, out=factor)
+    np.multiply(hi, up_gap, out=up_gap)
+    up_gap *= 2.0**-54
+    down_gap = np.multiply(up_gap, np.where(mantissa == 0.5, 0.5, 1.0), out=hi)
+    return high, low, tail, up_gap, down_gap
+
+
 def _shortest(
     low: np.ndarray, frac: np.ndarray, up_gap: np.ndarray, down_gap: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """The shortest candidate inside each rounding interval, and whether the choice is too close to call.
 
-    A scaled value is ``high * 1e8 + low + frac`` (see ``_FloatText._scaled``);
+    A scaled value is ``high * 1e8 + low + frac`` (see :func:`_scaled`);
     its rounding interval reaches ``up_gap`` above it and ``down_gap``
     below.  The candidates are the grid points at 15, 16 and 17 digits on
     either side of it.  The shortest length with one inside wins, the closer
@@ -90,195 +272,160 @@ def _shortest(
     candidate is always inside.  A candidate within ``_MARGIN`` of a boundary,
     or a value within it of the middle of two candidates, is too close.
     """
-    n = len(low)
-    r100 = low - 100 * np.floor(low / 100)
-    rest = np.stack([r100, r100 - 10 * np.floor(r100 / 10), np.zeros(n)])
-    rest += frac  # the distance down to the candidate at or below
-    gap = rest - down_gap
-    close = np.abs(gap) < _MARGIN
-    down_in = gap < 0
-    gap = (_UNITS - up_gap) - rest
-    close |= np.abs(gap) < _MARGIN
-    up_in = gap < 0
-    del gap
-    close |= np.abs(rest - 0.5 * _UNITS) < _MARGIN
-    found = down_in | up_in
-    # signed distance from the value to the chosen candidate of each length
-    offset = np.where(up_in & (~down_in | (rest > 0.5 * _UNITS)), _UNITS - rest, -rest)
-    # found at one length, found at every longer one
-    length = np.where(found[0], 0.0, np.where(found[1], 1.0, 2.0))
-    pick = (length * n + np.arange(float(n))).astype(np.intp)
+    residue = np.floor(np.divide(low, 100.0))
+    residue *= 100.0
+    np.subtract(low, residue, out=residue)
+    rest, gap = np.empty(len(low)), np.empty(len(low))
+    found: list[np.ndarray] = []
+    # grid steps of the 15-, 16- and 17-digit candidates, in units of the 17th digit
+    for unit in (100.0, 10.0, 1.0):
+        if unit == 10.0:
+            np.floor(np.divide(residue, 10.0, out=gap), out=gap)
+            gap *= 10.0
+            residue -= gap
+        np.add(0.0 if unit == 1.0 else residue, frac, out=rest)  # the distance down to the candidate at or below
+        np.subtract(rest, down_gap, out=gap)
+        down_in = gap < 0
+        near = np.abs(gap, out=gap) < _MARGIN
+        np.subtract(unit, up_gap, out=gap)
+        gap -= rest
+        up_in = gap < 0
+        near |= np.abs(gap, out=gap) < _MARGIN
+        np.subtract(rest, 0.5 * unit, out=gap)
+        near |= np.abs(gap, out=gap) < _MARGIN
+        # the signed distance from the value to the chosen candidate of this length
+        up = rest > 0.5 * unit
+        up |= ~down_in
+        up &= up_in
+        np.multiply(up, unit, out=gap)
+        gap -= rest
+        # a length plays a part only if no shorter one has a candidate inside
+        if not found:
+            close, offset = near, gap.copy()
+        else:
+            near &= ~found[-1]
+            close |= near
+            offset = np.where(found[0] | found[-1], offset, gap)
+        down_in |= up_in
+        found.append(down_in)
+    close |= ~found[-1]
     # the candidate is an integer, and the sum is off by under 1e-7
-    chosen = np.floor(low + (frac + offset.take(pick)) + 0.5)
-    # lengths longer than the chosen one play no part
-    return chosen, close[0] | (close[1] & ~found[0]) | (close[2] & ~found[1]) | ~found[2]
+    offset += frac
+    low += offset
+    low += 0.5
+    return np.floor(low, out=low), close
 
 
-def _float_masks() -> np.ndarray:
-    """Kept characters of ``_FLOAT_CELL`` by ``layout * 18 + digit count``; the sign is kept apart.
+def _render(values: np.ndarray) -> tuple[np.ndarray, int]:
+    """Float64 ``values`` as exactly the text ``repr`` gives them, and how many took ``repr`` itself.
 
-    Built in place with float comparisons, as the rendering computes.  The
-    first run of each numpy loop in a process maps its machine code into
-    memory, so the writer keeps to few loops.
-    """
-    layout = np.arange(float(_LAYOUTS))[:, None, None]
-    nd = np.arange(18.0)[:, None]
-    k = layout - 4
-    sci, small = layout >= 20, layout < 4
-    # the digits before the point come from the first copy, those after it from the second
-    cut = np.where(sci, 1.0, np.where(small, 0.0, k + 1))
-    end = np.where(sci | small | (nd > k + 2), nd, k + 2)
-    j = np.arange(17.0)
-    masks = np.zeros((_LAYOUTS, 18, len(_FLOAT_CELL)), dtype=bool)
-    masks[..., 1:18] = j < cut
-    masks[..., 18] = small[..., 0]  # the "0" of 0.000ddd
-    masks[..., 19] = (~sci | (nd > 1))[..., 0]
-    masks[..., 20:24] = np.arange(4.0) < np.where(small, -k - 1, 0.0)
-    masks[..., 24:41] = (j >= cut) & (j < end)
-    masks[..., 41:46] = sci  # "e", the exponent's sign and digits
-    masks[..., 43] = (layout == 21)[..., 0]
-    masks[..., 46] = True
-    return masks.reshape(-1, len(_FLOAT_CELL))
-
-
-class _FloatText:
-    """Renders float64 values as exactly the text ``repr`` gives them, a batch at a time.
-
+    The text of each value is 24 characters, padded with ``_PAD``, held as
+    three little-endian words of eight: column ``i`` of an array of shape
+    ``(3, len(values))`` is the text of value ``i``.
     ``repr`` writes the shortest digit string that reads back as the value,
     the closest one to it if there are several.  Each ``|x|`` is scaled into
     ``[1e16, 1e17)`` and :func:`_shortest` picks the digits (the fast path of
     Grisu3, Loitsch, PLDI 2010; shortest output as in Ryu, Adams, PLDI 2018).
     Non-finite values, subnormals, magnitudes beyond ``1e+-270`` and values
     that :func:`_shortest` finds too close to call go through ``repr``
-    itself; ``fallbacks`` counts them.
+    itself.
 
-    It holds what the batches of one file share: the characters of ``0000``
-    to ``9999`` with the count of their significant digits, the kept
-    characters of each layout, and ``10**s`` for the exponents ``s`` met so
-    far, as ``hi``, its two halves and ``lo``.  Integers are held as floats
-    throughout, exactly.
+    The 17 digits are the words of digits ``0-7``, ``8-15`` and ``16``, put
+    together from groups of four; the trailing zeros of the groups give the
+    count of significant digits.  The text is those words moved on twice,
+    each masked, the characters of the layout (see :func:`_layout_words`)
+    and the exponent's word moved on after the digits.
     """
-
-    def __init__(self) -> None:
-        q = np.arange(10000.0)
-        thousands, hundreds, tens = np.floor(q / 1000), np.floor(q / 100), np.floor(q / 10)
-        digits = np.stack([thousands, hundreds - 10 * thousands, tens - 10 * hundreds, q - 10 * tens], axis=1)
-        self.quads = (digits + ord("0")).astype(np.uint8)
-        # significant digits of each group: up to its last digit that is not 0
-        self.sig = np.zeros(len(q))
-        for j in range(4):
-            self.sig[digits[:, j] > 0] = j + 1
-        self.masks = _float_masks()
-        self.first = 0
-        self.powers = np.zeros((0, 4))
-        self.fallbacks = 0
-
-    def _factors(self, s: np.ndarray) -> np.ndarray:
-        """Rows ``hi, hi_high, hi_low, lo`` of ``10**s`` for the integer exponents ``s`` (floats)."""
-        first, last = min(int(s.min()), self.first), max(int(s.max()) + 1, self.first + len(self.powers))
-        if first < self.first or last > self.first + len(self.powers):
-            his, los = zip(*map(_pow10, range(first, last)))
-            his = np.array(his)
-            self.first, self.powers = first, np.stack([his, *_veltkamp(his), np.array(los)], axis=1)
-        return np.take(self.powers, (s - self.first).astype(np.intp), axis=0)
-
-    def _scaled(self, y: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, ...]:
-        """``y * 10**(16 - k)`` as ``high * 1e8 + low + frac``, and the gaps to the neighbouring doubles.
-
-        ``high`` and ``low`` are integers below ``1e9`` and ``1e8``, and
-        ``0 <= frac < 1``.  ``10**(16 - k)`` is the double-double ``hi + lo``,
-        and the product with ``hi`` is exact (Dekker's product, as numpy has no
-        FMA), so the scaled value is off by about ``2**-104`` of itself.  The
-        gaps are half the distance to each neighbouring double, scaled alike;
-        below a power of two it is half as wide.
-        """
-        hi, hh, hl, lo = self._factors(16 - k).T
-        p = y * hi
-        yh, yl = _veltkamp(y)
-        tail = (((yh * hh - p) + yh * hl + yl * hh) + yl * hl) + y * lo
-        whole = np.floor(tail)
-        # p is an integer below 2**57, and high * 1e8 one of at most 49 significant bits: both exact
-        high = np.floor(p / 1e8)
-        low = p - high * 1e8 + whole
-        carry = np.floor(low / 1e8)
-        mantissa = np.frexp(y)[0]
-        # y / mantissa is the power of two 2**exponent, exactly
-        up_gap = hi * (y / mantissa) * 2.0**-54
-        down_gap = np.where(mantissa == 0.5, 0.5 * up_gap, up_gap)
-        return high + carry, low - carry * 1e8, tail - whole, up_gap, down_gap
-
-    def render(self, values: np.ndarray, chars: np.ndarray, keep: np.ndarray) -> None:
-        """Write the cells of ``values`` into ``chars`` and their kept characters into ``keep``.
-
-        ``chars`` and ``keep`` have the shape of ``values`` plus a last axis
-        the length of ``_FLOAT_CELL``.
-        """
-        x = values.reshape(-1)
-        mag = np.abs(x)
-        fast = (mag >= 1e-270) & (mag <= 1e270)
-        y = np.where(fast, mag, 1.0)
-        k = np.floor(np.log10(y))
-        high, low, frac, up_gap, down_gap = self._scaled(y, k)
-        # the logarithm can miss by one next to a power of ten: check the integer part
-        off = np.flatnonzero((high < 1e8) | (high >= 1e9))
-        if len(off):
-            k[off] += np.where(high[off] < 1e8, -1.0, 1.0)
-            high[off], low[off], frac[off], up_gap[off], down_gap[off] = self._scaled(y[off], k[off])
-            fast &= (high >= 1e8) & (high < 1e9)
-        chosen, close = _shortest(low, frac, up_gap, down_gap)
-        del low, frac, up_gap, down_gap
-        fast &= ~close
-        carry = chosen >= 1e8
-        high[carry] += 1
-        chosen[carry] -= 1e8
-        carry = high >= 1e9  # rounded up to 1e17
-        high[carry] = 1e8
-        k[carry] += 1
-        zero = mag == 0
-        high[zero] = chosen[zero] = k[zero] = 0
-        # the first digit, then four groups of four
-        top = np.floor(high / 1e8)
-        high -= top * 1e8
-        g0, g2 = np.floor(high / 1e4), np.floor(chosen / 1e4)
-        groups = np.stack([top, g0, high - g0 * 1e4, g2, chosen - g2 * 1e4], axis=1)
-        index = groups.astype(np.intp)
-        # the count of significant digits, from the last group that is not 0000
-        nd = 13 + self.sig.take(index[:, 4])
-        rows = np.flatnonzero(groups[:, 4] == 0)
-        for col in (3, 2, 1, 0):
-            if not len(rows):
-                break
-            nd[rows] = 4 * col - 3 + self.sig.take(index[rows, col])
-            rows = rows[groups[rows, col] == 0]
-        nd[zero] = 1
-        sci = (k < -4) | (k > 15)
-        layout = np.where(sci, np.where(np.abs(k) >= 100, 21.0, 20.0), k + 4)
-        keep[...] = np.take(self.masks, (layout * 18 + nd).astype(np.intp), axis=0).reshape(keep.shape)
-        keep[..., 0] = np.signbit(values)
-        chars[...] = _FLOAT_CELL
-        digits = np.take(self.quads, index, axis=0).reshape(-1, 20)[:, 3:]
-        chars[..., 1:18] = chars[..., 24:41] = digits.reshape(values.shape + (17,))
-        rows = np.flatnonzero(sci)
-        at = np.unravel_index(rows, values.shape)
-        chars[(*at, 42)] = np.where(k[rows] < 0, float(ord("-")), float(ord("+")))
-        chars[(*at, slice(43, 46))] = np.take(self.quads, np.abs(k[rows]).astype(np.intp), axis=0)[:, 1:]
-        slow = np.flatnonzero(~fast & ~zero)
-        self.fallbacks += len(slow)
-        for i, v in zip(slow.tolist(), x[slow].tolist()):
-            text = repr(v).encode()
-            at = np.unravel_index(i, values.shape)
-            chars[at][: len(text)] = np.frombuffer(text, dtype=np.uint8)
-            keep[at][:-1] = False
-            keep[at][: len(text)] = True
+    x = values.reshape(-1)
+    tables = _tables()
+    y = np.abs(x)
+    zero = y == 0
+    fast = y >= 1e-270
+    fast &= y <= 1e270
+    y = np.where(fast, y, 1.0)
+    k = np.floor(np.log10(y))
+    high, low, frac, up_gap, down_gap = _scaled(y, k)
+    # the logarithm can miss by one next to a power of ten: check the integer part
+    off = np.flatnonzero((high < 1e8) | (high >= 1e9))
+    if len(off):
+        k[off] += np.where(high[off] < 1e8, -1.0, 1.0)
+        high[off], low[off], frac[off], up_gap[off], down_gap[off] = _scaled(y[off], k[off])
+        fast &= (high >= 1e8) & (high < 1e9)
+    del y
+    chosen, close = _shortest(low, frac, up_gap, down_gap)
+    fast &= ~close
+    del low, close, up_gap, down_gap
+    carry = chosen >= 1e8
+    high += carry
+    chosen -= np.multiply(carry, 1e8, out=frac)
+    carry = high >= 1e9  # rounded up to 1e17
+    high -= np.multiply(carry, 9e8, out=frac)
+    k += carry
+    nonzero = ~zero
+    for a in (high, chosen, k):
+        a *= nonzero
+    # the first digit, then four groups of four; trailing counts the zeros that end the digits so far
+    group = np.floor(np.divide(high, 1e8, out=frac), out=frac)
+    high -= group * 1e8
+    words = np.empty((3, len(x)), dtype=_WORD)
+    words[0] = group
+    trailing, scratch = zero * 1.0, np.empty(len(x))
+    for value, word, spill in ((high, words[0], words[1]), (chosen, words[1], words[2])):
+        np.floor(np.divide(value, 1e4, out=group), out=group)
+        value -= np.multiply(group, 1e4, out=scratch)
+        for part, shift in ((group, 8), (value, 40)):
+            index = part.astype(np.intp)
+            trailing *= part == 0
+            trailing += tables.zeros.take(index)
+            digits = tables.quads.take(index)
+            if shift == 40:
+                np.right_shift(digits, 24, out=spill)  # the group's last digit begins the next word
+            digits <<= shift
+            word |= digits
+    del high, chosen, frac, group, scratch, digits, value, part, index, word, spill
+    words |= _ZEROS
+    sign = np.signbit(x)
+    nd = np.subtract(17.0, trailing, out=trailing)
+    layout = np.where((k < -4) | (k > 15), np.where(np.abs(k) >= 100, _LAYOUTS - 1.0, _LAYOUTS - 2.0), k + 4)
+    code = ((sign * float(_LAYOUTS) + layout) * 18 + nd).astype(np.intp)
+    del layout
+    # the digits before the point follow the sign, those after it the point or "0.000"
+    text, scratch = np.empty_like(words), np.empty(len(x), dtype=_WORD)
+    _move(words, (sign * 8.0).astype(_WORD), text, scratch)
+    _move(words, ((1.0 + sign - ((k >= -4) & (k < 0)) * k) * 8).astype(_WORD), words, scratch)
+    for j in range(3):
+        text[j] &= tables.head[j].take(code, out=scratch, mode="clip")
+        words[j] &= tables.tail[j].take(code, out=scratch, mode="clip")
+        text[j] |= words[j]
+        text[j] |= tables.text[j].take(code, out=scratch, mode="clip")
+    del words, code
+    # the exponent follows the digits: its word moved on across the three; a shift by
+    # 64 bits or more, or by a negative count wrapped round, gives 0
+    exponent = tables.exponents.take((k + _KMAX).astype(np.intp))
+    at = ((sign + nd + (nd > 1)) * 8).astype(_WORD)
+    for j in range(3):
+        text[j] |= np.left_shift(exponent, np.subtract(at, 64 * j, out=scratch), out=scratch)
+        text[j] |= np.right_shift(exponent, np.subtract(64 * j, at, out=scratch), out=scratch)
+    slow = np.flatnonzero(~fast & nonzero)
+    for i, v in zip(slow.tolist(), x[slow].tolist()):
+        text[:, i] = np.frombuffer(repr(v).encode().ljust(24, b"\xff"), dtype=_WORD)
+    return text, len(slow)
 
 
-def _text_cells(cells: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
-    """Text cells as UTF-8 characters at one width, each followed by its separator, and the mask of those kept."""
+def _text_cells(cells: Sequence[str]) -> np.ndarray:
+    """Text cells as UTF-8 characters at one width: each padded with ``_PAD``, then its separator."""
     data = [cell.encode() for cell in cells]
     width = max(map(len, data), default=0) + 1
-    # the first padding character is the separator
-    chars = np.frombuffer(b"".join(cell.ljust(width, b",") for cell in data), dtype=np.uint8)
-    return chars.reshape(len(data), width), np.arange(float(width)) <= np.array([[float(len(cell))] for cell in data])
+    chars = np.frombuffer(b"".join(cell.ljust(width - 1, b"\xff") + b"," for cell in data), dtype=np.uint8)
+    return chars.reshape(len(data), width)
+
+
+def _rows(column: np.ndarray, size: int, width: int) -> np.ndarray | None:
+    """``column`` as a view of ``size`` rows of ``width`` in C order, or ``None`` if its strides allow none."""
+    axes = [(n, step) for n, step in zip(column.shape, column.strides) if n != 1]
+    if all(step == n * inner for (_, step), (n, inner) in zip(axes, axes[1:])):
+        return column.reshape(size, width)
+    return None
 
 
 def _write_csv(
@@ -301,44 +448,57 @@ def _write_csv(
 
     Text cells are written as given, so labels go through :func:`_csv_cells`
     first.  ``rows``, given the index arrays of some rows, says which of them
-    to write.  Rows go out in batches of about ``_BATCH`` floats and at most
-    ``_CANVAS`` characters: each batch is one uint8 array of characters,
-    every cell at a fixed width, and a mask of the characters kept.
+    to write.  Rows go out in batches that keep within ``_BUDGET`` bytes: each
+    batch is one uint8 array of characters, every cell at a fixed width and
+    padded with ``_PAD``, which is dropped as the batch is written.  A float
+    cell is ``_CELL`` bytes.  A float array whose rows are evenly spaced in
+    memory is sliced a batch at a time; any other view is indexed.
     """
     size = math.prod(shape)
-    columns = [(*_text_cells(c[0]), c[1]) if isinstance(c, tuple) else c for c in columns]
+    columns = [(_text_cells(c[0]), c[1]) if isinstance(c, tuple) else c for c in columns]
     counts = [0 if isinstance(c, tuple) else math.prod(c.shape[len(shape) :]) for c in columns]
-    widths = [c[0].shape[1] if isinstance(c, tuple) else m * len(_FLOAT_CELL) for c, m in zip(columns, counts)]
+    widths = [c[0].shape[1] if isinstance(c, tuple) else m * _CELL for c, m in zip(columns, counts)]
     edges = [0, *itertools.accumulate(widths)]
     numbers = [i for i, m in enumerate(counts) if m]
     if numbers[-1] - numbers[0] != len(numbers) - 1:
         raise ValueError("float columns must come next to each other")
     block = slice(edges[numbers[0]], edges[numbers[-1] + 1])
-    floats = _FloatText()
-    step = max(1, min(_BATCH // sum(counts), _CANVAS // edges[-1]))
+    flat = [_rows(columns[i], size, counts[i]) for i in numbers]
+    floats = sum(counts)
+    step = max(1, _BUDGET // (3 * edges[-1] + _FLOAT_BYTES * floats))
     with open(path, "wb") as fh:
         fh.write((",".join(header) + "\n").encode())
         for start in range(0, size, step):
-            index = np.unravel_index(np.arange(start, min(start + step, size)), shape)
+            stop = min(start + step, size)
+            index = np.unravel_index(np.arange(start, stop), shape)
+            written = slice(None)
             if rows is not None:
                 written = rows(*index)
                 index = tuple(i[written] for i in index)
             count = len(index[0])
             if not count:
                 continue
+            values = np.concatenate(
+                [
+                    columns[i][index].reshape(count, -1) if f is None else f[start:stop][written]
+                    for i, f in zip(numbers, flat)
+                ],
+                axis=1,
+            )
+            words, _ = _render(values)
+            del values
             chars = np.empty((count, edges[-1]), dtype=np.uint8)
-            keep = np.empty(chars.shape, dtype=bool)
             for column, a, b in zip(columns, edges, edges[1:]):
                 if isinstance(column, tuple):
-                    text, kept, axis = column
-                    pick = np.zeros(1, dtype=np.intp) if axis is None else index[axis]
-                    chars[:, a:b], keep[:, a:b] = np.take(text, pick, axis=0), np.take(kept, pick, axis=0)
-            # a column may be any view, such as a transposed Gram: it is indexed, never reshaped
-            values = np.concatenate([columns[i][index].reshape(count, -1) for i in numbers], axis=1)
-            cell = (count, values.shape[1], len(_FLOAT_CELL))
-            floats.render(values, chars[:, block].reshape(cell), keep[:, block].reshape(cell))
+                    text, axis = column
+                    chars[:, a:b] = text[0] if axis is None else text.take(index[axis], axis=0)
+            # each float cell: its three words, wherever they fall in the row, then the separator
+            cells = np.ndarray((count, floats, 3), _WORD, chars, block.start, (edges[-1], _CELL, 8))
+            cells[...] = words.T.reshape(count, floats, 3)
+            chars[:, block].reshape(count, floats, _CELL)[..., -1] = ord(",")
+            del words, cells
             chars[:, -1] = ord("\n")
-            fh.write(np.compress(keep.reshape(-1), chars.reshape(-1)))
+            fh.write(chars[chars != _PAD])
 
 
 def _complex_columns(values: np.ndarray) -> list[np.ndarray | tuple[list[str], None]]:

@@ -450,6 +450,24 @@ def test_synthesize_from_frame_files(tmp_path, three_atoms):
     assert report["diagonal_ok"] is True
 
 
+def test_synthesize_from_the_frames_of_real_kernels_takes_the_real_path(tmp_path, three_atoms):
+    # frames of real kernels have every value_im cell +0.0, so they read back real
+    atoms, kernels, frames = ["--atoms", str(three_atoms)], [], []
+    for k, spec in enumerate([GAUSSIAN, {"type": "laplacian", "gamma": 0.5}]):
+        kernels += ["--kernel", str(write_kernel(tmp_path, spec, f"k{k}.json"))]
+        assert main(["frames", *atoms, *kernels[-2:], "--out", str(tmp_path / f"f{k}")]) == 0
+        frames.append(str(tmp_path / f"f{k}" / "frame_j0.csv"))
+        assert mercer.read_frame(frames[-1]).values.dtype == np.float64
+    from_kernels, from_frames = tmp_path / "kernels", tmp_path / "frames"
+    assert main(["synthesize", *atoms, *kernels, "--out", str(from_kernels)]) == 0
+    assert main(["synthesize", *atoms, "--frames", *frames, *kernels, "--out", str(from_frames)]) == 0
+    by_kernels, by_frames = report_of(from_kernels), report_of(from_frames)
+    for key in ("passed", "diagonal_ok", "n", "frame_count", "n_atoms"):
+        assert by_frames[key] == by_kernels[key]
+    assert by_frames["validation"]["passed"] is by_kernels["validation"]["passed"] is True
+    assert (from_frames / "kernel.csv").read_bytes() == (from_kernels / "kernel.csv").read_bytes()
+
+
 def test_synthesize_requires_input(tmp_path, three_atoms, capsys):
     code = main(["synthesize", "--atoms", str(three_atoms), "--out", str(tmp_path / "out")])
     assert code == 1
@@ -706,6 +724,20 @@ def test_rank_cutoff_truncates_and_flag_wins(tmp_path, three_atoms):
 
     assert main(base + ["--config", str(config), "--rank-cutoff", "0.0", "--out", str(out_flag)]) == 0
     assert report_of(out_flag)["rank"] == full_rank
+
+
+@pytest.mark.parametrize(
+    "spec, cutoff", [(GAUSSIAN, "1e9"), ({"type": "constant", "value": 0.0}, "0.0")], ids=["cut", "zero"]
+)
+def test_rank_zero_decomposition_writes_header_only_tables(tmp_path, three_atoms, spec, cutoff):
+    kernel = write_kernel(tmp_path, spec)
+    base = ["--atoms", str(three_atoms), "--kernel", str(kernel), "--rank-cutoff", cutoff]
+    assert main(["decompose", *base, "--out", str(tmp_path / "dec")]) == 0
+    assert report_of(tmp_path / "dec")["rank"] == 0
+    assert (tmp_path / "dec" / "spectrum.csv").read_bytes() == b"i,sigma\n"
+    assert (tmp_path / "dec" / "eigenfunctions.csv").read_bytes() == b"i,atom_id,j,re,im\n"
+    assert main(["frames", *base, "--out", str(tmp_path / "frames")]) == 0
+    assert (tmp_path / "frames" / "frame_j0.csv").read_bytes() == b"i,atom_id,value_re,value_im\n"
 
 
 def test_config_must_be_object(tmp_path, three_atoms, capsys):

@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from mercerkit.tables import _FLOAT_CELL, _FloatText, _write_csv
+from mercerkit.tables import _PAD, _render, _write_csv
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -32,13 +32,8 @@ def _assert_repr_bytes(tmp_path, values) -> None:
 
 def _rendered(values) -> tuple[list[str], int]:
     """Each value's text as the renderer writes it, and how many values went through ``repr``."""
-    values = np.asarray(values, dtype=np.float64).reshape(-1, 1)
-    chars = np.empty(values.shape + (len(_FLOAT_CELL),), dtype=np.uint8)
-    keep = np.empty(chars.shape, dtype=bool)
-    floats = _FloatText()
-    floats.render(values, chars, keep)
-    cells = [bytes(c[k]).decode() for c, k in zip(chars.reshape(len(values), -1), keep.reshape(len(values), -1))]
-    return [cell.removesuffix(",") for cell in cells], floats.fallbacks
+    words, fallbacks = _render(np.asarray(values, dtype=np.float64))
+    return [cell.tobytes().replace(bytes([_PAD]), b"").decode() for cell in words.T], fallbacks
 
 
 def test_random_bit_patterns_over_every_exponent(tmp_path):

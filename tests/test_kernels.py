@@ -100,6 +100,23 @@ def test_diagonal_kernel_blocks():
     assert complex(block[0, 1]) == 0.0
 
 
+@pytest.mark.parametrize("table_first", [False, True])
+def test_diagonal_kernel_takes_the_dtype_of_its_entries(tmp_path, table_first):
+    path = tmp_path / "k.csv"
+    path.write_text("x_id,t_id,l,j,re,im\na,a,0,0,1.0,0.0\nb,b,0,0,2.0,0.0\na,b,0,0,0.25,0.5\n")
+    space = space_from([0.0, 1.0], [1.0, 1.0])
+    gaussian, table = {"type": "gaussian", "gamma": 1.0}, {"type": "precomputed", "path": str(path)}
+    real = gram(build_kernel({"type": "diagonal", "blocks": [gaussian, gaussian]}), space)
+    assert real.dtype == np.float64
+    blocks = [table, gaussian] if table_first else [gaussian, table]
+    mixed = gram(build_kernel({"type": "diagonal", "blocks": blocks}), space)
+    assert mixed.dtype == np.complex128
+    g, t = (1, 0) if table_first else (0, 1)
+    np.testing.assert_array_equal(mixed[:, :, g, g], real[:, :, 0, 0])
+    np.testing.assert_array_equal(mixed[:, :, t, t], [[1.0, 0.25 + 0.5j], [0.25 - 0.5j, 2.0]])
+    assert not mixed[:, :, 0, 1].any() and not mixed[:, :, 1, 0].any()
+
+
 def test_sum_kernel_is_pointwise_sum():
     spec = {
         "type": "sum",

@@ -267,8 +267,9 @@ def _table_kernel(tmp_path):
     return read_precomputed(tmp_path / "table.csv")
 
 
-# a real core with a real B: every scalar kernel, and a separable one whose B has no imaginary part
-REAL_SOLVES = {"constant", "gaussian", "laplacian", "polynomial", "separable", "sum"}
+# a real core with a real B: every scalar kernel, a separable one whose B has no imaginary part,
+# and diagonal ones of real scalar kernels
+REAL_SOLVES = {"constant", "gaussian", "laplacian", "polynomial", "separable", "sum", "diagonal", "diagonal3"}
 
 
 @pytest.mark.parametrize("name", ZOO_IDS + ["table", "per_pair"])

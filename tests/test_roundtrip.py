@@ -52,9 +52,13 @@ def test_frame_round_trip(tmp_path_factory, labels, data):
     values = _complex(data.draw, (data.draw(st.integers(1, 3)), len(labels)))
     path = tmp_path_factory.mktemp("frame") / "frame.csv"
     write_frame(ScalarFrame(tuple(labels), values), path)
+    written = _as_written(values)
+    # a frame whose imaginary parts are all +0.0 reads back real
+    dtype = np.complex128 if written.imag.view(np.int64).any() else np.float64
     for back in _fast_and_loop(read_frame, path):
         assert back.atoms == tuple(label.strip() for label in labels)
-        assert back.values.tobytes() == _as_written(values).tobytes()
+        assert back.values.dtype == dtype
+        assert back.values.astype(complex).tobytes() == written.tobytes()
 
 
 @hypothesis.settings(max_examples=60, deadline=None)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import tracemalloc
 
 import numpy as np
 
@@ -29,7 +30,7 @@ from mercerkit import (
     write_spectrum,
 )
 from mercerkit.cli import main
-from mercerkit.tables import _BATCH
+from mercerkit import tables
 
 # labels that need quoting, one with an inner space, the empty label, and one beyond ASCII
 LABELS = ("a,1", 'b"q', "c d", "", "e", "\u00e9\u03b2\u20ac")
@@ -166,17 +167,27 @@ def test_metric_csv_bytes(tmp_path):
     assert (out / "metric.csv").read_bytes() == _reference(rows)
 
 
-def test_write_eigenfunctions_across_render_batches(tmp_path):
+def test_write_eigenfunctions_across_render_batches(tmp_path, monkeypatch):
     space = _space()
     kernel = build_kernel({"type": "diagonal", "blocks": [{"type": "gaussian", "gamma": 1.0}] * 2})
-    per_index = 2 * len(space) * 2  # floats of one eigenindex: atoms, components, real and imaginary parts
-    assert _BATCH % per_index, "a batch should end inside one eigenindex's rows"
-    rank = 3 * _BATCH // per_index + 1
+    per_index = len(space) * 2  # rows of one eigenindex: atoms, components
+    # a batch takes fewer rows than the budget holds floats of two per row
+    rank = 3 * (tables._BUDGET // (2 * tables._FLOAT_BYTES)) // per_index + 1
     sigmas = np.linspace(1.0, 0.5, rank)
     funcs = _values((rank, len(space), 2))
     dec = SpectralDecomposition(space, kernel, rescale_measure(space, kernel), sigmas, funcs)
+    batches = []
+
+    def render(values):
+        batches.append(len(values))
+        return render_batch(values)
+
+    render_batch = tables._render
+    monkeypatch.setattr(tables, "_render", render)
     path = tmp_path / "eigenfunctions.csv"
     write_eigenfunctions(dec, path)
+    assert len(batches) > 3 and sum(batches) == rank * per_index
+    assert any(np.cumsum(batches) % per_index), "a batch should end inside one eigenindex's rows"
     assert path.read_bytes() == _reference(_eigenfunction_rows(funcs, space.labels))
 
 
@@ -187,6 +198,8 @@ def test_real_values_write_zero_imaginary_cells_and_complex_ones_keep_their_sign
     rows = [["i", "atom_id", "value_re", "value_im"]]
     rows += [[i, label, repr(float(real[i, x])), "0.0"] for i in range(3) for x, label in enumerate(LABELS)]
     assert path.read_bytes() == _reference(rows)
+    back = read_frame(path).values
+    assert back.dtype == np.float64 and _bits(back) == _bits(real)
     # a complex array whose imaginary parts are all +0.0 writes the same cells
     complex_path = tmp_path / "complex.csv"
     write_frame(ScalarFrame(LABELS, real.astype(complex)), complex_path)
@@ -235,3 +248,25 @@ def test_long_labels_shrink_the_batch_not_the_bytes(tmp_path):
             value = complex(values[i, x])
             rows.append([i, label, repr(value.real), repr(value.imag)])
     assert path.read_bytes() == _reference(rows)
+
+
+def test_writer_memory_stays_within_the_budget_of_its_batches(tmp_path):
+    # a faster writer must not buy its time with memory: the peak of one file of the size of
+    # matrix-sep3's eigenfunctions stays within 1.0 MB besides the renderer's lookup tables
+    rng = np.random.default_rng(61)
+    funcs = 0.1 * (rng.standard_normal((240, 100, 3)) + 1j * rng.standard_normal((240, 100, 3)))
+    columns = [
+        ([str(i) for i in range(240)], 0),
+        (tables._csv_cells([f"x{x:04d}" for x in range(100)]), 1),
+        (["0", "1", "2"], 2),
+        *tables._complex_columns(funcs),
+    ]
+    tracemalloc.start()
+    try:
+        tables._write_csv(tmp_path / "eigenfunctions.csv", ["i", "atom_id", "j", "re", "im"], funcs.shape, columns)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    lookup = tables._tables()
+    arrays = (lookup.quads, lookup.zeros, lookup.head, lookup.tail, lookup.text, lookup.exponents, lookup.powers)
+    assert peak <= 1_000_000 + sum(a.nbytes for a in arrays)
