@@ -138,6 +138,10 @@ def _load_config(path: str) -> dict[str, Any]:
         raise CliError(EXIT_USAGE, f"cannot read config file: {exc}") from None
     except json.JSONDecodeError as exc:
         raise CliError(EXIT_USAGE, f"{path}: line {exc.lineno}: {exc.msg}") from None
+    except UnicodeDecodeError as exc:
+        raise CliError(EXIT_USAGE, f"{path}: {exc}") from None
+    except RecursionError:
+        raise CliError(EXIT_USAGE, f"{path}: config is nested too deeply") from None
     if not isinstance(config, dict):
         raise CliError(EXIT_USAGE, f"{path}: config must be a JSON object")
     return config

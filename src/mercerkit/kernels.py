@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass
+from functools import reduce
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Mapping, Sequence
 
@@ -216,13 +217,21 @@ def psd_tolerance(max_eigenvalue: float) -> float:
     return PSD_TOL_SCALE * max(max_eigenvalue, 1.0)
 
 
-def _hermitian_deviation(blocks: np.ndarray) -> float:
-    """Largest entry of ``|M - M^H|`` over a stack of square matrices."""
+def _hermitian_deviation(blocks: np.ndarray, matrix: np.ndarray = _ONE) -> float:
+    """Largest entry of ``|M - M^H|`` over a stack of square matrices ``M``, or of ``M = blocks (x) matrix``.
+
+    Given ``matrix``, ``blocks`` is a scalar core's Gram and entry ``(x, l), (t, j)`` of ``M`` is
+    ``blocks[x, t] * matrix[l, j]``, the product a separable kernel's blocks hold (see :func:`_factors`).
+    ``M`` is read one entry of ``matrix`` at a time, never formed whole.
+    """
     if not blocks.size:
         return 0.0
-    # one temporary the size of the input: the difference is written into the conjugate
-    diff = np.conj(np.swapaxes(blocks, -1, -2))
-    return float(np.max(np.abs(np.subtract(blocks, diff, out=diff))))
+    if matrix is _ONE:
+        # one temporary the size of the input: the difference is written into the conjugate
+        diff = np.conj(np.swapaxes(blocks, -1, -2))
+        return float(np.max(np.abs(np.subtract(blocks, diff, out=diff))))
+    devs = [np.max(np.abs(blocks * b - np.conj(blocks * matrix[j, l]).T)) for (l, j), b in np.ndenumerate(matrix)]
+    return float(np.max(devs))  # where max() would pass over a nan, np.max keeps it
 
 
 def _spectral_norms(blocks: np.ndarray) -> np.ndarray:
@@ -233,9 +242,9 @@ def _spectral_norms(blocks: np.ndarray) -> np.ndarray:
     return np.abs(w).max(axis=-1, initial=0.0)
 
 
-def _require_hermitian(blocks: np.ndarray) -> None:
-    """Raise :class:`KernelSymmetryError` unless every matrix of the stack is Hermitian within ``TOL_SYM``."""
-    dev = _hermitian_deviation(blocks)
+def _require_hermitian(blocks: np.ndarray, matrix: np.ndarray = _ONE) -> None:
+    """Raise :class:`KernelSymmetryError` unless :func:`_hermitian_deviation` is within ``TOL_SYM``."""
+    dev = _hermitian_deviation(blocks, matrix)
     if dev > TOL_SYM:
         raise KernelSymmetryError(
             f"matrix is not Hermitian: max deviation {dev:.3e} exceeds {TOL_SYM:.3e}"
@@ -491,6 +500,8 @@ def kernel_from_file(path: str | Path) -> MatrixKernel:
         return build_kernel(spec, base_dir=path.parent)
     except json.JSONDecodeError as exc:
         raise KernelSpecError(f"{path}: line {exc.lineno}: {exc.msg}") from None
+    except UnicodeDecodeError as exc:
+        raise KernelSpecError(f"{path}: {exc}") from None
     except RecursionError:
         raise KernelSpecError(f"{path}: kernel description is nested too deeply") from None
 
@@ -651,25 +662,30 @@ def validate_kernel(kernel: MatrixKernel, space: AtomSpace, blocks: np.ndarray |
     on its non-finite entries, without numpy warnings, and the report names
     the first pair of atoms whose block has one.
 
-    The finite check and the deviation read the kernel's whole block Gram
-    matrix: ``blocks`` (as :func:`gram` returns it) when the caller has
-    evaluated it already, else a new evaluation.  The eigenvalues are the
-    products of those of the Hermitian parts of the core's Gram matrix and
-    of ``B`` (see :func:`_factors`).  A kernel synthesized as ``V^H V`` from
-    fewer frame vectors than the Gram's order has them off ``V V^H``
-    instead (see :func:`_factor_eigenvalues`), and no Gram is held while
-    that is solved if the caller keeps no reference to ``blocks``.
+    The one Gram evaluated is the core's (see :func:`_factors`; a kernel
+    that is not separable is its own core): ``blocks`` (as :func:`gram`
+    returns it for the core) when the caller has evaluated it already, else
+    a new evaluation.  The deviation and the finite check are those of
+    ``core (x) B``, read one entry of ``B`` at a time (see
+    :func:`_hermitian_deviation`); the eigenvalues are the products of those
+    of the Hermitian parts of the core's Gram and of ``B``.  A kernel
+    synthesized as ``V^H V`` from fewer frame vectors than the Gram's order
+    has them off ``V V^H`` instead (see :func:`_factor_eigenvalues`), and no
+    Gram is held while that is solved if the caller keeps no reference to
+    ``blocks``.
     """
+    core, matrix = _factors(kernel)
     with np.errstate(over="ignore", invalid="ignore"):
-        raw = _flat(gram(kernel, space) if blocks is None else blocks)
-        dev = _hermitian_deviation(raw)
+        raw = _flat(gram(core, space) if blocks is None else blocks)
+        dev = _hermitian_deviation(raw, matrix)
+        # a non-finite entry of core (x) B makes the deviation non-finite: only then are the entries read
+        finite = math.isfinite(dev) or reduce(np.logical_and, (np.isfinite(raw * b) for b in matrix.flat))
     del blocks
     size, n = len(space), kernel.n
-    finite = np.isfinite(raw).reshape(size, n, size, n).all(axis=(1, 3))
     nonfinite = None
-    if not finite.all():
+    if not np.all(finite):
         # the eigensolver does not converge on non-finite entries; both checks fail on nan
-        x, t = np.argwhere(~finite)[0]
+        x, t = np.argwhere(~finite.reshape(size, core.n, size, core.n).all(axis=(1, 3)))[0]
         nonfinite = (space.labels[x], space.labels[t])
         eigs = np.array([np.nan])
     else:
@@ -679,11 +695,10 @@ def validate_kernel(kernel: MatrixKernel, space: AtomSpace, blocks: np.ndarray |
             del raw  # no Gram is held while V V^H is solved
             eigs = _factor_eigenvalues(v, size * n)
             if eigs is None:  # V V^H overflows: solve a new evaluation of the Gram instead
-                raw = _flat(gram(kernel, space))
+                raw = _flat(gram(core, space))
         del v
         if eigs is None:
-            core, matrix = _factors(kernel)
-            part = _hermitian(raw if core is kernel else _flat(gram(core, space)))
+            part = _hermitian(raw)
             del raw  # only the Hermitian part stays in memory while it is solved
             eigs = np.outer(np.linalg.eigvalsh(part), np.linalg.eigvalsh(_hermitian(matrix)))
     min_eig, max_eig = float(eigs.min()), float(eigs.max())

@@ -24,7 +24,6 @@ from .kernels import (
     _readonly,
     _require_hermitian,
     _spectral_norms,
-    assemble_block_gram,
     diagonal_blocks,
     gram,
 )
@@ -108,9 +107,11 @@ def assemble_operator(space: AtomSpace, kernel: MatrixKernel, nu: RescaledMeasur
     pos = np.flatnonzero(nu.weights > 0)
     if not pos.size:
         raise EmptySupportError("measure has empty support: every atom weight is zero")
-    core, _ = _factors(kernel)
+    core, b = _factors(kernel)
+    raw = _flat(gram(core, space, pos))
+    _require_hermitian(raw, b)  # validate_kernel's rule, on the kernel's values
     scale = np.sqrt(np.repeat(nu.weights[pos], core.n))
-    matrix = assemble_block_gram(core, space, pos) * scale[:, None] * scale[None, :]
+    matrix = _hermitian(raw) * scale[:, None] * scale[None, :]
     return DiscreteOperator(space, kernel, nu, tuple(pos.tolist()), _readonly(matrix))
 
 

@@ -532,7 +532,7 @@ def _read_csv(path: str | Path, row: np.dtype) -> np.ndarray | None:
         reader = csv.reader(fh)
         try:
             header = next(reader, None)
-        except csv.Error:
+        except (csv.Error, UnicodeDecodeError):
             return None
         # a header record spanning lines is left to the loop
         if header is None or reader.line_num != 1 or [h.strip() for h in header] != list(row.names):
@@ -580,11 +580,13 @@ def _read_table(
 
 
 def _records(reader: Any, path: Path, error: type[ValueError]) -> Iterator[list[str]]:
-    """The records of a ``csv.reader``; a ``csv.Error`` becomes ``error`` naming the path and line."""
+    """The records of a ``csv.reader``; a ``csv.Error`` or bytes that are not UTF-8 become ``error`` naming the path."""
     try:
         yield from reader
     except csv.Error as exc:
         raise error(f"{path}: line {reader.line_num}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: {exc}") from None
 
 
 def _read_rows(

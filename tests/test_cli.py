@@ -598,6 +598,38 @@ def test_frame_file_with_an_overlong_cell_is_a_file_error(tmp_path, three_atoms,
     assert capsys.readouterr().err == field_limit_error(frame, 2)
 
 
+@pytest.mark.parametrize(
+    "kind, text",
+    [
+        ("atoms", b"id,w,c1\na,1.0,0.0\nb,1.0,1.\xff\n"),
+        ("atoms", b"id,w,c1\n" + b"a,1.0,0.0\n" * 2000 + b"b,1.0,1.\xff\n"),
+        ("table", b"x_id,t_id,l,j,re,im\na,a,0,0,1.\xff,0.0\n"),
+        ("frame", b"i,atom_id,value_re,value_im\n0,a,1.\xff,0.0\n"),
+        ("kernel", b'{"type": "gaussian", "gamma": 1.\xff}'),
+    ],
+    ids=["atoms", "atoms_past_the_first_read", "table", "frame", "kernel"],
+)
+def test_input_file_that_is_not_utf8_is_a_file_error(tmp_path, three_atoms, capsys, kind, text):
+    bad = tmp_path / f"bad_{kind}"
+    bad.write_bytes(text)
+    atoms, kernel = three_atoms, write_kernel(tmp_path, GAUSSIAN)
+    argv = ["validate"]
+    if kind == "atoms":
+        atoms = bad
+    elif kind == "table":
+        kernel = write_kernel(tmp_path, {"type": "precomputed", "path": bad.name}, name="table.json")
+    elif kind == "frame":
+        argv = ["synthesize", "--frames", str(bad)]
+    else:
+        kernel = bad
+    if kind != "frame":
+        argv += ["--kernel", str(kernel)]
+    assert main(argv + ["--atoms", str(atoms), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"mercerkit: error: {bad}: 'utf-8' codec can't decode byte 0xff in position ")
+    assert err.endswith(": invalid start byte\n") and err.count("\n") == 1
+
+
 # ---------------------------------------------------------------------------
 # exit paths shared by every subcommand
 # ---------------------------------------------------------------------------
@@ -637,6 +669,18 @@ def test_shared_exit_paths(tmp_path, command):
     assert report["validation"]["passed"] is True
     assert "empty support" in report["degenerate"]
     assert report["passed"] is False
+
+
+@pytest.mark.parametrize("command", ["validate", "decompose", "reconstruct", "frames"])
+def test_validation_and_assembly_share_one_symmetry_rule(tmp_path, capsys, command):
+    # the core's pair (a, b) deviates by 0.1, the kernel's, times B = [[1e-12]], by 1e-13: under TOL_SYM
+    atoms = write_atoms(tmp_path, [("a", 1.0, 0.0), ("b", 1.0, 1.0)])
+    table = "x_id,t_id,l,j,re,im\na,a,0,0,1.0,0.0\nb,b,0,0,1.0,0.0\na,b,0,0,0.5,0.0\nb,a,0,0,0.4,0.0\n"
+    (tmp_path / "t.csv").write_text(table)
+    spec = {"type": "separable", "matrix": [[1e-12]], "scalar": {"type": "precomputed", "path": "t.csv"}}
+    assert run_subcommand(command, atoms, write_kernel(tmp_path, spec), tmp_path / "out") == 0
+    assert capsys.readouterr().err == ""
+    assert report_of(tmp_path / "out")["passed"] is True
 
 
 @pytest.mark.parametrize("depth", [400, 3000])
@@ -746,6 +790,21 @@ def test_config_must_be_object(tmp_path, three_atoms, capsys):
     code = main(["decompose", "--config", str(config)])
     assert code == 1
     assert "config must be a JSON object" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (b'{"atoms": "\xff"}', "'utf-8' codec can't decode byte 0xff in position 11: invalid start byte"),
+        (b"[" * 100_000 + b"]" * 100_000, "config is nested too deeply"),
+    ],
+    ids=["not_utf8", "nested_too_deeply"],
+)
+def test_unreadable_config_is_a_one_line_usage_error(tmp_path, capsys, text, message):
+    config = tmp_path / "config.json"
+    config.write_bytes(text)
+    assert main(["validate", "--config", str(config)]) == 1
+    assert capsys.readouterr().err == f"mercerkit: error: {config}: {message}\n"
 
 
 @pytest.mark.parametrize(
