@@ -250,19 +250,22 @@ def _text_lines(value: Any, prefix: str = "") -> list[str]:
     return [f"{prefix[:-1]}: {json.dumps(value)}"]
 
 
-def _native(value: Any) -> Any:
+def _native(value: Any, strict: bool = False, key: str = "") -> Any:
     """Recursively force numpy scalars to plain Python for JSON output.
 
-    Non-finite floats become ``None``, so reports stay strict JSON.
+    Non-finite floats become ``None``, so reports stay strict JSON; with
+    ``strict``, the first raises a usage error that names its dotted key.
     """
     if isinstance(value, dict):
-        return {key: _native(v) for key, v in value.items()}
+        return {k: _native(v, strict, f"{key}{k}.") for k, v in value.items()}
     if isinstance(value, (list, tuple)):
-        return [_native(v) for v in value]
+        return [_native(v, strict, f"{key}{i}.") for i, v in enumerate(value)]
     if isinstance(value, (np.bool_, np.integer)):
         return value.item()
     if isinstance(value, (float, np.floating)):
         value = float(value)
+        if strict and not math.isfinite(value):
+            raise CliError(EXIT_USAGE, f"{key[:-1]} overflows the largest float")
         return value if math.isfinite(value) else None
     return value
 
@@ -282,14 +285,14 @@ def _about(args: argparse.Namespace, kernel: MatrixKernel) -> dict[str, Any]:
 
 
 def _validation(args: argparse.Namespace, kernel: MatrixKernel) -> dict[str, Any]:
-    """The axiom report of ``kernel`` on the atoms; a failed one exits 2."""
+    """The axiom report of ``kernel`` on the atoms; a failed one exits 2, an overflowing passed one 1."""
     report = validate_kernel(kernel, args.atoms)
     validation = report.to_dict()
     if not report.passed:
         raise CliError(
             EXIT_VALIDATION, report={**_about(args, kernel), "validation": validation, "passed": False}
         )
-    return validation
+    return _native(validation, strict=True, key="validation.")
 
 
 def _operator(args: argparse.Namespace, kernel: MatrixKernel) -> tuple[dict[str, Any], DiscreteOperator]:
@@ -318,6 +321,8 @@ def _metric_report(args: argparse.Namespace) -> dict[str, Any]:
     space, kernel, out = args.atoms, args.kernel, args.out
     validation = _validation(args, kernel)
     metric = pseudo_metric(space, kernel)
+    if not np.isfinite(metric.d).all():
+        raise CliError(EXIT_USAGE, "metric.csv: a kernel distance overflows the largest float")
     tol = metric.quotient_tol if args.tol_quotient is None else args.tol_quotient
     classes = quotient(space, metric, tol)
     sup = support(space, metric, tol)
@@ -495,8 +500,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return int(exc.code or 0)
     _, options, body = _COMMANDS[args.command]
     try:
-        _resolve(args, options)
-        report, code = body(args), EXIT_OK
+        with np.errstate(over="ignore", invalid="ignore"):  # a report number that overflows is named, not warned of
+            _resolve(args, options)
+            report, code = _native(body(args), strict=True), EXIT_OK
     except (CliError, KernelEvaluationError) as exc:
         # a precomputed table that misses a pair is a bad input file
         error = exc if isinstance(exc, CliError) else CliError(EXIT_USAGE, str(exc))

@@ -1,4 +1,4 @@
-"""Matrix-valued kernels: constructor zoo, block Gram assembly, validation.
+"""Matrix-valued kernels: constructor zoo, block Gram evaluation, validation.
 
 A kernel is its evaluator together with the output dimension ``n``, and
 it is evaluated over an atom space: ``gram(kernel, space, rows, cols)``
@@ -35,7 +35,6 @@ __all__ = [
     "MatrixKernel",
     "TOL_SYM",
     "ValidationReport",
-    "assemble_block_gram",
     "build_kernel",
     "diagonal_blocks",
     "gram",
@@ -254,11 +253,15 @@ def _require_hermitian(blocks: np.ndarray, matrix: np.ndarray = _ONE) -> None:
 def _hermitian(m: np.ndarray) -> np.ndarray:
     """Hermitian part ``(M + M^H) / 2`` of each square matrix in a stack, as a new array.
 
-    A real symmetric matrix comes back equal.  The sum is formed in the one
-    new array, where ``0.5 * (M + M^H)`` would allocate three.
+    A Hermitian matrix comes back equal.  The sum is formed in the one new
+    array, where ``0.5 * (M + M^H)`` would allocate three; only if it
+    overflows, as it may near the largest float, are the halves added instead.
     """
     part = np.conj(np.swapaxes(m, -1, -2), order="C")
-    np.add(m, part, out=part)
+    with np.errstate(over="ignore"):
+        np.add(m, part, out=part)
+    if np.isinf(part).any():
+        return 0.5 * m + 0.5 * np.conj(np.swapaxes(m, -1, -2))
     part *= 0.5
     return part
 
@@ -316,6 +319,7 @@ def _parse_complex_matrix(obj: Any, field: str) -> np.ndarray:
         rows.append([_parse_complex(entry, field) for entry in row])
     mat = np.asarray(rows, dtype=complex)
     _require(mat.shape[0] == mat.shape[1], field, "must be square")
+    _require(bool(np.isfinite(mat).all()), field, "entries must be finite")
     return mat
 
 
@@ -590,24 +594,8 @@ def write_precomputed(kernel: MatrixKernel, space: AtomSpace, path: str | Path) 
 
 
 # ---------------------------------------------------------------------------
-# block Gram assembly and validation
+# validation
 # ---------------------------------------------------------------------------
-
-
-def assemble_block_gram(kernel: MatrixKernel, space: AtomSpace, rows: ArrayLike | None = None) -> np.ndarray:
-    """Read-only Hermitian Gram matrix of the atoms at ``rows`` (default all); index ``(x, l) -> x*n + l``.
-
-    Asymmetry up to ``TOL_SYM`` is averaged away; anything larger raises
-    :class:`KernelSymmetryError` carrying the maximum deviation.  The matrix
-    is real when the kernel's blocks are.
-    """
-    raw = _flat(gram(kernel, space, rows))
-    dev = _hermitian_deviation(raw)
-    if dev > TOL_SYM:
-        raise KernelSymmetryError(
-            f"kernel violates Hermitian pair symmetry: max deviation {dev:.3e} exceeds {TOL_SYM:.3e}"
-        )
-    return _readonly(_hermitian(raw))
 
 
 @dataclass(frozen=True, eq=False)

@@ -54,18 +54,21 @@ class OffSupportError(ValueError):
 
 
 def default_tol_recon(dec: SpectralDecomposition) -> float:
-    """Scale-aware tolerance for series reconstruction deviations."""
-    return tol_recon_of([dec.kernel], dec.space)
-
-
-def tol_recon_of(kernels: Sequence[MatrixKernel], space: AtomSpace) -> float:
     """Reconstruction tolerance ``TOL_RECON_SCALE * (1 + t)``.
 
     ``t`` is the largest real diagonal entry of any ``K(x, x)`` over the
-    kernels and the atoms of ``space``, floored at 0.
+    atoms, read off ``dec.nu.diagonal``, floored at 0.
     """
-    top = max(float(np.einsum("xll->xl", diagonal_blocks(k, space)).real.max()) for k in kernels)
-    return TOL_RECON_SCALE * (1.0 + max(top, 0.0))
+    return _tol_recon(dec.nu.diagonal)
+
+
+def tol_recon_of(kernels: Sequence[MatrixKernel], space: AtomSpace) -> float:
+    """:func:`default_tol_recon`'s rule, ``t`` taken over the kernels' blocks ``K(x, x)`` on the atoms of ``space``."""
+    return max(_tol_recon(diagonal_blocks(k, space)) for k in kernels)
+
+
+def _tol_recon(diagonal: np.ndarray) -> float:
+    return TOL_RECON_SCALE * (1.0 + max(float(np.einsum("xll->xl", diagonal).real.max()), 0.0))
 
 
 def _check_truncation(dec: SpectralDecomposition, m: int) -> None:
@@ -242,7 +245,7 @@ def frame_check(
         raise ValueError("frame atoms do not match the decomposition's atom order")
     _check_component(dec, j)
     idx = [dec.space.index(label) for label in dec.support.members]
-    targets = diagonal_blocks(dec.kernel, dec.space, idx)[:, j, j].real
+    targets = dec.nu.diagonal[idx, j, j].real
     totals = np.sum(np.abs(frame.values[:, idx]) ** 2, axis=0)
     deviation = float(np.max(np.abs(targets - totals), initial=0.0))
     for labels, coeffs in combinations:

@@ -61,10 +61,11 @@ class EmptySupportError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class RescaledMeasure:
-    """Per-atom rescaled weights plus the resulting trace budget."""
+    """Per-atom rescaled weights, the resulting trace budget, and the blocks ``K(x, x)``, shape ``(N, n, n)``."""
 
     weights: np.ndarray
     m_nu: float
+    diagonal: np.ndarray
 
 
 def rescale_measure(space: AtomSpace, kernel: MatrixKernel) -> RescaledMeasure:
@@ -73,7 +74,8 @@ def rescale_measure(space: AtomSpace, kernel: MatrixKernel) -> RescaledMeasure:
     The blocks are the core's times ``B``, and their norms the core's times
     ``||B||_2`` (see :func:`_factors`).  Also returns the trace budget
     ``m_nu = sum_x tr K(x,x) nu_x``, which the eigenvalue sum of the operator
-    must reproduce.
+    must reproduce, and the blocks, the one evaluation of ``K(x, x)`` a
+    decomposition makes.
     """
     core, matrix = _factors(kernel)
     k = diagonal_blocks(core, space)
@@ -82,7 +84,7 @@ def rescale_measure(space: AtomSpace, kernel: MatrixKernel) -> RescaledMeasure:
     weights = space.mu / (1.0 + norms)
     traces = np.trace(diag, axis1=1, axis2=2).real
     m_nu = float(np.sum(traces * weights))
-    return RescaledMeasure(_readonly(weights), m_nu)
+    return RescaledMeasure(_readonly(weights), m_nu, _readonly(diag))
 
 
 @dataclass(frozen=True, eq=False)

@@ -15,7 +15,6 @@ from conftest import ZOO, decompose_space, delta_kernel, random_space, space_fro
 from mercerkit import (
     FrameFamily,
     RKHSElement,
-    assemble_block_gram,
     build_kernel,
     default_tol_eig,
     default_tol_recon,
@@ -37,6 +36,7 @@ from mercerkit import (
     verify_diagonal_blocks,
 )
 from mercerkit.cli import main
+from mercerkit.kernels import _flat
 
 
 def _verdict(num: int, name: str, ok: bool, detail: str) -> None:
@@ -151,11 +151,11 @@ def test_criterion_05_orthonormal_feature_family():
         # v_i = sum_t K(.,t) f_i(t) nu_t / sqrt(sigma_i); ill-conditioned at
         # the spectral tail, so cut the relative rank at 1e-6
         dec = truncate(full, 1e-6 * float(full.sigmas[0]))
-        gram = assemble_block_gram(dec.kernel, space)
+        block_gram = _flat(gram(dec.kernel, space))
         weights = dec.nu.weights
         y = (dec.funcs * weights[None, :, None]).reshape(dec.rank, -1).T
         y = y / np.sqrt(dec.sigmas)[None, :]
-        hk_gram = y.conj().T @ gram @ y
+        hk_gram = y.conj().T @ block_gram @ y
         worst_hk = max(worst_hk, float(np.max(np.abs(hk_gram - np.eye(dec.rank)))) / tol_recon)
 
         # the same identity through the public inner product, spot-checked

@@ -705,6 +705,45 @@ def test_gaussian_whose_exponent_overflows_runs_quietly(tmp_path, capsys):
         assert capsys.readouterr().err == ""
 
 
+@pytest.mark.parametrize("entry", ["Infinity", "-Infinity", "NaN"])
+def test_matrix_entry_that_is_not_finite_is_named(tmp_path, three_atoms, capsys, entry):
+    # json reads these constants; such an entry of B is reported as what it is, not as asymmetry
+    kernel = tmp_path / "kernel.json"
+    kernel.write_text(f'{{"type": "separable", "matrix": [[{entry}, 0], [0, 1]], "scalar": {json.dumps(GAUSSIAN)}}}')
+    for command in ("validate", "decompose"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert run_subcommand(command, three_atoms, kernel, tmp_path / command) == 1
+        assert capsys.readouterr().err == "mercerkit: error: matrix: entries must be finite\n"
+
+
+def test_matrix_near_the_largest_float_runs_quietly(tmp_path, capsys):
+    # B = diag(1e308, 1e308) is finite, Hermitian and positive definite, and its Hermitian part is formed without
+    # overflow; a number that overflows past the largest float exits 1 with one line that names it
+    kernel = write_kernel(tmp_path, {"type": "separable", "matrix": [[1e308, 0.0], [0.0, 1e308]], "scalar": GAUSSIAN})
+    near = write_atoms(tmp_path, [("a", 1.0, 0.0), ("b", 1.0, 1.0)], name="near.csv")
+    far = write_atoms(tmp_path, [("a", 1.0, 0.0), ("b", 1.0, 4.0)], name="far.csv")
+    crowd = write_atoms(tmp_path, [("a", 1.0, 0.0), ("b", 1.0, 0.0), ("c", 1.0, 0.0)], name="crowd.csv")
+    expected = {
+        ("validate", near): "",
+        ("reconstruct", near): "",
+        ("frames", near): "",
+        # tr K(x, x) is 2e308
+        ("decompose", near): "m_nu overflows the largest float",
+        # the squared distance of a and b is about 2e308
+        ("metric", far): "metric.csv: a kernel distance overflows the largest float",
+        # the Gram of three equal atoms has the eigenvalue 3e308
+        ("validate", crowd): "validation.max_eigenvalue overflows the largest float",
+    }
+    for (command, atoms), message in expected.items():
+        out = tmp_path / f"{command}-{atoms.stem}"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert run_subcommand(command, atoms, kernel, out) == (1 if message else 0)
+        assert capsys.readouterr().err == (f"mercerkit: error: {message}\n" if message else "")
+    assert report_of(tmp_path / "validate-near")["validation"]["max_eigenvalue"] == 1.3678794411714423e308
+
+
 @pytest.mark.parametrize("command", SUBCOMMANDS)
 def test_table_missing_an_atom_is_usage_error(tmp_path, three_atoms, capsys, command):
     (tmp_path / "table.csv").write_text("x_id,t_id,l,j,re,im\na,a,0,0,1.0,0.0\nb,b,0,0,1.0,0.0\na,b,0,0,0.5,0.0\n")

@@ -108,6 +108,25 @@ def table_cores(draw, labels):
     return "x_id,t_id,l,j,re,im\n" + "\n".join(rows) + "\n"
 
 
+@st.composite
+def complex_psd_matrices(draw):
+    """``F^H F`` for a Gaussian-integer ``F`` with 2 or 3 columns whose entry ``(0, 1)`` has a nonzero imaginary part.
+
+    ``F``'s first row is ``(1, z, ...)``, so the imaginary part of entry
+    ``(0, 1)`` is that of ``z`` plus that of the other rows' sum, and ``z`` is
+    drawn to keep the total nonzero: complex by construction, never the
+    identity, with no draw filtered away.
+    """
+    n = draw(st.integers(2, 3))
+    rows = draw(st.integers(1, n))
+    parts = st.lists(st.integers(-2, 2), min_size=rows * n, max_size=rows * n)
+    f = (np.array(draw(parts)) + 1j * np.array(draw(parts))).reshape(rows, n)
+    f[0, 0] = 1.0
+    rest = int(np.vdot(f[1:, 0], f[1:, 1]).imag)
+    f[0, 1] = draw(st.integers(-2, 2)) + 1j * draw(st.sampled_from([y for y in range(-2, 3) if y != -rest]))
+    return f.conj().T @ f
+
+
 @pytest.mark.parametrize("b_kind", ["none", "real", "complex"])
 @pytest.mark.parametrize("core_kind", ["builtin", "table", "huge"])
 @hypothesis.settings(max_examples=40, deadline=None)
@@ -121,9 +140,8 @@ def test_factored_validation_equals_the_whole_gram_validation(core_kind, b_kind,
         else:
             spec = {"type": "constant", "value": 1e300} if core_kind == "huge" else data.draw(st.sampled_from(SCALARS))
         if b_kind != "none":
-            b = data.draw(psd_matrices())
+            b = data.draw(complex_psd_matrices() if b_kind == "complex" else psd_matrices())
             b = b.real.astype(complex) if b_kind == "real" else b
-            hypothesis.assume(b_kind == "real" or b.imag.any())
             # 1e10 takes a core near 1e300 past the largest float
             b = b * data.draw(st.sampled_from([1.0, 1e-12, 1e10]))
             matrix = [[[z.real, z.imag] for z in row] for row in b.tolist()]

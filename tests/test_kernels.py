@@ -14,8 +14,10 @@ from mercerkit import (
     KernelSpecError,
     KernelSymmetryError,
     MatrixKernel,
-    assemble_block_gram,
+    RescaledMeasure,
+    assemble_operator,
     build_kernel,
+    diagonal_blocks,
     gram,
     kernel_from_file,
     psd_tolerance,
@@ -24,6 +26,7 @@ from mercerkit import (
     validate_kernel,
     write_precomputed,
 )
+from mercerkit.kernels import _flat
 
 
 # ---------------------------------------------------------------------------
@@ -191,10 +194,16 @@ def test_hermitian_pair_law(spec):
     assert worst <= 1e-12
 
 
+def _unit_operator(kernel, space):
+    """The operator matrix at unit rescaled weights: the kernel's Gram, checked and made Hermitian by assembly."""
+    nu = RescaledMeasure(np.ones(len(space)), 0.0, diagonal_blocks(kernel, space))
+    return assemble_operator(space, kernel, nu).matrix
+
+
 def test_block_gram_gaussian_hand():
     space = space_from([0.0, 1.0], [1.0, 1.0])
     kernel = build_kernel({"type": "gaussian", "gamma": 1.0})
-    gram = assemble_block_gram(kernel, space)
+    gram = _unit_operator(kernel, space)
     e = math.exp(-1.0)
     np.testing.assert_allclose(gram, [[1.0, e], [e, 1.0]], atol=1e-16)
     assert not gram.flags.writeable
@@ -209,9 +218,9 @@ def test_block_gram_layout_interleaves_components():
     }
     kernel = build_kernel(spec)
     space = space_from([0.0, 4.0], [1.0, 1.0])
-    gram = assemble_block_gram(kernel, space)
-    assert gram.shape == (4, 4)
-    np.testing.assert_array_equal(gram[0:2, 2:4], [[2.0, 1.0], [1.0, 2.0]])
+    flat = _flat(gram(kernel, space))
+    assert flat.shape == (4, 4)
+    np.testing.assert_array_equal(flat[0:2, 2:4], [[2.0, 1.0], [1.0, 2.0]])
 
 
 def test_assemble_rejects_large_asymmetry():
@@ -220,8 +229,8 @@ def test_assemble_rejects_large_asymmetry():
 
     kernel = MatrixKernel(n=1, eval=ev, label="skew")
     space = space_from([0.0, 1.0], [1.0, 1.0])
-    with pytest.raises(KernelSymmetryError, match="Hermitian pair symmetry"):
-        assemble_block_gram(kernel, space)
+    with pytest.raises(KernelSymmetryError, match=r"not Hermitian: max deviation 2\.000e\+00 exceeds"):
+        _unit_operator(kernel, space)
 
 
 def test_assemble_averages_tiny_asymmetry():
@@ -234,7 +243,7 @@ def test_assemble_averages_tiny_asymmetry():
 
     kernel = MatrixKernel(n=1, eval=ev, label="wobble")
     space = space_from([0.0, 1.0], [1.0, 1.0])
-    gram = assemble_block_gram(kernel, space)
+    gram = _unit_operator(kernel, space)
     np.testing.assert_array_equal(gram, gram.conj().T)
     assert complex(gram[0, 1]) == pytest.approx(0.5 + wobble / 2, rel=1e-12)
 

@@ -13,13 +13,13 @@ from mercerkit import (
     EmptySupportError,
     RKHSElement,
     adjoint_embed,
-    assemble_block_gram,
     assemble_operator,
     build_kernel,
     default_tol_eig,
     eigendecompose,
     embedding_norm_bound_check,
     extend_eigenfunction,
+    gram,
     merge_classes,
     pointwise,
     pseudo_metric,
@@ -33,6 +33,7 @@ from mercerkit import (
     write_precomputed,
     write_spectrum,
 )
+from mercerkit.kernels import _flat
 
 
 # ---------------------------------------------------------------------------
@@ -101,7 +102,7 @@ def test_separable_operator_is_the_scalar_factor():
     assert op.indices == tuple(pos.tolist())
     assert op.matrix.shape == (5, 5)
     scale = np.sqrt(nu.weights[pos])
-    expected = assemble_block_gram(build_kernel(spec["scalar"]), space, pos) * scale[:, None] * scale[None, :]
+    expected = _flat(gram(build_kernel(spec["scalar"]), space, pos)) * scale[:, None] * scale[None, :]
     np.testing.assert_array_equal(op.matrix, expected)
 
 
@@ -207,7 +208,7 @@ def test_separable_spectrum_has_no_product_of_two_negative_eigenvalues():
     kernel = build_kernel(spec)
     nu = rescale_measure(space, kernel)
     scale = np.sqrt(nu.weights)
-    lam = np.linalg.eigh(assemble_block_gram(kernel.separable[0], space) * scale[:, None] * scale[None, :])[0]
+    lam = np.linalg.eigh(_flat(gram(kernel.separable[0], space)) * scale[:, None] * scale[None, :])[0]
     mu = np.linalg.eigh(b)[0]
     if not ((lam < 0).any() and (mu < 0).any()):
         pytest.skip("no negative rounding-level eigenvalue in both factors with this LAPACK")
@@ -292,10 +293,10 @@ def test_eigen_equation_residual(spec):
     op = assemble_operator(space, kernel, nu)
     dec = eigendecompose(op)
     pos = list(dec.positive_indices)
-    gram = assemble_block_gram(kernel, space, pos)
+    block_gram = _flat(gram(kernel, space, pos))
     weights = np.repeat(nu.weights[pos], kernel.n)
     stacked = dec.funcs[:, pos, :].reshape(dec.rank, -1)
-    applied = stacked @ (gram * weights).T
+    applied = stacked @ (block_gram * weights).T
     resid = np.max(np.abs(applied - dec.sigmas[:, None] * stacked))
     assert resid <= default_tol_eig(dec) * float(dec.sigmas[0])
 
