@@ -119,14 +119,6 @@ def _factors(kernel: MatrixKernel) -> tuple[MatrixKernel, np.ndarray]:
     return (kernel, _ONE) if kernel.separable is None else kernel.separable
 
 
-def _labels(cells: np.ndarray) -> tuple[dict[str, int], np.ndarray]:
-    """Stripped labels numbered in order of first appearance (C order), and each cell's number."""
-    raw = cells.ravel().tolist()
-    index: dict[str, int] = {}
-    number = {cell: index.setdefault(cell.strip(), len(index)) for cell in dict.fromkeys(raw)}
-    return index, np.fromiter(map(number.__getitem__, raw), np.intp, len(raw)).reshape(cells.shape)
-
-
 def _scatter(
     shape: tuple[int, ...], keys: tuple[np.ndarray, ...], re: np.ndarray, im: np.ndarray | None
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -534,13 +526,12 @@ def read_precomputed(path: str | Path) -> MatrixKernel:
     :class:`KernelSpecError` names the path and the shape.
     """
     path = Path(path)
-    rows = _read_table(path, _PRECOMPUTED_ROW, KernelSpecError, _COMPONENTS, need_rows=True)
-    index, ids = _labels(np.stack([rows["x_id"], rows["t_id"]], axis=1))
+    rows, index = _read_table(path, _PRECOMPUTED_ROW, KernelSpecError, _COMPONENTS, need_rows=True)
     size, n = len(index), int(max(rows["l"].max(), rows["j"].max())) + 1
-    keys = (ids[:, 0], ids[:, 1], rows["l"], rows["j"])
     shape = (size, size, n, n)
     try:
-        blocks, stored = _scatter(shape, keys, rows["re"], rows["im"])
+        blocks, stored = _scatter(shape, (rows["x_id"], rows["t_id"], rows["l"], rows["j"]), rows["re"], rows["im"])
+        del rows  # before the mirror step, the peak of the read
         pairs = stored.any(axis=(2, 3))
         defined = pairs | pairs.T
         # entry (x, t, l, j) of the mirror block is conj K(t, x)[j, l]

@@ -18,7 +18,6 @@ import numpy as np
 from .kernels import (
     MatrixKernel,
     _flat,
-    _labels,
     _readonly,
     _scatter,
     diagonal_blocks,
@@ -288,12 +287,11 @@ def read_frame(path: str | Path) -> ScalarFrame:
     keeps it complex.
     """
     path = Path(path)
-    rows = _read_table(path, _FRAME_ROW, ValueError, _FRAME_INDEX)
-    index, x = _labels(rows["atom_id"])
+    rows, index = _read_table(path, _FRAME_ROW, ValueError, _FRAME_INDEX)
     shape = (int(rows["i"].max(initial=-1)) + 1, len(index))
-    im = rows["value_im"]
+    keys, im = (rows["i"], rows["atom_id"]), rows["value_im"]
     try:
-        values, _ = _scatter(shape, (rows["i"], x), rows["value_re"], im if im.view(np.int64).any() else None)
+        values, _ = _scatter(shape, keys, rows["value_re"], im if im.view(np.int64).any() else None)
     except MemoryError:
         raise ValueError(
             f"cannot read frame file: {path}: a dense frame of shape {shape} does not fit in memory"

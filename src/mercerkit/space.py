@@ -130,10 +130,11 @@ def load_atoms(path: str | Path) -> AtomSpace:
     dim = len(header) - 2
     if dim < 0 or header != ["id", "w"] + [f"c{k}" for k in range(1, dim + 1)]:
         raise AtomFileError(f"{path}: line 1: header must be id,w,c1,...,cd, got {','.join(header)}")
-    rows = _read_table(path, np.dtype([("id", object)] + [(name, float) for name in header[1:]]), AtomFileError)
+    rows, index = _read_table(path, np.dtype([("id", object)] + [(name, float) for name in header[1:]]), AtomFileError)
     coords = np.array([rows[name] for name in header[2:]]).reshape(dim, len(rows)).T  # (N, d), also for d = 0
+    labels = list(index)
     try:
-        return AtomSpace(tuple(label.strip() for label in rows["id"]), coords, rows["w"])
+        return AtomSpace(tuple(labels[i] for i in rows["id"].tolist()), coords, rows["w"])
     except ValueError as exc:
         raise AtomFileError(f"{path}: {exc}") from None
 
@@ -290,6 +291,8 @@ def _zero_mass_support(space: AtomSpace, kernel: MatrixKernel) -> SupportSet:
     """
     # the distances as pseudo_metric computes them, on the zero-mass rows only
     zero = np.flatnonzero(space.mu <= 0)
+    if not len(zero):  # every atom holds mass: no distance is needed
+        return SupportSet(space.labels)
     d, tol = _distances(space, kernel, zero)
     z, t = np.nonzero(d <= tol)
     return _holding_mass(space, _components(len(space), zero[z], t))

@@ -10,7 +10,8 @@ lookup tables of the renderer are built once per process (:func:`_tables`).
 Every table it reads (atoms, block
 tables and frames) goes through :func:`_read_table`: one ``np.loadtxt`` pass
 (:func:`_read_csv`), or the ``csv.reader`` row loop (:func:`_read_rows`)
-that words the errors.  The module has no public names.
+that words the errors; both number label cells as they parse them
+(:class:`_Numbers`).  The module has no public names.
 """
 
 from __future__ import annotations
@@ -515,7 +516,26 @@ def _complex_columns(values: np.ndarray) -> list[np.ndarray | tuple[list[str], N
     return [values.real, values.imag]
 
 
-def _read_csv(path: str | Path, row: np.dtype) -> np.ndarray | None:
+class _Numbers(dict):
+    """Raw label cells mapped to numbers: ``labels`` numbers the stripped labels in order of first appearance.
+
+    A cell is stripped when first met and cached, so a repeated cell costs one C-level dict lookup.
+    """
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.labels: dict[str, int] = {}
+
+    def __missing__(self, cell: str) -> int:
+        return self.setdefault(cell, self.labels.setdefault(cell.strip(), len(self.labels)))
+
+
+def _numbered(row: np.dtype) -> np.dtype:
+    """``row`` with each label field, declared with dtype ``object``, as the ``intp`` number of its label."""
+    return np.dtype([(name, np.intp if row[name].kind == "O" else row[name]) for name in row.names])
+
+
+def _read_csv(path: str | Path, row: np.dtype) -> tuple[np.ndarray, dict[str, int]] | None:
     """Data rows of a CSV file whose header is the field names of ``row``, in one ``np.loadtxt`` pass.
 
     Returns ``None`` if the header differs or cannot be read, there is no
@@ -525,8 +545,9 @@ def _read_csv(path: str | Path, row: np.dtype) -> np.ndarray | None:
     loops open it (given a path, numpy would turn a quoted ``\\r\\n`` into
     ``\\n``).  Both split fields alike: no comment character, ``""`` inside
     quotes, a quote inside an unquoted cell kept; numpy skips only empty
-    lines.  Label columns have dtype ``object`` and keep their cells
-    unstripped.
+    lines.  Label cells go unstripped to the bound ``__getitem__`` of a
+    :class:`_Numbers`, so no string is kept per cell; ``encoding=None``
+    hands them over as ``str`` under numpy 1.x too.
     """
     with open(path, encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
@@ -537,12 +558,16 @@ def _read_csv(path: str | Path, row: np.dtype) -> np.ndarray | None:
         # a header record spanning lines is left to the loop
         if header is None or reader.line_num != 1 or [h.strip() for h in header] != list(row.names):
             return None
+        numbers = _Numbers()
+        converters = {k: numbers.__getitem__ for k, name in enumerate(row.names) if row[name].kind == "O"}
         try:
             with warnings.catch_warnings():
                 warnings.simplefilter("error")  # numpy warns on a file without data rows
-                return np.loadtxt(fh, dtype=row, delimiter=",", quotechar='"', comments=None, ndmin=1)
+                rows = np.loadtxt(fh, _numbered(row), delimiter=",", quotechar='"', comments=None, ndmin=1,
+                                  converters=converters, encoding=None)
         except (ValueError, Warning):
             return None
+    return rows, numbers.labels
 
 
 def _in_range(limit: int, *columns: np.ndarray) -> bool:
@@ -565,18 +590,20 @@ class _Indices(NamedTuple):
 
 def _read_table(
     path: Path, row: np.dtype, error: type[ValueError], indices: _Indices | None = None, need_rows: bool = False
-) -> np.ndarray:
-    """Data rows of the CSV file ``path``, typed by the fields of ``row``, its header.
+) -> tuple[np.ndarray, dict[str, int]]:
+    """Data rows of the CSV file ``path``, typed by the fields of ``row``, its header, and the labels.
 
-    Integer fields are indices checked by ``indices``; without it ``row`` has
-    none.  ``need_rows`` makes a file without data rows an error.  Bad input
-    raises ``error`` naming the path and the first bad line.
+    Label fields (``object`` in ``row``) hold the number of their stripped
+    label, in order of first appearance along the rows.  Integer fields are
+    indices checked by ``indices``; without it ``row`` has none.
+    ``need_rows`` makes a file without data rows an error.  Bad input raises
+    ``error`` naming the path and the first bad line.
     """
-    rows = _read_csv(path, row)
+    read = _read_csv(path, row)
     ints = [name for name in row.names if row[name].kind == "i"]
-    if rows is None or (ints and not _in_range(indices.limit(len(rows)), *(rows[name] for name in ints))):
-        rows = _read_rows(path, row, error, indices, need_rows)
-    return rows
+    if read is None or (ints and not _in_range(indices.limit(len(read[0])), *(read[0][name] for name in ints))):
+        read = _read_rows(path, row, error, indices, need_rows)
+    return read
 
 
 def _records(reader: Any, path: Path, error: type[ValueError]) -> Iterator[list[str]]:
@@ -591,17 +618,18 @@ def _records(reader: Any, path: Path, error: type[ValueError]) -> Iterator[list[
 
 def _read_rows(
     path: Path, row: np.dtype, error: type[ValueError], indices: _Indices | None, need_rows: bool
-) -> np.ndarray:
-    """The data rows of a table, one ``csv.reader`` row at a time.
+) -> tuple[np.ndarray, dict[str, int]]:
+    """The data rows of a table and its labels, one ``csv.reader`` row at a time.
 
     This is the reference parse of :func:`_read_table`.  Blank rows are
-    skipped, label fields are kept as read and the others go through ``int``
-    or ``float``, which word the error for a bad cell.  Indices are checked
-    as Python integers, before any is held in an array.  A record that
-    ``csv.reader`` rejects, such as a cell over ``csv.field_size_limit()``,
-    is an error at the line where the reader stopped.
+    skipped, label cells are numbered as :func:`_read_csv` numbers them, and
+    the others go through ``int`` or ``float``, which word the error for a
+    bad cell.  Indices are checked as Python integers, before any is held in
+    an array.  A record that ``csv.reader`` rejects, such as a cell over
+    ``csv.field_size_limit()``, is an error at the line where it stopped.
     """
-    convert = [{"O": str, "i": int, "f": float}[row[name].kind] for name in row.names]
+    numbers = _Numbers()
+    convert = [{"O": numbers.__getitem__, "i": int, "f": float}[row[name].kind] for name in row.names]
     ints = [k for k, name in enumerate(row.names) if row[name].kind == "i"]
     rows: list[tuple] = []
     lines: list[int] = []
@@ -633,4 +661,4 @@ def _read_rows(
             top = max(values[k] for k in ints)
             if top >= limit:
                 raise error(f"{path}: line {line_no}: {indices.name} {top} is out of range for {len(rows)} data rows")
-    return np.array(rows, dtype=row)
+    return np.array(rows, dtype=_numbered(row)), numbers.labels

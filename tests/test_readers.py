@@ -10,6 +10,7 @@ bit-identical arrays and labels, or the same exception with the same message.
 from __future__ import annotations
 
 import csv
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -218,6 +219,35 @@ def test_first_bad_line_is_named(tmp_path, kind, case, message):
     assert str(info.value) == f"{path}: {message}"
 
 
+# Block tables whose two label columns differ, each pair of cells x_id,t_id with the
+# numbers of its labels: a label first met in t_id, and a label written bare in one
+# column and padded or quoted in the other
+LABEL_COLUMNS = {
+    "first_in_t_id": (["a,b", "b,c", "c,c", "a,a"], ("a", "b", "c"), [(0, 1), (1, 2), (2, 2), (0, 0)]),
+    "padded": (["a, b ", "b,a", "\tb,b"], ("a", "b"), [(0, 1), (1, 0), (1, 1)]),
+    "quoted": (['a,"b c"', "b c,a", '" b c",b c'], ("a", "b c"), [(0, 1), (1, 0), (1, 1)]),
+}
+
+
+def _numbered_outcome(path):
+    rows, index = tables._read_table(path, kernels._PRECOMPUTED_ROW, KernelSpecError, kernels._COMPONENTS)
+    return rows.dtype, rows.tobytes(), list(index.items()), rows[["x_id", "t_id"]].tolist()
+
+
+@pytest.mark.parametrize("case", list(LABEL_COLUMNS))
+def test_table_labels_are_numbered_in_order_of_first_appearance(tmp_path, case):
+    pairs, labels, numbers = LABEL_COLUMNS[case]
+    path = tmp_path / "table.csv"
+    path.write_text("x_id,t_id,l,j,re,im\n" + "".join(f"{pair},0,0,{k}.0,0.0\n" for k, pair in enumerate(pairs)))
+    for outcome in (_table_outcome, _numbered_outcome):
+        fast, loop_calls, reference = read_both(outcome, path)
+        assert fast == reference
+        assert loop_calls == 0
+    *_, index, cells = fast
+    assert index == [(label, k) for k, label in enumerate(labels)]
+    assert cells == numbers
+
+
 def test_cr_line_endings(tmp_path):
     path = tmp_path / "frame.csv"
     path.write_bytes(b"i,atom_id,value_re,value_im\r0,a,1.0,2.0\r1,a,3.0,4.0\r")
@@ -320,3 +350,36 @@ def test_table_too_large_to_hold_names_path_and_shape(tmp_path, monkeypatch, pat
         read_precomputed(path)
     expected = f"cannot read kernel table file: {path}: a dense table of shape (2, 2, 1, 1) does not fit in memory"
     assert str(info.value) == expected
+
+
+# ---------------------------------------------------------------------------
+# a read holds no string per label cell
+# ---------------------------------------------------------------------------
+
+
+def _traced_peak(read, path):
+    tracemalloc.start()
+    try:
+        read(path)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_table_read_memory_stays_within_a_few_dense_tables(tmp_path):
+    # the label cells are numbered as they are parsed and the rows are freed before the
+    # mirror step, so the peak stays within 5 times the dense table (9.3 when every cell was a str)
+    labels = tuple(f"x{x:04d}" for x in range(60))
+    space = AtomSpace(labels, np.zeros((len(labels), 0)), np.ones(len(labels)))
+    blocks = _edge_values((len(labels), len(labels), 2, 2))
+    path = tmp_path / "table.csv"
+    write_precomputed(table_kernel(blocks), space, path)
+    assert _traced_peak(read_precomputed, path) <= 5 * blocks.nbytes
+
+
+def test_frame_read_memory_stays_within_a_few_dense_frames(tmp_path):
+    # 9.0 times the dense frame when every label cell was a str
+    frame = ScalarFrame(tuple(f"x{x:04d}" for x in range(60)), _edge_values((120, 60)))
+    path = tmp_path / "frame.csv"
+    write_frame(frame, path)
+    assert _traced_peak(read_frame, path) <= 7 * frame.values.nbytes

@@ -23,6 +23,7 @@ from mercerkit import (
     write_frame,
     write_precomputed,
 )
+from mercerkit import space as space_module
 from mercerkit.space import _zero_mass_support
 
 
@@ -397,6 +398,19 @@ def test_zero_mass_support_equals_full_metric_support(tmp_path):
         for kernel in kernels_over(tmp_path, space):
             expected = support(space, pseudo_metric(space, kernel))
             assert _zero_mass_support(space, kernel).members == expected.members, (case, kernel.label)
+
+
+def test_zero_mass_support_without_zero_mass_evaluates_no_gram(tmp_path, monkeypatch):
+    # every atom holds mass, so every atom is in the support and no distance is needed
+    space = random_space(np.random.default_rng(4245), 9)
+    kernels = kernels_over(tmp_path, space)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a Gram was evaluated")
+
+    monkeypatch.setattr(space_module, "gram", refuse)
+    for kernel in kernels:
+        assert _zero_mass_support(space, kernel).members == space.labels, kernel.label
 
 
 def test_decomposition_support_is_the_full_metric_support(tmp_path):
