@@ -430,6 +430,9 @@ def _synthesis_report(args: argparse.Namespace) -> dict[str, Any]:
     space, originals = args.atoms, args.kernel or []
     if not originals and not args.frames:
         raise CliError(EXIT_USAGE, "synthesize needs --kernel files or --frames files")
+    if originals and args.frames and len(originals) != len(args.frames):
+        expected = f"expected one file per --frames file ({len(args.frames)}), got {len(originals)}"
+        raise CliError(EXIT_USAGE, f"--kernel: {expected}")
     frames = args.frames or [extract_frame(eigendecompose(_operator(args, k)[1]), 0) for k in originals]
     try:
         family = align_frames(frames)

@@ -352,16 +352,11 @@ def _constant(spec: Mapping[str, Any]) -> MatrixKernel:
     return MatrixKernel(1, label=f"constant({value!r})", batch=batch)
 
 
-def _gaussian(spec: Mapping[str, Any]) -> MatrixKernel:
+def _radial(spec: Mapping[str, Any], name: str, size: Callable[[np.ndarray], np.ndarray]) -> MatrixKernel:
+    """``exp(-gamma * sum_c size(x_c - t_c))``: the gaussian with ``np.square``, the laplacian with ``np.abs``."""
     gamma = _real_param(spec, "gamma")
     _require(gamma > 0, "gamma", "must be positive")
-    return _scalar_kernel(lambda x, t: np.square(x - t), lambda s: np.exp(-gamma * s), f"gaussian(gamma={gamma!r})")
-
-
-def _laplacian(spec: Mapping[str, Any]) -> MatrixKernel:
-    gamma = _real_param(spec, "gamma")
-    _require(gamma > 0, "gamma", "must be positive")
-    return _scalar_kernel(lambda x, t: np.abs(x - t), lambda s: np.exp(-gamma * s), f"laplacian(gamma={gamma!r})")
+    return _scalar_kernel(lambda x, t: size(x - t), lambda s: np.exp(-gamma * s), f"{name}(gamma={gamma!r})")
 
 
 def _polynomial(spec: Mapping[str, Any]) -> MatrixKernel:
@@ -447,10 +442,6 @@ def _file_path(path: Any, field: str, base_dir: Path | None) -> Path:
     return Path(path) if base_dir is None else base_dir / path
 
 
-def _precomputed(spec: Mapping[str, Any], base_dir: Path | None) -> MatrixKernel:
-    return read_precomputed(_file_path(spec.get("path"), "path", base_dir))
-
-
 def _frame_synth(spec: Mapping[str, Any], base_dir: Path | None) -> MatrixKernel:
     paths = spec.get("frames")
     _require(isinstance(paths, Sequence) and len(paths) >= 1, "frames", "must list at least one frame file")
@@ -473,13 +464,13 @@ def build_kernel(spec: Mapping[str, Any], base_dir: Path | None = None) -> Matri
     ktype = spec.get("type")
     builders: dict[str, Callable[[], MatrixKernel]] = {
         "constant": lambda: _constant(spec),
-        "gaussian": lambda: _gaussian(spec),
-        "laplacian": lambda: _laplacian(spec),
+        "gaussian": lambda: _radial(spec, "gaussian", np.square),
+        "laplacian": lambda: _radial(spec, "laplacian", np.abs),
         "polynomial": lambda: _polynomial(spec),
         "separable": lambda: _separable(spec, base_dir),
         "diagonal": lambda: _diagonal(spec, base_dir),
         "sum": lambda: _sum(spec, base_dir),
-        "precomputed": lambda: _precomputed(spec, base_dir),
+        "precomputed": lambda: read_precomputed(_file_path(spec.get("path"), "path", base_dir)),
         "frame_synth": lambda: _frame_synth(spec, base_dir),
     }
     if ktype not in builders:

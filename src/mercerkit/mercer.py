@@ -104,18 +104,19 @@ def reconstruction_error(
     and off-support atoms are allowed).  Returns ``(m, error)`` rows with
     ``error = max |K(x,t) - K_m(x,t)|`` over pairs and components.
 
-    Only the row ``m = rank`` is computed entry by entry, with one matrix
+    The row ``m = rank`` is computed entry by entry, with one matrix
     product.  A row ``m < rank`` is the largest diagonal entry of the
     remainder ``R_m = K - K_m``, ``K(x,x)[l,l] - sum_{i<m} sigma_i
     |f_i^l(x)|^2`` floored at 0, which is the max-entry error whenever
     ``R_m`` is positive semidefinite, since then ``|R_ij| <= sqrt(R_ii
-    R_jj)``.  For a positive semidefinite kernel it is, on any finite atom
-    set: ``R_m`` is the Nystrom remainder (a Schur complement of the
-    positive-mass block) plus the dropped terms ``sigma_i f_i f_i^H``.
-    These rows are exactly nonincreasing in ``m``.  A kernel that passes
-    validation while slightly indefinite (within ``tol_psd``) or asymmetric
-    (within ``TOL_SYM``) can make them understate the max entry by about
-    that much.
+    R_jj)``.  In exact arithmetic it is, for a positive semidefinite kernel
+    on any finite atom set: ``R_m`` is the Nystrom remainder (a Schur
+    complement of the positive-mass block) plus the dropped terms
+    ``sigma_i f_i f_i^H``.  Rounding-level eigenpairs kept (``rank_cutoff``
+    0) and extended to zero-mass atoms through ``1 / sigma_i`` can break
+    that; a row with a diagonal remainder below ``-default_tol_recon(dec)``
+    is then computed entry by entry too.  The rows read off the diagonal
+    are nonincreasing in ``m``; rows computed entry by entry need not be.
     """
     labels = tuple(subset) if subset is not None else dec.support.members
     idx = [dec.space.index(label) for label in labels]
@@ -129,14 +130,18 @@ def reconstruction_error(
     # kept[m] = sum_{i<m} sigma_i |f_i|^2: a running sum of nonnegative terms,
     # so each diagonal remainder diag - kept[m] is exactly nonincreasing in m
     kept = np.cumsum(np.vstack([np.zeros_like(diag), dec.sigmas[:, None] * (f.real**2 + f.imag**2)]), axis=0)
+    floor = -default_tol_recon(dec)
     table: list[tuple[int, float]] = []
     for m in steps:
-        if m < dec.rank:
-            err = np.max(diag - kept[m], initial=0.0)
+        remainder = diag - kept[m]
+        if m < dec.rank and remainder.min(initial=0.0) >= floor:
+            err = np.max(remainder, initial=0.0)
         else:
             # the remainder is written over the series, which has the dtype of the kernel's blocks
-            scaled = f.T * dec.sigmas
-            series = scaled @ np.conj(f, out=f)  # f is a copy, and this is its last use
+            g = f[:m]
+            scaled = g.T * dec.sigmas[:m]
+            # f is a copy, and the full-rank row, the last in steps, is its last use
+            series = scaled @ (np.conj(g, out=g) if m == dec.rank else np.conj(g))
             err = np.max(np.abs(np.subtract(resid, series, out=series)), initial=0.0)
         table.append((m, float(err)))
     return table

@@ -82,8 +82,10 @@ def rescale_measure(space: AtomSpace, kernel: MatrixKernel) -> RescaledMeasure:
     diag, norms = k * matrix, _spectral_norms(k) * _spectral_norms(matrix)
     _require_hermitian(diag)
     weights = space.mu / (1.0 + norms)
-    traces = np.trace(diag, axis1=1, axis2=2).real
-    m_nu = float(np.sum(traces * weights))
+    with np.errstate(over="ignore"):
+        m_nu = float(np.sum(np.trace(diag, axis1=1, axis2=2).real * weights))
+    if not math.isfinite(m_nu):  # a trace may overflow where its weighted terms do not
+        m_nu = float(np.sum(np.trace(diag * weights[:, None, None], axis1=1, axis2=2).real))
     return RescaledMeasure(_readonly(weights), m_nu, _readonly(diag))
 
 

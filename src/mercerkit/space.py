@@ -147,10 +147,18 @@ class PseudoMetricMatrix:
     quotient_tol: float
 
 
-def _quotient_tol(norms: np.ndarray) -> float:
-    """Zero threshold of the metric from the spectral norms of the blocks ``K(x, x)``."""
+def _root_of_product(a: np.ndarray | float, b: float) -> np.ndarray:
+    """``sqrt(a * b)`` for ``a, b >= 0``; ``sqrt(a) * sqrt(b)`` where the product overflows and the factors do not."""
+    with np.errstate(over="ignore"):
+        square = a * b
+    over = np.isinf(square) & np.isfinite(a) & math.isfinite(b)
+    return np.where(over, np.sqrt(a) * math.sqrt(b), np.sqrt(square)) if over.any() else np.sqrt(square)
+
+
+def _quotient_tol(norms: np.ndarray, scale: float = 1.0) -> float:
+    """Zero threshold of the metric from the spectral norms of the blocks ``K(x, x)``, times ``scale``."""
     top = float(norms.max(initial=0.0))
-    return QUOTIENT_TOL_SCALE * (1.0 + math.sqrt(max(top, 0.0)))
+    return QUOTIENT_TOL_SCALE * (1.0 + float(_root_of_product(max(top, 0.0), scale)))
 
 
 def _mirror_upper(d: np.ndarray) -> np.ndarray:
@@ -181,8 +189,8 @@ def _distances(space: AtomSpace, kernel: MatrixKernel, rows: np.ndarray | None =
     blocks = gram(core, space)
     diag = np.einsum("xxlj->xlj", blocks)
     delta = (diag[sub, None] + diag[None, :]) - (blocks[sub] + blocks[:, sub].swapaxes(0, 1))
-    b_norm = _spectral_norms(matrix)
-    return np.sqrt(_spectral_norms(delta) * b_norm), _quotient_tol(_spectral_norms(diag) * b_norm)
+    b_norm = float(_spectral_norms(matrix))
+    return _root_of_product(_spectral_norms(delta), b_norm), _quotient_tol(_spectral_norms(diag), b_norm)
 
 
 def pseudo_metric_prime(space: AtomSpace, kernel: MatrixKernel) -> PseudoMetricMatrix:

@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .kernels import MatrixKernel, _frame_factor, _readonly, gram
+from .kernels import MatrixKernel, _frame_factor, _hermitian, _readonly, gram
 from .mercer import ScalarFrame
 from .space import AtomSpace
 
@@ -68,20 +68,13 @@ def align_frames(frames: Sequence[ScalarFrame]) -> FrameFamily:
     return FrameFamily(atoms, _readonly(values))
 
 
-def _self_product(v: np.ndarray) -> np.ndarray:
-    """``V^H V`` for the frame values ``V`` of a set of atoms, made exactly Hermitian."""
-    product = np.conj(v.T) @ v
-    # a product with itself is Hermitian; make its rounding so, too
-    product += np.conj(product.T)
-    product *= 0.5
-    return product
-
-
 def synthesize_kernel(family: FrameFamily) -> MatrixKernel:
     """Kernel whose block entries are inner products of the frame columns.
 
     The blocks over two sets of atoms come from one matrix product of the
-    frame values at their labels, real when the family is.  The kernel
+    frame values at their labels, real when the family is; a set's product
+    with itself is made exactly Hermitian by
+    :func:`~mercerkit.kernels._hermitian`.  The kernel
     carries the family as its factor ``V`` (``K = V^H V``, see
     :func:`~mercerkit.kernels._frame_factor`), which validation and
     :func:`verify_diagonal_blocks` use in place of the Gram.  Defined only on
@@ -92,7 +85,7 @@ def synthesize_kernel(family: FrameFamily) -> MatrixKernel:
 
     def batch(space: AtomSpace, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         vx = _frame_factor(kernel, space, rows)
-        blocks = _self_product(vx) if cols is rows else np.conj(vx.T) @ _frame_factor(kernel, space, cols)
+        blocks = _hermitian(np.conj(vx.T) @ vx) if cols is rows else np.conj(vx.T) @ _frame_factor(kernel, space, cols)
         return blocks.reshape(len(rows), n, len(cols), n).transpose(0, 2, 1, 3)
 
     # the batch reads the factor off the kernel it belongs to
@@ -123,7 +116,7 @@ def verify_diagonal_blocks(
     deviation = 0.0
     for j, kernel in enumerate(originals):
         # columns x*n + j of V are component j's
-        block = blocks[:, :, j, j] if v is None else _self_product(v[:, j::n])
+        block = blocks[:, :, j, j] if v is None else _hermitian(np.conj(v[:, j::n].T) @ v[:, j::n])
         diff = block - gram(kernel, space)[:, :, 0, 0]
         deviation = max(deviation, float(np.max(np.abs(diff), initial=0.0)))
     return deviation

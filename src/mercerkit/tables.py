@@ -507,7 +507,8 @@ def _complex_columns(values: np.ndarray) -> list[np.ndarray | tuple[list[str], N
 
     A real array's imaginary cells are the text ``0.0``, and so are those of
     a complex array whose imaginary parts are all ``+0.0`` (every bit zero),
-    as the eigenfunctions of a real Gram matrix are.
+    as the eigenfunctions of a real kernel's precomputed table are: the
+    table is read as complex, and every imaginary bit of them is zero.
     """
     if not np.iscomplexobj(values):
         return [values, (["0.0"], None)]

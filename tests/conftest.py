@@ -66,6 +66,14 @@ ZOO: list[tuple[str, dict]] = [
 
 ZOO_IDS = [name for name, _ in ZOO]
 
+# finite, Hermitian and positive definite; tr K(x, x) = 2e308 and squared distances of about 2e308 overflow,
+# while the weighted traces and the distances fit in a float
+NEAR_MAX_SEPARABLE = {
+    "type": "separable",
+    "matrix": [[1e308, 0.0], [0.0, 1e308]],
+    "scalar": {"type": "gaussian", "gamma": 1.0},
+}
+
 
 def random_space(
     rng: np.random.Generator, n_atoms: int, dim: int = 2, zero_mass: int = 0

@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import json
+import math
 import shlex
 import warnings
 from pathlib import Path
@@ -12,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import NEAR_MAX_SEPARABLE
 from mercerkit import build_kernel, cli, kernels, mercer, validate_kernel
 from mercerkit.cli import main
 from mercerkit.space import load_atoms
@@ -468,6 +470,18 @@ def test_synthesize_from_the_frames_of_real_kernels_takes_the_real_path(tmp_path
     assert (from_frames / "kernel.csv").read_bytes() == (from_kernels / "kernel.csv").read_bytes()
 
 
+def test_synthesize_rejects_a_kernel_count_other_than_the_frame_count(tmp_path, three_atoms, capsys):
+    kernel = write_kernel(tmp_path, GAUSSIAN)
+    frames_out = tmp_path / "frames_out"
+    assert main(["frames", "--atoms", str(three_atoms), "--kernel", str(kernel), "--out", str(frames_out)]) == 0
+    frame = str(frames_out / "frame_j0.csv")
+    out = tmp_path / "out"
+    argv = ["synthesize", "--atoms", str(three_atoms), "--frames", frame, frame, "--kernel", str(kernel)]
+    assert main(argv + ["--out", str(out)]) == 1
+    assert capsys.readouterr().err == "mercerkit: error: --kernel: expected one file per --frames file (2), got 1\n"
+    assert not (out / "kernel.csv").exists()
+
+
 def test_synthesize_requires_input(tmp_path, three_atoms, capsys):
     code = main(["synthesize", "--atoms", str(three_atoms), "--out", str(tmp_path / "out")])
     assert code == 1
@@ -719,8 +733,9 @@ def test_matrix_entry_that_is_not_finite_is_named(tmp_path, three_atoms, capsys,
 
 def test_matrix_near_the_largest_float_runs_quietly(tmp_path, capsys):
     # B = diag(1e308, 1e308) is finite, Hermitian and positive definite, and its Hermitian part is formed without
-    # overflow; a number that overflows past the largest float exits 1 with one line that names it
-    kernel = write_kernel(tmp_path, {"type": "separable", "matrix": [[1e308, 0.0], [0.0, 1e308]], "scalar": GAUSSIAN})
+    # overflow; so are m_nu and the distances, whose intermediate products overflow; a number that overflows past
+    # the largest float exits 1 with one line that names it
+    kernel = write_kernel(tmp_path, NEAR_MAX_SEPARABLE)
     near = write_atoms(tmp_path, [("a", 1.0, 0.0), ("b", 1.0, 1.0)], name="near.csv")
     far = write_atoms(tmp_path, [("a", 1.0, 0.0), ("b", 1.0, 4.0)], name="far.csv")
     crowd = write_atoms(tmp_path, [("a", 1.0, 0.0), ("b", 1.0, 0.0), ("c", 1.0, 0.0)], name="crowd.csv")
@@ -728,10 +743,10 @@ def test_matrix_near_the_largest_float_runs_quietly(tmp_path, capsys):
         ("validate", near): "",
         ("reconstruct", near): "",
         ("frames", near): "",
-        # tr K(x, x) is 2e308
-        ("decompose", near): "m_nu overflows the largest float",
-        # the squared distance of a and b is about 2e308
-        ("metric", far): "metric.csv: a kernel distance overflows the largest float",
+        # tr K(x, x) is 2e308, its weighted value about 2
+        ("decompose", near): "",
+        # the squared distance of a and b is about 2e308, the distance about 1.4e154
+        ("metric", far): "",
         # the Gram of three equal atoms has the eigenvalue 3e308
         ("validate", crowd): "validation.max_eigenvalue overflows the largest float",
     }
@@ -742,6 +757,9 @@ def test_matrix_near_the_largest_float_runs_quietly(tmp_path, capsys):
             assert run_subcommand(command, atoms, kernel, out) == (1 if message else 0)
         assert capsys.readouterr().err == (f"mercerkit: error: {message}\n" if message else "")
     assert report_of(tmp_path / "validate-near")["validation"]["max_eigenvalue"] == 1.3678794411714423e308
+    assert report_of(tmp_path / "decompose-near")["m_nu"] == pytest.approx(4.0, rel=1e-15)
+    distances = (tmp_path / "metric-far" / "metric.csv").read_text().splitlines()
+    assert float(distances[1].split(",")[2]) == pytest.approx(math.sqrt(2.0 * (1.0 - math.exp(-16.0))) * 1e154)
 
 
 @pytest.mark.parametrize("command", SUBCOMMANDS)

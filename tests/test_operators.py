@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from conftest import ZOO, ZOO_IDS, decompose_space, delta_kernel, random_space, space_from
+from conftest import NEAR_MAX_SEPARABLE, ZOO, ZOO_IDS, decompose_space, delta_kernel, random_space, space_from
 from mercerkit import operators
 from mercerkit import (
     EmptySupportError,
@@ -479,3 +480,12 @@ def test_write_eigenfunctions_format(tmp_path):
     assert lines[0] == "i,atom_id,j,re,im"
     assert lines[1].startswith("0,a,0,")
     assert len(lines) == 1 + dec.rank * len(space) * dec.n
+
+
+def test_trace_budget_whose_traces_overflow_is_finite():
+    # tr K(x, x) is 2e308, past the largest float; weighted by 1 / (1 + 1e308) it is about 2
+    space = space_from([0.0, 1.0], [1.0, 1.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        nu = rescale_measure(space, build_kernel(NEAR_MAX_SEPARABLE))
+    assert nu.m_nu == pytest.approx(4.0, rel=1e-15)

@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from conftest import ZOO, ZOO_IDS, decompose_space, delta_kernel, random_space, space_from
+from conftest import NEAR_MAX_SEPARABLE, ZOO, ZOO_IDS, decompose_space, delta_kernel, random_space, space_from
 from mercerkit import (
     AtomFileError,
     AtomSpace,
@@ -456,3 +457,16 @@ def test_zero_mass_support_follows_chains_through_zero_mass_atoms(tmp_path):
         mu = rng.uniform(0.5, 1.5, n_atoms) * (rng.random(n_atoms) < 0.3)
         space, kernel = chain_space(tmp_path, rng.integers(0, 8, n_atoms), mu)
         assert _zero_mass_support(space, kernel).members == support(space, pseudo_metric(space, kernel)).members
+
+
+def test_distances_whose_squares_overflow_are_finite():
+    # ||K(a,a) + K(b,b) - K(a,b) - K(b,a)||_2 is 2 (1 - e^-16) 1e308, past the largest float; its root is not
+    kernel = build_kernel(NEAR_MAX_SEPARABLE)
+    space = space_from([0.0, 4.0], [1.0, 0.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        metric = pseudo_metric(space, kernel)
+        held = _zero_mass_support(space, kernel)
+    assert metric.d[0, 1] == pytest.approx(math.sqrt(2.0 * (1.0 - math.exp(-16.0))) * 1e154, rel=1e-15)
+    assert metric.quotient_tol == pytest.approx(1e-9 * (1.0 + 1e154))
+    assert held.members == ("a",)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -115,6 +117,21 @@ def test_synthesized_kernel_undefined_off_family():
     space = space_from([0.0, 1.0], [1.0, 1.0])
     with pytest.raises(KernelEvaluationError, match="'b'"):
         gram(kernel, space, [0], [1])
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_frame_near_the_largest_float_synthesizes_finite_blocks(dtype):
+    # the Hermitian part of the blocks (each 1e308) is formed from the halves where their sum overflows
+    family = align_frames([ScalarFrame(("a", "b"), np.full((1, 2), 1e154, dtype=dtype))])
+    kernel = synthesize_kernel(family)
+    space = space_from([0.0, 1.0], [1.0, 1.0])
+    constant = build_kernel({"type": "constant", "value": 1e154 * 1e154})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        blocks = gram(kernel, space)
+        deviation = verify_diagonal_blocks(kernel, [constant], space)
+    np.testing.assert_array_equal(blocks, np.full((2, 2, 1, 1), 1e154 * 1e154))
+    assert deviation == 0.0
 
 
 def test_random_families_synthesize_valid_kernels():
