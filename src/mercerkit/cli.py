@@ -49,7 +49,6 @@ from .operators import (
     eigendecompose,
     rescale_measure,
     trace_check,
-    truncate,
     write_eigenfunctions,
     write_spectrum,
 )
@@ -307,10 +306,10 @@ def _operator(args: argparse.Namespace, kernel: MatrixKernel) -> tuple[dict[str,
 
 
 def _spectrum(args: argparse.Namespace) -> tuple[dict[str, Any], SpectralDecomposition, tuple[float, float]]:
-    """Validation, the decomposition cut at ``--rank-cutoff``, the trace identity of the full one."""
+    """Validation, the decomposition cut at ``--rank-cutoff``, the trace identity of the whole positive spectrum."""
     validation, op = _operator(args, args.kernel)
-    full = eigendecompose(op, rank_cutoff=0.0)
-    return validation, truncate(full, args.rank_cutoff), trace_check(full)
+    dec = eigendecompose(op, args.rank_cutoff)
+    return validation, dec, trace_check(dec)
 
 
 def _validate_report(args: argparse.Namespace) -> dict[str, Any]:

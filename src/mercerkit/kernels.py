@@ -208,20 +208,43 @@ def psd_tolerance(max_eigenvalue: float) -> float:
     return PSD_TOL_SCALE * max(max_eigenvalue, 1.0)
 
 
+# Rows of a block where a result is formed a block of rows at a time.
+_BLOCK_ROWS = 64
+
+
+def _row_blocks(count: int) -> list[slice]:
+    """Consecutive slices over ``count`` rows, each of ``_BLOCK_ROWS`` to ``2 * _BLOCK_ROWS - 1`` rows, or one of all.
+
+    No slice is left with a few rows.  BLAS may sum the entries of a product
+    of another shape in another order, and a one-row product is a
+    matrix-vector product; OpenBLAS sums a complex product's entries in the
+    same order in every block of this many rows as in the whole product, a
+    real product's not always.
+    """
+    starts = range(0, max(count - _BLOCK_ROWS, 0) + 1, _BLOCK_ROWS)
+    return [slice(a, b) for a, b in zip(starts, [*starts[1:], count])]
+
+
 def _hermitian_deviation(blocks: np.ndarray, matrix: np.ndarray = _ONE) -> float:
     """Largest entry of ``|M - M^H|`` over a stack of square matrices ``M``, or of ``M = blocks (x) matrix``.
 
     Given ``matrix``, ``blocks`` is a scalar core's Gram and entry ``(x, l), (t, j)`` of ``M`` is
     ``blocks[x, t] * matrix[l, j]``, the product a separable kernel's blocks hold (see :func:`_factors`).
-    ``M`` is read one entry of ``matrix`` at a time, never formed whole.
+    ``M`` is read one entry of ``matrix`` and one block of rows (see :func:`_row_blocks`) at a time,
+    never formed whole, and neither is ``M - M^H``.
     """
     if not blocks.size:
         return 0.0
-    if matrix is _ONE:
-        # one temporary the size of the input: the difference is written into the conjugate
-        diff = np.conj(np.swapaxes(blocks, -1, -2))
-        return float(np.max(np.abs(np.subtract(blocks, diff, out=diff))))
-    devs = [np.max(np.abs(blocks * b - np.conj(blocks * matrix[j, l]).T)) for (l, j), b in np.ndenumerate(matrix)]
+    mirror = np.swapaxes(blocks, -1, -2)
+    devs = []
+    for rows in _row_blocks(blocks.shape[-2]):
+        part, across = blocks[..., rows, :], mirror[..., rows, :]
+        if matrix is _ONE:
+            # one temporary the size of the block: the difference is written into the conjugate
+            diff = np.conj(across)
+            devs.append(np.max(np.abs(np.subtract(part, diff, out=diff))))
+        else:
+            devs += [np.max(np.abs(part * b - np.conj(across * matrix[j, l]))) for (l, j), b in np.ndenumerate(matrix)]
     return float(np.max(devs))  # where max() would pass over a nan, np.max keeps it
 
 
@@ -527,7 +550,8 @@ def read_precomputed(path: str | Path) -> MatrixKernel:
         defined = pairs | pairs.T
         # entry (x, t, l, j) of the mirror block is conj K(t, x)[j, l]
         missing = defined[:, :, None, None] & ~(stored | stored.transpose(1, 0, 3, 2))
-        blocks = np.where(stored, blocks, np.conj(blocks.transpose(1, 0, 3, 2)))
+        # written into blocks, the mirror the one temporary of the table's size
+        np.copyto(blocks, np.conj(blocks.transpose(1, 0, 3, 2)), where=~stored)
     except MemoryError:
         raise KernelSpecError(
             f"cannot read kernel table file: {path}: a dense table of shape {shape} does not fit in memory"

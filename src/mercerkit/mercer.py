@@ -19,6 +19,7 @@ from .kernels import (
     MatrixKernel,
     _flat,
     _readonly,
+    _row_blocks,
     _scatter,
     diagonal_blocks,
     gram,
@@ -104,10 +105,10 @@ def reconstruction_error(
     and off-support atoms are allowed).  Returns ``(m, error)`` rows with
     ``error = max |K(x,t) - K_m(x,t)|`` over pairs and components.
 
-    The row ``m = rank`` is computed entry by entry, with one matrix
-    product.  A row ``m < rank`` is the largest diagonal entry of the
-    remainder ``R_m = K - K_m``, ``K(x,x)[l,l] - sum_{i<m} sigma_i
-    |f_i^l(x)|^2`` floored at 0, which is the max-entry error whenever
+    The row ``m = rank`` is computed entry by entry, its series formed a
+    block of rows at a time.  A row ``m < rank`` is the largest diagonal
+    entry of the remainder ``R_m = K - K_m``, ``K(x,x)[l,l] - sum_{i<m}
+    sigma_i |f_i^l(x)|^2`` floored at 0, which is the max-entry error whenever
     ``R_m`` is positive semidefinite, since then ``|R_ij| <= sqrt(R_ii
     R_jj)``.  In exact arithmetic it is, for a positive semidefinite kernel
     on any finite atom set: ``R_m`` is the Nystrom remainder (a Schur
@@ -129,22 +130,41 @@ def reconstruction_error(
     f = dec.funcs[:, idx, :].reshape(dec.rank, resid.shape[0])
     # kept[m] = sum_{i<m} sigma_i |f_i|^2: a running sum of nonnegative terms,
     # so each diagonal remainder diag - kept[m] is exactly nonincreasing in m
-    kept = np.cumsum(np.vstack([np.zeros_like(diag), dec.sigmas[:, None] * (f.real**2 + f.imag**2)]), axis=0)
+    kept = np.zeros((dec.rank + 1, len(diag)))
+    np.square(f.real, out=kept[1:])
+    kept[1:] += f.imag**2
+    kept[1:] *= dec.sigmas[:, None]
+    np.cumsum(kept, axis=0, out=kept)
     floor = -default_tol_recon(dec)
-    table: list[tuple[int, float]] = []
+    errors: dict[int, float] = {}
     for m in steps:
         remainder = diag - kept[m]
         if m < dec.rank and remainder.min(initial=0.0) >= floor:
-            err = np.max(remainder, initial=0.0)
-        else:
-            # the remainder is written over the series, which has the dtype of the kernel's blocks
-            g = f[:m]
-            scaled = g.T * dec.sigmas[:m]
-            # f is a copy, and the full-rank row, the last in steps, is its last use
-            series = scaled @ (np.conj(g, out=g) if m == dec.rank else np.conj(g))
-            err = np.max(np.abs(np.subtract(resid, series, out=series)), initial=0.0)
-        table.append((m, float(err)))
-    return table
+            errors[m] = float(np.max(remainder, initial=0.0))
+    del kept  # freed before the series is formed
+    for m in steps:
+        if m not in errors:
+            errors[m] = _series_error(resid, f, dec.sigmas, m)
+    return [(m, errors[m]) for m in steps]
+
+
+def _series_error(resid: np.ndarray, f: np.ndarray, sigmas: np.ndarray, m: int) -> float:
+    """``max |resid - F_m^T Sigma_m conj(F_m)|`` over the flat matrices, ``F_m`` the first ``m`` rows of ``f``.
+
+    The series is formed one block of rows at a time (see :func:`_row_blocks`).
+    The remainder is written over the block, which has the dtype of the
+    kernel's blocks.  At ``m = len(f)``, ``f`` is conjugated in place: the
+    full-rank row is its last use.
+    """
+    g = f[:m]
+    rhs = np.conj(g, out=g) if m == len(f) else np.conj(g)
+    worst = []
+    for rows in _row_blocks(len(resid)):
+        # conj(conj(F)^T Sigma) is F^T Sigma bit for bit, as sigma is real
+        scaled = rhs.T[rows] * sigmas[:m]
+        series = np.conj(scaled, out=scaled) @ rhs
+        worst.append(np.max(np.abs(np.subtract(resid[rows], series, out=series)), initial=0.0))
+    return float(np.max(worst))  # where max() would pass over a nan, np.max keeps it
 
 
 def pointwise(dec: SpectralDecomposition, element: RKHSElement) -> np.ndarray:

@@ -17,6 +17,7 @@ from typing import Iterable
 import numpy as np
 
 from .kernels import (
+    _BLOCK_ROWS,
     MatrixKernel,
     _factors,
     _flat,
@@ -120,15 +121,16 @@ def assemble_operator(space: AtomSpace, kernel: MatrixKernel, nu: RescaledMeasur
 
 
 def _normalize_phase(vectors: np.ndarray) -> np.ndarray:
-    """Rotate each column so its first entry above ``1e-12`` of the column's peak magnitude is real positive.
+    """Rotate each column in place so its first entry above ``1e-12`` of the column's peak magnitude is real positive.
 
-    Every column must be nonzero, as an eigenvector is.
+    Every column must be nonzero, as an eigenvector is.  Returns ``vectors``.
     """
     mags = np.abs(vectors)
     first = np.argmax(mags > 1e-12 * mags.max(axis=0), axis=0)
     lead = vectors[first, np.arange(vectors.shape[1])]
     # hypot, as abs() of one complex number computes it; np.abs of a complex array can differ in the last bit
-    return vectors * np.conj(lead / np.hypot(lead.real, lead.imag))
+    vectors *= np.conj(lead / np.hypot(lead.real, lead.imag))
+    return vectors
 
 
 @dataclass(frozen=True, eq=False)
@@ -150,6 +152,9 @@ class SpectralDecomposition:
     nu: RescaledMeasure
     sigmas: np.ndarray
     funcs: np.ndarray
+    # the eigenvalue sum of the whole positive spectrum the decomposition was cut from, which
+    # trace_check reads; None for one not cut from a solve, whose own sigmas are summed
+    _positive_sum: float | None = None
 
     @property
     def rank(self) -> int:
@@ -178,14 +183,16 @@ def _cutoff(sigmas: np.ndarray, rank_cutoff: float | None) -> float:
     return cutoff
 
 
-def _eigenpairs(op: DiscreteOperator, rank_cutoff: float | None) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues of the operator above the cutoff, descending, and their eigenvectors as columns.
+def _eigenpairs(op: DiscreteOperator, rank_cutoff: float | None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Eigenvalues of the operator above the cutoff, descending, their eigenvectors as columns, and the whole positive spectrum.
 
     The operator is ``op.matrix (x) B`` (index ``x*n + l``), so its
     eigenpairs are products of the factors', each factor clipped at zero (two
     negative rounding-level eigenvalues make no positive product).  A stable
     sort from ``op.matrix``'s descending order keeps the eigenvectors inside a
     tie in the order of the whole solve of a kernel that is not separable.
+    Eigenvectors are formed for the kept eigenvalues only; the whole positive
+    spectrum is the eigenvalues ``rank_cutoff=0.0`` keeps.
     """
     _, matrix = _factors(op.kernel)
     lam, u = np.linalg.eigh(op.matrix)
@@ -197,7 +204,7 @@ def _eigenpairs(op: DiscreteOperator, rank_cutoff: float | None) -> tuple[np.nda
     order = order[evals > _cutoff(evals, rank_cutoff)]
     p, l = np.divmod(order, len(mu))
     vectors = (u[:, None, p] * v[None, :, l]).reshape(len(lam) * len(mu), len(order))
-    return products[order], vectors
+    return products[order], vectors, evals[evals > 0.0]
 
 
 def eigendecompose(op: DiscreteOperator, rank_cutoff: float | None = None) -> SpectralDecomposition:
@@ -210,22 +217,25 @@ def eigendecompose(op: DiscreteOperator, rank_cutoff: float | None = None) -> Sp
     The operator is solved through its factors ``op.matrix`` and ``B``; a
     real ``op.matrix`` gets a real eigensolve, and with a real ``B`` the
     eigenfunctions stay real.
+
+    Eigenfunctions are built for the kept eigenpairs only, each equal bit for
+    bit to the one a lower cutoff gives: the result is ``truncate(
+    eigendecompose(op, 0.0), rank_cutoff)``.  The eigenvectors' phases are
+    normalized and their values divided by ``sqrt(nu)`` in place, so one
+    matrix of kept eigenvectors is held besides ``funcs``.
     """
-    sigmas, vectors = _eigenpairs(op, rank_cutoff)
+    sigmas, vectors, positive = _eigenpairs(op, rank_cutoff)
     space, kernel, nu = op.space, op.kernel, op.nu
-    n = kernel.n
-    rank = int(sigmas.shape[0])
-    pos = list(op.indices)
+    rank, pos = int(sigmas.shape[0]), list(op.indices)
     zero = np.flatnonzero(nu.weights <= 0)
 
-    funcs = np.zeros((rank, len(space.labels), n), dtype=vectors.dtype)
-    if rank:
-        cols = _normalize_phase(vectors).T
-        f_pos = cols.reshape(rank, len(pos), n) / np.sqrt(nu.weights[pos])[None, :, None]
-        funcs[:, pos, :] = f_pos
-        if zero.size:
-            funcs[:, zero, :] = _extend(op, zero, f_pos, sigmas)
-    return SpectralDecomposition(space, kernel, nu, _readonly(sigmas), _readonly(funcs))
+    f_pos = _normalize_phase(vectors).T.reshape(rank, len(pos), kernel.n)
+    f_pos /= np.sqrt(nu.weights[pos])[None, :, None]
+    funcs = np.zeros((rank, len(space.labels), kernel.n), dtype=vectors.dtype)
+    funcs[:, pos, :] = f_pos
+    if rank and zero.size:
+        funcs[:, zero, :] = _extend(op, zero, f_pos, sigmas)
+    return SpectralDecomposition(space, kernel, nu, _readonly(sigmas), _readonly(funcs), float(np.sum(positive)))
 
 
 def _extend(
@@ -242,16 +252,25 @@ def _extend(
     kernel's blocks are.
     """
     pos = np.flatnonzero(op.nu.weights > 0)
-    blocks = gram(op.kernel, op.space, rows, pos) * op.nu.weights[pos][None, :, None, None]
-    values = f_pos.reshape(len(sigmas), -1) @ _flat(blocks).T
-    return values.reshape(len(sigmas), len(rows), -1) / sigmas[:, None, None]
+    weighted = _flat(gram(op.kernel, op.space, rows, pos) * op.nu.weights[pos][None, :, None, None]).T
+    f = f_pos.reshape(len(sigmas), -1)
+    values = np.empty((len(sigmas), weighted.shape[1]), dtype=np.result_type(f, weighted))
+    # column-major, as eigendecompose's f_pos is: each product reads its operand in the layout it has there
+    part = np.zeros((_BLOCK_ROWS, f.shape[1]), dtype=f.dtype, order="F")
+    for start in range(0, len(f), _BLOCK_ROWS):
+        count = min(_BLOCK_ROWS, len(f) - start)
+        part[:count] = f[start : start + count]
+        values[start : start + count] = (part @ weighted)[:count]
+    values = values.reshape(len(sigmas), len(rows), -1)
+    values /= sigmas[:, None, None]
+    return values
 
 
 def truncate(dec: SpectralDecomposition, rank_cutoff: float | None = None) -> SpectralDecomposition:
     """Drop eigenpairs at or below a new cutoff without re-diagonalizing."""
     keep = int(np.sum(dec.sigmas > _cutoff(dec.sigmas, rank_cutoff)))
     return SpectralDecomposition(
-        dec.space, dec.kernel, dec.nu, dec.sigmas[:keep], dec.funcs[:keep]
+        dec.space, dec.kernel, dec.nu, dec.sigmas[:keep], dec.funcs[:keep], dec._positive_sum
     )
 
 
@@ -336,10 +355,12 @@ def adjoint_embed(values: np.ndarray, space: AtomSpace, nu: RescaledMeasure) -> 
 def trace_check(dec: SpectralDecomposition) -> tuple[float, float]:
     """Eigenvalue sum versus the quadrature trace ``sum_x tr K(x,x) nu_x``.
 
-    Meaningful only for a decomposition retaining the full positive spectrum
-    (``rank_cutoff=0``); truncation removes mass from the left-hand side.
+    The sum runs over the whole positive spectrum the decomposition was cut
+    from, whatever cutoff :func:`eigendecompose` or :func:`truncate` applied:
+    it is the sum of ``eigendecompose(op, 0.0).sigmas``, bit for bit.  A
+    decomposition built by hand sums its own ``sigmas``.
     """
-    lhs = float(np.sum(dec.sigmas))
+    lhs = float(np.sum(dec.sigmas)) if dec._positive_sum is None else dec._positive_sum
     rhs = dec.nu.m_nu
     return lhs, rhs
 

@@ -198,14 +198,21 @@ def pseudo_metric_prime(space: AtomSpace, kernel: MatrixKernel) -> PseudoMetricM
 
     ``d'(x,t)^2 = tr K(x,x) + tr K(t,t) - 2 Re tr K(t,x)`` sums the squared
     section gaps over components, so ``d <= d' <= sqrt(n) d``.
+
+    It is read off the kernel's core (see :func:`_factors`): ``tr K = tr k *
+    tr B``.  ``tr B``, which may overflow where ``||B||_2`` does not, enters as
+    ``||B||_2 * tr(B / ||B||_2)``, and the root as in :func:`_distances`.
     """
-    blocks = gram(kernel, space)
+    core, matrix = _factors(kernel)
+    blocks = gram(core, space)
     diag = np.einsum("xxlj->xlj", blocks)
     traces = np.trace(diag, axis1=1, axis2=2).real
     cross = np.trace(blocks, axis1=2, axis2=3).real.T
-    val = traces[:, None] + traces[None, :] - 2.0 * cross
-    d = np.sqrt(np.maximum(val, 0.0))
-    return PseudoMetricMatrix(_mirror_upper(d), _quotient_tol(_spectral_norms(diag)))
+    gap = np.maximum(traces[:, None] + traces[None, :] - 2.0 * cross, 0.0)
+    b_norm = float(_spectral_norms(matrix))
+    share = float(np.sum(np.diagonal(matrix).real / b_norm)) if b_norm else 0.0
+    d = _root_of_product(gap * share, b_norm)
+    return PseudoMetricMatrix(_mirror_upper(d), _quotient_tol(_spectral_norms(diag), b_norm))
 
 
 @dataclass(frozen=True, eq=False)

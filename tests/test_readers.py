@@ -340,7 +340,7 @@ def test_frame_too_large_to_hold_names_path_and_shape(tmp_path, monkeypatch):
     assert str(info.value) == f"cannot read frame file: {path}: a dense frame of shape (3, 3) does not fit in memory"
 
 
-@pytest.mark.parametrize("patch", [(kernels, "_scatter", no_memory), (kernels, "np", NumpyWithout("where"))],
+@pytest.mark.parametrize("patch", [(kernels, "_scatter", no_memory), (kernels, "np", NumpyWithout("copyto"))],
                          ids=["scatter", "mirror_fill"])
 def test_table_too_large_to_hold_names_path_and_shape(tmp_path, monkeypatch, patch):
     monkeypatch.setattr(*patch)

@@ -470,3 +470,14 @@ def test_distances_whose_squares_overflow_are_finite():
     assert metric.d[0, 1] == pytest.approx(math.sqrt(2.0 * (1.0 - math.exp(-16.0))) * 1e154, rel=1e-15)
     assert metric.quotient_tol == pytest.approx(1e-9 * (1.0 + 1e154))
     assert held.members == ("a",)
+
+
+def test_trace_distances_whose_squares_overflow_are_finite():
+    # tr K(x, x) = 2e308 is past the largest float; d'(a, b) = sqrt(4 (1 - e^-1) 1e308), read off the core, is not
+    kernel = build_kernel(NEAR_MAX_SEPARABLE)
+    space = space_from([0.0, 1.0], [1.0, 1.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        metric = pseudo_metric_prime(space, kernel)
+    assert metric.d[0, 1] == pytest.approx(math.sqrt(4.0 * (1.0 - math.exp(-1.0))) * 1e154, rel=1e-15)
+    assert metric.quotient_tol == pytest.approx(1e-9 * (1.0 + 1e154))

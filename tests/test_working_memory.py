@@ -1,0 +1,152 @@
+"""Working memory of the spectral stages.
+
+``eigendecompose`` builds eigenfunctions for the kept eigenpairs only, on the
+memory of its matrix of eigenvectors; the CLI's decomposition is cut from one
+solve with no larger array behind it; ``reconstruction_error`` forms the
+series of its full-rank row a block of rows at a time.  Peaks are read with
+``tracemalloc``, which sees numpy's allocations.
+"""
+
+from __future__ import annotations
+
+import argparse
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from conftest import ZOO, ZOO_IDS, random_space
+from mercerkit import (
+    MatrixKernel,
+    assemble_operator,
+    build_kernel,
+    eigendecompose,
+    gram,
+    reconstruction_error,
+    rescale_measure,
+    trace_check,
+    truncate,
+)
+from mercerkit import cli, kernels
+
+# a complex 3 x 3 B: the eigenfunctions and the series are complex, as for matrix-sep3
+SEPARABLE3 = {
+    "type": "separable",
+    "matrix": [[2.0, [0.5, 0.5], 0.3], [[0.5, -0.5], 1.5, [0.0, 0.2]], [0.3, [0.0, -0.2], 1.0]],
+    "scalar": {"type": "gaussian", "gamma": 0.5},
+}
+
+
+def _peak(fn, *args, **kwargs):
+    """``fn``'s result and the peak of the memory it allocates."""
+    tracemalloc.start()
+    try:
+        result = fn(*args, **kwargs)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _operator(space, kernel):
+    return assemble_operator(space, kernel, rescale_measure(space, kernel))
+
+
+def rank_deficient_table(rng: np.random.Generator, n_atoms: int, rank: int, n: int = 2) -> MatrixKernel:
+    """A complex block table ``F^H F`` of ``rank`` random rows, held as a kernel that looks its blocks up."""
+    f = (rng.standard_normal((rank, n_atoms * n)) + 1j * rng.standard_normal((rank, n_atoms * n))) / np.sqrt(rank)
+    flat = f.conj().T @ f
+    blocks = (0.5 * (flat + flat.conj().T)).reshape(n_atoms, n, n_atoms, n).transpose(0, 2, 1, 3).copy()
+    return MatrixKernel(n, label="table", batch=lambda space, rows, cols: blocks[np.ix_(rows, cols)])
+
+
+def test_eigendecompose_holds_one_matrix_of_eigenvectors_besides_funcs():
+    # the phases were normalized into a product and the division by sqrt(nu) into another copy:
+    # 4.1 times funcs, now 2.5 (funcs, the eigenvectors and the extension to the zero-mass atoms)
+    space = random_space(np.random.default_rng(5), 100, dim=3, zero_mass=20)
+    dec, peak = _peak(eigendecompose, _operator(space, build_kernel(SEPARABLE3)))
+    assert dec.rank == 240
+    assert peak <= 3 * dec.funcs.nbytes
+
+
+def test_full_rank_error_row_holds_no_whole_series():
+    # the series of S n = 240 rows was formed whole next to the residual, the scaled
+    # eigenfunctions and the running diagonal sums: 5.0 times the residual, now 3.3
+    space = random_space(np.random.default_rng(5), 100, dim=3, zero_mass=20)
+    dec = eigendecompose(_operator(space, build_kernel(SEPARABLE3)))
+    dec.support  # cached: its distances are not the error row's
+    table, peak = _peak(reconstruction_error, dec, ms=[dec.rank])
+    rows = len(dec.support) * dec.n
+    assert table[0][1] <= 1e-12
+    assert peak <= 4 * rows * rows * np.dtype(complex).itemsize
+
+
+CASES = [build_kernel(spec) for _, spec in ZOO] + [rank_deficient_table(np.random.default_rng(7), 14, 5)]
+
+
+@pytest.mark.parametrize("kernel", CASES, ids=ZOO_IDS + ["rank_deficient_table"])
+def test_cut_decomposition_is_the_full_one_truncated_bit_for_bit(kernel):
+    space = random_space(np.random.default_rng(11), 14, dim=2, zero_mass=4)
+    op = _operator(space, kernel)
+    full = eigendecompose(op, 0.0)
+    for cutoff in (None, 0.0, float(full.sigmas[full.rank // 2]), 1e9):
+        cut, reference = eigendecompose(op, cutoff), truncate(full, cutoff)
+        assert cut.sigmas.tobytes() == reference.sigmas.tobytes()
+        assert cut.funcs.tobytes() == reference.funcs.tobytes()
+        # the trace identity sums the whole positive spectrum whatever the cutoff keeps
+        assert trace_check(cut) == trace_check(reference) == trace_check(full)
+
+
+@pytest.mark.parametrize("spec", [dict(ZOO)["gaussian"], dict(ZOO)["laplacian"]], ids=["gaussian", "laplacian"])
+def test_extension_does_not_depend_on_how_many_eigenpairs_are_kept(spec):
+    # BLAS may sum a real product of another number of rows in another order: one extension
+    # product of all the kept eigenpairs gave these cuts other last bits than the full solve's
+    space = random_space(np.random.default_rng(3), 170, dim=2, zero_mass=30)
+    op = _operator(space, build_kernel({**spec, "gamma": 0.3}))
+    full = eigendecompose(op, 0.0)
+    for cutoff in (None, float(full.sigmas[full.rank // 3]), float(full.sigmas[full.rank // 10])):
+        assert eigendecompose(op, cutoff).funcs.tobytes() == truncate(full, cutoff).funcs.tobytes()
+
+
+def test_cli_spectrum_funcs_have_no_larger_array_behind_them():
+    # funcs were a view of the eigenfunctions of the whole positive spectrum; the table has
+    # rank 5, and rounding-level eigenvalues make many more positive ones
+    rng = np.random.default_rng(13)
+    kernel = rank_deficient_table(rng, 60, 5)
+    space = random_space(rng, 60, dim=1, zero_mass=6)
+    args = argparse.Namespace(atoms=space, kernel=kernel, rank_cutoff=None)
+    _, dec, trace = cli._spectrum(args)
+    full = eigendecompose(_operator(space, kernel), 0.0)
+    assert dec.rank == 5 < full.rank
+    assert dec.funcs.base is None or dec.funcs.base.nbytes <= dec.funcs.nbytes
+    assert trace == trace_check(full)
+
+
+def whole_product_error(dec, labels) -> float:
+    """The full-rank row as one matrix product of every row: ``max |G - F^T Sigma conj(F)|``."""
+    idx = [dec.space.index(label) for label in labels]
+    size = len(idx) * dec.n
+    resid = gram(dec.kernel, dec.space, idx).transpose(0, 2, 1, 3).reshape(size, size)
+    f = dec.funcs[:, idx, :].reshape(dec.rank, size)
+    return float(np.max(np.abs(resid - (f.T * dec.sigmas) @ np.conj(f)), initial=0.0))
+
+
+@pytest.mark.parametrize("atoms", [67, 35, 3])
+def test_error_row_in_blocks_is_the_whole_product(atoms):
+    # S n = 134 and 70 rows: 64-row blocks would leave a tail of 6 rows, a product that BLAS
+    # may sum differently (one row is a matrix-vector product); 6 rows are one block
+    space = random_space(np.random.default_rng(17), 80, dim=2, zero_mass=8)
+    dec = eigendecompose(_operator(space, build_kernel(dict(ZOO)["separable_complex"])))
+    subset = list(space.labels[:atoms])
+    assert reconstruction_error(dec, subset, [dec.rank]) == [(dec.rank, whole_product_error(dec, subset))]
+
+
+def test_hermitian_deviation_in_row_blocks_is_the_whole_one():
+    # 300 rows are read in blocks of 64, 64, 64 and 108; a nan in the last block makes the result nan
+    rng = np.random.default_rng(19)
+    core = rng.standard_normal((300, 300))
+    b = np.array([[2.0, 0.5 + 1e-11j], [0.5, 1.0]])
+    for blocks, matrix in ((core + 1j * rng.standard_normal((300, 300)), kernels._ONE), (core, b)):
+        whole = kernels._flat(blocks[:, :, None, None] * matrix)
+        assert kernels._hermitian_deviation(blocks, matrix) == float(np.max(np.abs(whole - whole.conj().T)))
+        blocks[290, 7] = np.nan
+        assert np.isnan(kernels._hermitian_deviation(blocks, matrix))
