@@ -27,6 +27,7 @@ import numpy as np
 from .kernels import (
     KernelEvaluationError,
     MatrixKernel,
+    _read_json,
     kernel_from_file,
     validate_kernel,
     write_precomputed,
@@ -53,7 +54,7 @@ from .operators import (
     write_spectrum,
 )
 from .space import AtomSpace, load_atoms, pseudo_metric, quotient, support
-from .synthesis import align_frames, synthesize_kernel, verify_diagonal_blocks
+from .synthesis import FrameFamily, align_frames, synthesize_kernel, verify_diagonal_blocks
 from .tables import _csv_cells, _write_csv
 
 __all__ = ["main"]
@@ -129,23 +130,6 @@ def _csv_list(value: Any) -> list[str]:
     return items
 
 
-def _load_config(path: str) -> dict[str, Any]:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            config = json.load(fh)
-    except OSError as exc:
-        raise CliError(EXIT_USAGE, f"cannot read config file: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise CliError(EXIT_USAGE, f"{path}: line {exc.lineno}: {exc.msg}") from None
-    except UnicodeDecodeError as exc:
-        raise CliError(EXIT_USAGE, f"{path}: {exc}") from None
-    except RecursionError:
-        raise CliError(EXIT_USAGE, f"{path}: config is nested too deeply") from None
-    if not isinstance(config, dict):
-        raise CliError(EXIT_USAGE, f"{path}: config must be a JSON object")
-    return config
-
-
 def _read(what: str, value: Any, load: Callable[[str], Any]) -> Any:
     """``load`` the file at path ``value``; a missing or malformed file is a usage error."""
     path = _path(value)
@@ -153,7 +137,7 @@ def _read(what: str, value: Any, load: Callable[[str], Any]) -> Any:
         return load(path)
     except OSError as exc:
         raise CliError(EXIT_USAGE, f"cannot read {what} file: {exc}") from None
-    except ValueError as exc:  # AtomFileError, KernelSpecError, malformed frame rows
+    except ValueError as exc:  # AtomFileError, KernelSpecError, malformed frame rows, a config that is not an object
         raise CliError(EXIT_USAGE, str(exc)) from None
 
 
@@ -164,6 +148,19 @@ def _scalar_kernels(value: Any) -> list[MatrixKernel]:
         if kernel.n != 1:
             raise CliError(EXIT_USAGE, f"--kernel: {path}: synthesize needs scalar kernels")
     return kernels
+
+
+def _config(path: str) -> dict[str, Any]:
+    config = _read_json(path, "config", lambda value: value)
+    if not isinstance(config, dict):
+        raise ValueError(f"{path}: config must be a JSON object")
+    return config
+
+
+def _frame_family(value: Any) -> FrameFamily | None:
+    """The frame files listed in ``value``, aligned; ``None`` for no file."""
+    frames = [_read("frame", path, read_frame) for path in _paths(value)]
+    return align_frames(frames) if frames else None
 
 
 def _outdir(value: Any) -> Path:
@@ -190,7 +187,7 @@ class _Option:
         return "--" + self.key.replace("_", "-")
 
 
-_CONFIG = _Option("config", "JSON config file; explicit flags override it", _load_config)
+_CONFIG = _Option("config", "JSON config file; explicit flags override it", lambda v: _read("config", v, _config))
 _ATOMS = _Option(
     "atoms", "atom CSV file (header id,w,c1,...,cd)", lambda v: _read("atoms", v, load_atoms), required=True
 )
@@ -210,12 +207,7 @@ _TRUNCATIONS = _Option(
     "comma-separated truncation orders (default: all)",
     lambda v: sorted({int(m) for m in _csv_list(v)}),
 )
-_FRAMES = _Option(
-    "frames",
-    "frame CSV files, one per component",
-    lambda v: [_read("frame", path, read_frame) for path in _paths(v)],
-    settings={"nargs": "+"},
-)
+_FRAMES = _Option("frames", "frame CSV files, one per component", _frame_family, settings={"nargs": "+"})
 
 
 def _resolve(args: argparse.Namespace, options: Sequence[_Option]) -> None:
@@ -391,8 +383,9 @@ def _errors_report(args: argparse.Namespace) -> dict[str, Any]:
     write_error_table(table, args.out / "errors.csv")
 
     tol_recon = default_tol_recon(dec) if args.tol_recon is None else args.tol_recon
+    # no verdict off the support, nor without the row m = rank
     full_rows = [err for m, err in table if m == dec.rank]
-    recon_ok = None if off_support else bool(full_rows and full_rows[0] <= tol_recon)
+    recon_ok = None if off_support or not full_rows else bool(full_rows[0] <= tol_recon)
     return {
         **_about(args, args.kernel),
         "rank": dec.rank,
@@ -426,17 +419,14 @@ def _frames_report(args: argparse.Namespace) -> dict[str, Any]:
 
 
 def _synthesis_report(args: argparse.Namespace) -> dict[str, Any]:
-    space, originals = args.atoms, args.kernel or []
-    if not originals and not args.frames:
+    space, originals, family = args.atoms, args.kernel or [], args.frames
+    if not originals and family is None:
         raise CliError(EXIT_USAGE, "synthesize needs --kernel files or --frames files")
-    if originals and args.frames and len(originals) != len(args.frames):
-        expected = f"expected one file per --frames file ({len(args.frames)}), got {len(originals)}"
+    if originals and family is not None and len(originals) != family.n:
+        expected = f"expected one file per --frames file ({family.n}), got {len(originals)}"
         raise CliError(EXIT_USAGE, f"--kernel: {expected}")
-    frames = args.frames or [extract_frame(eigendecompose(_operator(args, k)[1]), 0) for k in originals]
-    try:
-        family = align_frames(frames)
-    except ValueError as exc:
-        raise CliError(EXIT_USAGE, str(exc)) from None
+    if family is None:
+        family = align_frames([extract_frame(eigendecompose(_operator(args, k)[1]), 0) for k in originals])
     if not family.atoms:
         raise CliError(EXIT_DEGENERATE, "synthesized family has no atoms")
     synth = synthesize_kernel(family)

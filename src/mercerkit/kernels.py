@@ -501,19 +501,28 @@ def build_kernel(spec: Mapping[str, Any], base_dir: Path | None = None) -> Matri
     return builders[ktype]()
 
 
-def kernel_from_file(path: str | Path) -> MatrixKernel:
-    """Load a kernel description from a JSON file."""
-    path = Path(path)
+def _read_json(path: str | Path, what: str, build: Callable[[Any], Any]) -> Any:
+    """``build`` of the value in the JSON file ``path``, which holds ``what``.
+
+    A syntax error, bytes that are not UTF-8 and nesting too deep, in the file
+    or for ``build``, raise :class:`KernelSpecError` naming ``path`` as given.
+    """
     try:
         with open(path, encoding="utf-8") as fh:
-            spec = json.load(fh)
-        return build_kernel(spec, base_dir=path.parent)
+            value = json.load(fh)
+        return build(value)
     except json.JSONDecodeError as exc:
         raise KernelSpecError(f"{path}: line {exc.lineno}: {exc.msg}") from None
     except UnicodeDecodeError as exc:
         raise KernelSpecError(f"{path}: {exc}") from None
     except RecursionError:
-        raise KernelSpecError(f"{path}: kernel description is nested too deeply") from None
+        raise KernelSpecError(f"{path}: {what} is nested too deeply") from None
+
+
+def kernel_from_file(path: str | Path) -> MatrixKernel:
+    """Load a kernel description from a JSON file."""
+    path = Path(path)
+    return _read_json(path, "kernel description", lambda spec: build_kernel(spec, base_dir=path.parent))
 
 
 # ---------------------------------------------------------------------------

@@ -505,15 +505,12 @@ def _write_csv(
 def _complex_columns(values: np.ndarray) -> list[np.ndarray | tuple[list[str], None]]:
     """The real and imaginary parts of ``values`` as two columns.
 
-    A real array's imaginary cells are the text ``0.0``, and so are those of
-    a complex array whose imaginary parts are all ``+0.0`` (every bit zero),
-    as the eigenfunctions of a real kernel's precomputed table are: the
-    table is read as complex, and every imaginary bit of them is zero.
+    A real array's imaginary cells are the text ``0.0``.  A complex array's
+    are rendered like any float, so each ``+0.0`` is written ``0.0`` and each
+    ``-0.0`` keeps its sign.
     """
     if not np.iscomplexobj(values):
         return [values, (["0.0"], None)]
-    if not values.imag.view(np.int64).any():
-        return [values.real, (["0.0"], None)]
     return [values.real, values.imag]
 
 

@@ -338,6 +338,11 @@ def test_reconstruct_selected_truncations(tmp_path, three_atoms):
     assert code == 0
     rows = (out / "errors.csv").read_text().splitlines()
     assert [int(r.split(",")[0]) for r in rows[1:]] == [0, 2]
+    # the row m = rank was not asked for, so there is no verdict on it, as off the support
+    report = report_of(out)
+    assert report["rank"] == 3
+    assert report["full_rank_ok"] is None
+    assert report["passed"] is True
 
 
 def test_reconstruct_reports_off_support_subset(tmp_path):
@@ -480,6 +485,27 @@ def test_synthesize_rejects_a_kernel_count_other_than_the_frame_count(tmp_path, 
     assert main(argv + ["--out", str(out)]) == 1
     assert capsys.readouterr().err == "mercerkit: error: --kernel: expected one file per --frames file (2), got 1\n"
     assert not (out / "kernel.csv").exists()
+
+
+def test_synthesize_rejects_frames_that_disagree_on_the_atom_set(tmp_path, three_atoms, capsys):
+    frames = [tmp_path / "f0.csv", tmp_path / "f1.csv"]
+    frames[0].write_text("i,atom_id,value_re,value_im\n0,a,1.0,0.0\n0,b,2.0,0.0\n")
+    frames[1].write_text("i,atom_id,value_re,value_im\n0,a,1.0,0.0\n0,c,2.0,0.0\n")
+    out = tmp_path / "out"
+    argv = ["synthesize", "--atoms", str(three_atoms), "--frames", *map(str, frames), "--out", str(out)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == "mercerkit: error: --frames: frames disagree on the atom set\n"
+    assert not (out / "kernel.csv").exists()
+
+
+def test_synthesize_with_an_empty_frame_list_in_the_config_reads_the_kernels(tmp_path, three_atoms):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"frames": []}))
+    base = ["synthesize", "--atoms", str(three_atoms), "--kernel", str(write_kernel(tmp_path, GAUSSIAN))]
+    assert main(base + ["--config", str(config), "--out", str(tmp_path / "config")]) == 0
+    assert main(base + ["--out", str(tmp_path / "flags")]) == 0
+    assert report_of(tmp_path / "config") == report_of(tmp_path / "flags")
+    assert (tmp_path / "config" / "kernel.csv").read_bytes() == (tmp_path / "flags" / "kernel.csv").read_bytes()
 
 
 def test_synthesize_requires_input(tmp_path, three_atoms, capsys):
@@ -850,18 +876,40 @@ def test_config_must_be_object(tmp_path, three_atoms, capsys):
 
 
 @pytest.mark.parametrize(
-    "text, message",
+    "text, relative, kernel_message, config_message",
     [
-        (b'{"atoms": "\xff"}', "'utf-8' codec can't decode byte 0xff in position 11: invalid start byte"),
-        (b"[" * 100_000 + b"]" * 100_000, "config is nested too deeply"),
+        (
+            b'{"atoms": \n ]',
+            True,
+            "c.json: line 2: Expecting value",
+            "./c.json: line 2: Expecting value",
+        ),
+        (
+            b'{"atoms": "\xff"}',
+            False,
+            "{dir}/c.json: 'utf-8' codec can't decode byte 0xff in position 11: invalid start byte",
+            "{dir}/c.json: 'utf-8' codec can't decode byte 0xff in position 11: invalid start byte",
+        ),
+        (
+            b"[" * 100_000 + b"]" * 100_000,
+            False,
+            "{dir}/c.json: kernel description is nested too deeply",
+            "{dir}/c.json: config is nested too deeply",
+        ),
     ],
-    ids=["not_utf8", "nested_too_deeply"],
+    ids=["syntax", "not_utf8", "nested_too_deeply"],
 )
-def test_unreadable_config_is_a_one_line_usage_error(tmp_path, capsys, text, message):
-    config = tmp_path / "config.json"
-    config.write_bytes(text)
-    assert main(["validate", "--config", str(config)]) == 1
-    assert capsys.readouterr().err == f"mercerkit: error: {config}: {message}\n"
+def test_unreadable_config_is_a_one_line_usage_error(
+    tmp_path, monkeypatch, three_atoms, capsys, text, relative, kernel_message, config_message
+):
+    # --kernel and --config read JSON alike; a kernel path is named as a Path prints it, without "./"
+    (tmp_path / "c.json").write_bytes(text)
+    monkeypatch.chdir(tmp_path)
+    path = "./c.json" if relative else str(tmp_path / "c.json")
+    assert main(["validate", "--atoms", str(three_atoms), "--kernel", path, "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == f"mercerkit: error: {kernel_message.format(dir=tmp_path)}\n"
+    assert main(["validate", "--config", path]) == 1
+    assert capsys.readouterr().err == f"mercerkit: error: {config_message.format(dir=tmp_path)}\n"
 
 
 @pytest.mark.parametrize(
