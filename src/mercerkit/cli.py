@@ -2,9 +2,10 @@
 
 Subcommands: validate, metric, decompose, reconstruct, frames, synthesize.
 Each writes its tables plus a report (JSON and text) into the output
-directory.  Outputs are byte-deterministic for identical inputs.  Exit
-codes: 0 success, 1 usage or file errors, 2 kernel validation failure,
-3 degenerate input (empty measure support).
+directory.  The output bytes are a function of the inputs, the numpy/BLAS
+build and the BLAS thread count.  Exit codes: 0 success, 1 usage or file
+errors, 2 kernel validation failure, 3 degenerate input (empty measure
+support).
 
 Each option is declared once as an ``_Option``, with the check that turns a
 flag or ``--config`` value into a typed value.  ``_COMMANDS`` lists each

@@ -41,7 +41,6 @@ __all__ = [
     "kernel_from_file",
     "psd_tolerance",
     "read_precomputed",
-    "spectral_norm",
     "validate_kernel",
     "write_precomputed",
 ]
@@ -281,19 +280,6 @@ def _hermitian(m: np.ndarray) -> np.ndarray:
     return part
 
 
-def spectral_norm(m: np.ndarray) -> float:
-    """Largest absolute eigenvalue of a Hermitian matrix.
-
-    Raises :class:`KernelSymmetryError` if the input deviates from Hermitian
-    symmetry by more than ``TOL_SYM`` in any entry.
-    """
-    a = np.asarray(m, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    _require_hermitian(a)
-    return float(_spectral_norms(a))
-
-
 # ---------------------------------------------------------------------------
 # constructor zoo
 # ---------------------------------------------------------------------------
@@ -520,9 +506,8 @@ def _read_json(path: str | Path, what: str, build: Callable[[Any], Any]) -> Any:
 
 
 def kernel_from_file(path: str | Path) -> MatrixKernel:
-    """Load a kernel description from a JSON file."""
-    path = Path(path)
-    return _read_json(path, "kernel description", lambda spec: build_kernel(spec, base_dir=path.parent))
+    """Load a kernel description from a JSON file; errors name ``path`` as given."""
+    return _read_json(path, "kernel description", lambda spec: build_kernel(spec, base_dir=Path(path).parent))
 
 
 # ---------------------------------------------------------------------------
@@ -546,9 +531,8 @@ def read_precomputed(path: str | Path) -> MatrixKernel:
     are zero-based, and a component index ``k`` needs ``(k+1)^2 <= 2 * rows``
     data rows, which every complete table has.  The table is built dense, one
     block per pair of atoms; if that does not fit in memory,
-    :class:`KernelSpecError` names the path and the shape.
+    :class:`KernelSpecError` names the path, as given, and the shape.
     """
-    path = Path(path)
     rows, index = _read_table(path, _PRECOMPUTED_ROW, KernelSpecError, _COMPONENTS, need_rows=True)
     size, n = len(index), int(max(rows["l"].max(), rows["j"].max())) + 1
     shape = (size, size, n, n)
@@ -584,7 +568,7 @@ def read_precomputed(path: str | Path) -> MatrixKernel:
             raise KernelEvaluationError(f"precomputed kernel has no entry for pair ({x!r}, {t!r})")
         return table[ix, it]
 
-    return MatrixKernel(n, label=f"precomputed({path.name})", batch=batch)
+    return MatrixKernel(n, label=f"precomputed({Path(path).name})", batch=batch)
 
 
 def write_precomputed(kernel: MatrixKernel, space: AtomSpace, path: str | Path) -> np.ndarray:

@@ -24,7 +24,7 @@ from .kernels import (
     diagonal_blocks,
     gram,
 )
-from .operators import RKHSElement, SpectralDecomposition
+from .operators import RKHSElement, SpectralDecomposition, _coefficients
 from .space import AtomSpace
 from .tables import _complex_columns, _csv_cells, _Indices, _read_table, _write_csv
 
@@ -34,7 +34,6 @@ __all__ = [
     "default_tol_recon",
     "extract_frame",
     "frame_check",
-    "pointwise",
     "project",
     "read_frame",
     "reconstruct",
@@ -167,17 +166,6 @@ def _series_error(resid: np.ndarray, f: np.ndarray, sigmas: np.ndarray, m: int) 
     return float(np.max(worst))  # where max() would pass over a nan, np.max keeps it
 
 
-def pointwise(dec: SpectralDecomposition, element: RKHSElement) -> np.ndarray:
-    """Per-atom values of an element, shape ``(N, n)``."""
-    if element.is_spectral:
-        coeffs = np.asarray(element.coeffs, dtype=complex)
-        if coeffs.shape[0] != dec.rank:
-            raise ValueError(f"expected {dec.rank} coefficients, got {coeffs.shape[0]}")
-        return np.einsum("i,ixl->xl", coeffs * np.sqrt(dec.sigmas), dec.funcs)
-    sources, ys = _section_table(dec, element)
-    return np.einsum("tslm,sm->tl", gram(dec.kernel, dec.space, None, sources), ys)
-
-
 def _section_table(dec: SpectralDecomposition, element: RKHSElement) -> tuple[list[int], np.ndarray]:
     """Base atom indices and coefficient vectors ``(S, n)`` of a section-form element."""
     sources = [dec.space.index(label) for label, _ in element.sections]
@@ -211,13 +199,14 @@ def project(section: RKHSElement, dec: SpectralDecomposition) -> RKHSElement:
 def rkhs_inner(h1: RKHSElement, h2: RKHSElement, dec: SpectralDecomposition) -> complex:
     """Kernel-space inner product, linear in the first argument.
 
-    Spectral forms contract coefficientwise (the scaled eigenfunctions are
-    orthonormal).  Section forms evaluate the Gram double sum
-    ``sum_{x,t} <K(t,x) y_x, y'_t>`` directly.  Mixed forms project the
-    section first, which requires its atoms to lie on the support.
+    Spectral forms, of ``dec.rank`` coefficients each, contract
+    coefficientwise (the scaled eigenfunctions are orthonormal).  Section
+    forms evaluate the Gram double sum ``sum_{x,t} <K(t,x) y_x, y'_t>``
+    directly.  Mixed forms project the section first, which requires its
+    atoms to lie on the support.
     """
     if h1.is_spectral and h2.is_spectral:
-        return complex(np.sum(h1.coeffs * np.conj(h2.coeffs)))
+        return complex(np.sum(_coefficients(h1, dec) * np.conj(_coefficients(h2, dec))))
     if not h1.is_spectral and not h2.is_spectral:
         xs, ys = _section_table(dec, h1)
         ts, yps = _section_table(dec, h2)
@@ -309,9 +298,8 @@ def read_frame(path: str | Path) -> ScalarFrame:
     not fit in memory, ``ValueError`` names the path and the shape.  It is
     real (float64) if every ``value_im`` cell is ``+0.0``, bit for bit, as
     :func:`write_frame` writes the frames of a real kernel; a ``-0.0`` cell
-    keeps it complex.
+    keeps it complex.  Errors name ``path`` as given.
     """
-    path = Path(path)
     rows, index = _read_table(path, _FRAME_ROW, ValueError, _FRAME_INDEX)
     shape = (int(rows["i"].max(initial=-1)) + 1, len(index))
     keys, im = (rows["i"], rows["atom_id"]), rows["value_im"]

@@ -37,12 +37,10 @@ __all__ = [
     "RKHSElement",
     "RescaledMeasure",
     "SpectralDecomposition",
-    "adjoint_embed",
     "assemble_operator",
     "default_tol_eig",
     "eigendecompose",
     "embedding_norm_bound_check",
-    "extend_eigenfunction",
     "rescale_measure",
     "trace_check",
     "truncate",
@@ -238,12 +236,7 @@ def eigendecompose(op: DiscreteOperator, rank_cutoff: float | None = None) -> Sp
     return SpectralDecomposition(space, kernel, nu, _readonly(sigmas), _readonly(funcs), float(np.sum(positive)))
 
 
-def _extend(
-    op: DiscreteOperator | SpectralDecomposition,
-    rows: np.ndarray,
-    f_pos: np.ndarray,
-    sigmas: np.ndarray,
-) -> np.ndarray:
+def _extend(op: DiscreteOperator, rows: np.ndarray, f_pos: np.ndarray, sigmas: np.ndarray) -> np.ndarray:
     """Kernel-sum extension ``(1 / sigma_i) sum_t K(x,t) f_i(t) nu_t`` at the atoms at ``rows``.
 
     The sum runs over the positive-weight atoms of ``op``; ``f_pos`` holds
@@ -272,21 +265,6 @@ def truncate(dec: SpectralDecomposition, rank_cutoff: float | None = None) -> Sp
     return SpectralDecomposition(
         dec.space, dec.kernel, dec.nu, dec.sigmas[:keep], dec.funcs[:keep], dec._positive_sum
     )
-
-
-def extend_eigenfunction(dec: SpectralDecomposition, i: int, x: str) -> np.ndarray:
-    """Evaluate the continuous representative of eigenfunction ``i`` at the atom labelled ``x``.
-
-    Computes ``(1 / sigma_i) * sum_t K(x,t) f_i(t) nu_t`` over the operator
-    atoms.  On those atoms this reproduces the stored eigenvector values up
-    to the eigen-residual.
-    """
-    if not 0 <= i < dec.rank:
-        raise ValueError(
-            f"eigenindex {i} is below the rank cutoff (retained rank {dec.rank})"
-        )
-    f_pos = dec.funcs[i : i + 1, list(dec.positive_indices), :]
-    return _extend(dec, np.array([dec.space.index(x)]), f_pos, dec.sigmas[i : i + 1])[0, 0]
 
 
 def default_tol_eig(dec: SpectralDecomposition) -> float:
@@ -326,30 +304,13 @@ class RKHSElement:
     def is_spectral(self) -> bool:
         return self.coeffs is not None
 
-    def norm_sq(self) -> float:
-        """Squared kernel-space norm; spectral form only."""
-        if self.coeffs is None:
-            raise ValueError("norm_sq needs the spectral form; project the element first")
-        return float(np.sum(np.abs(self.coeffs) ** 2))
 
-
-def adjoint_embed(values: np.ndarray, space: AtomSpace, nu: RescaledMeasure) -> RKHSElement:
-    """Push a square-integrable function into the kernel space.
-
-    ``values`` holds ``f(x)`` per atom (shape ``(N, n)``); the image is the
-    kernel-section combination ``sum_x K_x f(x) nu_x``, whose pointwise
-    evaluation is the integral operator applied to ``f``.
-    """
-    vals = np.asarray(values, dtype=complex)
-    if vals.ndim == 1:
-        vals = vals[:, None]
-    if vals.shape[0] != len(space.labels):
-        raise ValueError("values must provide one vector per atom")
-    pairs = [
-        (space.labels[i], vals[i] * nu.weights[i])
-        for i in np.flatnonzero(nu.weights > 0)
-    ]
-    return RKHSElement.from_sections(pairs)
+def _coefficients(h: RKHSElement, dec: SpectralDecomposition) -> np.ndarray:
+    """The coefficients of a spectral-form element, which must number ``dec.rank``."""
+    coeffs = np.asarray(h.coeffs, dtype=complex)
+    if coeffs.shape[0] != dec.rank:
+        raise ValueError(f"expected {dec.rank} coefficients, got {coeffs.shape[0]}")
+    return coeffs
 
 
 def trace_check(dec: SpectralDecomposition) -> tuple[float, float]:
@@ -374,9 +335,7 @@ def embedding_norm_bound_check(h: RKHSElement, dec: SpectralDecomposition) -> tu
     """
     if h.coeffs is None:
         raise ValueError("embedding bound needs the spectral form; project the element first")
-    coeffs = np.asarray(h.coeffs, dtype=complex)
-    if coeffs.shape[0] != dec.rank:
-        raise ValueError(f"expected {dec.rank} coefficients, got {coeffs.shape[0]}")
+    coeffs = _coefficients(h, dec)
     values = np.einsum("i,ixl->xl", coeffs * np.sqrt(dec.sigmas), dec.funcs)
     l2_sq = float(np.sum(np.abs(values) ** 2 * dec.nu.weights[:, None]))
     bound = dec.nu.m_nu * float(np.sum(np.abs(coeffs) ** 2))

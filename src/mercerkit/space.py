@@ -97,10 +97,6 @@ class AtomSpace:
     def __len__(self) -> int:
         return len(self.labels)
 
-    @property
-    def dim(self) -> int:
-        return self.coords.shape[1]
-
     @cached_property
     def atoms(self) -> tuple[Atom, ...]:
         return tuple(Atom(label, self.coords[i]) for i, label in enumerate(self.labels))
@@ -120,8 +116,7 @@ class AtomSpace:
 
 
 def load_atoms(path: str | Path) -> AtomSpace:
-    """Read an atom CSV file with header ``id,w,c1,...,cd``."""
-    path = Path(path)
+    """Read an atom CSV file with header ``id,w,c1,...,cd``; errors name ``path`` as given."""
     with open(path, encoding="utf-8-sig", newline="") as fh:
         header = next(_records(csv.reader(fh), path, AtomFileError), None)
     if header is None:
@@ -222,10 +217,6 @@ class Quotient:
     atoms: tuple[str, ...]
     class_ids: tuple[int, ...]
     representatives: tuple[str, ...]
-
-    @property
-    def class_of(self) -> dict[str, int]:
-        return dict(zip(self.atoms, self.class_ids))
 
     @cached_property
     def classes(self) -> tuple[tuple[str, ...], ...]:

@@ -587,7 +587,7 @@ class _Indices(NamedTuple):
 
 
 def _read_table(
-    path: Path, row: np.dtype, error: type[ValueError], indices: _Indices | None = None, need_rows: bool = False
+    path: str | Path, row: np.dtype, error: type[ValueError], indices: _Indices | None = None, need_rows: bool = False
 ) -> tuple[np.ndarray, dict[str, int]]:
     """Data rows of the CSV file ``path``, typed by the fields of ``row``, its header, and the labels.
 
@@ -604,7 +604,7 @@ def _read_table(
     return read
 
 
-def _records(reader: Any, path: Path, error: type[ValueError]) -> Iterator[list[str]]:
+def _records(reader: Any, path: str | Path, error: type[ValueError]) -> Iterator[list[str]]:
     """The records of a ``csv.reader``; a ``csv.Error`` or bytes that are not UTF-8 become ``error`` naming the path."""
     try:
         yield from reader
@@ -615,7 +615,7 @@ def _records(reader: Any, path: Path, error: type[ValueError]) -> Iterator[list[
 
 
 def _read_rows(
-    path: Path, row: np.dtype, error: type[ValueError], indices: _Indices | None, need_rows: bool
+    path: str | Path, row: np.dtype, error: type[ValueError], indices: _Indices | None, need_rows: bool
 ) -> tuple[np.ndarray, dict[str, int]]:
     """The data rows of a table and its labels, one ``csv.reader`` row at a time.
 

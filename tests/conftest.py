@@ -7,10 +7,12 @@ import numpy as np
 from mercerkit import (
     AtomSpace,
     MatrixKernel,
+    RKHSElement,
     SpectralDecomposition,
     assemble_operator,
     build_kernel,
     eigendecompose,
+    gram,
     rescale_measure,
 )
 
@@ -121,3 +123,16 @@ def decompose_space(space: AtomSpace, spec, rank_cutoff: float | None = None) ->
     nu = rescale_measure(space, kernel)
     op = assemble_operator(space, kernel, nu)
     return eigendecompose(op, rank_cutoff=rank_cutoff)
+
+
+def pointwise(dec: SpectralDecomposition, element: RKHSElement) -> np.ndarray:
+    """Reference values of an element at every atom, shape ``(N, n)``.
+
+    A spectral element is ``sum_i c_i sqrt(sigma_i) f_i``, a section element
+    ``sum_s K(., s) y_s``.
+    """
+    if element.is_spectral:
+        return np.einsum("i,ixl->xl", element.coeffs * np.sqrt(dec.sigmas), dec.funcs)
+    sources = [dec.space.index(label) for label, _ in element.sections]
+    ys = np.array([y for _, y in element.sections], dtype=complex).reshape(len(sources), dec.n)
+    return np.einsum("tslm,sm->tl", gram(dec.kernel, dec.space, None, sources), ys)

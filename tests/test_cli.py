@@ -670,6 +670,31 @@ def test_input_file_that_is_not_utf8_is_a_file_error(tmp_path, three_atoms, caps
     assert err.endswith(": invalid start byte\n") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "kind, message",
+    [
+        ("atoms", "./bad.csv: line 2: could not convert string to float: 'oops'"),
+        ("frame", "./frame.csv: line 2: could not convert string to float: 'oops'"),
+        ("missing", "cannot read atoms file: [Errno 2] No such file or directory: './none.csv'"),
+    ],
+    ids=["atoms", "frame", "missing"],
+)
+def test_input_file_is_named_as_given(tmp_path, three_atoms, monkeypatch, capsys, kind, message):
+    # a path given as ./name is named ./name, not as a Path prints it; test_unreadable_config_is_a_one_line_usage_error
+    # checks a kernel file
+    (tmp_path / "bad.csv").write_text("id,w,c1\na,1.0,oops\n")
+    (tmp_path / "frame.csv").write_text("i,atom_id,value_re,value_im\n0,a,oops,0.0\n")
+    kernel = write_kernel(tmp_path, GAUSSIAN)
+    monkeypatch.chdir(tmp_path)
+    argv = {
+        "atoms": ["validate", "--atoms", "./bad.csv", "--kernel", str(kernel)],
+        "frame": ["synthesize", "--atoms", str(three_atoms), "--frames", "./frame.csv"],
+        "missing": ["validate", "--atoms", "./none.csv", "--kernel", str(kernel)],
+    }[kind]
+    assert main(argv + ["--out", "out"]) == 1
+    assert capsys.readouterr().err == f"mercerkit: error: {message}\n"
+
+
 # ---------------------------------------------------------------------------
 # exit paths shared by every subcommand
 # ---------------------------------------------------------------------------
@@ -881,7 +906,7 @@ def test_config_must_be_object(tmp_path, three_atoms, capsys):
         (
             b'{"atoms": \n ]',
             True,
-            "c.json: line 2: Expecting value",
+            "./c.json: line 2: Expecting value",
             "./c.json: line 2: Expecting value",
         ),
         (
@@ -902,7 +927,7 @@ def test_config_must_be_object(tmp_path, three_atoms, capsys):
 def test_unreadable_config_is_a_one_line_usage_error(
     tmp_path, monkeypatch, three_atoms, capsys, text, relative, kernel_message, config_message
 ):
-    # --kernel and --config read JSON alike; a kernel path is named as a Path prints it, without "./"
+    # --kernel and --config read JSON alike, and both name the path as it was given
     (tmp_path / "c.json").write_bytes(text)
     monkeypatch.chdir(tmp_path)
     path = "./c.json" if relative else str(tmp_path / "c.json")

@@ -22,11 +22,10 @@ from mercerkit import (
     kernel_from_file,
     psd_tolerance,
     read_precomputed,
-    spectral_norm,
     validate_kernel,
     write_precomputed,
 )
-from mercerkit.kernels import _flat
+from mercerkit.kernels import _flat, _require_hermitian, _spectral_norms
 
 
 # ---------------------------------------------------------------------------
@@ -292,10 +291,15 @@ def test_validate_flags_asymmetric_kernel_without_raising():
 
 
 def test_spectral_norm_checks_hermitian():
-    assert spectral_norm(np.array([[3.0]])) == 3.0
-    assert spectral_norm(np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)) == pytest.approx(1.0)
+    assert _spectral_norms(np.array([[3.0]])) == 3.0
+    assert _spectral_norms(np.array([[-3.0]])) == 3.0
+    swap = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+    assert _spectral_norms(swap) == pytest.approx(1.0)
+    # one norm per matrix of a stack
+    np.testing.assert_allclose(_spectral_norms(np.stack([swap, 2.0 * np.eye(2)])), [1.0, 2.0])
+    _require_hermitian(swap)
     with pytest.raises(KernelSymmetryError, match="not Hermitian"):
-        spectral_norm(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex))
+        _require_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex))
 
 
 def test_psd_tolerance_floors_at_unit_scale():

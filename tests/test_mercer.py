@@ -5,17 +5,17 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from conftest import ZOO, ZOO_IDS, decompose_space, delta_kernel, random_space, space_from
+from conftest import ZOO, ZOO_IDS, decompose_space, delta_kernel, pointwise, random_space, space_from
 from mercerkit import (
     OffSupportError,
     RKHSElement,
     build_kernel,
     default_tol_eig,
     default_tol_recon,
+    embedding_norm_bound_check,
     extract_frame,
     frame_check,
     gram,
-    pointwise,
     project,
     read_frame,
     reconstruct,
@@ -182,8 +182,13 @@ def test_pointwise_section_is_kernel_column():
     y = np.array([0.3, -0.7 + 0.2j])
     h = RKHSElement.from_sections([("x2", y)])
     values = pointwise(dec, h)
-    for i in range(len(space)):
-        np.testing.assert_allclose(values[i], gram(dec.kernel, space, [i], [2])[0, 0] @ y, atol=1e-14)
+    for i, label in enumerate(space.labels):
+        column = gram(dec.kernel, space, [i], [2])[0, 0] @ y
+        np.testing.assert_allclose(values[i], column, atol=1e-14)
+        # the reproducing property: <K_s y, K_x e_l> = (K(x, s) y)_l
+        for l in range(dec.n):
+            probe = RKHSElement.from_sections([(label, np.eye(dec.n)[l])])
+            assert rkhs_inner(h, probe, dec) == pytest.approx(column[l], abs=1e-14)
 
 
 def test_project_then_pointwise_round_trips_sections():
@@ -213,6 +218,19 @@ def test_rkhs_inner_spectral_route():
     h1 = RKHSElement.spectral([2.0])
     h2 = RKHSElement.spectral([1.0 + 1.0j])
     assert rkhs_inner(h1, h2, dec) == pytest.approx(2.0 * (1.0 - 1.0j))
+
+
+def test_spectral_elements_must_have_one_coefficient_per_eigenpair():
+    space = space_from([0.0, 1.0, 2.5], [1.0, 1.0, 1.0])
+    dec = decompose_space(space, {"type": "gaussian", "gamma": 1.0})
+    assert dec.rank == 3
+    short, full = RKHSElement.spectral([2.0]), RKHSElement.spectral([1.0, 2.0, 3.0])
+    for other in (full, RKHSElement.from_sections([("a", [1.0])])):
+        for pair in ((short, other), (other, short)):
+            with pytest.raises(ValueError, match="^expected 3 coefficients, got 1$"):
+                rkhs_inner(*pair, dec)
+    with pytest.raises(ValueError, match="^expected 3 coefficients, got 1$"):
+        embedding_norm_bound_check(short, dec)
 
 
 def test_rkhs_inner_section_route_equals_kernel_entry():

@@ -13,21 +13,19 @@ from mercerkit import operators
 from mercerkit import (
     EmptySupportError,
     RKHSElement,
-    adjoint_embed,
     assemble_operator,
     build_kernel,
     default_tol_eig,
     eigendecompose,
     embedding_norm_bound_check,
-    extend_eigenfunction,
     gram,
     merge_classes,
-    pointwise,
     pseudo_metric,
     quotient,
     read_precomputed,
     reconstruct,
     rescale_measure,
+    rkhs_inner,
     trace_check,
     truncate,
     write_eigenfunctions,
@@ -321,24 +319,20 @@ def test_extension_identity_kernel_vanishes_off_support():
     np.testing.assert_array_equal(dec.funcs[:, 2, 0], np.zeros(dec.rank))
 
 
-def test_extend_eigenfunction_matches_stored_values():
-    # tail eigenpairs divide by sigma_i, so compare on a well-conditioned head
+@pytest.mark.parametrize("name", ["gaussian", "separable_complex"])
+def test_extension_matches_the_kernel_sum_at_every_atom(name):
+    # f_i(x) = (1 / sigma_i) sum_t K(x,t) f_i(t) nu_t over the positive-weight atoms t: the eigen-equation
+    # where x has weight, the extension's definition where it has none; tail eigenpairs divide by sigma_i,
+    # so compare on a well-conditioned head
     rng = np.random.default_rng(47)
     space = random_space(rng, 8, dim=2, zero_mass=2)
-    full = decompose_space(space, {"type": "gaussian", "gamma": 1.0})
+    full = decompose_space(space, dict(ZOO)[name])
     dec = truncate(full, 1e-4 * float(full.sigmas[0]))
-    for i in (0, dec.rank - 1):
-        for label in space.labels:
-            value = extend_eigenfunction(dec, i, label)
-            ix = space.index(label)
-            np.testing.assert_allclose(value, dec.funcs[i, ix], atol=1e-9)
-
-
-def test_extend_eigenfunction_rejects_cut_index():
-    space = space_from([0.0, 1.0], [1.0, 1.0])
-    dec = decompose_space(space, {"type": "constant", "value": 1.0})
-    with pytest.raises(ValueError, match="rank"):
-        extend_eigenfunction(dec, 5, "a")
+    pos = list(dec.positive_indices)
+    weighted = dec.funcs[:, pos, :] * dec.nu.weights[pos][None, :, None]
+    reference = np.einsum("xtlm,itm->ixl", gram(dec.kernel, space, None, pos), weighted) / dec.sigmas[:, None, None]
+    assert len(pos) == 6 and dec.rank >= 2
+    np.testing.assert_allclose(dec.funcs, reference, atol=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -398,27 +392,11 @@ def test_rkhs_element_forms_are_exclusive():
         RKHSElement(coeffs=None, sections=None)
     h = RKHSElement.spectral([1.0, 0.5j])
     assert h.is_spectral
-    assert h.norm_sq() == pytest.approx(1.25)
+    # the identity kernel on two unit-mass atoms: two eigenpairs
+    dec = decompose_space(space_from([0.0, 1.0], [1.0, 1.0]), delta_kernel(1))
+    assert rkhs_inner(h, h, dec) == pytest.approx(1.25)
     g = RKHSElement.from_sections([("a", [1.0, 0.0])])
     assert not g.is_spectral
-
-
-def test_adjoint_embed_constant_function_hand():
-    # constant kernel, f = 1: the embedded element is again the constant 1
-    space = space_from([0.0, 1.0], [1.0, 1.0])
-    dec = decompose_space(space, {"type": "constant", "value": 1.0})
-    h = adjoint_embed(np.ones((2, 1)), space, dec.nu)
-    assert [label for label, _ in h.sections] == ["a", "b"]
-    values = pointwise(dec, h)
-    np.testing.assert_array_equal(values, np.ones((2, 1)))
-
-
-def test_adjoint_embed_skips_zero_mass_atoms():
-    space = space_from([0.0, 1.0, 2.0], [1.0, 0.0, 1.0])
-    kernel = build_kernel({"type": "constant", "value": 1.0})
-    nu = rescale_measure(space, kernel)
-    h = adjoint_embed(np.ones((3, 1)), space, nu)
-    assert [label for label, _ in h.sections] == ["a", "c"]
 
 
 def test_embedding_bound_equality_case():

@@ -30,3 +30,21 @@ def test_star_import_resolves_every_name():
     namespace: dict = {}
     exec("from mercerkit import *", namespace)
     assert set(mercerkit.__all__) <= set(namespace)
+
+
+# public names no subcommand, acceptance criterion or library function called; each was deleted
+DELETED = {
+    "operators": ("adjoint_embed", "extend_eigenfunction"),
+    "mercer": ("pointwise",),
+    "kernels": ("spectral_norm",),
+}
+DELETED_MEMBERS = {"RKHSElement": "norm_sq", "Quotient": "class_of", "AtomSpace": "dim"}
+
+
+def test_uncalled_names_are_gone():
+    for module, names in DELETED.items():
+        for name in names:
+            assert not hasattr(importlib.import_module(f"mercerkit.{module}"), name), name
+            assert not hasattr(mercerkit, name), name
+    for cls, member in DELETED_MEMBERS.items():
+        assert not hasattr(getattr(mercerkit, cls), member), f"{cls}.{member}"

@@ -219,6 +219,16 @@ def test_first_bad_line_is_named(tmp_path, kind, case, message):
     assert str(info.value) == f"{path}: {message}"
 
 
+def test_table_errors_name_the_path_as_given(tmp_path, monkeypatch):
+    # the label names the file only, as it did when the path was read through Path
+    (tmp_path / "bad.csv").write_text("x_id,t_id,l,j,re,im\na,a,0,0,x,0.0\n")
+    (tmp_path / "t.csv").write_text("x_id,t_id,l,j,re,im\na,a,0,0,1.0,0.0\n")
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(KernelSpecError, match=r"^\./bad\.csv: line 2: "):
+        read_precomputed("./bad.csv")
+    assert read_precomputed("./t.csv").label == "precomputed(t.csv)"
+
+
 # Block tables whose two label columns differ, each pair of cells x_id,t_id with the
 # numbers of its labels: a label first met in t_id, and a label written bare in one
 # column and padded or quoted in the other

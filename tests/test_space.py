@@ -38,7 +38,7 @@ def test_load_atoms_roundtrip(tmp_path):
     path.write_text("id,w,c1,c2\na,1.0,0.0,2.5\nb,0.0,1.0,-3.0\nc,2.25,4.0,0.5\n")
     space = load_atoms(path)
     assert space.labels == ("a", "b", "c")
-    assert space.dim == 2
+    assert space.coords.shape == (3, 2)
     np.testing.assert_array_equal(space.mu, [1.0, 0.0, 2.25])
     np.testing.assert_array_equal(space.coords, [[0.0, 2.5], [1.0, -3.0], [4.0, 0.5]])
     assert space.total_mass() == 3.25
@@ -182,7 +182,7 @@ def test_quotient_class_ids_follow_first_occurrence():
     assert q.class_ids == (0, 1, 0, 2, 1)
     assert q.representatives == ("a", "b", "d")
     assert q.classes == (("a", "c"), ("b", "e"), ("d",))
-    assert q.class_of["e"] == 1
+    assert q.atoms == space.labels  # class_ids[k] is the class of atom k
 
 
 @pytest.mark.parametrize(
