@@ -5,7 +5,9 @@ Each writes its tables plus a report (JSON and text) into the output
 directory.  The output bytes are a function of the inputs, the numpy/BLAS
 build and the BLAS thread count.  Exit codes: 0 success, 1 usage or file
 errors, 2 kernel validation failure, 3 degenerate input (empty measure
-support).
+support).  Run as a command, the process freezes its import-time heap
+(``gc.freeze``) before :func:`main` runs; a call of ``main`` from Python
+does not.
 
 Each option is declared once as an ``_Option``, with the check that turns a
 flag or ``--config`` value into a typed value.  ``_COMMANDS`` lists each
@@ -16,6 +18,7 @@ raises ``CliError`` with its exit code, a message and/or the report to write.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import sys
@@ -507,5 +510,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     return code
 
 
-if __name__ == "__main__":  # pragma: no cover
+def _run() -> None:
+    """The ``mercerkit`` command: :func:`main` on ``sys.argv``, its code the exit status."""
+    # the import-time heap lives as long as the process: frozen, no collection walks it, during the run or at exit
+    gc.freeze()
     sys.exit(main())
+
+
+if __name__ == "__main__":  # pragma: no cover
+    _run()

@@ -445,10 +445,13 @@ def _sum(spec: Mapping[str, Any], base_dir: Path | None) -> MatrixKernel:
     return MatrixKernel(n, label=f"sum({', '.join(k.label for k in inners)})", batch=batch)
 
 
-def _file_path(path: Any, field: str, base_dir: Path | None) -> Path:
-    """The file path given in ``field``, a relative one taken from ``base_dir``."""
+def _file_path(path: Any, field: str, base_dir: Path | None) -> str | Path:
+    """The file path given in ``field``, a relative one taken from ``base_dir``.
+
+    From the working directory, or without ``base_dir``, it is the path as written.
+    """
     _require(isinstance(path, str) and bool(path), field, "must be a file path")
-    return Path(path) if base_dir is None else base_dir / path
+    return path if base_dir is None or base_dir == Path() else base_dir / path
 
 
 def _frame_synth(spec: Mapping[str, Any], base_dir: Path | None) -> MatrixKernel:

@@ -24,7 +24,7 @@ from .kernels import (
     diagonal_blocks,
     gram,
 )
-from .operators import RKHSElement, SpectralDecomposition, _coefficients
+from .operators import RKHSElement, SpectralDecomposition, _coefficients, _section_vector
 from .space import AtomSpace
 from .tables import _complex_columns, _csv_cells, _Indices, _read_table, _write_csv
 
@@ -169,8 +169,8 @@ def _series_error(resid: np.ndarray, f: np.ndarray, sigmas: np.ndarray, m: int) 
 def _section_table(dec: SpectralDecomposition, element: RKHSElement) -> tuple[list[int], np.ndarray]:
     """Base atom indices and coefficient vectors ``(S, n)`` of a section-form element."""
     sources = [dec.space.index(label) for label, _ in element.sections]
-    ys = np.array([y for _, y in element.sections], dtype=complex).reshape(len(sources), dec.n)
-    return sources, ys
+    ys = [_section_vector(label, y, dec.n) for label, y in element.sections]
+    return sources, np.array(ys, dtype=complex).reshape(len(sources), dec.n)
 
 
 def project(section: RKHSElement, dec: SpectralDecomposition) -> RKHSElement:
@@ -191,7 +191,7 @@ def project(section: RKHSElement, dec: SpectralDecomposition) -> RKHSElement:
                 "the section has no spectral representation"
             )
         ix = dec.space.index(label)
-        coeffs += np.conj(dec.funcs[:, ix, :]) @ np.asarray(y, dtype=complex)
+        coeffs += np.conj(dec.funcs[:, ix, :]) @ np.asarray(_section_vector(label, y, dec.n), dtype=complex)
     coeffs *= np.sqrt(dec.sigmas)
     return RKHSElement.spectral(coeffs)
 

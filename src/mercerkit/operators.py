@@ -313,6 +313,13 @@ def _coefficients(h: RKHSElement, dec: SpectralDecomposition) -> np.ndarray:
     return coeffs
 
 
+def _section_vector(label: str, y: np.ndarray, n: int) -> np.ndarray:
+    """The vector ``y`` of a section based at atom ``label``, which must have ``n`` entries."""
+    if np.shape(y) != (n,):
+        raise ValueError(f"section at atom {label!r}: expected {n} entries, got {np.size(y)}")
+    return y
+
+
 def trace_check(dec: SpectralDecomposition) -> tuple[float, float]:
     """Eigenvalue sum versus the quadrature trace ``sum_x tr K(x,x) nu_x``.
 

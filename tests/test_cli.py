@@ -1,12 +1,17 @@
-"""End-to-end command line runs, in process via ``main``."""
+"""End-to-end command line runs, in process via ``main``, and the two entry points in child processes."""
 
 from __future__ import annotations
 
 import csv
 import dataclasses
 import json
+import gc
 import math
+import os
+import re
 import shlex
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -695,6 +700,40 @@ def test_input_file_is_named_as_given(tmp_path, three_atoms, monkeypatch, capsys
     assert capsys.readouterr().err == f"mercerkit: error: {message}\n"
 
 
+@pytest.mark.parametrize(
+    "kernel_path, entry, named",
+    [
+        ("./c.json", "./t.csv", "./t.csv"),
+        ("c.json", "./t.csv", "./t.csv"),
+        ("c.json", "t.csv", "t.csv"),
+        ("sub/c.json", "./t.csv", "sub/t.csv"),
+        ("./c.json", "./f.csv", "./f.csv"),
+    ],
+    ids=["dot_kernel", "bare_kernel", "bare_entry", "kernel_in_a_directory", "frame_entry"],
+)
+def test_file_named_in_a_kernel_file_is_named_as_written(
+    tmp_path, three_atoms, monkeypatch, capsys, kernel_path, entry, named
+):
+    # from the working directory a table or frame path is named as the kernel file writes it; from another
+    # directory it is named <dir>/<entry>; the precomputed(<name>) label names the file only
+    bad = "x_id,t_id,l,j,re,im\na,a,0,0,x,0.0\n"
+    identity = "x_id,t_id,l,j,re,im\n" + "".join(f"{x},{t},0,0,{float(x == t)},0.0\n" for x in "abc" for t in "abc")
+    spec = {"type": "frame_synth", "frames": [entry]} if "f.csv" in entry else {"type": "precomputed", "path": entry}
+    (tmp_path / "sub").mkdir()
+    directory = (tmp_path / kernel_path).parent
+    (tmp_path / kernel_path).write_text(json.dumps(spec))
+    (directory / "f.csv").write_text("i,atom_id,value_re,value_im\n0,a,x,0.0\n")
+    (directory / "t.csv").write_text(bad)
+    monkeypatch.chdir(tmp_path)
+    argv = ["validate", "--atoms", str(three_atoms), "--kernel", kernel_path, "--out", "out"]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"mercerkit: error: {named}: line 2: could not convert string to float: 'x'\n"
+    if "t.csv" in entry:
+        (directory / "t.csv").write_text(identity)
+        assert main(argv) == 0
+        assert report_of(tmp_path / "out")["kernel"] == "precomputed(t.csv)"
+
+
 # ---------------------------------------------------------------------------
 # exit paths shared by every subcommand
 # ---------------------------------------------------------------------------
@@ -1035,3 +1074,55 @@ def test_readme_command_lines_parse():
             parser.parse_args(shlex.split(line)[1:])
         except SystemExit:
             pytest.fail(f"README line does not parse: {line}")
+
+
+# ---------------------------------------------------------------------------
+# entry points
+# ---------------------------------------------------------------------------
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# runs an entry point on the arguments after the first, as a fresh process would, and prints its exit
+# code and the number of objects it froze
+ENTRY_POINT = """
+import gc, importlib, runpy, sys
+target, sys.argv = sys.argv[1], ["mercerkit", *sys.argv[2:]]
+try:
+    if target == "-m":
+        runpy.run_module("mercerkit.cli", run_name="__main__")
+    else:
+        module, name = target.split(":")
+        sys.exit(getattr(importlib.import_module(module), name)())
+except SystemExit as exc:
+    print(exc.code, gc.get_freeze_count())
+"""
+
+
+def _console_script():
+    # tomllib is not in Python 3.10
+    text = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    return re.search(r'^mercerkit\s*=\s*"([\w.]+:\w+)"$', text, re.MULTILINE).group(1)
+
+
+@pytest.mark.parametrize("target", ["-m", "console_script"])
+def test_entry_points_freeze_the_import_time_heap(tmp_path, three_atoms, target):
+    # python -m mercerkit.cli and the mercerkit command freeze before main runs, so no collection walks
+    # numpy's objects again, and the run still writes its report
+    kernel = write_kernel(tmp_path, GAUSSIAN)
+    paths = [str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
+    argv = ["validate", "--atoms", str(three_atoms), "--kernel", str(kernel), "--out", str(tmp_path / "out")]
+    target = _console_script() if target == "console_script" else target
+    child = subprocess.run([sys.executable, "-c", ENTRY_POINT, target, *argv], env=env, capture_output=True, text=True)
+    assert child.stderr == ""
+    code, frozen = child.stdout.split()
+    assert code == "0" and int(frozen) > 0
+    assert report_of(tmp_path / "out")["passed"] is True
+
+
+def test_main_does_not_freeze(tmp_path, three_atoms):
+    # a library caller's garbage cycles stay collectable: main may run many times in one process
+    kernel = write_kernel(tmp_path, GAUSSIAN)
+    before = gc.get_freeze_count()
+    assert main(["validate", "--atoms", str(three_atoms), "--kernel", str(kernel), "--out", str(tmp_path / "out")]) == 0
+    assert gc.get_freeze_count() == before

@@ -233,6 +233,19 @@ def test_spectral_elements_must_have_one_coefficient_per_eigenpair():
         embedding_norm_bound_check(short, dec)
 
 
+def test_section_vectors_must_have_one_entry_per_component():
+    space = space_from([0.0, 1.0, 2.5], [1.0, 1.0, 1.0])
+    dec = decompose_space(space, {"type": "gaussian", "gamma": 1.0})
+    assert (dec.rank, dec.n) == (3, 1)
+    long, fine = RKHSElement.from_sections([("a", [1.0, 2.0])]), RKHSElement.from_sections([("b", [1.0])])
+    message = r"^section at atom 'a': expected 1 entries, got 2$"
+    for pair in ((long, fine), (fine, long), (long, RKHSElement.spectral([1.0, 2.0, 3.0]))):
+        with pytest.raises(ValueError, match=message):
+            rkhs_inner(*pair, dec)
+    with pytest.raises(ValueError, match=message):
+        project(long, dec)
+
+
 def test_rkhs_inner_section_route_equals_kernel_entry():
     rng = np.random.default_rng(103)
     spec = {
