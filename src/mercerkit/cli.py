@@ -7,7 +7,14 @@ build and the BLAS thread count.  Exit codes: 0 success, 1 usage or file
 errors, 2 kernel validation failure, 3 degenerate input (empty measure
 support).  Run as a command, the process freezes its import-time heap
 (``gc.freeze``) before :func:`main` runs; a call of ``main`` from Python
-does not.
+does not.  Run as ``python -m mercerkit.cli``, the collector is also off
+from the first import to the freeze.
+
+The module imports ``kernels``, ``space`` and ``tables``, which every
+subcommand runs; ``operators``, ``mercer`` and ``synthesis`` are imported in
+the functions that call them (``from .operators import ...``, not through
+the package namespace, which loads every module), so a subcommand compiles
+only the modules it runs.
 
 Each option is declared once as an ``_Option``, with the check that turns a
 flag or ``--config`` value into a typed value.  ``_COMMANDS`` lists each
@@ -17,14 +24,19 @@ raises ``CliError`` with its exit code, a message and/or the report to write.
 
 from __future__ import annotations
 
-import argparse
 import gc
+
+if __name__ == "__main__":  # pragma: no cover
+    # no collection walks the heap that the imports build; _run freezes it, then turns the collector on
+    gc.disable()
+
+import argparse
 import json
 import math
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -36,30 +48,12 @@ from .kernels import (
     validate_kernel,
     write_precomputed,
 )
-from .mercer import (
-    default_tol_recon,
-    extract_frame,
-    frame_check,
-    read_frame,
-    reconstruction_error,
-    tol_recon_of,
-    write_error_table,
-    write_frame,
-)
-from .operators import (
-    DiscreteOperator,
-    EmptySupportError,
-    SpectralDecomposition,
-    assemble_operator,
-    eigendecompose,
-    rescale_measure,
-    trace_check,
-    write_eigenfunctions,
-    write_spectrum,
-)
 from .space import AtomSpace, load_atoms, pseudo_metric, quotient, support
-from .synthesis import FrameFamily, align_frames, synthesize_kernel, verify_diagonal_blocks
 from .tables import _csv_cells, _write_csv
+
+if TYPE_CHECKING:
+    from .operators import DiscreteOperator, SpectralDecomposition
+    from .synthesis import FrameFamily
 
 __all__ = ["main"]
 
@@ -163,6 +157,9 @@ def _config(path: str) -> dict[str, Any]:
 
 def _frame_family(value: Any) -> FrameFamily | None:
     """The frame files listed in ``value``, aligned; ``None`` for no file."""
+    from .mercer import read_frame
+    from .synthesis import align_frames
+
     frames = [_read("frame", path, read_frame) for path in _paths(value)]
     return align_frames(frames) if frames else None
 
@@ -205,7 +202,9 @@ _OUT = _Option("out", "output directory", _outdir, required=True)
 _TOL_RECON = _Option("tol_recon", "reconstruction tolerance", _nonnegative)
 _TOL_QUOTIENT = _Option("tol_quotient", "metric zero threshold", _nonnegative)
 _RANK_CUTOFF = _Option("rank_cutoff", "eigenvalue cutoff", _nonnegative)
-_SUBSET = _Option("subset", "comma-separated atom ids (default: measure support)", _csv_list)
+_SUBSET = _Option(
+    "subset", "comma-separated atom ids (default: measure support)", lambda v: list(dict.fromkeys(_csv_list(v)))
+)
 _TRUNCATIONS = _Option(
     "truncations",
     "comma-separated truncation orders (default: all)",
@@ -292,6 +291,8 @@ def _validation(args: argparse.Namespace, kernel: MatrixKernel) -> dict[str, Any
 
 def _operator(args: argparse.Namespace, kernel: MatrixKernel) -> tuple[dict[str, Any], DiscreteOperator]:
     """Validate, rescale and assemble; an empty measure support exits 3."""
+    from .operators import EmptySupportError, assemble_operator, rescale_measure
+
     validation = _validation(args, kernel)
     nu = rescale_measure(args.atoms, kernel)
     try:
@@ -303,6 +304,8 @@ def _operator(args: argparse.Namespace, kernel: MatrixKernel) -> tuple[dict[str,
 
 def _spectrum(args: argparse.Namespace) -> tuple[dict[str, Any], SpectralDecomposition, tuple[float, float]]:
     """Validation, the decomposition cut at ``--rank-cutoff``, the trace identity of the whole positive spectrum."""
+    from .operators import eigendecompose, trace_check
+
     validation, op = _operator(args, args.kernel)
     dec = eigendecompose(op, args.rank_cutoff)
     return validation, dec, trace_check(dec)
@@ -353,6 +356,8 @@ def _metric_report(args: argparse.Namespace) -> dict[str, Any]:
 
 
 def _spectrum_report(args: argparse.Namespace) -> dict[str, Any]:
+    from .operators import write_eigenfunctions, write_spectrum
+
     validation, dec, (lhs, rhs) = _spectrum(args)
     residual = abs(lhs - rhs)
     trace_tol = TRACE_TOL_REL * max(1.0, abs(rhs))
@@ -372,6 +377,8 @@ def _spectrum_report(args: argparse.Namespace) -> dict[str, Any]:
 
 
 def _errors_report(args: argparse.Namespace) -> dict[str, Any]:
+    from .mercer import default_tol_recon, reconstruction_error, write_error_table
+
     _, dec, _ = _spectrum(args)
     sup = dec.support
     subset = list(sup.members) if args.subset is None else args.subset
@@ -405,6 +412,8 @@ def _errors_report(args: argparse.Namespace) -> dict[str, Any]:
 
 
 def _frames_report(args: argparse.Namespace) -> dict[str, Any]:
+    from .mercer import default_tol_recon, extract_frame, frame_check, write_frame
+
     _, dec, _ = _spectrum(args)
     tol_recon = default_tol_recon(dec) if args.tol_recon is None else args.tol_recon
     blocks = []
@@ -423,6 +432,10 @@ def _frames_report(args: argparse.Namespace) -> dict[str, Any]:
 
 
 def _synthesis_report(args: argparse.Namespace) -> dict[str, Any]:
+    from .mercer import extract_frame, tol_recon_of
+    from .operators import eigendecompose
+    from .synthesis import align_frames, synthesize_kernel, verify_diagonal_blocks
+
     space, originals, family = args.atoms, args.kernel or [], args.frames
     if not originals and family is None:
         raise CliError(EXIT_USAGE, "synthesize needs --kernel files or --frames files")
@@ -514,6 +527,7 @@ def _run() -> None:
     """The ``mercerkit`` command: :func:`main` on ``sys.argv``, its code the exit status."""
     # the import-time heap lives as long as the process: frozen, no collection walks it, during the run or at exit
     gc.freeze()
+    gc.enable()
     sys.exit(main())
 
 

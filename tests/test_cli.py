@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 from conftest import NEAR_MAX_SEPARABLE
-from mercerkit import build_kernel, cli, kernels, mercer, validate_kernel
+from mercerkit import build_kernel, cli, kernels, mercer, synthesis, validate_kernel
 from mercerkit.cli import main
 from mercerkit.space import load_atoms
 
@@ -294,9 +294,10 @@ def test_no_subcommand_evaluates_builtin_kernels_pair_by_pair(tmp_path, monkeypa
 
         return dataclasses.replace(kernel, eval=counted)
 
-    load, make = cli.kernel_from_file, cli.synthesize_kernel
+    # synthesize imports synthesize_kernel from its module when it runs
+    load, make = cli.kernel_from_file, synthesis.synthesize_kernel
     monkeypatch.setattr(cli, "kernel_from_file", lambda path: counting(load(path)))
-    monkeypatch.setattr(cli, "synthesize_kernel", lambda family: counting(make(family)))
+    monkeypatch.setattr(synthesis, "synthesize_kernel", lambda family: counting(make(family)))
     rows = [(f"x{i}", 0.0 if i % 3 == 2 else 1.0, 0.4 * i, 0.1 * i * i) for i in range(9)]
     atoms = write_atoms(tmp_path, rows, dim=2)
     kernel = write_kernel(tmp_path, GAUSSIAN)
@@ -365,6 +366,20 @@ def test_reconstruct_reports_off_support_subset(tmp_path):
     assert report["off_support"] == ["c"]
     assert report["full_rank_ok"] is None  # no guarantee off the support
     assert report["passed"] is True
+
+
+def test_reconstruct_counts_a_repeated_subset_atom_once(tmp_path):
+    # a repeated id keeps its first place, as a repeated truncation order does
+    atoms = write_atoms(tmp_path, [("a", 1.0, 0.0), ("b", 1.0, 1.0), ("c", 0.0, 9.0)])
+    kernel = write_kernel(tmp_path, GAUSSIAN)
+    base = ["reconstruct", "--atoms", str(atoms), "--kernel", str(kernel), "--out"]
+    assert main(base + [str(tmp_path / "once"), "--subset", "c,b"]) == 0
+    assert main(base + [str(tmp_path / "repeated"), "--subset", "c,b,c,c,b"]) == 0
+    once, repeated = report_of(tmp_path / "once"), report_of(tmp_path / "repeated")
+    assert repeated["subset_size"] == 2
+    assert repeated["off_support"] == ["c"]
+    assert repeated == once
+    assert (tmp_path / "repeated" / "errors.csv").read_bytes() == (tmp_path / "once" / "errors.csv").read_bytes()
 
 
 def test_reconstruct_rejects_unknown_subset_atom(tmp_path, three_atoms, capsys):
@@ -1098,6 +1113,11 @@ except SystemExit as exc:
 """
 
 
+def _child_env():
+    paths = [str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
+
+
 def _console_script():
     # tomllib is not in Python 3.10
     text = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
@@ -1109,14 +1129,45 @@ def test_entry_points_freeze_the_import_time_heap(tmp_path, three_atoms, target)
     # python -m mercerkit.cli and the mercerkit command freeze before main runs, so no collection walks
     # numpy's objects again, and the run still writes its report
     kernel = write_kernel(tmp_path, GAUSSIAN)
-    paths = [str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
     argv = ["validate", "--atoms", str(three_atoms), "--kernel", str(kernel), "--out", str(tmp_path / "out")]
     target = _console_script() if target == "console_script" else target
-    child = subprocess.run([sys.executable, "-c", ENTRY_POINT, target, *argv], env=env, capture_output=True, text=True)
+    run = [sys.executable, "-c", ENTRY_POINT, target, *argv]
+    child = subprocess.run(run, env=_child_env(), capture_output=True, text=True)
     assert child.stderr == ""
     code, frozen = child.stdout.split()
     assert code == "0" and int(frozen) > 0
+    assert report_of(tmp_path / "out")["passed"] is True
+
+
+# runs python -m mercerkit.cli on the arguments, as a fresh process would, and prints as JSON, for each
+# collection that starts, whether numpy was imported and the freeze count, then the mercerkit modules loaded
+COLLECTIONS = """
+import gc, json, runpy, sys
+starts = []
+def record(phase, info):
+    if phase == "start":
+        starts.append(["numpy" in sys.modules, gc.get_freeze_count()])
+gc.callbacks.append(record)
+sys.argv = ["mercerkit", *sys.argv[1:]]
+try:
+    runpy.run_module("mercerkit.cli", run_name="__main__")
+except SystemExit as exc:
+    loaded = sorted(name for name in sys.modules if name.startswith("mercerkit."))
+    print(json.dumps({"code": exc.code, "starts": starts, "loaded": loaded}))
+"""
+
+
+def test_module_entry_imports_without_collections_and_only_what_validate_runs(tmp_path, three_atoms):
+    # the collector is off from the first import to the freeze, and validate compiles none of operators,
+    # mercer and synthesis
+    kernel = write_kernel(tmp_path, GAUSSIAN)
+    argv = ["validate", "--atoms", str(three_atoms), "--kernel", str(kernel), "--out", str(tmp_path / "out")]
+    child = subprocess.run([sys.executable, "-c", COLLECTIONS, *argv], env=_child_env(), capture_output=True, text=True)
+    assert child.stderr == ""
+    result = json.loads(child.stdout)
+    assert result["code"] == 0
+    assert [start for start in result["starts"] if start[0] and start[1] == 0] == []
+    assert result["loaded"] == ["mercerkit.kernels", "mercerkit.space", "mercerkit.tables"]
     assert report_of(tmp_path / "out")["passed"] is True
 
 
@@ -1126,3 +1177,4 @@ def test_main_does_not_freeze(tmp_path, three_atoms):
     before = gc.get_freeze_count()
     assert main(["validate", "--atoms", str(three_atoms), "--kernel", str(kernel), "--out", str(tmp_path / "out")]) == 0
     assert gc.get_freeze_count() == before
+    assert gc.isenabled()

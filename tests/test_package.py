@@ -4,8 +4,15 @@ from __future__ import annotations
 
 import importlib
 import inspect
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import mercerkit
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 LIBRARY = ("space", "kernels", "operators", "mercer", "synthesis")
 
@@ -48,3 +55,41 @@ def test_uncalled_names_are_gone():
             assert not hasattr(mercerkit, name), name
     for cls, member in DELETED_MEMBERS.items():
         assert not hasattr(getattr(mercerkit, cls), member), f"{cls}.{member}"
+
+
+# imports the package in a fresh interpreter, where no other test has loaded its modules, and prints what
+# that loaded and how the namespace then answers
+FRESH = """
+import json, sys
+import mercerkit
+loaded = sorted(name for name in sys.modules if name == "numpy" or name.startswith("mercerkit."))
+namespace = {}
+exec("from mercerkit import *", namespace)
+try:
+    mercerkit.no_such_name
+except AttributeError as exc:
+    missing = str(exc)
+print(json.dumps({
+    "loaded": loaded,
+    "same": mercerkit.gram is mercerkit.kernels.gram,
+    "star": sorted(set(mercerkit.__all__) & set(namespace)),
+    "names": len(mercerkit.__all__),
+    "dir": "__all__" in dir(mercerkit),
+    "missing": missing,
+    "version": mercerkit.__version__,
+}))
+"""
+
+
+def test_import_loads_the_modules_on_first_use():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    child = subprocess.run([sys.executable, "-c", FRESH], env=env, capture_output=True, text=True)
+    assert child.stderr == ""
+    result = json.loads(child.stdout)
+    assert result["loaded"] == []
+    assert result["same"] is True
+    assert result["names"] == len(mercerkit.__all__) == 57
+    assert result["star"] == sorted(mercerkit.__all__)
+    assert result["dir"] is True
+    assert result["missing"] == "module 'mercerkit' has no attribute 'no_such_name'"
+    assert result["version"] == mercerkit.__version__
