@@ -48,7 +48,7 @@ from .kernels import (
     validate_kernel,
     write_precomputed,
 )
-from .space import AtomSpace, load_atoms, pseudo_metric, quotient, support
+from .space import AtomSpace, _holding_mass, load_atoms, pseudo_metric, quotient
 from .tables import _csv_cells, _write_csv
 
 if TYPE_CHECKING:
@@ -323,31 +323,33 @@ def _metric_report(args: argparse.Namespace) -> dict[str, Any]:
         raise CliError(EXIT_USAGE, "metric.csv: a kernel distance overflows the largest float")
     tol = metric.quotient_tol if args.tol_quotient is None else args.tol_quotient
     classes = quotient(space, metric, tol)
-    sup = support(space, metric, tol)
+    sup = _holding_mass(space, classes)
 
     labels = _csv_cells(space.labels)
     # one row per atom: its label, then its distance to every atom
     _write_csv(out / "metric.csv", ["id"] + labels, (len(labels),), [(labels, 0), metric.d])
+    names = np.array(space.labels, dtype=object)
+    sizes = np.bincount(classes)
+    # each class's members in atom order; its first is its representative
+    members = np.split(names[np.argsort(classes, kind="stable")], np.cumsum(sizes)[:-1])
     payload = {
         "classes": [
-            {"id": cid, "representative": rep, "members": list(members)}
-            for cid, (rep, members) in enumerate(zip(classes.representatives, classes.classes))
+            {"id": cid, "representative": group[0], "members": group.tolist()} for cid, group in enumerate(members)
         ]
     }
     _write_text(out / "quotient.json", [json.dumps(payload, indent=2, sort_keys=True)])
-    _write_text(out / "support.txt", sup.members)
+    _write_text(out / "support.txt", names[sup].tolist())
 
     # summed over the full-length array, so the two sums are equal exactly
     # when no positive mass lies off the support
-    in_support = np.array([label in sup for label in space.labels])
-    support_mass = float(np.sum(np.where(in_support, space.mu, 0.0)))
+    support_mass = float(np.sum(np.where(sup, space.mu, 0.0)))
     total_mass = space.total_mass()
     return {
         **_about(args, kernel),
         "validation": validation,
         "tol_quotient": tol,
-        "class_count": len(classes.representatives),
-        "support_size": len(sup),
+        "class_count": len(sizes),
+        "support_size": np.count_nonzero(sup),
         "support_mass": support_mass,
         "total_mass": total_mass,
         "mass_ok": support_mass == total_mass,
@@ -366,7 +368,7 @@ def _spectrum_report(args: argparse.Namespace) -> dict[str, Any]:
     trace_ok = residual <= trace_tol
     return {
         **_about(args, args.kernel),
-        "positive_atoms": len(dec.positive_indices),
+        "positive_atoms": np.count_nonzero(dec.nu.weights > 0),
         "validation": validation,
         "m_nu": dec.nu.m_nu,
         "rank": dec.rank,
@@ -380,12 +382,12 @@ def _errors_report(args: argparse.Namespace) -> dict[str, Any]:
     from .mercer import default_tol_recon, reconstruction_error, write_error_table
 
     _, dec, _ = _spectrum(args)
-    sup = dec.support
-    subset = list(sup.members) if args.subset is None else args.subset
+    labels = args.atoms.labels
+    subset = [labels[i] for i in np.flatnonzero(dec.support)] if args.subset is None else args.subset
     for label in subset:
-        if label not in args.atoms.labels:
+        if label not in labels:
             raise CliError(EXIT_USAGE, f"--subset: unknown atom id {label!r}")
-    off_support = [label for label in subset if label not in sup]
+    off_support = [label for label in subset if not dec.support[args.atoms.index(label)]]
     steps = args.truncations
     bad = [m for m in steps or () if not 0 <= m <= dec.rank]
     if bad:
@@ -444,8 +446,10 @@ def _synthesis_report(args: argparse.Namespace) -> dict[str, Any]:
         raise CliError(EXIT_USAGE, f"--kernel: {expected}")
     if family is None:
         family = align_frames([extract_frame(eigendecompose(_operator(args, k)[1]), 0) for k in originals])
+    about = {"n": family.n, "frame_count": int(family.values.shape[0]), "n_atoms": len(family.atoms)}
     if not family.atoms:
-        raise CliError(EXIT_DEGENERATE, "synthesized family has no atoms")
+        message = "synthesized family has no atoms"
+        raise CliError(EXIT_DEGENERATE, message, {**about, "degenerate": message, "passed": False})
     synth = synthesize_kernel(family)
     try:
         idx = [space.index(label) for label in family.atoms]
@@ -457,13 +461,7 @@ def _synthesis_report(args: argparse.Namespace) -> dict[str, Any]:
     # without a name here, so that it is freed before the eigensolve of V V^H
     report = validate_kernel(synth, atoms, write_precomputed(synth, atoms, args.out / "kernel.csv"))
 
-    data: dict[str, Any] = {
-        "n": synth.n,
-        "frame_count": int(family.values.shape[0]),
-        "n_atoms": len(atoms),
-        "validation": report.to_dict(),
-        "passed": report.passed,
-    }
+    data: dict[str, Any] = {**about, "validation": report.to_dict(), "passed": report.passed}
     if originals:
         deviation = verify_diagonal_blocks(synth, originals, atoms)
         tol_recon = tol_recon_of(originals, atoms) if args.tol_recon is None else args.tol_recon

@@ -118,8 +118,7 @@ def reconstruction_error(
     is then computed entry by entry too.  The rows read off the diagonal
     are nonincreasing in ``m``; rows computed entry by entry need not be.
     """
-    labels = tuple(subset) if subset is not None else dec.support.members
-    idx = [dec.space.index(label) for label in labels]
+    idx = np.flatnonzero(dec.support) if subset is None else [dec.space.index(label) for label in subset]
     steps = sorted(set(int(m) for m in ms)) if ms is not None else list(range(dec.rank + 1))
     for m in steps:
         _check_truncation(dec, m)
@@ -179,18 +178,18 @@ def project(section: RKHSElement, dec: SpectralDecomposition) -> RKHSElement:
     By the reproducing property the coefficient against the ``i``-th scaled
     eigenfunction is ``sqrt(sigma_i) * sum_x <y_x, f_i(x)>``.  Sections based
     at atoms outside the measure support have no spectral form and raise
-    :class:`OffSupportError`.
+    :class:`OffSupportError`; an unknown atom raises ``KeyError``.
     """
     if section.sections is None:
         raise ValueError("project expects a kernel-section element")
     coeffs = np.zeros(dec.rank, dtype=complex)
     for label, y in section.sections:
-        if label not in dec.support:
+        ix = dec.space.index(label)
+        if not dec.support[ix]:
             raise OffSupportError(
                 f"atom {label!r} lies outside the measure support; "
                 "the section has no spectral representation"
             )
-        ix = dec.space.index(label)
         coeffs += np.conj(dec.funcs[:, ix, :]) @ np.asarray(_section_vector(label, y, dec.n), dtype=complex)
     coeffs *= np.sqrt(dec.sigmas)
     return RKHSElement.spectral(coeffs)
@@ -257,7 +256,7 @@ def frame_check(
     if frame.atoms != dec.space.labels:
         raise ValueError("frame atoms do not match the decomposition's atom order")
     _check_component(dec, j)
-    idx = [dec.space.index(label) for label in dec.support.members]
+    idx = np.flatnonzero(dec.support)
     targets = dec.nu.diagonal[idx, j, j].real
     totals = np.sum(np.abs(frame.values[:, idx]) ** 2, axis=0)
     deviation = float(np.max(np.abs(targets - totals), initial=0.0))

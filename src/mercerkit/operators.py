@@ -28,7 +28,7 @@ from .kernels import (
     diagonal_blocks,
     gram,
 )
-from .space import AtomSpace, SupportSet, _zero_mass_support
+from .space import AtomSpace, _zero_mass_support
 from .tables import _complex_columns, _csv_cells, _write_csv
 
 __all__ = [
@@ -93,15 +93,16 @@ class DiscreteOperator:
     """Symmetric realization of the kernel integral operator.
 
     ``matrix`` is ``D^(1/2) G D^(1/2)`` with ``G`` the block Gram matrix of
-    the kernel's core (see :func:`_factors`) over the atoms listed in
-    ``indices`` (those with positive rescaled weight) and ``D`` the diagonal
-    of their weights, one per core component.  The operator is ``matrix (x) B``.
+    the kernel's core (see :func:`_factors`) over the atoms at ``indices``
+    (those with positive rescaled weight, a read-only ``intp`` array in atom
+    order) and ``D`` the diagonal of their weights, one per core component.
+    The operator is ``matrix (x) B``.
     """
 
     space: AtomSpace
     kernel: MatrixKernel
     nu: RescaledMeasure
-    indices: tuple[int, ...]
+    indices: np.ndarray
     matrix: np.ndarray
 
 
@@ -115,7 +116,7 @@ def assemble_operator(space: AtomSpace, kernel: MatrixKernel, nu: RescaledMeasur
     _require_hermitian(raw, b)  # validate_kernel's rule, on the kernel's values
     scale = np.sqrt(np.repeat(nu.weights[pos], core.n))
     matrix = _hermitian(raw) * scale[:, None] * scale[None, :]
-    return DiscreteOperator(space, kernel, nu, tuple(pos.tolist()), _readonly(matrix))
+    return DiscreteOperator(space, kernel, nu, _readonly(pos), _readonly(matrix))
 
 
 def _normalize_phase(vectors: np.ndarray) -> np.ndarray:
@@ -163,11 +164,8 @@ class SpectralDecomposition:
         return int(self.kernel.n)
 
     @cached_property
-    def positive_indices(self) -> tuple[int, ...]:
-        return tuple(int(i) for i in np.flatnonzero(self.nu.weights > 0))
-
-    @cached_property
-    def support(self) -> SupportSet:
+    def support(self) -> np.ndarray:
+        """Mask of the atoms in the measure support (see :func:`mercerkit.space.support`)."""
         return _zero_mass_support(self.space, self.kernel)
 
 
@@ -224,7 +222,7 @@ def eigendecompose(op: DiscreteOperator, rank_cutoff: float | None = None) -> Sp
     """
     sigmas, vectors, positive = _eigenpairs(op, rank_cutoff)
     space, kernel, nu = op.space, op.kernel, op.nu
-    rank, pos = int(sigmas.shape[0]), list(op.indices)
+    rank, pos = int(sigmas.shape[0]), op.indices
     zero = np.flatnonzero(nu.weights <= 0)
 
     f_pos = _normalize_phase(vectors).T.reshape(rank, len(pos), kernel.n)
@@ -244,7 +242,7 @@ def _extend(op: DiscreteOperator, rows: np.ndarray, f_pos: np.ndarray, sigmas: n
     shape ``(rank, len(rows), n)``, and is real when ``f_pos`` and the
     kernel's blocks are.
     """
-    pos = np.flatnonzero(op.nu.weights > 0)
+    pos = op.indices
     weighted = _flat(gram(op.kernel, op.space, rows, pos) * op.nu.weights[pos][None, :, None, None]).T
     f = f_pos.reshape(len(sigmas), -1)
     values = np.empty((len(sigmas), weighted.shape[1]), dtype=np.result_type(f, weighted))

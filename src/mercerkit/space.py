@@ -4,7 +4,9 @@ An :class:`AtomSpace` is an ordered finite list of labelled points, each
 carrying a coordinate vector and a nonnegative measure weight.  A matrix
 kernel turns the atom set into a pseudo-metric space: ``quotient`` glues
 atoms the kernel cannot distinguish, and ``support`` returns the
-tolerance-closure of the positive-mass atoms.
+tolerance-closure of the positive-mass atoms.  A set or partition of atoms
+is a read-only array in atom order, indexed like ``labels``: a ``bool`` mask
+for the support, an ``intp`` class id per atom for the quotient.
 """
 
 from __future__ import annotations
@@ -26,8 +28,6 @@ __all__ = [
     "AtomFileError",
     "AtomSpace",
     "PseudoMetricMatrix",
-    "Quotient",
-    "SupportSet",
     "load_atoms",
     "merge_classes",
     "pseudo_metric",
@@ -210,22 +210,6 @@ def pseudo_metric_prime(space: AtomSpace, kernel: MatrixKernel) -> PseudoMetricM
     return PseudoMetricMatrix(_mirror_upper(d), _quotient_tol(_spectral_norms(diag), b_norm))
 
 
-@dataclass(frozen=True, eq=False)
-class Quotient:
-    """Partition of the atoms by the transitive closure of near-zero distance."""
-
-    atoms: tuple[str, ...]
-    class_ids: tuple[int, ...]
-    representatives: tuple[str, ...]
-
-    @cached_property
-    def classes(self) -> tuple[tuple[str, ...], ...]:
-        buckets: list[list[str]] = [[] for _ in self.representatives]
-        for label, cid in zip(self.atoms, self.class_ids):
-            buckets[cid].append(label)
-        return tuple(tuple(b) for b in buckets)
-
-
 def _close_pairs(metric: PseudoMetricMatrix, tol: float | None) -> tuple[np.ndarray, np.ndarray]:
     """Index pairs ``x < t`` with ``d(x, t) <= tol``; ``tol`` is as in :func:`quotient`."""
     if tol is None:
@@ -251,43 +235,28 @@ def _components(size: int, i: np.ndarray, k: np.ndarray) -> np.ndarray:
             root = root[root]
 
 
-def quotient(space: AtomSpace, metric: PseudoMetricMatrix, tol: float | None = None) -> Quotient:
-    """Glue atoms whose distance is at most ``tol`` (transitively closed).
+def quotient(space: AtomSpace, metric: PseudoMetricMatrix, tol: float | None = None) -> np.ndarray:
+    """Class id of each atom, gluing atoms whose distance is at most ``tol`` (transitively closed).
 
-    ``tol`` defaults to ``metric.quotient_tol``; a negative or non-finite
-    one raises ``ValueError``.
+    A read-only ``intp`` array of shape ``(N,)`` in atom order: ``classes[k]``
+    is the class of atom ``k``, and classes are numbered ``0, 1, ...`` in order
+    of their first atom.  ``tol`` defaults to ``metric.quotient_tol``; a
+    negative or non-finite one raises ``ValueError``.
     """
-    roots, class_ids = np.unique(_components(len(space), *_close_pairs(metric, tol)), return_inverse=True)
-    return Quotient(space.labels, tuple(class_ids.tolist()), tuple(space.labels[r] for r in roots))
+    _, classes = np.unique(_components(len(space), *_close_pairs(metric, tol)), return_inverse=True)
+    return _readonly(classes)
 
 
-@dataclass(frozen=True, eq=False)
-class SupportSet:
-    """Atoms carrying measure, closed under near-zero kernel distance."""
+def support(space: AtomSpace, metric: PseudoMetricMatrix, tol: float | None = None) -> np.ndarray:
+    """Mask of the atoms within ``tol`` of positive mass, transitively closed under ``tol``.
 
-    members: tuple[str, ...]
-
-    @cached_property
-    def _member_set(self) -> frozenset[str]:
-        return frozenset(self.members)
-
-    def __contains__(self, label: str) -> bool:
-        return label in self._member_set
-
-    def __len__(self) -> int:
-        return len(self.members)
-
-
-def support(space: AtomSpace, metric: PseudoMetricMatrix, tol: float | None = None) -> SupportSet:
-    """Atoms within ``tol`` of positive mass, transitively closed under ``tol``.
-
-    These are the connected components of ``d <= tol`` that hold positive
-    mass; ``tol`` is as in :func:`quotient`.
+    A read-only ``bool`` array of shape ``(N,)`` in atom order: the atoms of
+    the :func:`quotient` classes that hold positive mass; ``tol`` is as there.
     """
-    return _holding_mass(space, _components(len(space), *_close_pairs(metric, tol)))
+    return _holding_mass(space, quotient(space, metric, tol))
 
 
-def _zero_mass_support(space: AtomSpace, kernel: MatrixKernel) -> SupportSet:
+def _zero_mass_support(space: AtomSpace, kernel: MatrixKernel) -> np.ndarray:
     """:func:`support` at the default ``tol``, from the distances of the zero-mass atoms only.
 
     Every positive-mass atom is in the support, and a path from a zero-mass
@@ -298,22 +267,19 @@ def _zero_mass_support(space: AtomSpace, kernel: MatrixKernel) -> SupportSet:
     # the distances as pseudo_metric computes them, on the zero-mass rows only
     zero = np.flatnonzero(space.mu <= 0)
     if not len(zero):  # every atom holds mass: no distance is needed
-        return SupportSet(space.labels)
+        return _readonly(np.ones(len(space), dtype=bool))
     d, tol = _distances(space, kernel, zero)
     z, t = np.nonzero(d <= tol)
     return _holding_mass(space, _components(len(space), zero[z], t))
 
 
-def _holding_mass(space: AtomSpace, roots: np.ndarray) -> SupportSet:
-    """The atoms whose component root is shared with a positive-mass atom."""
-    mask = np.isin(roots, roots[space.mu > 0])
-    return SupportSet(tuple(label for label, keep in zip(space.labels, mask) if keep))
+def _holding_mass(space: AtomSpace, classes: np.ndarray) -> np.ndarray:
+    """Mask of the atoms whose class shares its id with a positive-mass atom; ``classes`` holds one id per atom."""
+    return _readonly(np.isin(classes, classes[space.mu > 0]))
 
 
-def merge_classes(space: AtomSpace, q: Quotient) -> AtomSpace:
-    """Collapse each quotient class onto its representative, summing weights."""
-    masses = np.zeros(len(q.representatives))
-    for i, cid in enumerate(q.class_ids):
-        masses[cid] += space.mu[i]
-    rep_rows = [space.index(rep) for rep in q.representatives]
-    return AtomSpace(q.representatives, space.coords[rep_rows], masses)
+def merge_classes(space: AtomSpace, classes: np.ndarray) -> AtomSpace:
+    """Collapse each :func:`quotient` class onto its first atom, summing weights in atom order."""
+    _, first = np.unique(classes, return_index=True)
+    masses = np.bincount(classes, weights=space.mu)
+    return AtomSpace(tuple(space.labels[i] for i in first), space.coords[first], masses)

@@ -125,6 +125,11 @@ def decompose_space(space: AtomSpace, spec, rank_cutoff: float | None = None) ->
     return eigendecompose(op, rank_cutoff=rank_cutoff)
 
 
+def support_labels(dec: SpectralDecomposition) -> tuple[str, ...]:
+    """The labels of the atoms in the measure support of ``dec``, in atom order."""
+    return tuple(dec.space.labels[i] for i in np.flatnonzero(dec.support))
+
+
 def pointwise(dec: SpectralDecomposition, element: RKHSElement) -> np.ndarray:
     """Reference values of an element at every atom, shape ``(N, n)``.
 

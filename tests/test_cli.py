@@ -115,6 +115,36 @@ def test_bad_kernel_spec_is_usage_error(tmp_path, three_atoms, capsys):
     assert "gamma" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("[1, 2]", "spec: must be a JSON object"),
+        (
+            json.dumps({"type": "separable", "matrix": [["x"]], "scalar": GAUSSIAN}),
+            "matrix: entries must be numbers or [re, im] pairs",
+        ),
+    ],
+    ids=["list", "matrix_entry_not_a_number"],
+)
+def test_malformed_kernel_file_is_named_in_one_line(tmp_path, three_atoms, capsys, text, message):
+    kernel = tmp_path / "kernel.json"
+    kernel.write_text(text)
+    out = tmp_path / "out"
+    assert main(["validate", "--atoms", str(three_atoms), "--kernel", str(kernel), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"mercerkit: error: {message}\n"
+    assert not out.exists()
+
+
+def test_output_directory_under_a_regular_file_is_usage_error(tmp_path, three_atoms, capsys):
+    kernel = write_kernel(tmp_path, GAUSSIAN)
+    (tmp_path / "afile").write_text("")
+    out = tmp_path / "afile" / "sub"
+    assert main(["validate", "--atoms", str(three_atoms), "--kernel", str(kernel), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("mercerkit: error: cannot create output directory: ") and err.count("\n") == 1
+    assert str(out) in err
+
+
 # ---------------------------------------------------------------------------
 # decompose
 # ---------------------------------------------------------------------------
@@ -394,6 +424,15 @@ def test_reconstruct_rejects_unknown_subset_atom(tmp_path, three_atoms, capsys):
     assert "unknown atom id 'zz'" in capsys.readouterr().err
 
 
+def test_reconstruct_rejects_an_empty_subset(tmp_path, three_atoms, capsys):
+    kernel = write_kernel(tmp_path, GAUSSIAN)
+    out = tmp_path / "out"
+    argv = ["reconstruct", "--atoms", str(three_atoms), "--kernel", str(kernel), "--out", str(out), "--subset", ","]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == "mercerkit: error: --subset: empty list\n"
+    assert not (out / "report.json").exists()
+
+
 def test_reconstruct_rejects_bad_truncations(tmp_path, three_atoms, capsys):
     kernel = write_kernel(tmp_path, GAUSSIAN)
     base = ["reconstruct", "--atoms", str(three_atoms), "--kernel", str(kernel), "--out", str(tmp_path / "out")]
@@ -526,6 +565,37 @@ def test_synthesize_with_an_empty_frame_list_in_the_config_reads_the_kernels(tmp
     assert main(base + ["--out", str(tmp_path / "flags")]) == 0
     assert report_of(tmp_path / "config") == report_of(tmp_path / "flags")
     assert (tmp_path / "config" / "kernel.csv").read_bytes() == (tmp_path / "flags" / "kernel.csv").read_bytes()
+
+
+def test_synthesize_over_frames_without_atoms_reports_degenerate_input(tmp_path, three_atoms, capsys):
+    # a header-only frame file carries no atom: exit 3 with its line, and a report, as an empty support gives
+    frame = tmp_path / "frame.csv"
+    frame.write_text("i,atom_id,value_re,value_im\n")
+    out = tmp_path / "out"
+    assert main(["synthesize", "--atoms", str(three_atoms), "--frames", str(frame), "--out", str(out)]) == 3
+    assert capsys.readouterr().err == "mercerkit: error: synthesized family has no atoms\n"
+    assert report_of(out) == {
+        "command": "synthesize",
+        "degenerate": "synthesized family has no atoms",
+        "frame_count": 0,
+        "n": 1,
+        "n_atoms": 0,
+        "passed": False,
+    }
+    assert 'degenerate: "synthesized family has no atoms"' in (out / "report.txt").read_text().splitlines()
+    assert not (out / "kernel.csv").exists()
+
+
+def test_synthesize_names_a_frame_value_whose_square_overflows(tmp_path, three_atoms, capsys):
+    # 1e200 squared is past the largest float, so K(a, a) of the synthesized kernel is not finite
+    frame = tmp_path / "frame.csv"
+    frame.write_text("i,atom_id,value_re,value_im\n0,a,1e200,0.0\n0,b,1.0,0.0\n0,c,1.0,0.0\n")
+    out = tmp_path / "out"
+    assert main(["synthesize", "--atoms", str(three_atoms), "--frames", str(frame), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == ""
+    report = json.loads((out / "report.json").read_text(), parse_constant=_reject_constant)
+    assert report["passed"] is False
+    assert report["validation"]["nonfinite_pair"] == ["a", "a"]
 
 
 def test_synthesize_requires_input(tmp_path, three_atoms, capsys):

@@ -5,7 +5,16 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from conftest import ZOO, ZOO_IDS, decompose_space, delta_kernel, pointwise, random_space, space_from
+from conftest import (
+    ZOO,
+    ZOO_IDS,
+    decompose_space,
+    delta_kernel,
+    pointwise,
+    random_space,
+    space_from,
+    support_labels,
+)
 from mercerkit import (
     OffSupportError,
     RKHSElement,
@@ -59,7 +68,7 @@ def test_full_rank_reconstruction(spec):
     assert table[-1][1] <= tol
     # the partial series converges pointwise on the support too
     kernel = dec.kernel
-    for label in dec.support.members:
+    for label in support_labels(dec):
         ix = space.index(label)
         np.testing.assert_allclose(
             reconstruct(dec, label, label), gram(kernel, space, [ix], [ix])[0, 0], atol=tol
@@ -91,7 +100,7 @@ def test_diagonal_remainders_monotone_and_nonnegative():
     space = random_space(rng, 9, dim=2)
     dec = decompose_space(space, {"type": "gaussian", "gamma": 1.0})
     tol = default_tol_eig(dec)
-    for label in dec.support.members:
+    for label in support_labels(dec):
         ix = space.index(label)
         diag = np.diag(gram(dec.kernel, space, [ix], [ix])[0, 0]).real.copy()
         remainders = [float(np.max(diag))]
@@ -108,7 +117,7 @@ def test_off_diagonal_remainder_bounded_by_diagonals():
     space = random_space(rng, 8, dim=2)
     dec = decompose_space(space, {"type": "gaussian", "gamma": 1.0})
     tol = default_tol_eig(dec)
-    labels = dec.support.members
+    labels = support_labels(dec)
     for m in (0, dec.rank // 2, dec.rank):
         diag_rem = {}
         for label in labels:
@@ -134,7 +143,7 @@ def test_reconstruction_error_matches_einsum_reference(spec):
         (["x9"], [1]),
         ([], None),
     ):
-        subset = dec.support.members if labels is None else labels
+        subset = support_labels(dec) if labels is None else labels
         idx = [space.index(label) for label in subset]
         k = gram(dec.kernel, space, idx)
         f = dec.funcs[:, idx, :]
@@ -210,6 +219,27 @@ def test_project_off_support_raises():
     section = RKHSElement.from_sections([("c", [1.0])])
     with pytest.raises(OffSupportError, match="'c'"):
         project(section, dec)
+
+
+def test_project_names_an_unknown_atom_as_unknown():
+    # "zz" is no atom of the space: unknown, as reconstruct and the section-section product say, not off the support
+    space = space_from([0.0, 1.0, 2.0], [1.0, 0.0, 1.0])
+    dec = decompose_space(space, {"type": "gaussian", "gamma": 1.0})
+    unknown = RKHSElement.from_sections([("zz", [1.0])])
+    spectral = RKHSElement.spectral([1.0] * dec.rank)
+    calls = [
+        lambda: project(unknown, dec),
+        lambda: rkhs_inner(spectral, unknown, dec),
+        lambda: rkhs_inner(unknown, unknown, dec),
+        lambda: reconstruct(dec, "zz", "a"),
+    ]
+    for call in calls:
+        with pytest.raises(KeyError, match="unknown atom id: 'zz'"):
+            call()
+    # the zero-mass atom b is known and off the support
+    assert dec.support.tolist() == [True, False, True]
+    with pytest.raises(OffSupportError, match="'b'"):
+        project(RKHSElement.from_sections([("b", [1.0])]), dec)
 
 
 def test_rkhs_inner_spectral_route():
@@ -323,7 +353,7 @@ def test_frames_are_parseval_on_support(spec):
     dec = decompose_space(space, spec)
     tol = default_tol_recon(dec)
     combos = []
-    members = dec.support.members
+    members = support_labels(dec)
     for _ in range(5):
         labels = list(rng.choice(members, size=min(3, len(members)), replace=False))
         coeffs = rng.standard_normal(len(labels)) + 1j * rng.standard_normal(len(labels))

@@ -77,7 +77,7 @@ def test_assemble_operator_identity_hand():
     kernel = delta_kernel(1)
     nu = rescale_measure(space, kernel)
     op = assemble_operator(space, kernel, nu)
-    assert op.indices == (0, 1)
+    assert op.indices.tolist() == [0, 1]
     np.testing.assert_allclose(op.matrix, [[0.5, 0.0], [0.0, 1.5]], atol=1e-16)
 
 
@@ -86,7 +86,9 @@ def test_assemble_operator_skips_zero_mass_atoms():
     kernel = delta_kernel(1)
     nu = rescale_measure(space, kernel)
     op = assemble_operator(space, kernel, nu)
-    assert op.indices == (0, 2)
+    # the positive-weight atoms, a read-only intp array in atom order
+    assert op.indices.tolist() == [0, 2]
+    assert op.indices.dtype == np.intp and not op.indices.flags.writeable
     assert op.matrix.shape == (2, 2)
 
 
@@ -98,7 +100,7 @@ def test_separable_operator_is_the_scalar_factor():
     nu = rescale_measure(space, kernel)
     op = assemble_operator(space, kernel, nu)
     pos = np.flatnonzero(nu.weights > 0)
-    assert op.indices == tuple(pos.tolist())
+    np.testing.assert_array_equal(op.indices, pos)
     assert op.matrix.shape == (5, 5)
     scale = np.sqrt(nu.weights[pos])
     expected = _flat(gram(build_kernel(spec["scalar"]), space, pos)) * scale[:, None] * scale[None, :]
@@ -162,7 +164,7 @@ def test_phase_convention_first_entry_real_positive():
     }
     space = random_space(rng, 7, dim=2)
     dec = decompose_space(space, spec)
-    pos = list(dec.positive_indices)
+    pos = np.flatnonzero(dec.nu.weights > 0)
     stacked = dec.funcs[:, pos, :].reshape(dec.rank, -1)
     for i in range(dec.rank):
         row = stacked[i]
@@ -253,7 +255,7 @@ def test_eigenfunctions_orthonormal_in_l2(spec):
     rng = np.random.default_rng(41)
     space = random_space(rng, 11, dim=2)
     dec = decompose_space(space, spec)
-    pos = list(dec.positive_indices)
+    pos = np.flatnonzero(dec.nu.weights > 0)
     stacked = dec.funcs[:, pos, :].reshape(dec.rank, -1)
     weights = np.repeat(dec.nu.weights[pos], dec.n)
     gram = (stacked * weights) @ stacked.conj().T
@@ -291,7 +293,7 @@ def test_eigen_equation_residual(spec):
     nu = rescale_measure(space, kernel)
     op = assemble_operator(space, kernel, nu)
     dec = eigendecompose(op)
-    pos = list(dec.positive_indices)
+    pos = op.indices
     block_gram = _flat(gram(kernel, space, pos))
     weights = np.repeat(nu.weights[pos], kernel.n)
     stacked = dec.funcs[:, pos, :].reshape(dec.rank, -1)
@@ -328,7 +330,7 @@ def test_extension_matches_the_kernel_sum_at_every_atom(name):
     space = random_space(rng, 8, dim=2, zero_mass=2)
     full = decompose_space(space, dict(ZOO)[name])
     dec = truncate(full, 1e-4 * float(full.sigmas[0]))
-    pos = list(dec.positive_indices)
+    pos = np.flatnonzero(dec.nu.weights > 0)
     weighted = dec.funcs[:, pos, :] * dec.nu.weights[pos][None, :, None]
     reference = np.einsum("xtlm,itm->ixl", gram(dec.kernel, space, None, pos), weighted) / dec.sigmas[:, None, None]
     assert len(pos) == 6 and dec.rank >= 2

@@ -39,13 +39,15 @@ def test_star_import_resolves_every_name():
     assert set(mercerkit.__all__) <= set(namespace)
 
 
-# public names no subcommand, acceptance criterion or library function called; each was deleted
+# deleted public names: those no subcommand, acceptance criterion or library function called, and the
+# support and quotient types, whose sets of atoms are arrays in atom order (a mask, a class id per atom)
 DELETED = {
     "operators": ("adjoint_embed", "extend_eigenfunction"),
     "mercer": ("pointwise",),
     "kernels": ("spectral_norm",),
+    "space": ("Quotient", "SupportSet"),
 }
-DELETED_MEMBERS = {"RKHSElement": "norm_sq", "Quotient": "class_of", "AtomSpace": "dim"}
+DELETED_MEMBERS = {"RKHSElement": "norm_sq", "AtomSpace": "dim", "SpectralDecomposition": "positive_indices"}
 
 
 def test_uncalled_names_are_gone():
@@ -88,7 +90,7 @@ def test_import_loads_the_modules_on_first_use():
     result = json.loads(child.stdout)
     assert result["loaded"] == []
     assert result["same"] is True
-    assert result["names"] == len(mercerkit.__all__) == 57
+    assert result["names"] == len(mercerkit.__all__) == 55
     assert result["star"] == sorted(mercerkit.__all__)
     assert result["dir"] is True
     assert result["missing"] == "module 'mercerkit' has no attribute 'no_such_name'"

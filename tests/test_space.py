@@ -28,6 +28,16 @@ from mercerkit import space as space_module
 from mercerkit.space import _zero_mass_support
 
 
+def labels_of(space, mask):
+    """The labels of the atoms a support mask holds, in atom order."""
+    return tuple(np.array(space.labels, dtype=object)[mask])
+
+
+def first_atoms(space, classes):
+    """The label of each quotient class's first atom, by class id."""
+    return tuple(space.labels[i] for i in np.unique(classes, return_index=True)[1])
+
+
 # ---------------------------------------------------------------------------
 # file loading and AtomSpace validation
 # ---------------------------------------------------------------------------
@@ -80,6 +90,8 @@ def test_atom_space_validates_shapes():
         AtomSpace(labels=("a",), coords=np.zeros((2, 1)), mu=np.ones(1))
     with pytest.raises(ValueError):
         AtomSpace(labels=("a",), coords=np.array([[np.nan]]), mu=np.ones(1))
+    with pytest.raises(ValueError, match="^mu must provide one weight per atom$"):
+        AtomSpace(labels=("a", "b"), coords=np.zeros((2, 1)), mu=np.ones(1))
     space = space_from([0.0, 1.0], [1.0, 1.0])
     with pytest.raises(KeyError, match="unknown atom id"):
         space.index("zzz")
@@ -108,8 +120,8 @@ def test_constant_kernel_metric_is_zero():
     metric = pseudo_metric(space, kernel)
     assert np.all(metric.d == 0.0)
     q = quotient(space, metric)
-    assert q.representatives == ("a",)
-    assert q.class_ids == (0, 0)
+    assert first_atoms(space, q) == ("a",)
+    assert q.tolist() == [0, 0]
     prime = pseudo_metric_prime(space, kernel)
     assert np.all(prime.d == 0.0)
 
@@ -163,26 +175,27 @@ def test_quotient_merges_by_transitive_closure():
     assert metric.d[space.index("b"), space.index("c")] <= tol
     assert metric.d[space.index("a"), space.index("c")] > tol
     q = quotient(space, metric, tol)
-    assert q.class_ids == (0, 0, 0)
-    assert q.representatives == ("a",)
+    assert q.tolist() == [0, 0, 0]
+    assert first_atoms(space, q) == ("a",)
 
 
 def test_quotient_separates_distant_atoms_by_default():
     space = space_from([0.0, 1.0, 5.0], [1.0, 1.0, 1.0])
     kernel = build_kernel({"type": "gaussian", "gamma": 1.0})
     q = quotient(space, pseudo_metric(space, kernel))
-    assert q.class_ids == (0, 1, 2)
-    assert q.representatives == ("a", "b", "c")
+    assert q.tolist() == [0, 1, 2]
+    assert first_atoms(space, q) == ("a", "b", "c")
 
 
 def test_quotient_class_ids_follow_first_occurrence():
     space = space_from([0.0, 5.0, 0.0, 9.0, 5.0], [1.0] * 5)
     kernel = build_kernel({"type": "gaussian", "gamma": 1.0})
     q = quotient(space, pseudo_metric(space, kernel))
-    assert q.class_ids == (0, 1, 0, 2, 1)
-    assert q.representatives == ("a", "b", "d")
-    assert q.classes == (("a", "c"), ("b", "e"), ("d",))
-    assert q.atoms == space.labels  # class_ids[k] is the class of atom k
+    # q[k] is the class of atom k, a read-only intp array in atom order
+    assert q.tolist() == [0, 1, 0, 2, 1]
+    assert q.dtype == np.intp and q.shape == (len(space),) and not q.flags.writeable
+    assert first_atoms(space, q) == ("a", "b", "d")
+    assert [labels_of(space, q == c) for c in range(3)] == [("a", "c"), ("b", "e"), ("d",)]
 
 
 @pytest.mark.parametrize(
@@ -204,7 +217,7 @@ def test_quotient_respects_kernel_values(spec):
     space = space_from([0.0, delta, 3.0, 3.0 + delta, 7.0], [1.0] * 5)
     metric = pseudo_metric(space, kernel)
     q = quotient(space, metric)
-    assert q.class_ids == (0, 0, 1, 1, 2)
+    assert q.tolist() == [0, 0, 1, 1, 2]
     diag_norm = max(
         float(np.linalg.norm(gram(kernel, space, [s], [s])[0, 0], 2)) for s in range(len(space))
     )
@@ -241,9 +254,11 @@ def test_support_drops_isolated_zero_mass_atoms():
     space = space_from([0.0, 1.0, 50.0], [1.0, 3.0, 0.0])
     kernel = build_kernel({"type": "gaussian", "gamma": 1.0})
     sup = support(space, pseudo_metric(space, kernel))
-    assert sup.members == ("a", "b")
-    assert "c" not in sup
-    assert len(sup) == 2
+    # a read-only bool mask in atom order
+    assert sup.dtype == bool and sup.shape == (len(space),) and not sup.flags.writeable
+    assert sup.tolist() == [True, True, False]
+    assert labels_of(space, sup) == ("a", "b")
+    assert np.count_nonzero(sup) == 2
 
 
 def test_support_closure_chains_through_zero_mass_atoms():
@@ -255,7 +270,7 @@ def test_support_closure_chains_through_zero_mass_atoms():
     # c is farther than tol from the only massive atom; it joins through b
     assert metric.d[space.index("a"), space.index("c")] > tol
     sup = support(space, metric, tol)
-    assert sup.members == ("a", "b", "c")
+    assert labels_of(space, sup) == ("a", "b", "c")
 
 
 @pytest.mark.parametrize("spec", [spec for _, spec in ZOO], ids=ZOO_IDS)
@@ -264,7 +279,7 @@ def test_support_has_full_measure(spec):
     kernel = build_kernel(spec)
     space = random_space(rng, 15, dim=2, zero_mass=4)
     sup = support(space, pseudo_metric(space, kernel))
-    mass = float(np.sum(space.mu[[space.index(m) for m in sup.members]]))
+    mass = float(np.sum(space.mu[sup]))
     assert mass == space.total_mass()
 
 
@@ -349,8 +364,8 @@ def test_quotient_and_support_match_reference_closure(tol):
         metric = pseudo_metric(space, build_kernel(specs[case % len(specs)]))
         used = metric.quotient_tol if tol is None else tol
         q = quotient(space, metric, tol)
-        assert (q.class_ids, q.representatives) == reference_quotient(space, metric, used)
-        assert support(space, metric, tol).members == reference_support(space, metric, used)
+        assert (tuple(q.tolist()), first_atoms(space, q)) == reference_quotient(space, metric, used)
+        assert labels_of(space, support(space, metric, tol)) == reference_support(space, metric, used)
 
 
 @pytest.mark.parametrize("tol", [-1e-12, -1.0, float("nan"), float("inf")])
@@ -398,7 +413,7 @@ def test_zero_mass_support_equals_full_metric_support(tmp_path):
         space = space_from(coords, mu, labels=tuple(f"x{i}" for i in range(n_atoms)))
         for kernel in kernels_over(tmp_path, space):
             expected = support(space, pseudo_metric(space, kernel))
-            assert _zero_mass_support(space, kernel).members == expected.members, (case, kernel.label)
+            np.testing.assert_array_equal(_zero_mass_support(space, kernel), expected, err_msg=f"{case} {kernel.label}")
 
 
 def test_zero_mass_support_without_zero_mass_evaluates_no_gram(tmp_path, monkeypatch):
@@ -411,7 +426,8 @@ def test_zero_mass_support_without_zero_mass_evaluates_no_gram(tmp_path, monkeyp
 
     monkeypatch.setattr(space_module, "gram", refuse)
     for kernel in kernels:
-        assert _zero_mass_support(space, kernel).members == space.labels, kernel.label
+        held = _zero_mass_support(space, kernel)
+        assert held.dtype == bool and held.all() and held.shape == (len(space),), kernel.label
 
 
 def test_decomposition_support_is_the_full_metric_support(tmp_path):
@@ -421,7 +437,8 @@ def test_decomposition_support_is_the_full_metric_support(tmp_path):
     mu[0] = 1.0
     space = space_from(coords, mu, labels=tuple(f"x{i}" for i in range(14)))
     for kernel in kernels_over(tmp_path, space):
-        assert decompose_space(space, kernel).support.members == support(space, pseudo_metric(space, kernel)).members
+        expected = support(space, pseudo_metric(space, kernel))
+        np.testing.assert_array_equal(decompose_space(space, kernel).support, expected, err_msg=kernel.label)
 
 
 def feature_frame(labels, steps):
@@ -449,14 +466,14 @@ def test_zero_mass_support_follows_chains_through_zero_mass_atoms(tmp_path):
     metric = pseudo_metric(space, kernel)
     # x3 is three steps from the only mass and joins through x1 and x2; x4 is cut off
     assert metric.d[0, 2] > metric.quotient_tol
-    assert support(space, metric).members == ("x0", "x1", "x2", "x3")
-    assert _zero_mass_support(space, kernel).members == ("x0", "x1", "x2", "x3")
+    assert labels_of(space, support(space, metric)) == ("x0", "x1", "x2", "x3")
+    assert labels_of(space, _zero_mass_support(space, kernel)) == ("x0", "x1", "x2", "x3")
     rng = np.random.default_rng(4244)
     for _ in range(40):
         n_atoms = int(rng.integers(2, 12))
         mu = rng.uniform(0.5, 1.5, n_atoms) * (rng.random(n_atoms) < 0.3)
         space, kernel = chain_space(tmp_path, rng.integers(0, 8, n_atoms), mu)
-        assert _zero_mass_support(space, kernel).members == support(space, pseudo_metric(space, kernel)).members
+        np.testing.assert_array_equal(_zero_mass_support(space, kernel), support(space, pseudo_metric(space, kernel)))
 
 
 def test_distances_whose_squares_overflow_are_finite():
@@ -469,7 +486,7 @@ def test_distances_whose_squares_overflow_are_finite():
         held = _zero_mass_support(space, kernel)
     assert metric.d[0, 1] == pytest.approx(math.sqrt(2.0 * (1.0 - math.exp(-16.0))) * 1e154, rel=1e-15)
     assert metric.quotient_tol == pytest.approx(1e-9 * (1.0 + 1e154))
-    assert held.members == ("a",)
+    assert held.tolist() == [True, False]
 
 
 def test_trace_distances_whose_squares_overflow_are_finite():
