@@ -43,7 +43,10 @@ import numpy as np
 from .kernels import (
     KernelEvaluationError,
     MatrixKernel,
+    _factors,
+    _kernel_blocks,
     _read_json,
+    gram,
     kernel_from_file,
     validate_kernel,
     write_precomputed,
@@ -278,23 +281,22 @@ def _about(args: argparse.Namespace, kernel: MatrixKernel) -> dict[str, Any]:
     return {"kernel": kernel.label, "n_atoms": len(args.atoms)}
 
 
-def _validation(args: argparse.Namespace, kernel: MatrixKernel) -> dict[str, Any]:
-    """The axiom report of ``kernel`` on the atoms; a failed one exits 2, an overflowing passed one 1."""
-    report = validate_kernel(kernel, args.atoms)
+def _validation(args: argparse.Namespace, kernel: MatrixKernel) -> tuple[dict[str, Any], np.ndarray]:
+    """The axiom report of ``kernel`` and its core's Gram, which later stages read; failed exits 2, overflowing 1."""
+    blocks = gram(_factors(kernel)[0], args.atoms)
+    report = validate_kernel(kernel, args.atoms, blocks)
     validation = report.to_dict()
     if not report.passed:
-        raise CliError(
-            EXIT_VALIDATION, report={**_about(args, kernel), "validation": validation, "passed": False}
-        )
-    return _native(validation, strict=True, key="validation.")
+        raise CliError(EXIT_VALIDATION, report={**_about(args, kernel), "validation": validation, "passed": False})
+    return _native(validation, strict=True, key="validation."), blocks
 
 
 def _operator(args: argparse.Namespace, kernel: MatrixKernel) -> tuple[dict[str, Any], DiscreteOperator]:
     """Validate, rescale and assemble; an empty measure support exits 3."""
     from .operators import EmptySupportError, assemble_operator, rescale_measure
 
-    validation = _validation(args, kernel)
-    nu = rescale_measure(args.atoms, kernel)
+    validation, blocks = _validation(args, kernel)
+    nu = rescale_measure(args.atoms, kernel, blocks)
     try:
         return validation, assemble_operator(args.atoms, kernel, nu)
     except EmptySupportError as exc:
@@ -312,13 +314,13 @@ def _spectrum(args: argparse.Namespace) -> tuple[dict[str, Any], SpectralDecompo
 
 
 def _validate_report(args: argparse.Namespace) -> dict[str, Any]:
-    return {**_about(args, args.kernel), "validation": _validation(args, args.kernel), "passed": True}
+    return {**_about(args, args.kernel), "validation": _validation(args, args.kernel)[0], "passed": True}
 
 
 def _metric_report(args: argparse.Namespace) -> dict[str, Any]:
     space, kernel, out = args.atoms, args.kernel, args.out
-    validation = _validation(args, kernel)
-    metric = pseudo_metric(space, kernel)
+    validation, blocks = _validation(args, kernel)
+    metric = pseudo_metric(space, kernel, blocks)
     if not np.isfinite(metric.d).all():
         raise CliError(EXIT_USAGE, "metric.csv: a kernel distance overflows the largest float")
     tol = metric.quotient_tol if args.tol_quotient is None else args.tol_quotient
@@ -382,10 +384,9 @@ def _errors_report(args: argparse.Namespace) -> dict[str, Any]:
     from .mercer import default_tol_recon, reconstruction_error, write_error_table
 
     _, dec, _ = _spectrum(args)
-    labels = args.atoms.labels
-    subset = [labels[i] for i in np.flatnonzero(dec.support)] if args.subset is None else args.subset
+    subset = [args.atoms.labels[i] for i in np.flatnonzero(dec.support)] if args.subset is None else args.subset
     for label in subset:
-        if label not in labels:
+        if label not in args.atoms._index:
             raise CliError(EXIT_USAGE, f"--subset: unknown atom id {label!r}")
     off_support = [label for label in subset if not dec.support[args.atoms.index(label)]]
     steps = args.truncations
@@ -434,7 +435,7 @@ def _frames_report(args: argparse.Namespace) -> dict[str, Any]:
 
 
 def _synthesis_report(args: argparse.Namespace) -> dict[str, Any]:
-    from .mercer import extract_frame, tol_recon_of
+    from .mercer import _tol_recon, extract_frame
     from .operators import eigendecompose
     from .synthesis import align_frames, synthesize_kernel, verify_diagonal_blocks
 
@@ -444,8 +445,11 @@ def _synthesis_report(args: argparse.Namespace) -> dict[str, Any]:
     if originals and family is not None and len(originals) != family.n:
         expected = f"expected one file per --frames file ({family.n}), got {len(originals)}"
         raise CliError(EXIT_USAGE, f"--kernel: {expected}")
+    grams: Sequence[np.ndarray] = ()  # each original's one Gram: its decomposition's (every atom), or evaluated below
     if family is None:
-        family = align_frames([extract_frame(eigendecompose(_operator(args, k)[1]), 0) for k in originals])
+        decs = (eigendecompose(_operator(args, k)[1]) for k in originals)  # one at a time
+        frames, grams = zip(*((extract_frame(dec, 0), _kernel_blocks(dec.nu.core_gram, dec.kernel)) for dec in decs))
+        family = align_frames(frames)
     about = {"n": family.n, "frame_count": int(family.values.shape[0]), "n_atoms": len(family.atoms)}
     if not family.atoms:
         message = "synthesized family has no atoms"
@@ -463,8 +467,10 @@ def _synthesis_report(args: argparse.Namespace) -> dict[str, Any]:
 
     data: dict[str, Any] = {**about, "validation": report.to_dict(), "passed": report.passed}
     if originals:
-        deviation = verify_diagonal_blocks(synth, originals, atoms)
-        tol_recon = tol_recon_of(originals, atoms) if args.tol_recon is None else args.tol_recon
+        grams = grams or [gram(kernel, atoms) for kernel in originals]
+        deviation = verify_diagonal_blocks(synth, originals, atoms, grams)
+        default = max(_tol_recon(np.einsum("xxlj->xlj", g)) for g in grams)  # default_tol_recon's rule, over them
+        tol_recon = default if args.tol_recon is None else args.tol_recon
         data.update(diagonal_deviation=deviation, tol_recon=tol_recon, diagonal_ok=deviation <= tol_recon)
         data["passed"] = report.passed and data["diagonal_ok"]
     if not report.passed:

@@ -36,7 +36,6 @@ __all__ = [
     "TOL_SYM",
     "ValidationReport",
     "build_kernel",
-    "diagonal_blocks",
     "gram",
     "kernel_from_file",
     "psd_tolerance",
@@ -190,10 +189,14 @@ def gram(
     return np.array(blocks, dtype=complex).reshape(len(rows), len(cols), n, n)
 
 
-def diagonal_blocks(kernel: MatrixKernel, space: AtomSpace, rows: ArrayLike | None = None) -> np.ndarray:
-    """Blocks ``K(x, x)`` for the atoms at ``rows`` (default all), shape ``(len(rows), n, n)``."""
-    core, matrix = _factors(kernel)
-    return np.einsum("xxlj->xlj", gram(core, space, rows)) * matrix
+def _kernel_blocks(core_gram: np.ndarray, kernel: MatrixKernel, rows=None, cols=None) -> np.ndarray:
+    """:func:`gram`'s blocks (all without ``rows``): the core's Gram over every atom, sliced, times ``B``.
+
+    They are :func:`gram`'s bit for bit, but a synthesized kernel's ``V^H V`` may differ in the last bit.
+    """
+    part = core_gram if rows is None else core_gram[np.ix_(rows, rows if cols is None else cols)]
+    _, matrix = _factors(kernel)
+    return part if matrix is _ONE else part * matrix
 
 
 def _flat(blocks: np.ndarray) -> np.ndarray:

@@ -15,17 +15,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .kernels import (
-    MatrixKernel,
-    _flat,
-    _readonly,
-    _row_blocks,
-    _scatter,
-    diagonal_blocks,
-    gram,
-)
+from .kernels import _flat, _kernel_blocks, _readonly, _row_blocks, _scatter
 from .operators import RKHSElement, SpectralDecomposition, _coefficients, _section_vector
-from .space import AtomSpace
 from .tables import _complex_columns, _csv_cells, _Indices, _read_table, _write_csv
 
 __all__ = [
@@ -39,7 +30,6 @@ __all__ = [
     "reconstruct",
     "reconstruction_error",
     "rkhs_inner",
-    "tol_recon_of",
     "write_error_table",
     "write_frame",
 ]
@@ -59,11 +49,6 @@ def default_tol_recon(dec: SpectralDecomposition) -> float:
     atoms, read off ``dec.nu.diagonal``, floored at 0.
     """
     return _tol_recon(dec.nu.diagonal)
-
-
-def tol_recon_of(kernels: Sequence[MatrixKernel], space: AtomSpace) -> float:
-    """:func:`default_tol_recon`'s rule, ``t`` taken over the kernels' blocks ``K(x, x)`` on the atoms of ``space``."""
-    return max(_tol_recon(diagonal_blocks(k, space)) for k in kernels)
 
 
 def _tol_recon(diagonal: np.ndarray) -> float:
@@ -123,7 +108,7 @@ def reconstruction_error(
     for m in steps:
         _check_truncation(dec, m)
     # flat (x, l), (t, j) matrices
-    resid = _flat(gram(dec.kernel, dec.space, idx))
+    resid = _flat(_kernel_blocks(dec.nu.core_gram, dec.kernel, idx))
     diag = np.diagonal(resid).real.copy()
     f = dec.funcs[:, idx, :].reshape(dec.rank, resid.shape[0])
     # kept[m] = sum_{i<m} sigma_i |f_i|^2: a running sum of nonnegative terms,
@@ -209,7 +194,8 @@ def rkhs_inner(h1: RKHSElement, h2: RKHSElement, dec: SpectralDecomposition) -> 
     if not h1.is_spectral and not h2.is_spectral:
         xs, ys = _section_table(dec, h1)
         ts, yps = _section_table(dec, h2)
-        return complex(np.einsum("tl,txlm,xm->", np.conj(yps), gram(dec.kernel, dec.space, ts, xs), ys))
+        blocks = _kernel_blocks(dec.nu.core_gram, dec.kernel, ts, xs)
+        return complex(np.einsum("tl,txlm,xm->", np.conj(yps), blocks, ys))
     if h1.is_spectral:
         return rkhs_inner(h1, project(h2, dec), dec)
     return rkhs_inner(project(h1, dec), h2, dec)
@@ -263,7 +249,7 @@ def frame_check(
     for labels, coeffs in combinations:
         idx = [dec.space.index(label) for label in labels]
         a = np.asarray(list(coeffs), dtype=complex)
-        block = gram(dec.kernel, dec.space, idx)[:, :, j, j]
+        block = _kernel_blocks(dec.nu.core_gram, dec.kernel, idx)[:, :, j, j]
         norm_sq = float((np.conj(a) @ block @ a).real)
         frame_coeffs = np.conj(frame.values[:, idx]) @ a
         total = float(np.sum(np.abs(frame_coeffs) ** 2))

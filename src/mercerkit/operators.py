@@ -22,10 +22,10 @@ from .kernels import (
     _factors,
     _flat,
     _hermitian,
+    _kernel_blocks,
     _readonly,
     _require_hermitian,
     _spectral_norms,
-    diagonal_blocks,
     gram,
 )
 from .space import AtomSpace, _zero_mass_support
@@ -60,24 +60,26 @@ class EmptySupportError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class RescaledMeasure:
-    """Per-atom rescaled weights, the resulting trace budget, and the blocks ``K(x, x)``, shape ``(N, n, n)``."""
+    """Per-atom rescaled weights, the trace budget, the blocks ``K(x, x)`` (``(N, n, n)``) and the core's Gram."""
 
     weights: np.ndarray
     m_nu: float
     diagonal: np.ndarray
+    core_gram: np.ndarray
 
 
-def rescale_measure(space: AtomSpace, kernel: MatrixKernel) -> RescaledMeasure:
+def rescale_measure(space: AtomSpace, kernel: MatrixKernel, blocks: np.ndarray | None = None) -> RescaledMeasure:
     """Divide each weight by ``1 + |K(x,x)|`` (spectral norm of the diagonal block).
 
     The blocks are the core's times ``B``, and their norms the core's times
     ``||B||_2`` (see :func:`_factors`).  Also returns the trace budget
     ``m_nu = sum_x tr K(x,x) nu_x``, which the eigenvalue sum of the operator
-    must reproduce, and the blocks, the one evaluation of ``K(x, x)`` a
-    decomposition makes.
+    must reproduce, the blocks, and the core's Gram they are read off,
+    ``blocks`` (as :func:`gram` returns it) if given, else a new evaluation.
     """
     core, matrix = _factors(kernel)
-    k = diagonal_blocks(core, space)
+    blocks = _readonly(gram(core, space) if blocks is None else blocks)
+    k = np.einsum("xxlj->xlj", blocks)
     diag, norms = k * matrix, _spectral_norms(k) * _spectral_norms(matrix)
     _require_hermitian(diag)
     weights = space.mu / (1.0 + norms)
@@ -85,7 +87,7 @@ def rescale_measure(space: AtomSpace, kernel: MatrixKernel) -> RescaledMeasure:
         m_nu = float(np.sum(np.trace(diag, axis1=1, axis2=2).real * weights))
     if not math.isfinite(m_nu):  # a trace may overflow where its weighted terms do not
         m_nu = float(np.sum(np.trace(diag * weights[:, None, None], axis1=1, axis2=2).real))
-    return RescaledMeasure(_readonly(weights), m_nu, _readonly(diag))
+    return RescaledMeasure(_readonly(weights), m_nu, _readonly(diag), blocks)
 
 
 @dataclass(frozen=True, eq=False)
@@ -107,12 +109,12 @@ class DiscreteOperator:
 
 
 def assemble_operator(space: AtomSpace, kernel: MatrixKernel, nu: RescaledMeasure) -> DiscreteOperator:
-    """Assemble the operator matrix over atoms with positive rescaled weight."""
+    """Assemble the operator matrix over atoms with positive rescaled weight, off ``nu.core_gram``."""
     pos = np.flatnonzero(nu.weights > 0)
     if not pos.size:
         raise EmptySupportError("measure has empty support: every atom weight is zero")
     core, b = _factors(kernel)
-    raw = _flat(gram(core, space, pos))
+    raw = _flat(nu.core_gram[np.ix_(pos, pos)])
     _require_hermitian(raw, b)  # validate_kernel's rule, on the kernel's values
     scale = np.sqrt(np.repeat(nu.weights[pos], core.n))
     matrix = _hermitian(raw) * scale[:, None] * scale[None, :]
@@ -166,7 +168,7 @@ class SpectralDecomposition:
     @cached_property
     def support(self) -> np.ndarray:
         """Mask of the atoms in the measure support (see :func:`mercerkit.space.support`)."""
-        return _zero_mass_support(self.space, self.kernel)
+        return _zero_mass_support(self.space, self.kernel, self.nu.core_gram)
 
 
 def _cutoff(sigmas: np.ndarray, rank_cutoff: float | None) -> float:
@@ -243,7 +245,7 @@ def _extend(op: DiscreteOperator, rows: np.ndarray, f_pos: np.ndarray, sigmas: n
     kernel's blocks are.
     """
     pos = op.indices
-    weighted = _flat(gram(op.kernel, op.space, rows, pos) * op.nu.weights[pos][None, :, None, None]).T
+    weighted = _flat(_kernel_blocks(op.nu.core_gram, op.kernel, rows, pos) * op.nu.weights[pos][None, :, None, None]).T
     f = f_pos.reshape(len(sigmas), -1)
     values = np.empty((len(sigmas), weighted.shape[1]), dtype=np.result_type(f, weighted))
     # column-major, as eigendecompose's f_pos is: each product reads its operand in the layout it has there

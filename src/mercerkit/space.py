@@ -162,26 +162,27 @@ def _mirror_upper(d: np.ndarray) -> np.ndarray:
     return _readonly(upper + upper.T)
 
 
-def pseudo_metric(space: AtomSpace, kernel: MatrixKernel) -> PseudoMetricMatrix:
+def pseudo_metric(space: AtomSpace, kernel: MatrixKernel, blocks: np.ndarray | None = None) -> PseudoMetricMatrix:
     """Distance induced by the kernel sections.
 
     For atoms ``x, t`` the squared distance is the spectral norm of
     ``K(x,x) + K(t,t) - K(x,t) - K(t,x)``, which equals the squared operator
-    gap ``sup_{|y| <= 1} |K_x y - K_t y|`` of the section maps.
+    gap ``sup_{|y| <= 1} |K_x y - K_t y|`` of the section maps, read off the core's Gram ``blocks`` if given.
     """
-    d, tol = _distances(space, kernel)
+    d, tol = _distances(space, kernel, gram(_factors(kernel)[0], space) if blocks is None else blocks)
     return PseudoMetricMatrix(_mirror_upper(d), tol)
 
 
-def _distances(space: AtomSpace, kernel: MatrixKernel, rows: np.ndarray | None = None) -> tuple[np.ndarray, float]:
+def _distances(
+    space: AtomSpace, kernel: MatrixKernel, blocks: np.ndarray, rows: np.ndarray | None = None
+) -> tuple[np.ndarray, float]:
     """Kernel distance from each atom at ``rows`` (default all) to every atom, and the metric's zero threshold.
 
-    Both are read off the kernel's core and scaled by ``||B||_2``, the
-    spectral norm of the Hermitian part of ``B`` (see :func:`_factors`).
+    Both are read off the core's Gram ``blocks`` and scaled by ``||B||_2``,
+    the spectral norm of the Hermitian part of ``B`` (see :func:`_factors`).
     """
     sub = slice(None) if rows is None else rows
-    core, matrix = _factors(kernel)
-    blocks = gram(core, space)
+    _, matrix = _factors(kernel)
     diag = np.einsum("xxlj->xlj", blocks)
     delta = (diag[sub, None] + diag[None, :]) - (blocks[sub] + blocks[:, sub].swapaxes(0, 1))
     b_norm = float(_spectral_norms(matrix))
@@ -256,19 +257,17 @@ def support(space: AtomSpace, metric: PseudoMetricMatrix, tol: float | None = No
     return _holding_mass(space, quotient(space, metric, tol))
 
 
-def _zero_mass_support(space: AtomSpace, kernel: MatrixKernel) -> np.ndarray:
+def _zero_mass_support(space: AtomSpace, kernel: MatrixKernel, blocks: np.ndarray) -> np.ndarray:
     """:func:`support` at the default ``tol``, from the distances of the zero-mass atoms only.
 
     Every positive-mass atom is in the support, and a path from a zero-mass
     atom to positive mass, cut at its first positive-mass atom, has only
     edges that touch a zero-mass atom.  So the ``Z x N`` distances from the
-    ``Z`` zero-mass atoms decide the support, as the ``N x N`` ones do.
+    ``Z`` zero-mass atoms, read off ``blocks``, decide the support.
     """
     # the distances as pseudo_metric computes them, on the zero-mass rows only
     zero = np.flatnonzero(space.mu <= 0)
-    if not len(zero):  # every atom holds mass: no distance is needed
-        return _readonly(np.ones(len(space), dtype=bool))
-    d, tol = _distances(space, kernel, zero)
+    d, tol = _distances(space, kernel, blocks, zero)
     z, t = np.nonzero(d <= tol)
     return _holding_mass(space, _components(len(space), zero[z], t))
 

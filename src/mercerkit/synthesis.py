@@ -98,12 +98,14 @@ def verify_diagonal_blocks(
     synthesized: MatrixKernel,
     originals: Sequence[MatrixKernel],
     space: AtomSpace,
+    grams: Sequence[np.ndarray] | None = None,
 ) -> float:
     """Max deviation of the synthesized diagonal blocks from scalar originals over the atoms of ``space``.
 
     Block ``j`` of a kernel synthesized as ``V^H V`` is ``V_j^H V_j``, from
     the frame values ``V_j`` of component ``j`` alone; any other kernel's
-    blocks come from its Gram.
+    blocks come from its Gram.  Original ``j``'s Gram is ``grams[j]`` (as
+    :func:`gram` returns it) if given, else a new evaluation.
     """
     if len(originals) != synthesized.n:
         raise ValueError("need one scalar original per synthesized component")
@@ -117,6 +119,6 @@ def verify_diagonal_blocks(
     for j, kernel in enumerate(originals):
         # columns x*n + j of V are component j's
         block = blocks[:, :, j, j] if v is None else _hermitian(np.conj(v[:, j::n].T) @ v[:, j::n])
-        diff = block - gram(kernel, space)[:, :, 0, 0]
+        diff = block - (gram(kernel, space) if grams is None else grams[j])[:, :, 0, 0]
         deviation = max(deviation, float(np.max(np.abs(diff), initial=0.0)))
     return deviation

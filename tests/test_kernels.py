@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 
@@ -14,14 +15,13 @@ from mercerkit import (
     KernelSpecError,
     KernelSymmetryError,
     MatrixKernel,
-    RescaledMeasure,
     assemble_operator,
     build_kernel,
-    diagonal_blocks,
     gram,
     kernel_from_file,
     psd_tolerance,
     read_precomputed,
+    rescale_measure,
     validate_kernel,
     write_precomputed,
 )
@@ -195,7 +195,7 @@ def test_hermitian_pair_law(spec):
 
 def _unit_operator(kernel, space):
     """The operator matrix at unit rescaled weights: the kernel's Gram, checked and made Hermitian by assembly."""
-    nu = RescaledMeasure(np.ones(len(space)), 0.0, diagonal_blocks(kernel, space))
+    nu = dataclasses.replace(rescale_measure(space, kernel), weights=np.ones(len(space)))
     return assemble_operator(space, kernel, nu).matrix
 
 

@@ -1,16 +1,18 @@
 """One evaluation of the blocks ``K(x, x)`` per decomposition.
 
-``rescale_measure`` evaluates the diagonal blocks for the rescaled weights
-and the trace budget, and keeps them, read-only, as
-``RescaledMeasure.diagonal``.  The reconstruction tolerance and the frame
-check read them there instead of evaluating the Gram again.  The first test
-pins that the kept blocks are those :func:`diagonal_blocks` gives, bit for
-bit, for every kind of kernel; the second, that the ``frames`` and
-``reconstruct`` subcommands evaluate them once.
+``rescale_measure`` reads the diagonal blocks off the Gram of the kernel's
+core for the rescaled weights and the trace budget, and keeps them,
+read-only, as ``RescaledMeasure.diagonal``.  The reconstruction tolerance
+and the frame check read them there instead of evaluating the Gram again.
+The first test pins that the kept blocks are the diagonal of the kernel's
+Gram, bit for bit, for every kind of kernel; the second, that the ``frames``
+and ``reconstruct`` subcommands evaluate them once, in the one Gram each
+evaluates.
 """
 
 from __future__ import annotations
 
+import importlib
 import json
 
 import numpy as np
@@ -22,14 +24,13 @@ from mercerkit import (
     align_frames,
     build_kernel,
     default_tol_recon,
-    diagonal_blocks,
     extract_frame,
+    gram,
+    kernels,
     mercer,
-    operators,
     read_precomputed,
     rescale_measure,
     synthesize_kernel,
-    tol_recon_of,
     write_precomputed,
 )
 from mercerkit.cli import main
@@ -67,13 +68,13 @@ def test_rescaled_measure_keeps_the_diagonal_blocks(tmp_path, make):
     space = random_space(np.random.default_rng(61), 9, dim=2, zero_mass=2)
     kernel = make(space, tmp_path)
     nu = rescale_measure(space, kernel)
-    expected = diagonal_blocks(kernel, space)
+    expected = np.einsum("xxlj->xlj", gram(kernel, space))
     assert (nu.diagonal.dtype, nu.diagonal.shape) == (expected.dtype, expected.shape)
     assert nu.diagonal.tobytes() == expected.tobytes()
     assert not nu.diagonal.flags.writeable
     # the tolerance read off them is the one evaluated afresh
     dec = decompose_space(space, kernel)
-    assert default_tol_recon(dec) == tol_recon_of([kernel], space)
+    assert default_tol_recon(dec) == mercer._tol_recon(expected)
 
 
 @pytest.mark.parametrize("name", ["separable_complex3", "diagonal3"])
@@ -90,13 +91,16 @@ def test_a_decomposition_evaluates_its_diagonal_blocks_once(tmp_path, monkeypatc
     rows = ["id,w,c1,c2"] + [f"x{i},{0.0 if i % 3 == 0 else 1.0 + 0.1 * i},{0.3 * i},{float(np.sin(i))!r}" for i in range(10)]
     (tmp_path / "atoms.csv").write_text("\n".join(rows) + "\n")
     calls = []
+    original = kernels.gram
 
-    def counting(kernel, space, rows=None, _diagonal=diagonal_blocks):
+    def counting(kernel, space, rows=None, cols=None):
         calls.append(kernel)
-        return _diagonal(kernel, space, rows)
+        return original(kernel, space, rows, cols)
 
-    monkeypatch.setattr(operators, "diagonal_blocks", counting)
-    monkeypatch.setattr(mercer, "diagonal_blocks", counting)
+    for short in ("kernels", "space", "operators", "mercer", "synthesis", "cli"):
+        module = importlib.import_module(f"mercerkit.{short}")
+        if getattr(module, "gram", None) is original:  # wherever it is imported
+            monkeypatch.setattr(module, "gram", counting)
     for command in ("frames", "reconstruct"):
         calls.clear()
         args = ["--atoms", str(tmp_path / "atoms.csv"), "--kernel", str(tmp_path / "kernel.json")]

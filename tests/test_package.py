@@ -23,7 +23,7 @@ def test_package_exports_the_union_of_the_module_lists():
     assert len(declared) == len(set(declared)), "a name is declared by two modules"
     assert len(mercerkit.__all__) == len(set(mercerkit.__all__))
     assert set(mercerkit.__all__) == set(declared)
-    assert {"TOL_SYM", "tol_recon_of"} <= set(mercerkit.__all__)
+    assert {"TOL_SYM", "default_tol_recon"} <= set(mercerkit.__all__)
     for module in modules:
         for name in module.__all__:
             value = getattr(mercerkit, name)
@@ -39,12 +39,13 @@ def test_star_import_resolves_every_name():
     assert set(mercerkit.__all__) <= set(namespace)
 
 
-# deleted public names: those no subcommand, acceptance criterion or library function called, and the
-# support and quotient types, whose sets of atoms are arrays in atom order (a mask, a class id per atom)
+# deleted public names: those no subcommand, acceptance criterion or library function called, the
+# support and quotient types, whose sets of atoms are arrays in atom order (a mask, a class id per atom),
+# and the evaluations of diagonal blocks, which every stage now reads off the one Gram of its kernel
 DELETED = {
     "operators": ("adjoint_embed", "extend_eigenfunction"),
-    "mercer": ("pointwise",),
-    "kernels": ("spectral_norm",),
+    "mercer": ("pointwise", "tol_recon_of"),
+    "kernels": ("spectral_norm", "diagonal_blocks"),
     "space": ("Quotient", "SupportSet"),
 }
 DELETED_MEMBERS = {"RKHSElement": "norm_sq", "AtomSpace": "dim", "SpectralDecomposition": "positive_indices"}
@@ -90,7 +91,7 @@ def test_import_loads_the_modules_on_first_use():
     result = json.loads(child.stdout)
     assert result["loaded"] == []
     assert result["same"] is True
-    assert result["names"] == len(mercerkit.__all__) == 55
+    assert result["names"] == len(mercerkit.__all__) == 53
     assert result["star"] == sorted(mercerkit.__all__)
     assert result["dir"] is True
     assert result["missing"] == "module 'mercerkit' has no attribute 'no_such_name'"

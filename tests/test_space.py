@@ -25,7 +25,13 @@ from mercerkit import (
     write_precomputed,
 )
 from mercerkit import space as space_module
+from mercerkit.kernels import _factors
 from mercerkit.space import _zero_mass_support
+
+
+def zero_mass_support(space, kernel):
+    """``_zero_mass_support`` read off the core's Gram over every atom, as a decomposition hands it on."""
+    return _zero_mass_support(space, kernel, gram(_factors(kernel)[0], space))
 
 
 def labels_of(space, mask):
@@ -413,20 +419,21 @@ def test_zero_mass_support_equals_full_metric_support(tmp_path):
         space = space_from(coords, mu, labels=tuple(f"x{i}" for i in range(n_atoms)))
         for kernel in kernels_over(tmp_path, space):
             expected = support(space, pseudo_metric(space, kernel))
-            np.testing.assert_array_equal(_zero_mass_support(space, kernel), expected, err_msg=f"{case} {kernel.label}")
+            np.testing.assert_array_equal(zero_mass_support(space, kernel), expected, err_msg=f"{case} {kernel.label}")
 
 
 def test_zero_mass_support_without_zero_mass_evaluates_no_gram(tmp_path, monkeypatch):
-    # every atom holds mass, so every atom is in the support and no distance is needed
+    # every atom holds mass, so every atom is in the support; the distances are read off the Gram it is given
     space = random_space(np.random.default_rng(4245), 9)
     kernels = kernels_over(tmp_path, space)
+    grams = [gram(_factors(kernel)[0], space) for kernel in kernels]
 
     def refuse(*args, **kwargs):
         raise AssertionError("a Gram was evaluated")
 
     monkeypatch.setattr(space_module, "gram", refuse)
-    for kernel in kernels:
-        held = _zero_mass_support(space, kernel)
+    for kernel, blocks in zip(kernels, grams):
+        held = _zero_mass_support(space, kernel, blocks)
         assert held.dtype == bool and held.all() and held.shape == (len(space),), kernel.label
 
 
@@ -467,13 +474,13 @@ def test_zero_mass_support_follows_chains_through_zero_mass_atoms(tmp_path):
     # x3 is three steps from the only mass and joins through x1 and x2; x4 is cut off
     assert metric.d[0, 2] > metric.quotient_tol
     assert labels_of(space, support(space, metric)) == ("x0", "x1", "x2", "x3")
-    assert labels_of(space, _zero_mass_support(space, kernel)) == ("x0", "x1", "x2", "x3")
+    assert labels_of(space, zero_mass_support(space, kernel)) == ("x0", "x1", "x2", "x3")
     rng = np.random.default_rng(4244)
     for _ in range(40):
         n_atoms = int(rng.integers(2, 12))
         mu = rng.uniform(0.5, 1.5, n_atoms) * (rng.random(n_atoms) < 0.3)
         space, kernel = chain_space(tmp_path, rng.integers(0, 8, n_atoms), mu)
-        np.testing.assert_array_equal(_zero_mass_support(space, kernel), support(space, pseudo_metric(space, kernel)))
+        np.testing.assert_array_equal(zero_mass_support(space, kernel), support(space, pseudo_metric(space, kernel)))
 
 
 def test_distances_whose_squares_overflow_are_finite():
@@ -483,7 +490,7 @@ def test_distances_whose_squares_overflow_are_finite():
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         metric = pseudo_metric(space, kernel)
-        held = _zero_mass_support(space, kernel)
+        held = zero_mass_support(space, kernel)
     assert metric.d[0, 1] == pytest.approx(math.sqrt(2.0 * (1.0 - math.exp(-16.0))) * 1e154, rel=1e-15)
     assert metric.quotient_tol == pytest.approx(1e-9 * (1.0 + 1e154))
     assert held.tolist() == [True, False]
