@@ -15,8 +15,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .kernels import _flat, _kernel_blocks, _readonly, _row_blocks, _scatter
-from .operators import RKHSElement, SpectralDecomposition, _coefficients, _section_vector
+from .kernels import _factors, _flat, _kernel_blocks, _readonly, _row_blocks, _scatter
+from .operators import RKHSElement, SpectralDecomposition, _coefficients, _section_vector, _values
 from .tables import _complex_columns, _csv_cells, _Indices, _read_table, _write_csv
 
 __all__ = [
@@ -69,13 +69,8 @@ def reconstruct(dec: SpectralDecomposition, x: str, t: str, m: int | None = None
     """
     m = dec.rank if m is None else m
     _check_truncation(dec, m)
-    ix, it = dec.space.index(x), dec.space.index(t)
-    return np.einsum(
-        "i,il,ij->lj",
-        dec.sigmas[:m],
-        dec.funcs[:m, ix, :],
-        np.conj(dec.funcs[:m, it, :]),
-    )
+    values = _values(dec, np.array([dec.space.index(x), dec.space.index(t)]))
+    return np.einsum("i,il,ij->lj", dec.sigmas[:m], values[:m, 0], np.conj(values[:m, 1]))
 
 
 def reconstruction_error(
@@ -89,64 +84,73 @@ def reconstruction_error(
     and off-support atoms are allowed).  Returns ``(m, error)`` rows with
     ``error = max |K(x,t) - K_m(x,t)|`` over pairs and components.
 
-    The row ``m = rank`` is computed entry by entry, its series formed a
-    block of rows at a time.  A row ``m < rank`` is the largest diagonal
-    entry of the remainder ``R_m = K - K_m``, ``K(x,x)[l,l] - sum_{i<m}
-    sigma_i |f_i^l(x)|^2`` floored at 0, which is the max-entry error whenever
-    ``R_m`` is positive semidefinite, since then ``|R_ij| <= sqrt(R_ii
-    R_jj)``.  In exact arithmetic it is, for a positive semidefinite kernel
-    on any finite atom set: ``R_m`` is the Nystrom remainder (a Schur
-    complement of the positive-mass block) plus the dropped terms
-    ``sigma_i f_i f_i^H``.  Rounding-level eigenpairs kept (``rank_cutoff``
-    0) and extended to zero-mass atoms through ``1 / sigma_i`` can break
-    that; a row with a diagonal remainder below ``-default_tol_recon(dec)``
-    is then computed entry by entry too.  The rows read off the diagonal
-    are nonincreasing in ``m``; rows computed entry by entry need not be.
+    The row ``m = rank`` is computed entry by entry, off the factors of the
+    decomposition and slices of the core's Gram.  A row ``m < rank`` is the
+    largest diagonal entry of the remainder ``R_m = K - K_m``, ``K(x,x)[l,l]
+    - sum_{i<m} sigma_i |f_i^l(x)|^2`` floored at 0, which is the max-entry
+    error whenever ``R_m`` is positive semidefinite, since then ``|R_ij| <=
+    sqrt(R_ii R_jj)``.  In exact arithmetic it is, for a positive
+    semidefinite kernel on any finite atom set: ``R_m`` is the Nystrom
+    remainder (a Schur complement of the positive-mass block) plus the
+    dropped terms ``sigma_i f_i f_i^H``.  Rounding-level eigenpairs kept
+    (``rank_cutoff`` 0) and extended to zero-mass atoms through ``1 /
+    sigma_i`` can break that; a row with a diagonal remainder below
+    ``-default_tol_recon(dec)`` is then computed entry by entry too.  The
+    rows read off the diagonal are nonincreasing in ``m``; rows computed
+    entry by entry need not be.
     """
-    idx = np.flatnonzero(dec.support) if subset is None else [dec.space.index(label) for label in subset]
+    idx = np.flatnonzero(dec.support) if subset is None else np.array([dec.space.index(a) for a in subset], np.intp)
     steps = sorted(set(int(m) for m in ms)) if ms is not None else list(range(dec.rank + 1))
     for m in steps:
         _check_truncation(dec, m)
-    # flat (x, l), (t, j) matrices
-    resid = _flat(_kernel_blocks(dec.nu.core_gram, dec.kernel, idx))
-    diag = np.diagonal(resid).real.copy()
-    f = dec.funcs[:, idx, :].reshape(dec.rank, resid.shape[0])
-    # kept[m] = sum_{i<m} sigma_i |f_i|^2: a running sum of nonnegative terms,
-    # so each diagonal remainder diag - kept[m] is exactly nonincreasing in m
-    kept = np.zeros((dec.rank + 1, len(diag)))
-    np.square(f.real, out=kept[1:])
-    kept[1:] += f.imag**2
-    kept[1:] *= dec.sigmas[:, None]
-    np.cumsum(kept, axis=0, out=kept)
+    u = dec.u[:, idx, :].reshape(len(dec.u), len(idx) * dec.u.shape[2])  # the core's eigenfunctions there, flat (x, c)
+    diag = np.einsum("xll->xl", dec.nu.diagonal[idx]).real.ravel()
+    # kept[m] = sum_{i<m} sigma_i |f_i|^2, added in order a block at a time: diag - kept[m] is exactly nonincreasing
+    mags, vmags = u.real**2 + u.imag**2, dec.v.real**2 + dec.v.imag**2
+    bounds = np.zeros((2, dec.rank + 1))  # the largest and the smallest remainder, each against 0
+    bounds[:, 0] = diag.max(initial=0.0), diag.min(initial=0.0)
+    total = np.zeros((1, len(diag)))
+    for rows in _row_blocks(dec.rank):
+        kept = (mags[dec.p[rows], :, None] * vmags.T[rows, None, :]).reshape(rows.stop - rows.start, len(diag))
+        kept *= dec.sigmas[rows, None]
+        kept[:1] += total
+        np.cumsum(kept, axis=0, out=kept)
+        total = kept[-1:].copy()
+        remainder = np.subtract(diag, kept, out=kept)
+        bounds[:, rows.start + 1 : rows.stop + 1] = remainder.max(1, initial=0.0), remainder.min(1, initial=0.0)
+    del mags, kept, remainder  # freed before the series is formed
     floor = -default_tol_recon(dec)
-    errors: dict[int, float] = {}
-    for m in steps:
-        remainder = diag - kept[m]
-        if m < dec.rank and remainder.min(initial=0.0) >= floor:
-            errors[m] = float(np.max(remainder, initial=0.0))
-    del kept  # freed before the series is formed
+    errors = {m: float(bounds[0, m]) for m in steps if m < dec.rank and bounds[1, m] >= floor}
+    u = np.conj(u, out=u).astype(np.result_type(u, dec.v), copy=False)  # the series' right factor, as BLAS takes it
     for m in steps:
         if m not in errors:
-            errors[m] = _series_error(resid, f, dec.sigmas, m)
+            errors[m] = _series_error(dec, idx, u, m)
     return [(m, errors[m]) for m in steps]
 
 
-def _series_error(resid: np.ndarray, f: np.ndarray, sigmas: np.ndarray, m: int) -> float:
-    """``max |resid - F_m^T Sigma_m conj(F_m)|`` over the flat matrices, ``F_m`` the first ``m`` rows of ``f``.
+def _series_error(dec: SpectralDecomposition, idx: np.ndarray, rhs: np.ndarray, m: int) -> float:
+    """``max |K - K_m|`` over the atoms at ``idx``, ``K_m`` the first ``m`` terms, ``rhs`` the flat ``conj(u)`` there.
 
-    The series is formed one block of rows at a time (see :func:`_row_blocks`).
-    The remainder is written over the block, which has the dtype of the
-    kernel's blocks.  At ``m = len(f)``, ``f`` is conjugated in place: the
-    full-rank row is its last use.
+    Entry ``(l, j)`` of ``K_m`` is ``u^T diag(coef[:, l, j]) rhs``, ``coef[p]``
+    the sum of ``sigma_i v[:, i] v[:, i]^H`` over the terms of ``u[p]``, and
+    of ``K`` the core's Gram times ``B[l, j]``.  Both are formed one block of
+    the core's rows (see :func:`_row_blocks`) and one entry of ``B`` at a time.
     """
-    g = f[:m]
-    rhs = np.conj(g, out=g) if m == len(f) else np.conj(g)
+    _, matrix = _factors(dec.kernel)
+    p, v = dec.p[:m], dec.v[:, :m].T
+    rhs = rhs[: int(p.max(initial=-1)) + 1]
+    coef = np.zeros((len(rhs), *matrix.shape), dtype=dec.v.dtype)
+    np.add.at(coef, p, dec.sigmas[:m, None, None] * v[:, :, None] * np.conj(v[:, None, :]))
+    c = dec.u.shape[2]
     worst = []
-    for rows in _row_blocks(len(resid)):
-        # conj(conj(F)^T Sigma) is F^T Sigma bit for bit, as sigma is real
-        scaled = rhs.T[rows] * sigmas[:m]
-        series = np.conj(scaled, out=scaled) @ rhs
-        worst.append(np.max(np.abs(np.subtract(resid[rows], series, out=series)), initial=0.0))
+    for rows in _row_blocks(rhs.shape[1]):
+        gram = _flat(dec.nu.core_gram[np.ix_(idx[rows.start // c : -(-rows.stop // c)], idx)])
+        block = gram[rows.start % c :][: rows.stop - rows.start]
+        for (l, j), b in np.ndenumerate(matrix):
+            # conj(conj(U)^T conj(coef)) is U^T coef bit for bit
+            scaled = rhs.T[rows] * np.conj(coef[:, l, j])
+            series = np.conj(scaled, out=scaled) @ rhs
+            worst.append(np.max(np.abs(np.subtract(block * b, series, out=series)), initial=0.0))
     return float(np.max(worst))  # where max() would pass over a nan, np.max keeps it
 
 
@@ -175,7 +179,7 @@ def project(section: RKHSElement, dec: SpectralDecomposition) -> RKHSElement:
                 f"atom {label!r} lies outside the measure support; "
                 "the section has no spectral representation"
             )
-        coeffs += np.conj(dec.funcs[:, ix, :]) @ np.asarray(_section_vector(label, y, dec.n), dtype=complex)
+        coeffs += np.conj(_values(dec, [ix])[:, 0]) @ np.asarray(_section_vector(label, y, dec.n), dtype=complex)
     coeffs *= np.sqrt(dec.sigmas)
     return RKHSElement.spectral(coeffs)
 
@@ -219,9 +223,11 @@ def _check_component(dec: SpectralDecomposition, j: int) -> None:
 
 
 def extract_frame(dec: SpectralDecomposition, j: int) -> ScalarFrame:
-    """Frame of component ``j`` (zero-based) of the scaled eigenfunctions."""
+    """Frame of component ``j`` (zero-based) of the scaled eigenfunctions, off the factors: ``u`` times ``v[j, i]``."""
     _check_component(dec, j)
-    values = np.sqrt(dec.sigmas)[:, None] * dec.funcs[:, :, j]
+    c, jb = divmod(j, len(dec.v))
+    values = dec.u[dec.p, :, c] if len(dec.v) == 1 else dec.u[dec.p, :, c] * dec.v[jb][:, None]
+    values *= np.sqrt(dec.sigmas)[:, None]
     return ScalarFrame(dec.space.labels, _readonly(values))
 
 

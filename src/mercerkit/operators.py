@@ -22,7 +22,6 @@ from .kernels import (
     _factors,
     _flat,
     _hermitian,
-    _kernel_blocks,
     _readonly,
     _require_hermitian,
     _spectral_norms,
@@ -121,13 +120,13 @@ def assemble_operator(space: AtomSpace, kernel: MatrixKernel, nu: RescaledMeasur
     return DiscreteOperator(space, kernel, nu, _readonly(pos), _readonly(matrix))
 
 
-def _normalize_phase(vectors: np.ndarray) -> np.ndarray:
-    """Rotate each column in place so its first entry above ``1e-12`` of the column's peak magnitude is real positive.
+def _normalize_phase(vectors: np.ndarray, floor: float | np.ndarray = 1e-12) -> np.ndarray:
+    """Rotate each column in place so its first entry above ``floor`` of the column's peak magnitude is real positive.
 
-    Every column must be nonzero, as an eigenvector is.  Returns ``vectors``.
+    ``floor`` may be one per column.  Every column must be nonzero, as an eigenvector is.  Returns ``vectors``.
     """
     mags = np.abs(vectors)
-    first = np.argmax(mags > 1e-12 * mags.max(axis=0), axis=0)
+    first = np.argmax(mags > floor * mags.max(axis=0), axis=0)
     lead = vectors[first, np.arange(vectors.shape[1])]
     # hypot, as abs() of one complex number computes it; np.abs of a complex array can differ in the last bit
     vectors *= np.conj(lead / np.hypot(lead.real, lead.imag))
@@ -136,23 +135,26 @@ def _normalize_phase(vectors: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class SpectralDecomposition:
-    """Eigenvalues and per-atom eigenfunction values of the discrete operator.
+    """Eigenvalues of the discrete operator and its eigenfunctions, held as factors.
 
     ``sigmas`` is sorted descending and keeps only eigenvalues above the rank
-    cutoff.  ``funcs[i, x]`` holds the value of eigenfunction ``i`` at atom
-    ``x`` as a vector with one entry per kernel component; values at atoms
-    outside the operator (zero rescaled weight) come from the kernel-sum
-    extension and agree with the continuous representative.  ``funcs`` has
-    the dtype of the solve: float64 for a real core with a real ``B`` (the
-    built-in scalar kernels, sums of them, and separable kernels of them
-    whose ``B`` has no imaginary part), complex otherwise.
+    cutoff.  Eigenfunction ``i`` at atom ``x`` is ``u[p[i], x] (x) v[:, i]``
+    (see :func:`_factors`): ``u``, ``(count, N, c)``, holds the core's
+    eigenfunctions that kept eigenpairs use, extended to atoms of zero
+    rescaled weight; ``v[:, i]`` is eigenpair ``i``'s eigenvector of ``B``,
+    phased for it, and ``[1]`` for a ``1 x 1`` ``B`` (``[[1]]`` for a kernel
+    that is not separable).  ``funcs``, the values ``(rank, N, n)``, is formed
+    when first read, in the dtype of the solve: float64 for a real core with
+    a real ``B``, complex otherwise.
     """
 
     space: AtomSpace
     kernel: MatrixKernel
     nu: RescaledMeasure
     sigmas: np.ndarray
-    funcs: np.ndarray
+    u: np.ndarray
+    v: np.ndarray
+    p: np.ndarray
     # the eigenvalue sum of the whole positive spectrum the decomposition was cut from, which
     # trace_check reads; None for one not cut from a solve, whose own sigmas are summed
     _positive_sum: float | None = None
@@ -170,6 +172,20 @@ class SpectralDecomposition:
         """Mask of the atoms in the measure support (see :func:`mercerkit.space.support`)."""
         return _zero_mass_support(self.space, self.kernel, self.nu.core_gram)
 
+    @cached_property
+    def funcs(self) -> np.ndarray:
+        """``funcs[i, x]``, the value of eigenfunction ``i`` at atom ``x``: ``u`` itself where ``v`` is ones and ``p`` counts up."""
+        if len(self.v) == 1 and np.array_equal(self.p, np.arange(self.rank)):
+            return self.u[: self.rank]
+        return _readonly(_values(self, np.arange(len(self.space))))
+
+
+def _values(dec: SpectralDecomposition, rows: np.ndarray) -> np.ndarray:
+    """The eigenfunctions' values at the atoms at ``rows``, shape ``(rank, len(rows), n)``."""
+    u = dec.u[np.ix_(dec.p, rows)]
+    # v of one row is ones: u keeps its bits, where a complex product by 1 would turn inf + 0j into nan parts
+    return u if len(dec.v) == 1 else (u[..., None] * dec.v.T[:, None, None, :]).reshape(dec.rank, len(rows), dec.n)
+
 
 def _cutoff(sigmas: np.ndarray, rank_cutoff: float | None) -> float:
     """Eigenvalues at or below this are dropped; ``sigmas`` is in descending order."""
@@ -181,16 +197,18 @@ def _cutoff(sigmas: np.ndarray, rank_cutoff: float | None) -> float:
     return cutoff
 
 
-def _eigenpairs(op: DiscreteOperator, rank_cutoff: float | None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Eigenvalues of the operator above the cutoff, descending, their eigenvectors as columns, and the whole positive spectrum.
+def _eigenpairs(op: DiscreteOperator, rank_cutoff: float | None) -> tuple[np.ndarray, ...]:
+    """Eigenvalues of the operator above the cutoff, descending, their factors, and the whole positive spectrum.
 
     The operator is ``op.matrix (x) B`` (index ``x*n + l``), so its
     eigenpairs are products of the factors', each factor clipped at zero (two
     negative rounding-level eigenvalues make no positive product).  A stable
     sort from ``op.matrix``'s descending order keeps the eigenvectors inside a
     tie in the order of the whole solve of a kernel that is not separable.
-    Eigenvectors are formed for the kept eigenvalues only; the whole positive
-    spectrum is the eigenvalues ``rank_cutoff=0.0`` keeps.
+    Eigenpair ``i`` is core eigenpair ``p[i]`` times the ``i``-th of ``B``
+    returned; the core's are returned up to the last one used, as each is
+    used with ``B``'s largest.  The whole positive spectrum is what
+    ``rank_cutoff=0.0`` keeps.
     """
     _, matrix = _factors(op.kernel)
     lam, u = np.linalg.eigh(op.matrix)
@@ -201,51 +219,54 @@ def _eigenpairs(op: DiscreteOperator, rank_cutoff: float | None) -> tuple[np.nda
     evals = products[order]
     order = order[evals > _cutoff(evals, rank_cutoff)]
     p, l = np.divmod(order, len(mu))
-    vectors = (u[:, None, p] * v[None, :, l]).reshape(len(lam) * len(mu), len(order))
-    return products[order], vectors, evals[evals > 0.0]
+    count = int(p.max(initial=-1)) + 1
+    return products[order], lam[:count], u[:, :count], p, v[:, l], evals[evals > 0.0]
 
 
 def eigendecompose(op: DiscreteOperator, rank_cutoff: float | None = None) -> SpectralDecomposition:
-    """Diagonalize the operator and build eigenfunctions on every atom.
+    """Diagonalize the operator and build its eigenfunctions' factors on every atom.
 
     Eigenvalues at or below ``rank_cutoff`` are dropped (default: relative
     cutoff ``sigma_1 * 1e-12``; pass ``0.0`` to keep the full positive
-    spectrum).  Each eigenvector is normalized so its first nonzero entry is
-    real positive, which makes outputs deterministic up to eigenvalue ties.
-    The operator is solved through its factors ``op.matrix`` and ``B``; a
-    real ``op.matrix`` gets a real eigensolve, and with a real ``B`` the
-    eigenfunctions stay real.
+    spectrum).  Each eigenvector's first entry above ``1e-12`` of its peak is
+    made real positive, which makes outputs deterministic up to eigenvalue
+    ties: the core's eigenvector takes the sign (or phase) at its own first
+    such entry, ``B``'s at its first entry where the product clears the
+    threshold.  A real ``op.matrix`` gets a real eigensolve, and with a real
+    ``B`` the eigenfunctions stay real.
 
-    Eigenfunctions are built for the kept eigenpairs only, each equal bit for
-    bit to the one a lower cutoff gives: the result is ``truncate(
-    eigendecompose(op, 0.0), rank_cutoff)``.  The eigenvectors' phases are
-    normalized and their values divided by ``sqrt(nu)`` in place, so one
-    matrix of kept eigenvectors is held besides ``funcs``.
+    Factors are built for the kept eigenpairs only, in the core's space, each
+    equal bit for bit to the one a lower cutoff gives: ``funcs`` are those of
+    ``truncate(eigendecompose(op, 0.0), rank_cutoff)``.  No eigenvector of
+    the product is formed; the extension to zero-mass atoms uses ``B v = mu v``.
     """
-    sigmas, vectors, positive = _eigenpairs(op, rank_cutoff)
-    space, kernel, nu = op.space, op.kernel, op.nu
-    rank, pos = int(sigmas.shape[0]), op.indices
+    sigmas, lam, vectors, p, v, positive = _eigenpairs(op, rank_cutoff)
+    space, nu, pos = op.space, op.nu, op.indices
+    count, c = vectors.shape[1], _factors(op.kernel)[0].n
     zero = np.flatnonzero(nu.weights <= 0)
 
-    f_pos = _normalize_phase(vectors).T.reshape(rank, len(pos), kernel.n)
-    f_pos /= np.sqrt(nu.weights[pos])[None, :, None]
-    funcs = np.zeros((rank, len(space.labels), kernel.n), dtype=vectors.dtype)
-    funcs[:, pos, :] = f_pos
-    if rank and zero.size:
-        funcs[:, zero, :] = _extend(op, zero, f_pos, sigmas)
-    return SpectralDecomposition(space, kernel, nu, _readonly(sigmas), _readonly(funcs), float(np.sum(positive)))
+    peak = np.abs(_normalize_phase(vectors)).max(axis=0)
+    lead = np.abs(vectors[np.argmax(np.abs(vectors) > 1e-12 * peak, axis=0), np.arange(count)]) / peak
+    v = _normalize_phase(v, 1e-12 / lead[p])  # |u_p(x0) v_l[j]| above 1e-12 of the product's peak
+    u_pos = vectors.T.reshape(count, len(pos), c)
+    u_pos /= np.sqrt(nu.weights[pos])[None, :, None]
+    u = np.zeros((count, len(space.labels), c), dtype=vectors.dtype)
+    u[:, pos, :] = u_pos
+    if count and zero.size:
+        u[:, zero, :] = _extend(op, zero, u_pos, lam)
+    return SpectralDecomposition(space, op.kernel, nu, *map(_readonly, (sigmas, u, v, p)), float(np.sum(positive)))
 
 
 def _extend(op: DiscreteOperator, rows: np.ndarray, f_pos: np.ndarray, sigmas: np.ndarray) -> np.ndarray:
-    """Kernel-sum extension ``(1 / sigma_i) sum_t K(x,t) f_i(t) nu_t`` at the atoms at ``rows``.
+    """Kernel-sum extension ``(1 / sigma_i) sum_t k(x,t) f_i(t) nu_t`` of the core ``k`` at the atoms at ``rows``.
 
     The sum runs over the positive-weight atoms of ``op``; ``f_pos`` holds
-    the eigenfunction values there, shape ``(rank, P, n)``.  The result has
-    shape ``(rank, len(rows), n)``, and is real when ``f_pos`` and the
-    kernel's blocks are.
+    the eigenfunction values there, shape ``(count, P, c)``.  The result has
+    shape ``(count, len(rows), c)``, and is real when ``f_pos`` and the
+    core's blocks are.
     """
     pos = op.indices
-    weighted = _flat(_kernel_blocks(op.nu.core_gram, op.kernel, rows, pos) * op.nu.weights[pos][None, :, None, None]).T
+    weighted = _flat(op.nu.core_gram[np.ix_(rows, pos)] * op.nu.weights[pos][None, :, None, None]).T
     f = f_pos.reshape(len(sigmas), -1)
     values = np.empty((len(sigmas), weighted.shape[1]), dtype=np.result_type(f, weighted))
     # column-major, as eigendecompose's f_pos is: each product reads its operand in the layout it has there
@@ -263,7 +284,7 @@ def truncate(dec: SpectralDecomposition, rank_cutoff: float | None = None) -> Sp
     """Drop eigenpairs at or below a new cutoff without re-diagonalizing."""
     keep = int(np.sum(dec.sigmas > _cutoff(dec.sigmas, rank_cutoff)))
     return SpectralDecomposition(
-        dec.space, dec.kernel, dec.nu, dec.sigmas[:keep], dec.funcs[:keep], dec._positive_sum
+        dec.space, dec.kernel, dec.nu, dec.sigmas[:keep], dec.u, dec.v[:, :keep], dec.p[:keep], dec._positive_sum
     )
 
 

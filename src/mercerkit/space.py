@@ -169,22 +169,24 @@ def pseudo_metric(space: AtomSpace, kernel: MatrixKernel, blocks: np.ndarray | N
     ``K(x,x) + K(t,t) - K(x,t) - K(t,x)``, which equals the squared operator
     gap ``sup_{|y| <= 1} |K_x y - K_t y|`` of the section maps, read off the core's Gram ``blocks`` if given.
     """
-    d, tol = _distances(space, kernel, gram(_factors(kernel)[0], space) if blocks is None else blocks)
-    return PseudoMetricMatrix(_mirror_upper(d), tol)
+    blocks = gram(_factors(kernel)[0], space) if blocks is None else blocks
+    upper, tol = _distances(kernel, blocks, *np.triu_indices(len(space), 1))  # the pairs x < t only
+    d = np.zeros((len(space), len(space)))
+    d[np.triu_indices(len(space), 1)] = upper
+    return PseudoMetricMatrix(_readonly(d + d.T), tol)
 
 
 def _distances(
-    space: AtomSpace, kernel: MatrixKernel, blocks: np.ndarray, rows: np.ndarray | None = None
+    kernel: MatrixKernel, blocks: np.ndarray, rows: np.ndarray, cols: np.ndarray
 ) -> tuple[np.ndarray, float]:
-    """Kernel distance from each atom at ``rows`` (default all) to every atom, and the metric's zero threshold.
+    """Kernel distance between the atoms at the broadcast index arrays ``rows`` and ``cols``, and the zero threshold.
 
     Both are read off the core's Gram ``blocks`` and scaled by ``||B||_2``,
     the spectral norm of the Hermitian part of ``B`` (see :func:`_factors`).
     """
-    sub = slice(None) if rows is None else rows
     _, matrix = _factors(kernel)
     diag = np.einsum("xxlj->xlj", blocks)
-    delta = (diag[sub, None] + diag[None, :]) - (blocks[sub] + blocks[:, sub].swapaxes(0, 1))
+    delta = (diag[rows] + diag[cols]) - (blocks[rows, cols] + blocks[cols, rows])
     b_norm = float(_spectral_norms(matrix))
     return _root_of_product(_spectral_norms(delta), b_norm), _quotient_tol(_spectral_norms(diag), b_norm)
 
@@ -267,7 +269,7 @@ def _zero_mass_support(space: AtomSpace, kernel: MatrixKernel, blocks: np.ndarra
     """
     # the distances as pseudo_metric computes them, on the zero-mass rows only
     zero = np.flatnonzero(space.mu <= 0)
-    d, tol = _distances(space, kernel, blocks, zero)
+    d, tol = _distances(kernel, blocks, zero[:, None], np.arange(len(space)))
     z, t = np.nonzero(d <= tol)
     return _holding_mass(space, _components(len(space), zero[z], t))
 

@@ -117,6 +117,14 @@ def delta_kernel(n: int = 1) -> MatrixKernel:
     return MatrixKernel(n=n, eval=ev, label=f"delta({n})")
 
 
+def rank_deficient_table(rng: np.random.Generator, n_atoms: int, rank: int, n: int = 2) -> MatrixKernel:
+    """A complex block table ``F^H F`` of ``rank`` random rows, held as a kernel that looks its blocks up."""
+    f = (rng.standard_normal((rank, n_atoms * n)) + 1j * rng.standard_normal((rank, n_atoms * n))) / np.sqrt(rank)
+    flat = f.conj().T @ f
+    blocks = (0.5 * (flat + flat.conj().T)).reshape(n_atoms, n, n_atoms, n).transpose(0, 2, 1, 3).copy()
+    return MatrixKernel(n, label="table", batch=lambda space, rows, cols: blocks[np.ix_(rows, cols)])
+
+
 def decompose_space(space: AtomSpace, spec, rank_cutoff: float | None = None) -> SpectralDecomposition:
     """Full pipeline shorthand: build, rescale, assemble, diagonalize."""
     kernel = build_kernel(spec) if isinstance(spec, dict) else spec

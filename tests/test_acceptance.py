@@ -141,6 +141,7 @@ def test_criterion_05_orthonormal_feature_family():
     worst_hk = 0.0
     worst_l2 = 0.0
     spot_ok = True
+    worst_imag, least_real = 0.0, np.inf
     for _, spec in ZOO:
         space = random_space(rng, 12, dim=2)
         full = decompose_space(space, spec)
@@ -177,12 +178,24 @@ def test_criterion_05_orthonormal_feature_family():
         # L2(nu) orthonormality F* D F = I at the default cutoff
         l2_gram = np.einsum("ixl,kxl,x->ik", full.funcs, np.conj(full.funcs), weights)
         worst_l2 = max(worst_l2, float(np.max(np.abs(l2_gram - np.eye(full.rank)))) / tol_eig)
-    ok = worst_hk <= 1.0 and worst_l2 <= 1.0 and spot_ok
+
+        # phase convention: each eigenvector's first entry above 1e-12 of its peak is real positive
+        pos = weights > 0
+        vectors = (full.funcs[:, pos, :] * np.sqrt(weights[pos])[None, :, None]).reshape(full.rank, -1)
+        mags = np.abs(vectors)
+        peaks = mags.max(axis=1)
+        lead = vectors[np.arange(full.rank), np.argmax(mags > 1e-12 * peaks[:, None], axis=1)] / peaks
+        worst_imag = max(worst_imag, float(np.max(np.abs(lead.imag))))
+        least_real = min(least_real, float(np.min(lead.real)))
+    phase_ok = worst_imag <= 1e-12 and least_real > 0.0
+    ok = worst_hk <= 1.0 and worst_l2 <= 1.0 and spot_ok and phase_ok
     _verdict(
         5,
         "orthonormal feature family",
         ok,
-        f"kernel-space Gram at {worst_hk:.2e} of tolerance, measure-space at {worst_l2:.2e}, spot checks {spot_ok}",
+        f"kernel-space Gram at {worst_hk:.2e} of tolerance, measure-space at {worst_l2:.2e}, spot checks {spot_ok}, "
+        f"leading entries real positive: imaginary part at most {worst_imag:.1e}, real part at least {least_real:.2e} "
+        "of the peak",
     )
 
 

@@ -8,7 +8,16 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import NEAR_MAX_SEPARABLE, ZOO, ZOO_IDS, decompose_space, delta_kernel, random_space, space_from
+from conftest import (
+    NEAR_MAX_SEPARABLE,
+    ZOO,
+    ZOO_IDS,
+    decompose_space,
+    delta_kernel,
+    random_space,
+    rank_deficient_table,
+    space_from,
+)
 from mercerkit import (
     AtomFileError,
     AtomSpace,
@@ -25,7 +34,7 @@ from mercerkit import (
     write_precomputed,
 )
 from mercerkit import space as space_module
-from mercerkit.kernels import _factors
+from mercerkit.kernels import _factors, _spectral_norms
 from mercerkit.space import _zero_mass_support
 
 
@@ -505,3 +514,18 @@ def test_trace_distances_whose_squares_overflow_are_finite():
         metric = pseudo_metric_prime(space, kernel)
     assert metric.d[0, 1] == pytest.approx(math.sqrt(4.0 * (1.0 - math.exp(-1.0))) * 1e154, rel=1e-15)
     assert metric.quotient_tol == pytest.approx(1e-9 * (1.0 + 1e154))
+
+
+@pytest.mark.parametrize("name", ["gaussian", "complex_table", "separable_complex"])
+def test_metric_of_the_upper_pairs_is_the_full_one_mirrored(name):
+    # pseudo_metric computes the N (N - 1) / 2 pairs it keeps, not all N^2
+    rng = np.random.default_rng(3)
+    space = random_space(rng, 40, dim=2, zero_mass=5)
+    kernel = rank_deficient_table(rng, 40, 6) if name == "complex_table" else build_kernel(dict(ZOO)[name])
+    blocks = gram(_factors(kernel)[0], space)
+    diag = np.einsum("xxlj->xlj", blocks)
+    delta = (diag[:, None] + diag[None, :]) - (blocks + blocks.swapaxes(0, 1))
+    b_norm = float(_spectral_norms(_factors(kernel)[1]))
+    full = space_module._mirror_upper(space_module._root_of_product(_spectral_norms(delta), b_norm))
+    assert pseudo_metric(space, kernel).d.tobytes() == full.tobytes()
+    assert pseudo_metric(space, kernel, blocks).d.tobytes() == full.tobytes()

@@ -1,11 +1,12 @@
 """Working memory of the spectral stages.
 
-``eigendecompose`` builds eigenfunctions for the kept eigenpairs only, on the
-memory of its matrix of eigenvectors; the CLI's decomposition is cut from one
-solve with no larger array behind it; ``reconstruction_error`` forms the
-series of its full-rank row a block of rows at a time; ``synthesize --frames``
-keeps the frames it reads only until they are aligned.  Peaks are read with
-``tracemalloc``, which sees numpy's allocations.
+``eigendecompose`` builds the factors of the kept eigenpairs only, in the
+core's space, and forms no eigenvector of the product; the CLI's
+decomposition is cut from one solve with no larger array behind it;
+``reconstruction_error`` reads the factors, forming neither ``funcs`` nor the
+subset's whole Gram, and the series of its full-rank row a block of rows at a
+time; ``synthesize --frames`` keeps the frames it reads only until they are
+aligned.  Peaks are read with ``tracemalloc``, which sees numpy's allocations.
 """
 
 from __future__ import annotations
@@ -17,13 +18,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import ZOO, ZOO_IDS, random_space
+from conftest import ZOO, ZOO_IDS, random_space, rank_deficient_table
 from mercerkit import (
     MatrixKernel,
     assemble_operator,
     build_kernel,
     eigendecompose,
-    gram,
     read_frame,
     reconstruction_error,
     rescale_measure,
@@ -54,21 +54,15 @@ def _operator(space, kernel):
     return assemble_operator(space, kernel, rescale_measure(space, kernel))
 
 
-def rank_deficient_table(rng: np.random.Generator, n_atoms: int, rank: int, n: int = 2) -> MatrixKernel:
-    """A complex block table ``F^H F`` of ``rank`` random rows, held as a kernel that looks its blocks up."""
-    f = (rng.standard_normal((rank, n_atoms * n)) + 1j * rng.standard_normal((rank, n_atoms * n))) / np.sqrt(rank)
-    flat = f.conj().T @ f
-    blocks = (0.5 * (flat + flat.conj().T)).reshape(n_atoms, n, n_atoms, n).transpose(0, 2, 1, 3).copy()
-    return MatrixKernel(n, label="table", batch=lambda space, rows, cols: blocks[np.ix_(rows, cols)])
-
-
-def test_eigendecompose_holds_one_matrix_of_eigenvectors_besides_funcs():
-    # the phases were normalized into a product and the division by sqrt(nu) into another copy:
-    # 4.1 times funcs, now 2.5 (funcs, the eigenvectors and the extension to the zero-mass atoms)
+def test_eigendecompose_holds_no_eigenvector_of_the_product():
+    # the (P n) x rank complex eigenvectors of the product were formed and copied into funcs: a
+    # peak of 2.5 times funcs, 3.2 times one such matrix; the factors hold the core's P x P solve
     space = random_space(np.random.default_rng(5), 100, dim=3, zero_mass=20)
-    dec, peak = _peak(eigendecompose, _operator(space, build_kernel(SEPARABLE3)))
-    assert dec.rank == 240
-    assert peak <= 3 * dec.funcs.nbytes
+    op = _operator(space, build_kernel(SEPARABLE3))
+    dec, peak = _peak(eigendecompose, op)
+    assert dec.rank == 240 and dec.funcs.dtype == np.complex128
+    assert peak < op.matrix.shape[0] * dec.n * dec.rank * np.dtype(complex).itemsize
+    assert dec.u.shape == (len(op.indices), len(space), 1) and dec.u.dtype == np.float64
 
 
 def test_full_rank_error_row_holds_no_whole_series():
@@ -81,6 +75,18 @@ def test_full_rank_error_row_holds_no_whole_series():
     rows = np.count_nonzero(dec.support) * dec.n
     assert table[0][1] <= 1e-12
     assert peak <= 4 * rows * rows * np.dtype(complex).itemsize
+
+
+def test_error_table_holds_neither_the_whole_gram_nor_a_copy_of_funcs():
+    # the (S n)^2 residual, a rank x S n copy of funcs and the running diagonal sums of every
+    # eigenpair: 3.3 times the residual; each is now formed a block of rows at a time
+    space = random_space(np.random.default_rng(5), 100, dim=3, zero_mass=20)
+    dec = eigendecompose(_operator(space, build_kernel(SEPARABLE3)))
+    dec.support  # cached: its distances are not the error table's
+    table, peak = _peak(reconstruction_error, dec)
+    rows = np.count_nonzero(dec.support) * dec.n
+    assert len(table) == dec.rank + 1 and table[-1][1] <= 1e-12
+    assert peak < min(rows * rows, dec.rank * rows) * np.dtype(complex).itemsize
 
 
 CASES = [build_kernel(spec) for _, spec in ZOO] + [rank_deficient_table(np.random.default_rng(7), 14, 5)]
@@ -120,25 +126,43 @@ def test_cli_spectrum_funcs_have_no_larger_array_behind_them():
     _, dec, trace = cli._spectrum(args)
     full = eigendecompose(_operator(space, kernel), 0.0)
     assert dec.rank == 5 < full.rank
+    assert len(dec.u) == dec.rank and (dec.u.base is None or dec.u.base.nbytes <= dec.u.nbytes)
     assert dec.funcs.base is None or dec.funcs.base.nbytes <= dec.funcs.nbytes
     assert trace == trace_check(full)
 
 
 def whole_product_error(dec, labels) -> float:
-    """The full-rank row as one matrix product of every row: ``max |G - F^T Sigma conj(F)|``."""
+    """The full-rank row as one matrix product of every row of the core per entry of ``B``.
+
+    ``max |G b_lj - U^T diag(c_lj) conj(U)|``, ``U`` the core's eigenfunctions at the atoms, flat
+    ``(x, c)``, and ``c_lj[p]`` the sum of ``sigma_i v[l, i] conj(v[j, i])`` over the eigenpairs of ``p``.
+    """
     idx = [dec.space.index(label) for label in labels]
-    size = len(idx) * dec.n
-    resid = gram(dec.kernel, dec.space, idx).transpose(0, 2, 1, 3).reshape(size, size)
-    f = dec.funcs[:, idx, :].reshape(dec.rank, size)
-    return float(np.max(np.abs(resid - (f.T * dec.sigmas) @ np.conj(f)), initial=0.0))
+    u = dec.u[:, idx, :].reshape(len(dec.u), -1).astype(complex)
+    g = kernels._flat(dec.nu.core_gram[np.ix_(idx, idx)])
+    worst = 0.0
+    for (l, j), b in np.ndenumerate(kernels._factors(dec.kernel)[1]):
+        coef = np.zeros(len(u), dtype=complex)
+        np.add.at(coef, dec.p, dec.sigmas * dec.v[l] * np.conj(dec.v[j]))
+        worst = max(worst, float(np.max(np.abs(g * b - (u.T * coef) @ np.conj(u)), initial=0.0)))
+    return worst
 
 
 @pytest.mark.parametrize("atoms", [67, 35, 3])
 def test_error_row_in_blocks_is_the_whole_product(atoms):
-    # S n = 134 and 70 rows: 64-row blocks would leave a tail of 6 rows, a product that BLAS
-    # may sum differently (one row is a matrix-vector product); 6 rows are one block
+    # the core's S = 134 and 70 rows (each atom twice): 64-row blocks would leave a tail of 6 rows,
+    # a product that BLAS may sum differently (one row is a matrix-vector product); 6 rows are one block
     space = random_space(np.random.default_rng(17), 80, dim=2, zero_mass=8)
     dec = eigendecompose(_operator(space, build_kernel(dict(ZOO)["separable_complex"])))
+    subset = list(space.labels[:atoms]) * 2
+    assert reconstruction_error(dec, subset, [dec.rank]) == [(dec.rank, whole_product_error(dec, subset))]
+
+
+@pytest.mark.parametrize("atoms", [67, 35, 3])
+def test_error_row_of_a_complex_table_in_blocks_is_the_whole_product(atoms):
+    # a core of n = 2 components: S n = 134 and 70 rows
+    space = random_space(np.random.default_rng(17), 80, dim=2, zero_mass=8)
+    dec = eigendecompose(_operator(space, rank_deficient_table(np.random.default_rng(31), 80, 40)))
     subset = list(space.labels[:atoms])
     assert reconstruction_error(dec, subset, [dec.rank]) == [(dec.rank, whole_product_error(dec, subset))]
 
@@ -166,7 +190,9 @@ def test_synthesize_frees_the_frames_it_reads_once_they_are_aligned(tmp_path):
     kernel.write_text(json.dumps(SEPARABLE3))
     assert cli.main(["frames", "--atoms", str(atoms), "--kernel", str(kernel), "--out", str(frames)]) == 0
     paths = [str(frames / f"frame_j{j}.csv") for j in range(3)]
-    values = sum(read_frame(path).values.nbytes for path in paths)
+    # the family they are aligned into is complex: frame_j0 is read as real, as each eigenvector
+    # of B takes its phase at its first entry, and that entry is real
+    values = sum(read_frame(path).values.size for path in paths) * np.dtype(complex).itemsize
     tables._tables()  # the renderer's lookup tables, built once per process
     argv = ["synthesize", "--atoms", str(atoms), "--frames", *paths, "--out", str(tmp_path / "out")]
     code, peak = _peak(cli.main, argv)

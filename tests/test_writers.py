@@ -87,6 +87,11 @@ def _bits(values) -> bytes:
     return np.ascontiguousarray(values, dtype=complex).tobytes()
 
 
+def _factored(funcs):
+    """Factors ``u, v, p`` of a decomposition whose eigenfunctions are ``funcs`` bit for bit: ``v`` all ones."""
+    return funcs, np.ones((1, len(funcs))), np.arange(len(funcs))
+
+
 def _space() -> AtomSpace:
     return AtomSpace(LABELS, np.arange(2.0 * len(LABELS)).reshape(-1, 2), np.ones(len(LABELS)))
 
@@ -96,7 +101,7 @@ def test_write_eigenfunctions_bytes(tmp_path):
     kernel = build_kernel({"type": "diagonal", "blocks": [{"type": "gaussian", "gamma": 1.0}] * 2})
     sigmas = np.array([1e16, 0.1, 1e-5, 5e-324])
     funcs = _values((len(sigmas), len(space), 2))
-    dec = SpectralDecomposition(space, kernel, rescale_measure(space, kernel), sigmas, funcs)
+    dec = SpectralDecomposition(space, kernel, rescale_measure(space, kernel), sigmas, *_factored(funcs))
     path = tmp_path / "eigenfunctions.csv"
     write_eigenfunctions(dec, path)
     assert path.read_bytes() == _reference(_eigenfunction_rows(funcs, space.labels))
@@ -175,7 +180,7 @@ def test_write_eigenfunctions_across_render_batches(tmp_path, monkeypatch):
     rank = 3 * (tables._BUDGET // (2 * tables._FLOAT_BYTES)) // per_index + 1
     sigmas = np.linspace(1.0, 0.5, rank)
     funcs = _values((rank, len(space), 2))
-    dec = SpectralDecomposition(space, kernel, rescale_measure(space, kernel), sigmas, funcs)
+    dec = SpectralDecomposition(space, kernel, rescale_measure(space, kernel), sigmas, *_factored(funcs))
     batches = []
 
     def render(values):
@@ -226,7 +231,7 @@ def test_real_eigenfunctions_write_the_bytes_of_their_complex_cast(tmp_path):
     spec = {"type": "separable", "matrix": [[2.0, 0.5], [0.5, 1.0]], "scalar": {"type": "gaussian", "gamma": 0.8}}
     dec = decompose_space(space, spec)
     assert dec.funcs.dtype == np.float64
-    cast = SpectralDecomposition(dec.space, dec.kernel, dec.nu, dec.sigmas, dec.funcs.astype(complex))
+    cast = SpectralDecomposition(dec.space, dec.kernel, dec.nu, dec.sigmas, *_factored(dec.funcs.astype(complex)))
     for d, name in ((dec, "real"), (cast, "cast")):
         (tmp_path / name).mkdir()
         write_eigenfunctions(d, tmp_path / name / "eigenfunctions.csv")
