@@ -71,9 +71,10 @@ class MatrixKernel:
 
     ``batch(space, rows, cols)``, when present, returns the blocks for every
     pair of the atoms of ``space`` at the index arrays ``rows`` and ``cols``
-    (either may be empty) as a new array of shape ``(len(rows), len(cols), n,
-    n)``; it is what :func:`gram` uses, and it gets ``cols is rows`` when the
-    two sets are the same.  Without it, blocks come from ``eval(x, t)`` on
+    (either may be empty) as an array of shape ``(len(rows), len(cols), n,
+    n)``: a new array, or a read-only view of values the kernel holds.  It is
+    what :func:`gram` uses, and it gets ``cols is rows`` when the two sets are
+    the same.  Without it, blocks come from ``eval(x, t)`` on
     :class:`Atom` pairs, one pair at a time.  Built-in kernels carry only
     ``batch``.
 
@@ -173,10 +174,12 @@ def gram(
     ``rows`` and ``cols`` are integer index arrays into the atoms; ``rows``
     defaults to every atom, and ``cols`` to the same atoms as ``rows``, which
     keeps a built-in kernel's product of a set with itself exactly Hermitian.
-    Returns a new real or complex array of shape ``(len(rows), len(cols), n,
-    n)``, with the same dtype whether or not a set is empty; the blocks of the
-    built-in scalar kernels, of sums of them and of kernels synthesized from
-    real frames are real.
+    Returns a real or complex array of shape ``(len(rows), len(cols), n,
+    n)``, with the same dtype whether or not a set is empty: a new array, or a
+    read-only view of values the kernel holds (a precomputed table over its
+    own atoms in its order is the table itself).  The blocks of the built-in
+    scalar kernels, of sums of them and of kernels synthesized from real
+    frames are real.
     """
     rows = np.arange(len(space)) if rows is None else np.asarray(rows, dtype=np.intp)
     cols = rows if cols is None else np.asarray(cols, dtype=np.intp)
@@ -537,7 +540,10 @@ def read_precomputed(path: str | Path) -> MatrixKernel:
     are zero-based, and a component index ``k`` needs ``(k+1)^2 <= 2 * rows``
     data rows, which every complete table has.  The table is built dense, one
     block per pair of atoms; if that does not fit in memory,
-    :class:`KernelSpecError` names the path, as given, and the shape.
+    :class:`KernelSpecError` names the path, as given, and the shape.  Over
+    the table's own atoms in its order, the kernel's ``batch`` of a set with
+    itself returns the read-only table itself, and a copy of its blocks over
+    any other atoms or order.
     """
     rows, index = _read_table(path, _PRECOMPUTED_ROW, KernelSpecError, _COMPONENTS, need_rows=True)
     size, n = len(index), int(max(rows["l"].max(), rows["j"].max())) + 1
@@ -572,7 +578,8 @@ def read_precomputed(path: str | Path) -> MatrixKernel:
             a, b = np.argwhere(~ok)[0]
             x, t = space.labels[rows[a]], space.labels[cols[b]]
             raise KernelEvaluationError(f"precomputed kernel has no entry for pair ({x!r}, {t!r})")
-        return table[ix, it]
+        # the table's own atoms in its order, as every subcommand evaluates them: the table itself, not a copy
+        return table if cols is rows and np.array_equal(ix[:, 0], np.arange(size)) else table[ix, it]
 
     return MatrixKernel(n, label=f"precomputed({Path(path).name})", batch=batch)
 

@@ -28,7 +28,7 @@ from .kernels import (
     gram,
 )
 from .space import AtomSpace, _zero_mass_support
-from .tables import _complex_columns, _csv_cells, _write_csv
+from .tables import _csv_cells, _write_csv
 
 __all__ = [
     "DiscreteOperator",
@@ -180,11 +180,15 @@ class SpectralDecomposition:
         return _readonly(_values(self, np.arange(len(self.space))))
 
 
+def _entries(dec: SpectralDecomposition, i: np.ndarray, x: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """``funcs[i, x, j]`` at the broadcast index arrays ``i``, ``x``, ``j``, formed from the factors."""
+    # v of one row is ones: u keeps its bits, where a complex product by 1 would turn inf + 0j into nan parts
+    return dec.u[dec.p[i], x, j] if len(dec.v) == 1 else dec.u[dec.p[i], x, 0] * dec.v[j, i]
+
+
 def _values(dec: SpectralDecomposition, rows: np.ndarray) -> np.ndarray:
     """The eigenfunctions' values at the atoms at ``rows``, shape ``(rank, len(rows), n)``."""
-    u = dec.u[np.ix_(dec.p, rows)]
-    # v of one row is ones: u keeps its bits, where a complex product by 1 would turn inf + 0j into nan parts
-    return u if len(dec.v) == 1 else (u[..., None] * dec.v.T[:, None, None, :]).reshape(dec.rank, len(rows), dec.n)
+    return _entries(dec, *np.ix_(np.arange(dec.rank), rows, np.arange(dec.n)))
 
 
 def _cutoff(sigmas: np.ndarray, rank_cutoff: float | None) -> float:
@@ -379,11 +383,21 @@ def write_eigenfunctions(dec: SpectralDecomposition, path) -> None:
     """Write ``i,atom_id,j,re,im`` rows; component index ``j`` is zero-based.
 
     Rows go out one eigenindex at a time, atoms in order, components inside.
+    Each batch of rows is formed from the factors ``u``, ``v`` and ``p``, with
+    the bits ``funcs`` has; ``funcs`` is neither read nor formed.
     """
+
+    def cells(i: np.ndarray, x: np.ndarray, j: np.ndarray) -> np.ndarray:
+        values = _entries(dec, i, x, j)
+        # the real and imaginary parts of each value, or the real value alone (see _complex_columns)
+        return values.view(float).reshape(len(i), 2) if np.iscomplexobj(values) else values[:, None]
+
+    empty = np.zeros(0, np.intp)
     columns = [
         ([str(i) for i in range(dec.rank)], 0),
         (_csv_cells(dec.space.labels), 1),
         ([str(j) for j in range(dec.n)], 2),
-        *_complex_columns(dec.funcs),
+        cells,
+        *([(["0.0"], None)] if cells(empty, empty, empty).shape[1] == 1 else []),
     ]
-    _write_csv(path, ["i", "atom_id", "j", "re", "im"], dec.funcs.shape, columns)
+    _write_csv(path, ["i", "atom_id", "j", "re", "im"], (dec.rank, len(dec.space), dec.n), columns)

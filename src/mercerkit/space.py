@@ -191,18 +191,21 @@ def _distances(
     return _root_of_product(_spectral_norms(delta), b_norm), _quotient_tol(_spectral_norms(diag), b_norm)
 
 
-def pseudo_metric_prime(space: AtomSpace, kernel: MatrixKernel) -> PseudoMetricMatrix:
+def pseudo_metric_prime(
+    space: AtomSpace, kernel: MatrixKernel, blocks: np.ndarray | None = None
+) -> PseudoMetricMatrix:
     """Trace flavour of the kernel distance.
 
     ``d'(x,t)^2 = tr K(x,x) + tr K(t,t) - 2 Re tr K(t,x)`` sums the squared
     section gaps over components, so ``d <= d' <= sqrt(n) d``.
 
-    It is read off the kernel's core (see :func:`_factors`): ``tr K = tr k *
-    tr B``.  ``tr B``, which may overflow where ``||B||_2`` does not, enters as
+    It is read off the kernel's core (see :func:`_factors`), its Gram
+    ``blocks`` if given, as in :func:`pseudo_metric`: ``tr K = tr k * tr B``.
+    ``tr B``, which may overflow where ``||B||_2`` does not, enters as
     ``||B||_2 * tr(B / ||B||_2)``, and the root as in :func:`_distances`.
     """
     core, matrix = _factors(kernel)
-    blocks = gram(core, space)
+    blocks = gram(core, space) if blocks is None else blocks
     diag = np.einsum("xxlj->xlj", blocks)
     traces = np.trace(diag, axis1=1, axis2=2).real
     cross = np.trace(blocks, axis1=2, axis2=3).real.T

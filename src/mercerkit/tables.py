@@ -433,7 +433,7 @@ def _write_csv(
     path: str | Path,
     header: Sequence[str],
     shape: tuple[int, ...],
-    columns: Sequence[np.ndarray | tuple[Sequence[str], int | None]],
+    columns: Sequence[np.ndarray | Callable[..., np.ndarray] | tuple[Sequence[str], int | None]],
     rows: Callable[..., np.ndarray] | None = None,
 ) -> None:
     """Write a CSV file with one row per index of an array of ``shape``, in C order.
@@ -444,6 +444,9 @@ def _write_csv(
       writes it; an array with one more axis gives that many cells.  There
       is at least one float column, and float columns come next to each
       other.
+    - a function of the index arrays of some rows that returns their float
+      cells, shape ``(rows, cells)``: values formed a batch at a time,
+      never whole.
     - a pair ``(cells, axis)``: the text cell at the row's index along
       ``axis``, or ``cells[0]`` on every row if ``axis`` is ``None``
 
@@ -457,14 +460,18 @@ def _write_csv(
     """
     size = math.prod(shape)
     columns = [(_text_cells(c[0]), c[1]) if isinstance(c, tuple) else c for c in columns]
-    counts = [0 if isinstance(c, tuple) else math.prod(c.shape[len(shape) :]) for c in columns]
+    empty = (np.zeros(0, np.intp),) * len(shape)
+    counts = [
+        0 if isinstance(c, tuple) else c(*empty).shape[1] if callable(c) else math.prod(c.shape[len(shape) :])
+        for c in columns
+    ]
     widths = [c[0].shape[1] if isinstance(c, tuple) else m * _CELL for c, m in zip(columns, counts)]
     edges = [0, *itertools.accumulate(widths)]
     numbers = [i for i, m in enumerate(counts) if m]
     if numbers[-1] - numbers[0] != len(numbers) - 1:
         raise ValueError("float columns must come next to each other")
     block = slice(edges[numbers[0]], edges[numbers[-1] + 1])
-    flat = [_rows(columns[i], size, counts[i]) for i in numbers]
+    flat = [None if callable(columns[i]) else _rows(columns[i], size, counts[i]) for i in numbers]
     floats = sum(counts)
     step = max(1, _BUDGET // (3 * edges[-1] + _FLOAT_BYTES * floats))
     with open(path, "wb") as fh:
@@ -481,7 +488,9 @@ def _write_csv(
                 continue
             values = np.concatenate(
                 [
-                    columns[i][index].reshape(count, -1) if f is None else f[start:stop][written]
+                    columns[i](*index) if callable(columns[i])
+                    else columns[i][index].reshape(count, -1) if f is None
+                    else f[start:stop][written]
                     for i, f in zip(numbers, flat)
                 ],
                 axis=1,

@@ -311,7 +311,7 @@ def test_criterion_09_eigenfunction_continuity():
         space = random_space(rng, 30, dim=2, zero_mass=3)
         dec = decompose_space(space, spec)
         tol_eig = default_tol_eig(dec)
-        dprime = pseudo_metric_prime(space, dec.kernel).d
+        dprime = pseudo_metric_prime(space, dec.kernel, dec.nu.core_gram).d
         sup_ix = np.flatnonzero(dec.support)
         d_sub = dprime[np.ix_(sup_ix, sup_ix)]
         for i in range(dec.rank):

@@ -18,11 +18,14 @@ import numpy as np
 import pytest
 
 from mercerkit import (
+    AtomSpace,
     build_kernel,
+    gram,
     kernel_from_file,
     kernels,
     load_atoms,
     pseudo_metric,
+    pseudo_metric_prime,
     rescale_measure,
     write_precomputed,
 )
@@ -120,13 +123,58 @@ def test_synthesize_from_frames_evaluates_each_kernel_once(inputs, monkeypatch):
 def test_stages_handed_the_gram_evaluate_none(inputs, monkeypatch, kernel):
     space, k = load_atoms(inputs / "atoms.csv"), kernel_from_file(inputs / f"{kernel}.json")
     blocks = kernels.gram(kernels._factors(k)[0], space)
-    metric, nu = pseudo_metric(space, k), rescale_measure(space, k)
+    metric, prime, nu = pseudo_metric(space, k), pseudo_metric_prime(space, k), rescale_measure(space, k)
     counts = count_blocks(monkeypatch)
     # the same bytes as from an evaluation of their own
     assert pseudo_metric(space, k, blocks).d.tobytes() == metric.d.tobytes()
+    assert pseudo_metric_prime(space, k, blocks).d.tobytes() == prime.d.tobytes()
     handed = rescale_measure(space, k, blocks)
     assert counts == []
     for name in ("weights", "diagonal", "core_gram"):
         assert getattr(handed, name).tobytes() == getattr(nu, name).tobytes(), name
     assert handed.m_nu == nu.m_nu
     assert handed.core_gram is blocks and not blocks.flags.writeable
+
+
+def _permuted(space: AtomSpace, order) -> AtomSpace:
+    return AtomSpace(tuple(space.labels[i] for i in order), space.coords[order], space.mu[order])
+
+
+@pytest.mark.parametrize("kernel", ["precomputed", "scalar_precomputed"])
+def test_a_table_over_its_own_atoms_is_its_own_gram(inputs, kernel):
+    # the atoms the table was written over, in its order: the Gram is the table, held once
+    space, k = load_atoms(inputs / "atoms.csv"), kernel_from_file(inputs / f"{kernel}.json")
+    table = gram(k, space)
+    assert not table.flags.writeable
+    assert np.shares_memory(table, rescale_measure(space, k).core_gram)
+    # any other order or subset is a copy of the table's blocks, bit for bit
+    order = np.random.default_rng(29).permutation(SIZE)
+    for blocks, expected in (
+        (gram(k, _permuted(space, order)), table[np.ix_(order, order)]),
+        (gram(k, space, order[:4]), table[np.ix_(order[:4], order[:4])]),
+        (gram(k, space, order[:4], order[2:7]), table[np.ix_(order[:4], order[2:7])]),
+        (gram(k, space, np.arange(SIZE), np.arange(SIZE)), table),
+    ):
+        assert not np.shares_memory(blocks, table)
+        assert blocks.dtype == table.dtype and blocks.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("run", ["validate", "decompose"])
+def test_a_permuted_atom_file_reads_the_bits_of_a_table_in_its_order(inputs, run):
+    # a table over the atoms in the file's order is used in place, and the same table in
+    # another order is copied: both give the same bytes
+    space = load_atoms(inputs / "atoms.csv")
+    order = np.random.default_rng(31).permutation(SIZE)
+    lines = (inputs / "atoms.csv").read_text().splitlines()
+    (inputs / "permuted.csv").write_text("\n".join([lines[0], *(lines[1 + i] for i in order)]) + "\n")
+    # the same table, written in the permuted order under the same name
+    (inputs / "in_order").mkdir()
+    k = kernel_from_file(inputs / "precomputed.json")
+    write_precomputed(k, _permuted(space, order), inputs / "in_order" / "table.csv")
+    (inputs / "in_order" / "precomputed.json").write_text((inputs / "precomputed.json").read_text())
+    outputs = []
+    for kernel in (inputs / "precomputed.json", inputs / "in_order" / "precomputed.json"):
+        out = inputs / f"out_{len(outputs)}"
+        assert main([run, "--atoms", str(inputs / "permuted.csv"), "--kernel", str(kernel), "--out", str(out)]) == 0
+        outputs.append({path.name: path.read_bytes() for path in sorted(out.iterdir())})
+    assert outputs[0] == outputs[1] and len(outputs[0]) > 1

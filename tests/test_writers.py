@@ -8,8 +8,9 @@ import json
 import tracemalloc
 
 import numpy as np
+import pytest
 
-from conftest import decompose_space, random_space
+from conftest import decompose_space, random_space, rank_deficient_table
 from mercerkit import (
     AtomSpace,
     MatrixKernel,
@@ -194,6 +195,43 @@ def test_write_eigenfunctions_across_render_batches(tmp_path, monkeypatch):
     assert len(batches) > 3 and sum(batches) == rank * per_index
     assert any(np.cumsum(batches) % per_index), "a batch should end inside one eigenindex's rows"
     assert path.read_bytes() == _reference(_eigenfunction_rows(funcs, space.labels))
+
+
+GAUSSIAN = {"type": "gaussian", "gamma": 0.8}
+FACTORED = {
+    "separable_real": {"type": "separable", "matrix": [[2.0, 0.5], [0.5, 1.0]], "scalar": GAUSSIAN},
+    "separable_complex": {
+        "type": "separable",
+        "matrix": [[2.0, [0.5, 0.5], 0.3], [[0.5, -0.5], 1.5, [0.0, 0.2]], [0.3, [0.0, -0.2], 1.0]],
+        "scalar": {"type": "gaussian", "gamma": 0.5},
+    },
+    "diagonal": {"type": "diagonal", "blocks": [GAUSSIAN, {"type": "laplacian", "gamma": 0.5}]},
+    "not_separable": None,  # a complex block table of rank 6
+}
+
+
+@pytest.mark.parametrize("name", list(FACTORED))
+def test_eigenfunctions_are_written_from_their_factors(tmp_path, name):
+    rng = np.random.default_rng(71)
+    space = random_space(rng, 14, dim=2, zero_mass=3)
+    dec = decompose_space(space, FACTORED[name] or rank_deficient_table(rng, 14, 6))
+    write_eigenfunctions(dec, tmp_path / "eigenfunctions.csv")
+    assert "funcs" not in vars(dec)
+    assert (tmp_path / "eigenfunctions.csv").read_bytes() == _reference(_eigenfunction_rows(dec.funcs, space.labels))
+
+
+def test_writing_eigenfunctions_does_not_hold_them_whole(tmp_path):
+    # funcs, rank x N x n complex, was formed whole to be written; each batch is now formed from the factors
+    space = random_space(np.random.default_rng(73), 170, dim=3)
+    dec = decompose_space(space, {**FACTORED["separable_complex"], "scalar": {"type": "gaussian", "gamma": 20.0}})
+    tables._tables()  # the renderer's lookup tables, built once per process
+    tracemalloc.start()
+    try:
+        write_eigenfunctions(dec, tmp_path / "eigenfunctions.csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert dec.funcs.nbytes >= 4_000_000 and peak < dec.funcs.nbytes, (peak, dec.funcs.nbytes)
 
 
 def test_real_values_write_zero_imaginary_cells_and_complex_ones_keep_their_sign(tmp_path):
