@@ -52,7 +52,7 @@ from .kernels import (
     write_precomputed,
 )
 from .space import AtomSpace, _holding_mass, load_atoms, pseudo_metric, quotient
-from .tables import _csv_cells, _write_csv
+from .tables import _write_csv
 
 if TYPE_CHECKING:
     from .operators import DiscreteOperator, SpectralDecomposition
@@ -327,9 +327,8 @@ def _metric_report(args: argparse.Namespace) -> dict[str, Any]:
     classes = quotient(space, metric, tol)
     sup = _holding_mass(space, classes)
 
-    labels = _csv_cells(space.labels)
     # one row per atom: its label, then its distance to every atom
-    _write_csv(out / "metric.csv", ["id"] + labels, (len(labels),), [(labels, 0), metric.d])
+    _write_csv(out / "metric.csv", ["id", *space.labels], (len(space),), [(space.labels, 0)], metric.d)
     names = np.array(space.labels, dtype=object)
     sizes = np.bincount(classes)
     # each class's members in atom order; its first is its representative

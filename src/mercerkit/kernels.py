@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING, Any, Callable, Mapping, Sequence
 
 import numpy as np
 
-from .tables import _complex_columns, _csv_cells, _Indices, _read_table, _write_csv
+from .tables import _Indices, _read_table, _write_csv
 
 if TYPE_CHECKING:  # pragma: no cover - annotations only
     from numpy.typing import ArrayLike
@@ -593,15 +593,13 @@ def write_precomputed(kernel: MatrixKernel, space: AtomSpace, path: str | Path) 
     the atoms as :func:`gram` gives it.
     """
     blocks = gram(kernel, space)
-    cells = _csv_cells(space.labels)
-    components = [str(c) for c in range(kernel.n)]
-    columns = [(cells, 0), (cells, 1), (components, 2), (components, 3), *_complex_columns(blocks)]
+    labels = [(space.labels, 0), (space.labels, 1), (range(kernel.n), 2), (range(kernel.n), 3)]
 
     def upper(x: np.ndarray, t: np.ndarray, l: np.ndarray, j: np.ndarray) -> np.ndarray:
         # block row x: the upper triangle of block (x, x), then every block (x, t) with t after x
         return (t > x) | ((t == x) & (l <= j))
 
-    _write_csv(path, _PRECOMPUTED_ROW.names, blocks.shape, columns, upper)
+    _write_csv(path, _PRECOMPUTED_ROW.names, blocks.shape, labels, blocks, im=True, rows=upper)
     return blocks
 
 

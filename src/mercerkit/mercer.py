@@ -17,7 +17,7 @@ import numpy as np
 
 from .kernels import _factors, _flat, _kernel_blocks, _readonly, _row_blocks, _scatter
 from .operators import RKHSElement, SpectralDecomposition, _coefficients, _section_vector, _values
-from .tables import _complex_columns, _csv_cells, _Indices, _read_table, _write_csv
+from .tables import _Indices, _read_table, _write_csv
 
 __all__ = [
     "OffSupportError",
@@ -266,7 +266,7 @@ def frame_check(
 def write_error_table(table: Sequence[tuple[int, float]], path: str | Path) -> None:
     """Write ``m,max_abs_error`` rows."""
     errors = np.array([float(err) for _, err in table])
-    _write_csv(path, ["m", "max_abs_error"], errors.shape, [([str(int(m)) for m, _ in table], 0), errors])
+    _write_csv(path, ["m", "max_abs_error"], errors.shape, [([int(m) for m, _ in table], 0)], errors)
 
 
 _FRAME_ROW = np.dtype([("i", np.int64), ("atom_id", object), ("value_re", float), ("value_im", float)])
@@ -276,8 +276,7 @@ _FRAME_INDEX = _Indices("frame index must be nonnegative", "frame index", lambda
 def write_frame(frame: ScalarFrame, path: str | Path) -> None:
     """Write ``i,atom_id,value_re,value_im`` rows for one frame, one frame vector at a time."""
     values = frame.values
-    columns = [([str(i) for i in range(len(values))], 0), (_csv_cells(frame.atoms), 1), *_complex_columns(values)]
-    _write_csv(path, _FRAME_ROW.names, values.shape, columns)
+    _write_csv(path, _FRAME_ROW.names, values.shape, [(range(len(values)), 0), (frame.atoms, 1)], values, im=True)
 
 
 def read_frame(path: str | Path) -> ScalarFrame:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Iterable
 
 import numpy as np
@@ -28,7 +28,7 @@ from .kernels import (
     gram,
 )
 from .space import AtomSpace, _zero_mass_support
-from .tables import _csv_cells, _write_csv
+from .tables import _write_csv
 
 __all__ = [
     "DiscreteOperator",
@@ -116,7 +116,10 @@ def assemble_operator(space: AtomSpace, kernel: MatrixKernel, nu: RescaledMeasur
     raw = _flat(nu.core_gram[np.ix_(pos, pos)])
     _require_hermitian(raw, b)  # validate_kernel's rule, on the kernel's values
     scale = np.sqrt(np.repeat(nu.weights[pos], core.n))
-    matrix = _hermitian(raw) * scale[:, None] * scale[None, :]
+    matrix = _hermitian(raw)
+    del raw  # the flat copy of the slice, freed before the scaling
+    matrix *= scale[:, None]
+    matrix *= scale[None, :]
     return DiscreteOperator(space, kernel, nu, _readonly(pos), _readonly(matrix))
 
 
@@ -376,7 +379,7 @@ def embedding_norm_bound_check(h: RKHSElement, dec: SpectralDecomposition) -> tu
 
 def write_spectrum(dec: SpectralDecomposition, path) -> None:
     """Write ``i,sigma`` rows, eigenindex ascending (sigma descending)."""
-    _write_csv(path, ["i", "sigma"], dec.sigmas.shape, [([str(i) for i in range(dec.rank)], 0), dec.sigmas])
+    _write_csv(path, ["i", "sigma"], dec.sigmas.shape, [(range(dec.rank), 0)], dec.sigmas)
 
 
 def write_eigenfunctions(dec: SpectralDecomposition, path) -> None:
@@ -386,18 +389,6 @@ def write_eigenfunctions(dec: SpectralDecomposition, path) -> None:
     Each batch of rows is formed from the factors ``u``, ``v`` and ``p``, with
     the bits ``funcs`` has; ``funcs`` is neither read nor formed.
     """
-
-    def cells(i: np.ndarray, x: np.ndarray, j: np.ndarray) -> np.ndarray:
-        values = _entries(dec, i, x, j)
-        # the real and imaginary parts of each value, or the real value alone (see _complex_columns)
-        return values.view(float).reshape(len(i), 2) if np.iscomplexobj(values) else values[:, None]
-
-    empty = np.zeros(0, np.intp)
-    columns = [
-        ([str(i) for i in range(dec.rank)], 0),
-        (_csv_cells(dec.space.labels), 1),
-        ([str(j) for j in range(dec.n)], 2),
-        cells,
-        *([(["0.0"], None)] if cells(empty, empty, empty).shape[1] == 1 else []),
-    ]
-    _write_csv(path, ["i", "atom_id", "j", "re", "im"], (dec.rank, len(dec.space), dec.n), columns)
+    labels = [(range(dec.rank), 0), (dec.space.labels, 1), (range(dec.n), 2)]
+    shape = (dec.rank, len(dec.space), dec.n)
+    _write_csv(path, ["i", "atom_id", "j", "re", "im"], shape, labels, partial(_entries, dec), im=True)

@@ -1,24 +1,27 @@
 """CSV tables: label cells, the batch writer with its exact float text, and the one table reader.
 
-Every table the package writes goes through :func:`_write_csv`, which
-renders floats exactly as ``repr`` does (:func:`_render`).  It writes rows
-in batches sized to a budget of working memory, ``_BUDGET`` bytes, with
-every cell of a batch at a fixed width in one uint8 array: a float cell is
-``_CELL`` = 25 bytes, its text from the first byte, padded with ``_PAD``,
-then the separator.  The padding is dropped as the batch is written.  The
-lookup tables of the renderer are built once per process (:func:`_tables`).
-Every table it reads (atoms, block
-tables and frames) goes through :func:`_read_table`: one ``np.loadtxt`` pass
-(:func:`_read_csv`), or the ``csv.reader`` row loop (:func:`_read_rows`)
-that words the errors; both number label cells as they parse them
-(:class:`_Numbers`).  The module has no public names.
+Every table the package writes goes through :func:`_write_csv`, given as
+its labels and one float source, an array or a function of a batch's row
+indices; how either becomes cells is decided there alone.  Labels are
+quoted as ``csv.writer`` quotes them (:func:`_text_cells`), a complex value
+is written ``re,im``, a real one in a table with an imaginary column
+``value,0.0``, and every float exactly as ``repr`` writes it
+(:func:`_render`).  Rows go out in batches sized to a budget of working
+memory, ``_BUDGET`` bytes, with every cell of a batch at a fixed width in
+one uint8 array: a float cell is ``_CELL`` = 25 bytes, its text from the
+first byte, padded with ``_PAD``, then the separator.  The padding is
+dropped as the batch is written.  The lookup tables of the renderer are
+built once per process (:func:`_tables`).  Every table the package reads
+(atoms, block tables and frames) goes through :func:`_read_table`: one
+``np.loadtxt`` pass (:func:`_read_csv`), or the ``csv.reader`` row loop
+(:func:`_read_rows`) that words the errors; both number label cells as
+they parse them (:class:`_Numbers`).  The module has no public names.
 """
 
 from __future__ import annotations
 
 import csv
 import functools
-import itertools
 import math
 import warnings
 from io import StringIO
@@ -28,24 +31,6 @@ from typing import Any, Callable, Iterable, Iterator, NamedTuple, Sequence
 import numpy as np
 
 __all__: list[str] = []
-
-
-def _csv_cells(labels: Iterable[str]) -> list[str]:
-    """Labels rendered as CSV cells with minimal quoting, exactly as ``csv.writer`` writes them.
-
-    The writer has its default ``"\\r\\n"`` line terminator, whose characters
-    it quotes: a label holding a bare ``"\\r"`` would otherwise end its row.
-    """
-    buf = StringIO()
-    writer = csv.writer(buf, lineterminator="\r\n")
-    cells = []
-    for label in labels:
-        buf.seek(0)
-        buf.truncate()
-        # a trailing empty field, because a row of one empty field is written as ""
-        writer.writerow([label, ""])
-        cells.append(buf.getvalue()[: -len(",\r\n")])
-    return cells
 
 
 # Working memory of one batch in bytes, what the writer took when it rendered
@@ -413,9 +398,22 @@ def _render(values: np.ndarray) -> tuple[np.ndarray, int]:
     return text, len(slow)
 
 
-def _text_cells(cells: Sequence[str]) -> np.ndarray:
-    """Text cells as UTF-8 characters at one width: each padded with ``_PAD``, then its separator."""
-    data = [cell.encode() for cell in cells]
+def _text_cells(cells: Iterable[str | int]) -> np.ndarray:
+    """Labels or ints as CSV cells in UTF-8 at one width: each padded with ``_PAD``, then its separator.
+
+    Each is written as ``str`` gives it, quoted exactly as ``csv.writer``
+    quotes it with its default ``"\\r\\n"`` line terminator, whose characters
+    it quotes: a label holding a bare ``"\\r"`` would otherwise end its row.
+    """
+    buf = StringIO()
+    writer = csv.writer(buf, lineterminator="\r\n")
+    data = []
+    for cell in cells:
+        buf.seek(0)
+        buf.truncate()
+        # a trailing empty field, because a row of one empty field is written as ""
+        writer.writerow([cell, ""])
+        data.append(buf.getvalue()[: -len(",\r\n")].encode())
     width = max(map(len, data), default=0) + 1
     chars = np.frombuffer(b"".join(cell.ljust(width - 1, b"\xff") + b"," for cell in data), dtype=np.uint8)
     return chars.reshape(len(data), width)
@@ -433,49 +431,49 @@ def _write_csv(
     path: str | Path,
     header: Sequence[str],
     shape: tuple[int, ...],
-    columns: Sequence[np.ndarray | Callable[..., np.ndarray] | tuple[Sequence[str], int | None]],
+    labels: Sequence[tuple[Iterable[str | int], int]],
+    values: np.ndarray | Callable[..., np.ndarray],
+    im: bool = False,
     rows: Callable[..., np.ndarray] | None = None,
 ) -> None:
     """Write a CSV file with one row per index of an array of ``shape``, in C order.
 
-    Each column gives every row one or more cells:
+    A row is its label cells, then its float cells:
 
-    - a float array of ``shape``: its value at the row's index, as ``repr``
-      writes it; an array with one more axis gives that many cells.  There
-      is at least one float column, and float columns come next to each
-      other.
-    - a function of the index arrays of some rows that returns their float
-      cells, shape ``(rows, cells)``: values formed a batch at a time,
-      never whole.
-    - a pair ``(cells, axis)``: the text cell at the row's index along
-      ``axis``, or ``cells[0]`` on every row if ``axis`` is ``None``
+    - each pair ``(cells, axis)`` of ``labels`` gives the row the cell at its
+      index along ``axis``.  Cells are labels or ints, written as ``str``
+      gives them and quoted as ``csv.writer`` quotes them (see
+      :func:`_text_cells`), and so is ``header``.
+    - ``values`` is the one float source: an array whose leading axes are
+      ``shape``, giving each row the values at its index (more axes give it
+      more), or a function of the index arrays of some rows that returns
+      their values, rows along the first axis, formed a batch at a time and
+      never whole.  Each value is written as ``repr`` writes it.  Complex
+      values go out as ``re,im``, a batch's ``view(float)``; with ``im``, each
+      real value is followed by the text ``0.0``, its imaginary part.
 
-    Text cells are written as given, so labels go through :func:`_csv_cells`
-    first.  ``rows``, given the index arrays of some rows, says which of them
-    to write.  Rows go out in batches that keep within ``_BUDGET`` bytes: each
+    ``rows``, given the index arrays of some rows, says which of them to
+    write.  Rows go out in batches that keep within ``_BUDGET`` bytes: each
     batch is one uint8 array of characters, every cell at a fixed width and
     padded with ``_PAD``, which is dropped as the batch is written.  A float
-    cell is ``_CELL`` bytes.  A float array whose rows are evenly spaced in
-    memory is sliced a batch at a time; any other view is indexed.
+    cell is ``_CELL`` bytes, and four more where ``0.0,`` follows it.  An
+    array whose rows are evenly spaced in memory is sliced a batch at a time;
+    any other is indexed.  A function is called once on empty index arrays,
+    for the shape and dtype of its values.
     """
     size = math.prod(shape)
-    columns = [(_text_cells(c[0]), c[1]) if isinstance(c, tuple) else c for c in columns]
-    empty = (np.zeros(0, np.intp),) * len(shape)
-    counts = [
-        0 if isinstance(c, tuple) else c(*empty).shape[1] if callable(c) else math.prod(c.shape[len(shape) :])
-        for c in columns
-    ]
-    widths = [c[0].shape[1] if isinstance(c, tuple) else m * _CELL for c, m in zip(columns, counts)]
-    edges = [0, *itertools.accumulate(widths)]
-    numbers = [i for i, m in enumerate(counts) if m]
-    if numbers[-1] - numbers[0] != len(numbers) - 1:
-        raise ValueError("float columns must come next to each other")
-    block = slice(edges[numbers[0]], edges[numbers[-1] + 1])
-    flat = [None if callable(columns[i]) else _rows(columns[i], size, counts[i]) for i in numbers]
-    floats = sum(counts)
-    step = max(1, _BUDGET // (3 * edges[-1] + _FLOAT_BYTES * floats))
+    text = [(_text_cells(cells), axis) for cells, axis in labels]
+    sample = values(*(np.zeros(0, np.intp),) * len(shape)) if callable(values) else values
+    width = math.prod(sample.shape[1 if callable(values) else len(shape) :])  # values per row
+    pair = np.iscomplexobj(sample)
+    floats, cell = width * (1 + pair), _CELL + 4 * (im and not pair)
+    flat = None if callable(values) else _rows(values, size, width)
+    first = sum(cells.shape[1] for cells, _ in text)
+    length = first + floats * cell
+    step = max(1, _BUDGET // (3 * length + _FLOAT_BYTES * floats))
     with open(path, "wb") as fh:
-        fh.write((",".join(header) + "\n").encode())
+        head = _text_cells(header).reshape(-1)
+        fh.write(head[head != _PAD][:-1].tobytes() + b"\n")
         for start in range(0, size, step):
             stop = min(start + step, size)
             index = np.unravel_index(np.arange(start, stop), shape)
@@ -486,41 +484,22 @@ def _write_csv(
             count = len(index[0])
             if not count:
                 continue
-            values = np.concatenate(
-                [
-                    columns[i](*index) if callable(columns[i])
-                    else columns[i][index].reshape(count, -1) if f is None
-                    else f[start:stop][written]
-                    for i, f in zip(numbers, flat)
-                ],
-                axis=1,
-            )
-            words, _ = _render(values)
-            del values
-            chars = np.empty((count, edges[-1]), dtype=np.uint8)
-            for column, a, b in zip(columns, edges, edges[1:]):
-                if isinstance(column, tuple):
-                    text, axis = column
-                    chars[:, a:b] = text[0] if axis is None else text.take(index[axis], axis=0)
-            # each float cell: its three words, wherever they fall in the row, then the separator
-            cells = np.ndarray((count, floats, 3), _WORD, chars, block.start, (edges[-1], _CELL, 8))
-            cells[...] = words.T.reshape(count, floats, 3)
-            chars[:, block].reshape(count, floats, _CELL)[..., -1] = ord(",")
-            del words, cells
+            batch = values(*index) if callable(values) else values[index] if flat is None else flat[start:stop][written]
+            batch = batch.reshape(count, width)
+            words, _ = _render(np.ascontiguousarray(batch).view(float) if pair else batch)
+            del batch
+            chars = np.empty((count, length), dtype=np.uint8)
+            at = 0
+            for cells, axis in text:
+                chars[:, at : at + cells.shape[1]] = cells.take(index[axis], axis=0)
+                at += cells.shape[1]
+            # each float cell: its three words, wherever they fall in the row, then the separator and any 0.0
+            slots = np.ndarray((count, floats, 3), _WORD, chars, first, (length, cell, 8))
+            slots[...] = words.T.reshape(count, floats, 3)
+            chars[:, first:].reshape(count, floats, cell)[..., 24:] = np.frombuffer(b",0.0,"[: cell - 24], np.uint8)
+            del words, slots
             chars[:, -1] = ord("\n")
             fh.write(chars[chars != _PAD])
-
-
-def _complex_columns(values: np.ndarray) -> list[np.ndarray | tuple[list[str], None]]:
-    """The real and imaginary parts of ``values`` as two columns.
-
-    A real array's imaginary cells are the text ``0.0``.  A complex array's
-    are rendered like any float, so each ``+0.0`` is written ``0.0`` and each
-    ``-0.0`` keeps its sign.
-    """
-    if not np.iscomplexobj(values):
-        return [values, (["0.0"], None)]
-    return [values.real, values.imag]
 
 
 class _Numbers(dict):

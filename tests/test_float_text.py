@@ -25,7 +25,7 @@ DECADE_EDGES = (1e-5, 1e-4, 9.999999999999999e-05, 1e15, 1e16, 9999999999999998.
 def _assert_repr_bytes(tmp_path, values) -> None:
     values = np.asarray(values, dtype=np.float64)
     path = tmp_path / "floats.csv"
-    _write_csv(path, ["x"], values.shape, [values])
+    _write_csv(path, ["x"], values.shape, [], values)
     expected = "x\n" + "".join(repr(v) + "\n" for v in values.tolist())
     assert path.read_bytes() == expected.encode()
 

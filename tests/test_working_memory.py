@@ -65,6 +65,18 @@ def test_eigendecompose_holds_no_eigenvector_of_the_product():
     assert dec.u.shape == (len(op.indices), len(space), 1) and dec.u.dtype == np.float64
 
 
+def test_assembly_holds_no_copy_of_the_operator_besides_its_hermitian_part():
+    # the flat copy of the slice was held to the end, and the scaled matrix formed out of place:
+    # a peak of 3.2 times the operator, now 2.2
+    rng = np.random.default_rng(67)
+    space = random_space(rng, 120, zero_mass=12)
+    kernel = rank_deficient_table(rng, 120, 40)
+    nu = rescale_measure(space, kernel)
+    op, peak = _peak(assemble_operator, space, kernel, nu)
+    assert op.matrix.shape == (216, 216) and op.matrix.dtype == np.complex128
+    assert peak <= 2.5 * op.matrix.nbytes, peak / op.matrix.nbytes
+
+
 def test_full_rank_error_row_holds_no_whole_series():
     # the series of S n = 240 rows was formed whole next to the residual, the scaled
     # eigenfunctions and the running diagonal sums: 5.0 times the residual, now 3.3

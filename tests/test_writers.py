@@ -16,6 +16,7 @@ from mercerkit import (
     MatrixKernel,
     ScalarFrame,
     SpectralDecomposition,
+    align_frames,
     build_kernel,
     extract_frame,
     gram,
@@ -24,6 +25,7 @@ from mercerkit import (
     read_frame,
     read_precomputed,
     rescale_measure,
+    synthesize_kernel,
     write_eigenfunctions,
     write_error_table,
     write_frame,
@@ -120,38 +122,53 @@ def test_write_error_table_bytes(tmp_path):
 
 
 def test_write_frame_bytes_and_read_back(tmp_path):
-    frame = ScalarFrame(LABELS, _values((4, len(LABELS))))
-    path = tmp_path / "frame.csv"
-    write_frame(frame, path)
-    rows = [["i", "atom_id", "value_re", "value_im"]]
-    for i in range(frame.values.shape[0]):
-        for x, label in enumerate(frame.atoms):
-            value = complex(frame.values[i, x])
-            rows.append([i, label, repr(value.real), repr(value.imag)])
-    assert path.read_bytes() == _reference(rows)
-    back = read_frame(path)
-    assert back.atoms == LABELS
-    assert _bits(back.values) == _bits(frame.values)
+    # a contiguous frame, and a strided view whose rows the writer cannot slice, so it indexes them
+    strided = _values((4, 2 * len(LABELS) - 1))[:, ::2]
+    assert tables._rows(strided, strided.size, 1) is None
+    for name, values in (("contiguous", _values((4, len(LABELS)))), ("strided", strided)):
+        frame = ScalarFrame(LABELS, values)
+        path = tmp_path / f"{name}.csv"
+        write_frame(frame, path)
+        rows = [["i", "atom_id", "value_re", "value_im"]]
+        for i in range(frame.values.shape[0]):
+            for x, label in enumerate(frame.atoms):
+                value = complex(frame.values[i, x])
+                rows.append([i, label, repr(value.real), repr(value.imag)])
+        assert path.read_bytes() == _reference(rows), name
+        back = read_frame(path)
+        assert back.atoms == LABELS
+        assert _bits(back.values) == _bits(frame.values), name
 
 
 def test_write_precomputed_bytes_and_read_back(tmp_path):
     space = _space()
-    blocks = _values((len(space), len(space), 2, 2))
-    kernel = MatrixKernel(n=2, batch=lambda space, rows, cols: blocks[np.ix_(rows, cols)])
-    path = tmp_path / "table.csv"
-    write_precomputed(kernel, space, path)
-    rows = [["x_id", "t_id", "l", "j", "re", "im"]]
-    written = np.zeros(blocks.shape, dtype=bool)
-    for i, x in enumerate(space.labels):
-        for k in range(i, len(space)):
-            for l in range(2):
-                for j in range(l if k == i else 0, 2):
-                    value = complex(blocks[i, k, l, j])
-                    rows.append([x, space.labels[k], l, j, repr(value.real), repr(value.imag)])
-                    written[i, k, l, j] = True
-    assert path.read_bytes() == _reference(rows)
-    back = gram(read_precomputed(path), space)
-    assert _bits(back[written]) == _bits(blocks[written])
+    table = _values((len(space), len(space), 2, 2))
+    rng = np.random.default_rng(311)
+    values = rng.standard_normal((4, len(space), 2)) + 1j * rng.standard_normal((4, len(space), 2))
+    # a table looked up block by block, and a kernel synthesized from frames, whose Gram is a
+    # transposed view that the writer cannot slice, so it indexes it
+    synthesized = synthesize_kernel(align_frames([ScalarFrame(space.labels, values[..., j]) for j in range(2)]))
+    synthesized_gram = gram(synthesized, space)
+    assert tables._rows(synthesized_gram, synthesized_gram.size, 1) is None
+    for name, kernel in (
+        ("table", MatrixKernel(n=2, batch=lambda space, rows, cols: table[np.ix_(rows, cols)])),
+        ("synthesized", synthesized),
+    ):
+        blocks = gram(kernel, space)
+        path = tmp_path / f"{name}.csv"
+        write_precomputed(kernel, space, path)
+        rows = [["x_id", "t_id", "l", "j", "re", "im"]]
+        written = np.zeros(blocks.shape, dtype=bool)
+        for i, x in enumerate(space.labels):
+            for k in range(i, len(space)):
+                for l in range(2):
+                    for j in range(l if k == i else 0, 2):
+                        value = complex(blocks[i, k, l, j])
+                        rows.append([x, space.labels[k], l, j, repr(value.real), repr(value.imag)])
+                        written[i, k, l, j] = True
+        assert path.read_bytes() == _reference(rows), name
+        back = gram(read_precomputed(path), space)
+        assert _bits(back[written]) == _bits(blocks[written]), name
 
 
 def test_metric_csv_bytes(tmp_path):
@@ -298,15 +315,11 @@ def test_writer_memory_stays_within_the_budget_of_its_batches(tmp_path):
     # matrix-sep3's eigenfunctions stays within 1.0 MB besides the renderer's lookup tables
     rng = np.random.default_rng(61)
     funcs = 0.1 * (rng.standard_normal((240, 100, 3)) + 1j * rng.standard_normal((240, 100, 3)))
-    columns = [
-        ([str(i) for i in range(240)], 0),
-        (tables._csv_cells([f"x{x:04d}" for x in range(100)]), 1),
-        (["0", "1", "2"], 2),
-        *tables._complex_columns(funcs),
-    ]
+    labels = [(range(240), 0), ([f"x{x:04d}" for x in range(100)], 1), (range(3), 2)]
     tracemalloc.start()
     try:
-        tables._write_csv(tmp_path / "eigenfunctions.csv", ["i", "atom_id", "j", "re", "im"], funcs.shape, columns)
+        header = ["i", "atom_id", "j", "re", "im"]
+        tables._write_csv(tmp_path / "eigenfunctions.csv", header, funcs.shape, labels, funcs, im=True)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
