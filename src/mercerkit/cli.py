@@ -6,15 +6,17 @@ directory.  The output bytes are a function of the inputs, the numpy/BLAS
 build and the BLAS thread count.  Exit codes: 0 success, 1 usage or file
 errors, 2 kernel validation failure, 3 degenerate input (empty measure
 support).  Run as a command, the process freezes its import-time heap
-(``gc.freeze``) before :func:`main` runs; a call of ``main`` from Python
-does not.  Run as ``python -m mercerkit.cli``, the collector is also off
-from the first import to the freeze.
+(``gc.freeze``) before :func:`main` runs, and ends without tearing it down
+once the ``atexit`` handlers have run and stdout and stderr are flushed; a
+call of ``main`` from Python neither freezes nor exits.  Run as
+``python -m mercerkit.cli``, the collector is also off from the first
+import to the freeze.
 
 The module imports ``kernels``, ``space`` and ``tables``, which every
 subcommand runs; ``operators``, ``mercer`` and ``synthesis`` are imported in
 the functions that call them (``from .operators import ...``, not through
 the package namespace, which loads every module), so a subcommand compiles
-only the modules it runs.
+only the modules it runs, and its parser declares only its own arguments.
 
 Each option is declared once as an ``_Option``, with the check that turns a
 flag or ``--config`` value into a typed value.  ``_COMMANDS`` lists each
@@ -31,8 +33,10 @@ if __name__ == "__main__":  # pragma: no cover
     gc.disable()
 
 import argparse
+import atexit
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -85,7 +89,12 @@ class _Parser(argparse.ArgumentParser):
     subcommand's stray flag is reported with the subcommand's usage line.
     """
 
+    _options: Sequence[_Option] = ()  # added at the first parse, so a run declares one subcommand's arguments
+
     def parse_known_args(self, args=None, namespace=None):  # type: ignore[override]
+        for option in self._options:
+            self.add_argument(option.flag, dest=option.key, help=option.help, **option.settings)
+        self._options = ()
         namespace, extras = super().parse_known_args(args, namespace)
         if extras:
             self.error(f"unrecognized arguments: {' '.join(extras)}")
@@ -434,8 +443,6 @@ def _frames_report(args: argparse.Namespace) -> dict[str, Any]:
 
 
 def _synthesis_report(args: argparse.Namespace) -> dict[str, Any]:
-    from .mercer import _tol_recon, extract_frame
-    from .operators import eigendecompose
     from .synthesis import align_frames, synthesize_kernel, verify_diagonal_blocks
 
     space, originals, family = args.atoms, args.kernel or [], args.frames
@@ -446,6 +453,8 @@ def _synthesis_report(args: argparse.Namespace) -> dict[str, Any]:
         raise CliError(EXIT_USAGE, f"--kernel: {expected}")
     grams: Sequence[np.ndarray] = ()  # each original's one Gram: its decomposition's (every atom), or evaluated below
     if family is None:
+        from .mercer import extract_frame
+        from .operators import eigendecompose
         decs = (eigendecompose(_operator(args, k)[1]) for k in originals)  # one at a time
         frames, grams = zip(*((extract_frame(dec, 0), _kernel_blocks(dec.nu.core_gram, dec.kernel)) for dec in decs))
         family = align_frames(frames)
@@ -466,6 +475,7 @@ def _synthesis_report(args: argparse.Namespace) -> dict[str, Any]:
 
     data: dict[str, Any] = {**about, "validation": report.to_dict(), "passed": report.passed}
     if originals:
+        from .mercer import _tol_recon
         grams = grams or [gram(kernel, atoms) for kernel in originals]
         deviation = verify_diagonal_blocks(synth, originals, atoms, grams)
         default = max(_tol_recon(np.einsum("xxlj->xlj", g)) for g in grams)  # default_tol_recon's rule, over them
@@ -498,9 +508,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="mercerkit", description="Spectral pipeline for matrix-valued kernels.")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
     for name, (help_text, options, _) in _COMMANDS.items():
-        p = sub.add_parser(name, help=help_text)
-        for option in (*options, _CONFIG):
-            p.add_argument(option.flag, dest=option.key, help=option.help, **option.settings)
+        sub.add_parser(name, help=help_text)._options = (*options, _CONFIG)
     return parser
 
 
@@ -527,11 +535,22 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 
 def _run() -> None:
-    """The ``mercerkit`` command: :func:`main` on ``sys.argv``, its code the exit status."""
+    """The ``mercerkit`` command: :func:`main` on ``sys.argv``, its code the exit status.
+
+    The process ends without tearing its heap down, once the ``atexit`` handlers have run and stdout and stderr
+    are flushed; if a flush fails (a closed pipe, say), ``sys.exit`` ends it and the interpreter reports that.
+    """
     # the import-time heap lives as long as the process: frozen, no collection walks it, during the run or at exit
     gc.freeze()
     gc.enable()
-    sys.exit(main())
+    code = main()
+    atexit._run_exitfuncs()
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except Exception:  # a closed or missing stream: the interpreter's own exit reports it
+        sys.exit(code)
+    os._exit(code)
 
 
 if __name__ == "__main__":  # pragma: no cover

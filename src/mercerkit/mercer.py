@@ -11,13 +11,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
 from .kernels import _factors, _flat, _kernel_blocks, _readonly, _row_blocks, _scatter
-from .operators import RKHSElement, SpectralDecomposition, _coefficients, _section_vector, _values
 from .tables import _Indices, _read_table, _write_csv
+
+if TYPE_CHECKING:
+    from .operators import RKHSElement, SpectralDecomposition
 
 __all__ = [
     "OffSupportError",
@@ -67,6 +69,8 @@ def reconstruct(dec: SpectralDecomposition, x: str, t: str, m: int | None = None
     eigen-factorization of the block Gram; at full rank it reproduces
     ``K(x,t)`` on the support.
     """
+    from .operators import _values
+
     m = dec.rank if m is None else m
     _check_truncation(dec, m)
     values = _values(dec, np.array([dec.space.index(x), dec.space.index(t)]))
@@ -156,6 +160,8 @@ def _series_error(dec: SpectralDecomposition, idx: np.ndarray, rhs: np.ndarray, 
 
 def _section_table(dec: SpectralDecomposition, element: RKHSElement) -> tuple[list[int], np.ndarray]:
     """Base atom indices and coefficient vectors ``(S, n)`` of a section-form element."""
+    from .operators import _section_vector
+
     sources = [dec.space.index(label) for label, _ in element.sections]
     ys = [_section_vector(label, y, dec.n) for label, y in element.sections]
     return sources, np.array(ys, dtype=complex).reshape(len(sources), dec.n)
@@ -169,6 +175,8 @@ def project(section: RKHSElement, dec: SpectralDecomposition) -> RKHSElement:
     at atoms outside the measure support have no spectral form and raise
     :class:`OffSupportError`; an unknown atom raises ``KeyError``.
     """
+    from .operators import RKHSElement, _section_vector, _values
+
     if section.sections is None:
         raise ValueError("project expects a kernel-section element")
     coeffs = np.zeros(dec.rank, dtype=complex)
@@ -193,6 +201,8 @@ def rkhs_inner(h1: RKHSElement, h2: RKHSElement, dec: SpectralDecomposition) -> 
     directly.  Mixed forms project the section first, which requires its
     atoms to lie on the support.
     """
+    from .operators import _coefficients
+
     if h1.is_spectral and h2.is_spectral:
         return complex(np.sum(_coefficients(h1, dec) * np.conj(_coefficients(h2, dec))))
     if not h1.is_spectral and not h2.is_spectral:

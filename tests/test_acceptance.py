@@ -13,6 +13,7 @@ import pytest
 
 from conftest import ZOO, decompose_space, delta_kernel, random_space, space_from, support_labels
 from mercerkit import (
+    TOL_SYM,
     FrameFamily,
     RKHSElement,
     build_kernel,
@@ -27,6 +28,7 @@ from mercerkit import (
     pseudo_metric_prime,
     quotient,
     reconstruct,
+    read_precomputed,
     reconstruction_error,
     rkhs_inner,
     support,
@@ -45,7 +47,7 @@ def _verdict(num: int, name: str, ok: bool, detail: str) -> None:
     assert ok, f"criterion {num:02d} {name}: {detail}"
 
 
-def test_criterion_01_kernel_axioms():
+def test_criterion_01_kernel_axioms(tmp_path):
     # every zoo kernel, 100 random atom sets each, N <= 50
     rng = np.random.default_rng(1001)
     worst_dev = 0.0
@@ -60,12 +62,25 @@ def test_criterion_01_kernel_axioms():
             worst_margin = min(worst_margin, report.min_eigenvalue + report.tol_psd)
             if report.hermitian_deviation > 1e-12 or not report.psd_ok:
                 break
-    ok = worst_dev <= 1e-12 and worst_margin >= 0.0
+
+    # two 2-atom tables, each read from its file, must fail one check each: [[1, 2], [2, 1]] has eigenvalue -1,
+    # and the other's off-diagonal pair breaks Hermitian symmetry by 100 TOL_SYM
+    planted = []
+    for ab, ba in [(2.0, 2.0), (0.5, 0.5 + 100 * TOL_SYM)]:
+        path = tmp_path / f"planted{len(planted)}.csv"
+        rows = ["a,a,0,0,1.0,0.0", "b,b,0,0,1.0,0.0", f"a,b,0,0,{ab!r},0.0", f"b,a,0,0,{ba!r},0.0"]
+        path.write_text("\n".join(["x_id,t_id,l,j,re,im", *rows]) + "\n")
+        planted.append(validate_kernel(read_precomputed(path), space_from([0.0, 1.0], [1.0, 1.0])))
+    indefinite, asymmetric = planted
+    caught = (indefinite.hermitian_ok, indefinite.psd_ok, asymmetric.hermitian_ok, asymmetric.psd_ok)
+    ok = worst_dev <= 1e-12 and worst_margin >= 0.0 and caught == (True, False, False, True)
     _verdict(
         1,
         "kernel axioms",
         ok,
-        f"max hermitian deviation {worst_dev:.2e}, min PSD margin {worst_margin:.2e}",
+        f"max hermitian deviation {worst_dev:.2e}, min PSD margin {worst_margin:.2e}; planted tables fail: "
+        f"indefinite psd_ok {indefinite.psd_ok} (min eigenvalue {indefinite.min_eigenvalue:.2e}), "
+        f"non-Hermitian hermitian_ok {asymmetric.hermitian_ok} (deviation {asymmetric.hermitian_deviation:.2e})",
     )
 
 

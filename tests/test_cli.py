@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import csv
 import dataclasses
 import json
@@ -1162,30 +1163,105 @@ def test_readme_command_lines_parse():
 
 
 # ---------------------------------------------------------------------------
+# help and usage bytes
+# ---------------------------------------------------------------------------
+
+
+def eager_parser():
+    # the parser with every subcommand's arguments declared up front, as argparse programs build it
+    lazy = cli.build_parser()
+    parser = cli._Parser(prog=lazy.prog, description=lazy.description)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=cli._Parser)
+    for name, (help_text, options, _) in cli._COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for option in (*options, cli._CONFIG):
+            p.add_argument(option.flag, dest=option.key, help=option.help, **option.settings)
+    return parser
+
+
+HELP_AND_USAGE = [
+    ["--help"],
+    ["-h"],
+    *([command, "--help"] for command in SUBCOMMANDS),
+    *([command, "--stray", "1"] for command in SUBCOMMANDS),
+    ["validate", "--at"],
+    ["reconstruct", "--atoms"],
+    ["frobnicate"],
+    [],
+    ["--"],
+    ["--", "validate"],
+    ["--", "validate", "--help"],
+    ["validate", "--", "--help"],
+    ["--help", "validate", "--stray"],
+]
+
+
+@pytest.mark.parametrize("argv", HELP_AND_USAGE, ids=" ".join)
+def test_help_and_usage_bytes_match_a_parser_that_declares_every_argument(capsys, monkeypatch, argv):
+    # each subcommand declares its arguments when it first parses; nothing a user sees may show it
+    code = main(argv)
+    lazy = capsys.readouterr()
+    reference = eager_parser()
+    monkeypatch.setattr(cli, "build_parser", lambda: reference)
+    assert main(argv) == code
+    eager = capsys.readouterr()
+    assert (lazy.out, lazy.err) == (eager.out, eager.err)
+    assert code in (0, 1) and lazy.out + lazy.err
+
+
+def test_a_run_declares_only_its_own_subcommands_arguments(tmp_path, three_atoms):
+    parser = cli.build_parser()
+    chooser = next(action for action in parser._actions if isinstance(action, argparse._SubParsersAction))
+
+    def declared():  # each subcommand's arguments, -h not counted
+        return {name: len(p._actions) - 1 for name, p in chooser.choices.items()}
+
+    assert declared() == dict.fromkeys(SUBCOMMANDS, 0)
+    kernel = write_kernel(tmp_path, GAUSSIAN)
+    parser.parse_args(["metric", "--atoms", str(three_atoms), "--kernel", str(kernel), "--out", "out"])
+    assert declared() == {**dict.fromkeys(SUBCOMMANDS, 0), "metric": 5}
+
+
+# ---------------------------------------------------------------------------
 # entry points
 # ---------------------------------------------------------------------------
 
 ROOT = Path(__file__).resolve().parents[1]
 
-# runs an entry point on the arguments after the first, as a fresh process would, and prints its exit
-# code and the number of objects it froze
+# runs an entry point on the arguments after the first, as a fresh process would; an atexit handler registered
+# before the run prints the number of objects the run froze. Interpreter teardown clears each module's
+# namespace, which would print "torn down" from the marker left in json's
 ENTRY_POINT = """
-import gc, importlib, runpy, sys
+import atexit, gc, importlib, json, runpy, sys
+class Teardown:
+    def __del__(self, write=__import__("os").write):
+        write(1, b"torn down\\n")
+json.marker = Teardown()
 target, sys.argv = sys.argv[1], ["mercerkit", *sys.argv[2:]]
-try:
-    if target == "-m":
-        runpy.run_module("mercerkit.cli", run_name="__main__")
-    else:
-        module, name = target.split(":")
-        sys.exit(getattr(importlib.import_module(module), name)())
-except SystemExit as exc:
-    print(exc.code, gc.get_freeze_count())
+atexit.register(lambda: print(gc.get_freeze_count()))
+if target == "-m":
+    runpy.run_module("mercerkit.cli", run_name="__main__")
+else:
+    module, name = target.split(":")
+    getattr(importlib.import_module(module), name)()
+"""
+
+# main's code through sys.exit after the same freeze: the plain exit, which tears the heap down
+PLAIN_EXIT = """
+import gc, sys
+from mercerkit.cli import main
+sys.argv = ["mercerkit", *sys.argv[1:]]
+gc.freeze()
+sys.exit(main())
 """
 
 
 def _child_env():
     paths = [str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]
-    return dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
+    # stdout block-buffered, as a pipe gets it: what a child prints reaches the pipe only if it is flushed
+    env.pop("PYTHONUNBUFFERED", None)
+    return env
 
 
 def _console_script():
@@ -1194,37 +1270,123 @@ def _console_script():
     return re.search(r'^mercerkit\s*=\s*"([\w.]+:\w+)"$', text, re.MULTILINE).group(1)
 
 
+def _module_and_plain_exit(argv, **kwargs):
+    """``python -m mercerkit.cli`` and :data:`PLAIN_EXIT` run on ``argv``, in that order; stdout piped by default."""
+    commands = ([sys.executable, "-m", "mercerkit.cli"], [sys.executable, "-c", PLAIN_EXIT])
+    kwargs = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE, **kwargs}
+    return [subprocess.run([*command, *argv], env=_child_env(), **kwargs) for command in commands]
+
+
 @pytest.mark.parametrize("target", ["-m", "console_script"])
 def test_entry_points_freeze_the_import_time_heap(tmp_path, three_atoms, target):
     # python -m mercerkit.cli and the mercerkit command freeze before main runs, so no collection walks
-    # numpy's objects again, and the run still writes its report
+    # numpy's objects again; they end without tearing the heap down, after the atexit handlers and with
+    # stdout flushed, and the run still writes its report
     kernel = write_kernel(tmp_path, GAUSSIAN)
     argv = ["validate", "--atoms", str(three_atoms), "--kernel", str(kernel), "--out", str(tmp_path / "out")]
     target = _console_script() if target == "console_script" else target
     run = [sys.executable, "-c", ENTRY_POINT, target, *argv]
     child = subprocess.run(run, env=_child_env(), capture_output=True, text=True)
-    assert child.stderr == ""
-    code, frozen = child.stdout.split()
-    assert code == "0" and int(frozen) > 0
+    assert (child.returncode, child.stderr) == (0, "")
+    (frozen,) = child.stdout.split("\n")[:-1]
+    assert int(frozen) > 0
     assert report_of(tmp_path / "out")["passed"] is True
 
 
-# runs python -m mercerkit.cli on the arguments, as a fresh process would, and prints as JSON, for each
-# collection that starts, whether numpy was imported and the freeze count, then the mercerkit modules loaded
+def test_an_atexit_handler_registered_before_the_run_reaches_stdout():
+    # the help text first, then the handler's lines, on stdout and stderr, as a plain exit writes them
+    handler = "import atexit, sys; atexit.register(lambda: (print('bye'), print('bye', file=sys.stderr)))\n"
+    module = "import runpy, sys; sys.argv[0] = 'mercerkit'; runpy.run_module('mercerkit.cli', run_name='__main__')"
+    runs = [
+        subprocess.run([sys.executable, "-c", handler + code, "--help"], env=_child_env(), capture_output=True,
+                       text=True)
+        for code in (module, PLAIN_EXIT)
+    ]
+    assert [(run.returncode, run.stdout, run.stderr) for run in runs] == [(0, runs[1].stdout, "bye\n")] * 2
+    assert runs[0].stdout.startswith("usage: mercerkit [-h]") and runs[0].stdout.endswith("\nbye\n")
+
+
+def _failing_runs(tmp_path, three_atoms):
+    atoms = write_atoms(tmp_path, [("a", 1.0, 0.0), ("b", 1.0, 1.0)], name="two.csv")
+    (tmp_path / "table.csv").write_text(
+        "x_id,t_id,l,j,re,im\na,a,0,0,1.0,0.0\nb,b,0,0,1.0,0.0\na,b,0,0,0.5,0.0\nb,a,0,0,0.9,0.0\n"
+    )
+    write_kernel(tmp_path, {"type": "precomputed", "path": "table.csv"}, "asymmetric.json")
+    write_kernel(tmp_path, GAUSSIAN)
+    write_atoms(tmp_path, [("a", 0.0, 0.0), ("b", 0.0, 1.0)], name="zero.csv")
+    (tmp_path / "empty.csv").write_text("i,atom_id,value_re,value_im\n")
+    base = ["--kernel", "kernel.json", "--out", "{out}"]
+    return {
+        "missing_file": (1, ["validate", "--atoms", "missing.csv", *base]),
+        "stray_flag": (1, ["frames", "--atoms", atoms.name, *base, "--stray"]),
+        "asymmetric": (2, ["validate", "--atoms", atoms.name, "--kernel", "asymmetric.json", "--out", "{out}"]),
+        "zero_mass": (3, ["decompose", "--atoms", "zero.csv", *base]),
+        "no_frame_atoms": (3, ["synthesize", "--atoms", three_atoms.name, "--frames", "empty.csv", "--out", "{out}"]),
+    }
+
+
+@pytest.mark.parametrize("case", ["missing_file", "stray_flag", "asymmetric", "zero_mass", "no_frame_atoms"])
+def test_failing_runs_keep_their_exit_code_stderr_and_report(tmp_path, three_atoms, case):
+    code, argv = _failing_runs(tmp_path, three_atoms)[case]
+    outs = ("out_m", "out_plain")
+    runs = [
+        subprocess.run([*command, *(arg.replace("{out}", out) for arg in argv)], cwd=tmp_path, env=_child_env(),
+                       capture_output=True)
+        for command, out in zip(([sys.executable, "-m", "mercerkit.cli"], [sys.executable, "-c", PLAIN_EXIT]), outs)
+    ]
+    assert [run.returncode for run in runs] == [code, code]
+    assert runs[0].stdout == runs[1].stdout == b""
+    assert runs[0].stderr == runs[1].stderr
+    assert runs[0].stderr or code != 1
+    written = [sorted(p.name for p in (tmp_path / out).glob("*")) if (tmp_path / out).is_dir() else [] for out in outs]
+    assert written[0] == written[1] == ([] if code == 1 else ["report.json", "report.txt"])
+    for name in written[0]:
+        assert (tmp_path / outs[0] / name).read_bytes() == (tmp_path / outs[1] / name).read_bytes()
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["synthesize", "--help"], ["frobnicate"]], ids=" ".join)
+@pytest.mark.parametrize("closed", ["reader", "stdout"])
+def test_stdout_closed_early_ends_as_a_plain_exit(argv, closed):
+    # a failed flush falls back to sys.exit, so the interpreter reports it, with the status of a plain exit
+    if closed == "stdout":
+        runs = _module_and_plain_exit(argv, preexec_fn=lambda: os.close(1))
+    else:
+        runs = []
+        for run in (0, 1):
+            reader, writer = os.pipe()
+            os.close(reader)
+            try:
+                runs.append(_module_and_plain_exit(argv, stdout=writer)[run])
+            finally:
+                os.close(writer)
+    assert (runs[0].returncode, runs[0].stderr) == (runs[1].returncode, runs[1].stderr)
+    if closed == "reader" and argv != ["frobnicate"]:
+        assert runs[0].returncode == 120 and b"BrokenPipeError" in runs[0].stderr
+
+
+# runs python -m mercerkit.cli on the arguments, as a fresh process would; an atexit handler registered before the
+# run prints as JSON, for each collection that started, whether numpy was imported and the freeze count, then the
+# mercerkit modules loaded
 COLLECTIONS = """
-import gc, json, runpy, sys
+import atexit, gc, json, runpy, sys
 starts = []
 def record(phase, info):
     if phase == "start":
         starts.append(["numpy" in sys.modules, gc.get_freeze_count()])
 gc.callbacks.append(record)
-sys.argv = ["mercerkit", *sys.argv[1:]]
-try:
-    runpy.run_module("mercerkit.cli", run_name="__main__")
-except SystemExit as exc:
+def report():
     loaded = sorted(name for name in sys.modules if name.startswith("mercerkit."))
-    print(json.dumps({"code": exc.code, "starts": starts, "loaded": loaded}))
+    print(json.dumps({"starts": starts, "loaded": loaded}))
+atexit.register(report)
+sys.argv = ["mercerkit", *sys.argv[1:]]
+runpy.run_module("mercerkit.cli", run_name="__main__")
 """
+
+
+def _collections(argv):
+    child = subprocess.run([sys.executable, "-c", COLLECTIONS, *argv], env=_child_env(), capture_output=True, text=True)
+    assert (child.returncode, child.stderr) == (0, "")
+    return json.loads(child.stdout)
 
 
 def test_module_entry_imports_without_collections_and_only_what_validate_runs(tmp_path, three_atoms):
@@ -1232,13 +1394,58 @@ def test_module_entry_imports_without_collections_and_only_what_validate_runs(tm
     # mercer and synthesis
     kernel = write_kernel(tmp_path, GAUSSIAN)
     argv = ["validate", "--atoms", str(three_atoms), "--kernel", str(kernel), "--out", str(tmp_path / "out")]
-    child = subprocess.run([sys.executable, "-c", COLLECTIONS, *argv], env=_child_env(), capture_output=True, text=True)
-    assert child.stderr == ""
-    result = json.loads(child.stdout)
-    assert result["code"] == 0
+    result = _collections(argv)
     assert [start for start in result["starts"] if start[0] and start[1] == 0] == []
     assert result["loaded"] == ["mercerkit.kernels", "mercerkit.space", "mercerkit.tables"]
     assert report_of(tmp_path / "out")["passed"] is True
+
+
+def test_synthesize_from_frames_does_not_load_operators(tmp_path, three_atoms):
+    kernel = write_kernel(tmp_path, GAUSSIAN)
+    assert main(["frames", "--atoms", str(three_atoms), "--kernel", str(kernel), "--out", str(tmp_path / "f")]) == 0
+    base = ["synthesize", "--atoms", str(three_atoms), "--out"]
+    frames = _collections([*base, str(tmp_path / "a"), "--frames", str(tmp_path / "f" / "frame_j0.csv")])
+    kernels = _collections([*base, str(tmp_path / "b"), "--kernel", str(kernel)])
+    library = ["mercerkit.kernels", "mercerkit.mercer", "mercerkit.space", "mercerkit.synthesis", "mercerkit.tables"]
+    assert frames["loaded"] == library
+    assert kernels["loaded"] == sorted([*library, "mercerkit.operators"])
+    assert report_of(tmp_path / "a")["passed"] is report_of(tmp_path / "b")["passed"] is True
+
+
+def test_no_subcommand_leaves_a_file_open(tmp_path, three_atoms, monkeypatch):
+    # the command ends without tearing its heap down, so a file object left open would be neither flushed nor
+    # closed: every run closes each file it opens, on success and on bad input
+    unraisable = []
+    monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+    kernel = write_kernel(tmp_path, GAUSSIAN)
+    (tmp_path / "table.csv").write_text(
+        "x_id,t_id,l,j,re,im\na,a,0,0,1.0,0.0\nb,b,0,0,1.0,0.0\nc,c,0,0,1.0,0.0\na,b,0,0,0.5,0.0\n"
+        "a,c,0,0,0.0,0.0\nb,c,0,0,0.25,0.0\n"
+    )
+    table = write_kernel(tmp_path, {"type": "precomputed", "path": "table.csv"}, "table.json")
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"atoms": str(three_atoms), "kernel": str(table)}))
+    latin1 = tmp_path / "latin1.csv"
+    latin1.write_bytes("id,w,c1\n\xe9,1.0,0.0\n".encode("latin-1"))
+    frame = tmp_path / "out" / "frames" / "frame_j0.csv"
+    synth = write_kernel(tmp_path, {"type": "frame_synth", "frames": [str(frame)]}, "synth.json")
+
+    def run(command, atoms=three_atoms, kernel=kernel):
+        return [command, "--atoms", str(atoms), "--kernel", str(kernel), "--out", str(tmp_path / "out" / command)]
+
+    runs = [
+        (0, ["validate", "--config", str(config), "--out", str(tmp_path / "validate")]),
+        *((0, run(command)) for command in SUBCOMMANDS[1:]),  # frames writes the frame that the next two read
+        (0, ["synthesize", "--atoms", str(three_atoms), "--frames", str(frame), "--out", str(tmp_path / "synth")]),
+        (0, run("validate", three_atoms, synth)),
+        (1, run("metric", latin1)),
+        (1, run("decompose", three_atoms, latin1)),
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", ResourceWarning)
+        assert [main(argv) for _, argv in runs] == [code for code, _ in runs]
+        gc.collect()
+    assert unraisable == []
 
 
 def test_main_does_not_freeze(tmp_path, three_atoms):

@@ -8,8 +8,10 @@ checkout then runs every subcommand of the workload's plan as
 ``python -m mercerkit.cli`` with its own ``src`` first on ``PYTHONPATH``, at
 one BLAS thread, in its own copy of the inputs with the outputs under
 ``out``.  The output files, the exit codes and the stderr lines of the two
-are compared, and a markdown summary goes to stdout: how many of each there
-are, and which differ.  The exit status is 1 if anything differs.
+are compared.  Each checkout also runs ``--help``, ``--help`` of each plan
+subcommand and one stray flag, whose stdout, stderr and exit codes are
+compared.  A markdown summary goes to stdout: how many of each there are,
+and which differ.  The exit status is 1 if anything differs.
 """
 
 from __future__ import annotations
@@ -26,21 +28,37 @@ from pathlib import Path
 WORKLOADS = ("scalar-gauss", "matrix-sep3", "table-lowrank")
 
 
-def run_plan(root: Path, inputs: Path, plan: list) -> dict[str, tuple[int, list[str]]]:
-    """Each subcommand's exit code and stderr lines, run by the checkout at ``root`` in ``inputs``."""
+def run_cli(root: Path, cwd: Path, argv: list[str]) -> subprocess.CompletedProcess:
+    """``python -m mercerkit.cli`` of the checkout at ``root`` on ``argv`` in ``cwd``, its stdout and stderr read."""
     env = dict(os.environ, PYTHONPATH=str(root / "src"), OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
                MKL_NUM_THREADS="1")
+    return subprocess.run([sys.executable, "-m", "mercerkit.cli", *argv], cwd=cwd, env=env, capture_output=True,
+                          text=True)
+
+
+def run_plan(root: Path, inputs: Path, plan: list) -> dict[str, tuple[int, list[str]]]:
+    """Each subcommand's exit code and stderr lines, run by the checkout at ``root`` in ``inputs``."""
     results = {}
     for sub, argv in plan:
-        argv = [arg.replace("{out}", "out") for arg in argv]
-        run = subprocess.run([sys.executable, "-m", "mercerkit.cli", *argv], cwd=inputs, env=env,
-                             stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
+        run = run_cli(root, inputs, [arg.replace("{out}", "out") for arg in argv])
         results[sub] = run.returncode, run.stderr.splitlines()
     return results
 
 
-def compare(base: Path, head: Path, workload: str, seed: int, work: Path) -> tuple[int, int, int, list[str]]:
-    """Counts of output files, exit codes and stderr lines of one workload and seed, and what differs."""
+def compare_help(base: Path, head: Path, subs: list[str], work: Path) -> tuple[int, list[str]]:
+    """Count of help and usage runs, and what differs: ``--help``, each of ``subs`` with ``--help``, a stray flag."""
+    runs = [["--help"], *([sub, "--help"] for sub in subs), [subs[0], "--no-such-flag"]]
+    differ = []
+    for argv in runs:
+        old, new = (run_cli(root, work, argv) for root in (base, head))
+        command = " ".join(["mercerkit", *argv])
+        differ += [f"`{command}` {name}" for name in ("stdout", "stderr", "returncode")
+                   if getattr(old, name) != getattr(new, name)]
+    return len(runs), differ
+
+
+def compare(base: Path, head: Path, workload: str, seed: int, work: Path) -> tuple[int, int, int, list[str], list]:
+    """Counts of output files, exit codes and stderr lines of one workload and seed, what differs, and its plan."""
     sys.path.insert(0, str(head / "perfbench"))
     try:
         import workloads
@@ -66,7 +84,7 @@ def compare(base: Path, head: Path, workload: str, seed: int, work: Path) -> tup
             differ.append(f"{tag}: {sub} exit code {code} -> {head_code}")
         differ += [f"{tag}: {sub} stderr line {k + 1}" for k in range(max(len(err), len(head_err)))
                    if err[k:k + 1] != head_err[k:k + 1]]
-    return len(files), len(plan), lines, differ
+    return len(files), len(plan), lines, differ, plan
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -80,17 +98,20 @@ def main(argv: list[str] | None = None) -> int:
     base, head = args.base.resolve(), args.head.resolve()
     with tempfile.TemporaryDirectory() as temp:
         work = args.work or Path(temp)
-        totals, differ = [0, 0, 0], []
+        totals, differ, subs = [0, 0, 0], [], {}
         for workload in args.workload:
             for seed in args.seed:
-                *counts, found = compare(base, head, workload, seed, work)
+                *counts, found, plan = compare(base, head, workload, seed, work)
                 totals = [a + b for a, b in zip(totals, counts)]
                 differ += found
+                subs.update((sub, None) for sub, _ in plan)
+        help_runs, help_differ = compare_help(base, head, list(subs), work)
     seeds = ", ".join(map(str, args.seed))
     print(f"### Outputs against the base, seed {seeds}")
     print(f"- {totals[0]} output files, {totals[1]} exit codes, {totals[2]} stderr lines; {len(differ)} differ")
-    print("".join(f"- {item}\n" for item in differ), end="")
-    return 1 if differ else 0
+    print(f"- {help_runs} help and usage runs, each stdout, stderr and exit code; {len(help_differ)} differ")
+    print("".join(f"- {item}\n" for item in differ + help_differ), end="")
+    return 1 if differ or help_differ else 0
 
 
 if __name__ == "__main__":
