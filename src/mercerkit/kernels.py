@@ -195,7 +195,7 @@ def gram(
 def _kernel_blocks(core_gram: np.ndarray, kernel: MatrixKernel, rows=None, cols=None) -> np.ndarray:
     """:func:`gram`'s blocks (all without ``rows``): the core's Gram over every atom, sliced, times ``B``.
 
-    They are :func:`gram`'s bit for bit, but a synthesized kernel's ``V^H V`` may differ in the last bit.
+    They are :func:`gram`'s bit for bit; a synthesized kernel's ``V^H V`` may differ in the last bit (see _row_blocks).
     """
     part = core_gram if rows is None else core_gram[np.ix_(rows, rows if cols is None else cols)]
     _, matrix = _factors(kernel)
@@ -217,16 +217,17 @@ def psd_tolerance(max_eigenvalue: float) -> float:
 _BLOCK_ROWS = 64
 
 
-def _row_blocks(count: int) -> list[slice]:
-    """Consecutive slices over ``count`` rows, each of ``_BLOCK_ROWS`` to ``2 * _BLOCK_ROWS - 1`` rows, or one of all.
+def _row_blocks(count: int, most: int | None = None) -> list[slice]:
+    """Consecutive slices over ``count`` rows, each of ``k`` to ``2 * k - 1`` rows, or one of all.
 
-    No slice is left with a few rows.  BLAS may sum the entries of a product
-    of another shape in another order, and a one-row product is a
-    matrix-vector product; OpenBLAS sums a complex product's entries in the
-    same order in every block of this many rows as in the whole product, a
-    real product's not always.
+    ``k`` is ``_BLOCK_ROWS``, or the multiple of it that makes about ``most`` slices.  No slice is left with a few
+    rows.  BLAS may sum the entries of a product of another shape in another order, and a one-row product is a
+    matrix-vector product; OpenBLAS sums a complex product's entries in the same order as the whole product's in every
+    block of rows or columns that starts at a multiple of ``_BLOCK_ROWS``, a real product's not always, and gives
+    ``A conj(B)`` the bits of ``conj(conj(A) B)``.
     """
-    starts = range(0, max(count - _BLOCK_ROWS, 0) + 1, _BLOCK_ROWS)
+    least = _BLOCK_ROWS * max(1, count // (most * _BLOCK_ROWS)) if most else _BLOCK_ROWS
+    starts = range(0, max(count - least, 0) + 1, least)
     return [slice(a, b) for a, b in zip(starts, [*starts[1:], count])]
 
 
@@ -270,18 +271,18 @@ def _require_hermitian(blocks: np.ndarray, matrix: np.ndarray = _ONE) -> None:
         )
 
 
-def _hermitian(m: np.ndarray) -> np.ndarray:
+def _hermitian(m: np.ndarray, mirror: np.ndarray | None = None) -> np.ndarray:
     """Hermitian part ``(M + M^H) / 2`` of each square matrix in a stack, as a new array.
 
-    A Hermitian matrix comes back equal.  The sum is formed in the one new
-    array, where ``0.5 * (M + M^H)`` would allocate three; only if it
-    overflows, as it may near the largest float, are the halves added instead.
+    A given ``mirror`` stands for ``M^H``, as block ``(b, a)``'s conjugate transpose does for block ``(a, b)``.  A
+    Hermitian matrix comes back equal.  The sum is formed in the one new array, where ``0.5 * (M + M^H)`` would
+    allocate three; only if it overflows, as it may near the largest float, are the halves added instead.
     """
-    part = np.conj(np.swapaxes(m, -1, -2), order="C")
+    part = np.conj(np.swapaxes(m, -1, -2), order="C") if mirror is None else np.empty_like(m)
     with np.errstate(over="ignore"):
-        np.add(m, part, out=part)
+        np.add(m, part if mirror is None else mirror, out=part)
     if np.isinf(part).any():
-        return 0.5 * m + 0.5 * np.conj(np.swapaxes(m, -1, -2))
+        return 0.5 * m + 0.5 * (np.conj(np.swapaxes(m, -1, -2)) if mirror is None else mirror)
     part *= 0.5
     return part
 
@@ -584,23 +585,25 @@ def read_precomputed(path: str | Path) -> MatrixKernel:
     return MatrixKernel(n, label=f"precomputed({Path(path).name})", batch=batch)
 
 
-def write_precomputed(kernel: MatrixKernel, space: AtomSpace, path: str | Path) -> np.ndarray:
+def write_precomputed(kernel: MatrixKernel, space: AtomSpace, path: str | Path) -> np.ndarray | None:
     """Write kernel values over the atoms of ``space`` as a block table CSV.
 
-    Only blocks with ``x <= t`` in atom order are emitted, and only the upper
-    triangle of each diagonal block; the reader restores the rest by
-    Hermitian symmetry.  Returns the blocks written, the kernel's Gram over
-    the atoms as :func:`gram` gives it.
+    Only blocks with ``x <= t`` in atom order are emitted, and only the upper triangle of each diagonal block; the
+    reader restores the rest by Hermitian symmetry.  Returns the blocks written, the kernel's Gram over the atoms as
+    :func:`gram` gives it, or ``None`` for a kernel synthesized from complex frames: its Gram is never whole, and its
+    values, :func:`gram`'s bit for bit, are written a block of rows at a time (``synthesis._gram_entries``).
     """
-    blocks = gram(kernel, space)
+    v = _frame_factor(kernel, space)
+    from .synthesis import _gram_entries  # deferred: synthesis sits above this module in the layering
+    source = gram(kernel, space) if v is None or not np.iscomplexobj(v) else _gram_entries(v, kernel.n)
     labels = [(space.labels, 0), (space.labels, 1), (range(kernel.n), 2), (range(kernel.n), 3)]
 
     def upper(x: np.ndarray, t: np.ndarray, l: np.ndarray, j: np.ndarray) -> np.ndarray:
         # block row x: the upper triangle of block (x, x), then every block (x, t) with t after x
         return (t > x) | ((t == x) & (l <= j))
 
-    _write_csv(path, _PRECOMPUTED_ROW.names, blocks.shape, labels, blocks, im=True, rows=upper)
-    return blocks
+    _write_csv(path, _PRECOMPUTED_ROW.names, (len(space),) * 2 + (kernel.n,) * 2, labels, source, im=True, rows=upper)
+    return None if callable(source) else source
 
 
 # ---------------------------------------------------------------------------
@@ -636,21 +639,6 @@ class ValidationReport:
         return data
 
 
-def _factor_eigenvalues(v: np.ndarray, order: int) -> np.ndarray | None:
-    """Eigenvalues of ``V^H V``, of order ``order``, off the smaller ``V V^H``; ``None`` if that overflows.
-
-    The two products share their nonzero eigenvalues, and ``V^H V`` has
-    ``order - len(V)`` more zeros, which pad the result (the Gram trick of
-    the Nystrom method).  A finite ``V`` can overflow in the product; the
-    caller then solves the Gram itself.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):
-        small = _hermitian(v @ v.conj().T)
-    if not np.isfinite(small).all():
-        return None
-    return np.concatenate([np.linalg.eigvalsh(small), np.zeros(order - len(small))])
-
-
 def validate_kernel(kernel: MatrixKernel, space: AtomSpace, blocks: np.ndarray | None = None) -> ValidationReport:
     """Check Hermitian pair symmetry and block Gram positivity over the atoms of ``space``.
 
@@ -668,18 +656,21 @@ def validate_kernel(kernel: MatrixKernel, space: AtomSpace, blocks: np.ndarray |
     :func:`_hermitian_deviation`); the eigenvalues are the products of those
     of the Hermitian parts of the core's Gram and of ``B``.  A kernel
     synthesized as ``V^H V`` from fewer frame vectors than the Gram's order
-    has them off ``V V^H`` instead (see :func:`_factor_eigenvalues`), and no
+    has them off ``V V^H`` instead (see :func:`~mercerkit.synthesis._factor_eigenvalues`), and no
     Gram is held while that is solved if the caller keeps no reference to
-    ``blocks``.
+    ``blocks``.  Without ``blocks``, its Gram is not evaluated where ``count * max|V|^2``, a bound on every entry of
+    ``V^H V``, is under a quarter of the largest float: each entry of the Hermitian part is finite, its deviation 0.
     """
     core, matrix = _factors(kernel)
+    size, n = len(space), kernel.n
+    factor = (v := _frame_factor(kernel, space)) is not None and len(v) < size * n
     with np.errstate(over="ignore", invalid="ignore"):
-        raw = _flat(gram(core, space) if blocks is None else blocks)
-        dev = _hermitian_deviation(raw, matrix)
+        bounded = factor and blocks is None and len(v) * np.max(np.abs(v), initial=0.0) ** 2 <= np.finfo(float).max / 4
+        raw = None if bounded else _flat(gram(core, space) if blocks is None else blocks)
+        dev = 0.0 if bounded else _hermitian_deviation(raw, matrix)
         # a non-finite entry of core (x) B makes the deviation non-finite: only then are the entries read
         finite = math.isfinite(dev) or reduce(np.logical_and, (np.isfinite(raw * b) for b in matrix.flat))
     del blocks
-    size, n = len(space), kernel.n
     nonfinite = None
     if not np.all(finite):
         # the eigensolver does not converge on non-finite entries; both checks fail on nan
@@ -687,10 +678,10 @@ def validate_kernel(kernel: MatrixKernel, space: AtomSpace, blocks: np.ndarray |
         nonfinite = (space.labels[x], space.labels[t])
         eigs = np.array([np.nan])
     else:
-        v = _frame_factor(kernel, space)
         eigs = None
-        if v is not None and len(v) < len(raw):
-            del raw  # no Gram is held while V V^H is solved
+        if factor:
+            from .synthesis import _factor_eigenvalues  # deferred, as in write_precomputed
+            raw = None  # no Gram is held while V V^H is solved
             eigs = _factor_eigenvalues(v, size * n)
             if eigs is None:  # V V^H overflows: solve a new evaluation of the Gram instead
                 raw = _flat(gram(core, space))

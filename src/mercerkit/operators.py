@@ -366,13 +366,14 @@ def embedding_norm_bound_check(h: RKHSElement, dec: SpectralDecomposition) -> tu
 
     Returns ``(l2_sq, bound)`` where ``l2_sq`` is computed by quadrature of
     the pointwise values and ``bound = m_nu * |h|_K^2``.  The embedding
-    inequality asserts ``l2_sq <= bound`` up to the eigen tolerance.
+    inequality asserts ``l2_sq <= bound`` up to the eigen tolerance.  The values are read off ``u``, ``v`` and ``p``.
     """
     if h.coeffs is None:
         raise ValueError("embedding bound needs the spectral form; project the element first")
     coeffs = _coefficients(h, dec)
-    values = np.einsum("i,ixl->xl", coeffs * np.sqrt(dec.sigmas), dec.funcs)
-    l2_sq = float(np.sum(np.abs(values) ** 2 * dec.nu.weights[:, None]))
+    weights = np.zeros((len(dec.u), len(dec.v)), dtype=complex)
+    np.add.at(weights, dec.p, (coeffs * np.sqrt(dec.sigmas) * dec.v).T)
+    l2_sq = float(np.sum(np.abs(np.einsum("qxc,qk->xck", dec.u, weights)) ** 2 * dec.nu.weights[:, None, None]))
     bound = dec.nu.m_nu * float(np.sum(np.abs(coeffs) ** 2))
     return l2_sq, bound
 

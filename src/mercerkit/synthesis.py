@@ -17,11 +17,11 @@ diagonal block ``j`` at ``(x, t)`` is ``k_j(t, x)``, which equals
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .kernels import MatrixKernel, _frame_factor, _hermitian, _readonly, gram
+from .kernels import MatrixKernel, _frame_factor, _hermitian, _readonly, _row_blocks, gram
 from .mercer import ScalarFrame
 from .space import AtomSpace
 
@@ -77,9 +77,9 @@ def synthesize_kernel(family: FrameFamily) -> MatrixKernel:
     :func:`~mercerkit.kernels._hermitian`.  The kernel
     carries the family as its factor ``V`` (``K = V^H V``, see
     :func:`~mercerkit.kernels._frame_factor`), which validation and
-    :func:`verify_diagonal_blocks` use in place of the Gram.  Defined only on
-    the family's atoms; evaluating elsewhere raises
-    :class:`~mercerkit.kernels.KernelEvaluationError`.
+    :func:`verify_diagonal_blocks` use in place of the Gram, and from which :func:`~mercerkit.kernels.write_precomputed`
+    writes a complex family's Gram a block of rows at a time.  Defined only on the family's atoms; evaluating
+    elsewhere raises :class:`~mercerkit.kernels.KernelEvaluationError`.
     """
     n = family.n
 
@@ -92,6 +92,52 @@ def synthesize_kernel(family: FrameFamily) -> MatrixKernel:
     index = {label: i for i, label in enumerate(family.atoms)}
     kernel = MatrixKernel(n, label=f"frame_synth(n={n})", batch=batch, frames=(index, family.values))
     return kernel
+
+
+def _gram_entries(v: np.ndarray, n: int) -> Callable[..., np.ndarray]:
+    """Entries ``(x, t, l, j)``, ``t >= x`` in atom order, of the Hermitian part ``H`` of ``V^H V``, ``V`` complex.
+
+    ``H`` is formed in about eight blocks of rows ``a``, from column ``a.start`` on, each held while rows asked for
+    reach into it: ``V_a^H V_{a:}``, and ``V_{a:}^T conj(V_a)`` transposed for the mirror (``kernels._row_blocks``).
+    """
+
+    def strip(rows: slice) -> tuple[slice, np.ndarray]:
+        part, rest = np.conj(v[:, rows].T), v[:, rows.start :]
+        return rows, _hermitian(part @ rest, (rest.T @ part.T).T)
+
+    def values(x: np.ndarray, t: np.ndarray, l: np.ndarray, j: np.ndarray) -> np.ndarray:
+        held[:] = [(rows, block) for rows, block in held if rows.stop > x.min(initial=v.shape[1]) * n]
+        while not held or held[-1][0].stop < (x.max(initial=-1) + 1) * n:
+            held.append(next(strips))
+        r, c, out = x * n + l, t * n + j, np.empty(len(x), v.dtype)
+        for rows, block in held:
+            at = slice(None) if len(held) == 1 else (r >= rows.start) & (r < rows.stop)
+            out[at] = block[r[at] - rows.start, c[at] - rows.start]
+        return out
+
+    held, strips = [], map(strip, _row_blocks(v.shape[1], 8))
+    return values
+
+
+def _factor_eigenvalues(v: np.ndarray, order: int) -> np.ndarray | None:
+    """Eigenvalues of ``V^H V``, of order ``order``, off the smaller ``V V^H``; ``None`` if that overflows.
+
+    The two products share their nonzero eigenvalues, and ``V^H V`` has ``order - len(V)`` more zeros, which pad the
+    result (the Gram trick of the Nystrom method).  A finite ``V`` can overflow in the product; the caller then solves
+    the Gram itself.  A complex ``V V^H`` is formed a block of rows at a time, as the conjugate of ``conj(V_a) V^T``,
+    with the bits of the whole product's (see :func:`~mercerkit.kernels._row_blocks`).
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        if np.iscomplexobj(v):
+            small = np.empty((len(v),) * 2, v.dtype)
+            for a in _row_blocks(len(v)):
+                np.conj(np.matmul(np.conj(v[a]), v.T, out=small[a]), out=small[a])
+        else:
+            small = v @ v.conj().T
+        small = _hermitian(small)
+    if not all(np.isfinite(small[a]).all() for a in _row_blocks(len(small))):
+        return None
+    return np.concatenate([np.linalg.eigvalsh(small), np.zeros(order - len(small))])
 
 
 def verify_diagonal_blocks(

@@ -5,7 +5,9 @@ atom once, ``N^2`` blocks, and hands it on: rescale, assembly, the extension
 to zero-mass atoms, the support, the metric, the reconstruction table and the
 frame check read their blocks off it.  ``synthesize --kernel a --kernel b``
 evaluates each original's Gram once, in its decomposition, and the
-synthesized kernel's once: ``3 N^2``.  Blocks are counted by wrapping
+synthesized kernel's once if its frames are real: ``3 N^2``.  Complex frames'
+Gram is written from their factor a block of rows at a time and validated off
+the factor, never evaluated: ``2 N^2``.  Blocks are counted by wrapping
 :func:`mercerkit.kernels.gram` at every module that imports it.
 """
 
@@ -104,7 +106,16 @@ def test_synthesize_evaluates_each_kernel_once(inputs, monkeypatch):
     counts = count_blocks(monkeypatch)
     originals = ["--kernel", str(inputs / "gaussian.json"), "--kernel", str(inputs / "scalar_precomputed.json")]
     assert main(["synthesize", "--atoms", str(inputs / "atoms.csv"), *originals, "--out", str(inputs / "out")]) == 0
-    # each original's Gram in its decomposition, then the synthesized kernel's
+    # each original's Gram in its decomposition; a read table is complex, and so are its frames, whose
+    # synthesized Gram is never evaluated
+    assert sum(counts) == 2 * SIZE**2, counts
+
+
+def test_synthesize_from_real_frames_evaluates_their_gram_once(inputs, monkeypatch):
+    counts = count_blocks(monkeypatch)
+    originals = ["--kernel", str(inputs / "gaussian.json")] * 2
+    assert main(["synthesize", "--atoms", str(inputs / "atoms.csv"), *originals, "--out", str(inputs / "out")]) == 0
+    # each original's Gram in its decomposition, then the synthesized kernel's, which is written whole
     assert sum(counts) == 3 * SIZE**2, counts
 
 
@@ -115,8 +126,8 @@ def test_synthesize_from_frames_evaluates_each_kernel_once(inputs, monkeypatch):
     frames = ["--frames", str(inputs / "f" / "frame_j0.csv"), str(inputs / "f" / "frame_j1.csv")]
     originals = ["--kernel", str(inputs / "gaussian.json"), "--kernel", str(inputs / "scalar_precomputed.json")]
     assert main(["synthesize", *atoms, *frames, *originals, "--out", str(inputs / "out")]) == 0
-    # the synthesized kernel's Gram, then each original's, over the frames' atoms
-    assert sum(counts) == 3 * SIZE**2, counts
+    # each original's Gram over the frames' atoms; the complex frames' own Gram is never evaluated
+    assert sum(counts) == 2 * SIZE**2, counts
 
 
 @pytest.mark.parametrize("kernel", ["gaussian", "separable_complex", "precomputed"])

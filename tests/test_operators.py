@@ -425,6 +425,20 @@ def test_embedding_norm_bound_random_elements(spec):
         assert l2_sq <= bound + tol
 
 
+@pytest.mark.parametrize("spec", [spec for _, spec in ZOO], ids=ZOO_IDS)
+def test_embedding_norm_bound_reads_the_factors_not_funcs(spec):
+    # the values were one sum over dec.funcs, formed whole and cached; the same sum over u, v and p agrees to rounding
+    rng = np.random.default_rng(67)
+    dec = decompose_space(random_space(rng, 12, dim=2, zero_mass=2), spec)
+    coeffs = rng.standard_normal(dec.rank) + 1j * rng.standard_normal(dec.rank)
+    l2_sq, bound = embedding_norm_bound_check(RKHSElement.spectral(coeffs), dec)
+    assert "funcs" not in dec.__dict__
+    values = np.einsum("i,ixl->xl", coeffs * np.sqrt(dec.sigmas), dec.funcs)
+    old = float(np.sum(np.abs(values) ** 2 * dec.nu.weights[:, None]))
+    assert l2_sq == pytest.approx(old, rel=1e-12)
+    assert bound == dec.nu.m_nu * float(np.sum(np.abs(coeffs) ** 2))
+
+
 def test_embedding_bound_requires_spectral_form():
     space = space_from([0.0, 1.0], [1.0, 1.0])
     dec = decompose_space(space, {"type": "constant", "value": 1.0})
