@@ -124,19 +124,19 @@ def _scatter(
     """Array of ``shape`` holding ``re``, ``im`` at the index columns ``keys``, and its stored mask.
 
     The array is complex, or real without ``im``.  A position given twice
-    keeps its last row.  Parts are assigned, not summed as ``re + 1j * im``, which would
+    keeps its last row, found in one ``np.maximum.at`` pass over the rows.
+    Parts are assigned, not summed as ``re + 1j * im``, which would
     turn ``im = inf`` into a ``nan`` real part and lose a ``-0.0``.
     """
-    flat = np.ravel_multi_index(keys, shape)
     # advanced-index assignment does not say which of repeated indices wins, so keep the last row
-    last = len(flat) - 1 - np.unique(flat[::-1], return_index=True)[1]
-    pos = flat[last]
+    last = np.full(shape, -1, dtype=np.intp)
+    np.maximum.at(last.reshape(-1), np.ravel_multi_index(keys, shape), np.arange(len(re)))
+    stored = last >= 0
+    last = last[stored]
     values = np.zeros(shape, dtype=float if im is None else complex)
-    values.real.flat[pos] = re[last]
+    values.real[stored] = re[last]
     if im is not None:
-        values.imag.flat[pos] = im[last]
-    stored = np.zeros(shape, dtype=bool)
-    stored.flat[pos] = True
+        values.imag[stored] = im[last]
     return values, stored
 
 

@@ -427,6 +427,20 @@ def _rows(column: np.ndarray, size: int, width: int) -> np.ndarray | None:
     return None
 
 
+def _batches(shape: tuple[int, ...], step: int, rows: Callable[..., np.ndarray] | None) -> Iterator[np.ndarray]:
+    """C-order positions of each batch's rows, ``step`` in all but the last: candidates ``rows`` keeps carry over."""
+    kept, size = np.zeros(0, np.intp), math.prod(shape)
+    for start in range(0, size, step):
+        positions = np.arange(start, min(start + step, size))
+        keep = slice(None) if rows is None else rows(*np.unravel_index(positions, shape))
+        kept = np.concatenate([kept, positions[keep]])
+        if len(kept) >= step:
+            yield kept[:step]
+            kept = kept[step:]
+    if len(kept):
+        yield kept
+
+
 def _write_csv(
     path: str | Path,
     header: Sequence[str],
@@ -456,10 +470,11 @@ def _write_csv(
     write.  Rows go out in batches that keep within ``_BUDGET`` bytes: each
     batch is one uint8 array of characters, every cell at a fixed width and
     padded with ``_PAD``, which is dropped as the batch is written.  A float
-    cell is ``_CELL`` bytes, and four more where ``0.0,`` follows it.  An
-    array whose rows are evenly spaced in memory is sliced a batch at a time;
-    any other is indexed.  A function is called once on empty index arrays,
-    for the shape and dtype of its values.
+    cell is ``_CELL`` bytes, and four more where ``0.0,`` follows it.  Every
+    batch but the last holds the same count of written rows (see
+    :func:`_batches`).  An array whose rows are evenly spaced in memory is
+    sliced a batch at a time; any other is indexed.  A function is called once
+    on empty index arrays, for the shape and dtype of its values.
     """
     size = math.prod(shape)
     text = [(_text_cells(cells), axis) for cells, axis in labels]
@@ -474,17 +489,10 @@ def _write_csv(
     with open(path, "wb") as fh:
         head = _text_cells(header).reshape(-1)
         fh.write(head[head != _PAD][:-1].tobytes() + b"\n")
-        for start in range(0, size, step):
-            stop = min(start + step, size)
-            index = np.unravel_index(np.arange(start, stop), shape)
-            written = slice(None)
-            if rows is not None:
-                written = rows(*index)
-                index = tuple(i[written] for i in index)
-            count = len(index[0])
-            if not count:
-                continue
-            batch = values(*index) if callable(values) else values[index] if flat is None else flat[start:stop][written]
+        for positions in _batches(shape, step, rows):
+            count, index = len(positions), np.unravel_index(positions, shape)
+            part = positions if rows is not None else slice(positions[0], positions[-1] + 1)  # a view, not a copy
+            batch = values(*index) if callable(values) else values[index] if flat is None else flat[part]
             batch = batch.reshape(count, width)
             words, _ = _render(np.ascontiguousarray(batch).view(float) if pair else batch)
             del batch
@@ -500,6 +508,7 @@ def _write_csv(
             del words, slots
             chars[:, -1] = ord("\n")
             fh.write(chars[chars != _PAD])
+            del chars  # before the next batch's values are formed
 
 
 class _Numbers(dict):

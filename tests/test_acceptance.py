@@ -310,12 +310,32 @@ def test_criterion_08_quotient_and_support():
     rank_ok = dec.rank == dec_merged.rank
     gap = float(np.max(np.abs(dec.sigmas - dec_merged.sigmas))) if rank_ok else np.inf
 
-    ok = merged_count_ok and mass_ok and rank_ok and gap <= tol_eig
+    # R2: a zero-mass copy of a weighted atom joins the support and that atom's class, and leaves the spectrum
+    copied = space_from(np.vstack([coords, coords[0]]), np.append(mu, 0.0))
+    copied_metric = pseudo_metric(copied, kernel)
+    copied_classes = quotient(copied, copied_metric)
+    joins = bool(support(copied, copied_metric)[12]) and copied_classes[12] == copied_classes[0]
+    dec_copied = decompose_space(copied, spec)
+    copy_gap = float(np.max(np.abs(dec.sigmas - dec_copied.sigmas))) if dec_copied.rank == dec.rank else np.inf
+    copy_ok = joins and copy_gap <= tol_eig
+
+    # R3: an atom at pseudo-distance 1.2e-5 from another is not glued to it; for this gaussian
+    # d^2 = 2 - 2 exp(-gamma r^2), so the offset is r = sqrt(-log(1 - d^2 / 2) / gamma)
+    offset = np.sqrt(-np.log1p(-(1.2e-5**2) / 2)) / np.sqrt(2.0)
+    near = space_from(np.vstack([coords, coords[1] + offset]), np.append(mu, 1.0))
+    near_metric = pseudo_metric(near, kernel)
+    near_distance = float(near_metric.d[1, 12])
+    near_classes = quotient(near, near_metric)
+    apart = near_classes[12] not in near_classes[:12]
+
+    ok = merged_count_ok and mass_ok and rank_ok and gap <= tol_eig and copy_ok and apart
     _verdict(
         8,
         "quotient and support",
         ok,
-        f"classes 12->{class_count}, support mass exact {mass_ok}, spectrum gap {gap:.2e}",
+        f"classes 12->{class_count}, support mass exact {mass_ok}, spectrum gap {gap:.2e}; "
+        f"R2 zero-mass copy joins support and class {joins}, spectrum gap {copy_gap:.2e}; "
+        f"R3 atom at distance {near_distance:.2e} own class {apart}",
     )
 
 

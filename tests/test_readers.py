@@ -322,6 +322,30 @@ def test_written_table_takes_fast_path(tmp_path, no_loop):
     assert gram(read_precomputed(path), space)[written].tobytes() == blocks[written].tobytes()
 
 
+def test_a_position_given_twice_keeps_its_last_row(tmp_path):
+    # kernels._scatter finds each position's last row in one pass over the rows: a block table whose entries
+    # repeat in shuffled order, and the frame rows of CASES["repeated"]
+    labels = ("a", "b", "c")
+    space = AtomSpace(labels, np.zeros((len(labels), 0)), np.ones(len(labels)))
+    written = written_entries(len(labels), 2)
+    entries = np.argwhere(written)
+    rng = np.random.default_rng(29)
+    picks = np.concatenate([np.arange(len(entries)), rng.integers(0, len(entries), 2 * len(entries))])
+    rng.shuffle(picks)
+    values = rng.standard_normal(len(picks)) + 1j * rng.standard_normal(len(picks))
+    last, lines = {}, ["x_id,t_id,l,j,re,im"]
+    for pick, value in zip(picks.tolist(), values.tolist()):
+        x, t, l, j = entries[pick]
+        lines.append(f"{labels[x]},{labels[t]},{l},{j},{value.real!r},{value.imag!r}")
+        last[pick] = value
+    path = tmp_path / "table.csv"
+    path.write_text("\n".join(lines) + "\n")
+    expected = np.array([last[k] for k in range(len(entries))])
+    assert gram(read_precomputed(path), space)[written].tobytes() == expected.tobytes()
+    _write_case(tmp_path / "frame.csv", "frame", CASES["repeated"][0])
+    assert read_frame(tmp_path / "frame.csv").values.tolist() == [[-5 + 6j, 2 + 3j]]
+
+
 # ---------------------------------------------------------------------------
 # a file too large to hold dense is a reader error, not a crash
 # ---------------------------------------------------------------------------

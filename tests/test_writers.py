@@ -34,6 +34,7 @@ from mercerkit import (
 )
 from mercerkit.cli import main
 from mercerkit import tables
+from mercerkit.kernels import _row_blocks
 
 # labels that need quoting, one with an inner space, the empty label, and one beyond ASCII
 LABELS = ("a,1", 'b"q', "c d", "", "e", "\u00e9\u03b2\u20ac")
@@ -93,6 +94,20 @@ def _bits(values) -> bytes:
 def _factored(funcs):
     """Factors ``u, v, p`` of a decomposition whose eigenfunctions are ``funcs`` bit for bit: ``v`` all ones."""
     return funcs, np.ones((1, len(funcs))), np.arange(len(funcs))
+
+
+def _upper(shape) -> np.ndarray:
+    """The entries ``(x, t, l, j)`` that ``write_precomputed`` writes: ``t > x``, or ``t == x`` and ``l <= j``."""
+    x, t, l, j = np.indices(shape)
+    return (t > x) | ((t == x) & (l <= j))
+
+
+def _precomputed_rows(blocks, labels) -> list[list]:
+    rows = [["x_id", "t_id", "l", "j", "re", "im"]]
+    for x, t, l, j in zip(*np.nonzero(_upper(blocks.shape))):
+        value = complex(blocks[x, t, l, j])
+        rows.append([labels[x], labels[t], l, j, repr(value.real), repr(value.imag)])
+    return rows
 
 
 def _space() -> AtomSpace:
@@ -157,16 +172,8 @@ def test_write_precomputed_bytes_and_read_back(tmp_path):
         blocks = gram(kernel, space)
         path = tmp_path / f"{name}.csv"
         write_precomputed(kernel, space, path)
-        rows = [["x_id", "t_id", "l", "j", "re", "im"]]
-        written = np.zeros(blocks.shape, dtype=bool)
-        for i, x in enumerate(space.labels):
-            for k in range(i, len(space)):
-                for l in range(2):
-                    for j in range(l if k == i else 0, 2):
-                        value = complex(blocks[i, k, l, j])
-                        rows.append([x, space.labels[k], l, j, repr(value.real), repr(value.imag)])
-                        written[i, k, l, j] = True
-        assert path.read_bytes() == _reference(rows), name
+        assert path.read_bytes() == _reference(_precomputed_rows(blocks, space.labels)), name
+        written = _upper(blocks.shape)
         back = gram(read_precomputed(path), space)
         assert _bits(back[written]) == _bits(blocks[written]), name
 
@@ -212,6 +219,44 @@ def test_write_eigenfunctions_across_render_batches(tmp_path, monkeypatch):
     assert len(batches) > 3 and sum(batches) == rank * per_index
     assert any(np.cumsum(batches) % per_index), "a batch should end inside one eigenindex's rows"
     assert path.read_bytes() == _reference(_eigenfunction_rows(funcs, space.labels))
+
+
+@pytest.mark.parametrize("name", ["synthesized", "real"])
+def test_a_row_filtered_write_fills_its_batches(tmp_path, monkeypatch, name):
+    # write_precomputed keeps about half of the block table's rows, so a batch of candidate rows is half empty;
+    # the rows kept are carried forward, and every render call but the last takes a full batch
+    rng = np.random.default_rng(83)
+    space = random_space(rng, 70, dim=2)
+    if name == "synthesized":  # complex frames, whose Gram is written in strips of rows (synthesis._gram_entries)
+        values = rng.standard_normal((5, len(space), 3)) + 1j * rng.standard_normal((5, len(space), 3))
+        kernel = synthesize_kernel(align_frames([ScalarFrame(space.labels, values[..., j]) for j in range(3)]))
+    else:
+        kernel = build_kernel(FACTORED["separable_real"])
+    blocks = gram(kernel, space)
+    batches = []
+
+    def render(values):
+        batches.append(len(values))  # one row of floats per row written
+        return render_batch(values)
+
+    render_batch = tables._render
+    monkeypatch.setattr(tables, "_render", render)
+    monkeypatch.setattr(tables, "_BUDGET", 20_000)
+    path = tmp_path / "kernel.csv"
+    returned = write_precomputed(kernel, space, path)
+    assert (returned is None) == (name == "synthesized")
+    kept = _upper(blocks.shape)
+    step = batches[0]
+    assert len(batches) > 3 and sum(batches) == kept.sum()
+    assert batches[:-1] == [step] * (len(batches) - 1) and 0 < batches[-1] <= step
+    if name == "synthesized":
+        # the Gram row x * n + l of each row written, and the strip of rows that holds it
+        x, _, l, _ = np.nonzero(kept)
+        starts = [rows.start for rows in _row_blocks(len(space) * kernel.n, 8)]
+        strip = np.searchsorted(starts, x * kernel.n + l, side="right")
+        assert len(starts) >= 3
+        assert any(len(set(strip[a : a + step])) > 1 for a in range(0, len(strip), step))
+    assert path.read_bytes() == _reference(_precomputed_rows(blocks, space.labels))
 
 
 GAUSSIAN = {"type": "gaussian", "gamma": 0.8}
@@ -312,17 +357,32 @@ def test_long_labels_shrink_the_batch_not_the_bytes(tmp_path):
 
 def test_writer_memory_stays_within_the_budget_of_its_batches(tmp_path):
     # a faster writer must not buy its time with memory: the peak of one file of the size of
-    # matrix-sep3's eigenfunctions stays within 1.0 MB besides the renderer's lookup tables
+    # matrix-sep3's eigenfunctions stays within 1.0 MB besides the renderer's lookup tables, and so does
+    # the row-filtered block table of the kernel synthesized from its frames, besides the strips of its Gram
     rng = np.random.default_rng(61)
     funcs = 0.1 * (rng.standard_normal((240, 100, 3)) + 1j * rng.standard_normal((240, 100, 3)))
-    labels = [(range(240), 0), ([f"x{x:04d}" for x in range(100)], 1), (range(3), 2)]
-    tracemalloc.start()
-    try:
-        header = ["i", "atom_id", "j", "re", "im"]
-        tables._write_csv(tmp_path / "eigenfunctions.csv", header, funcs.shape, labels, funcs, im=True)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    lookup = tables._tables()
-    arrays = (lookup.quads, lookup.zeros, lookup.head, lookup.tail, lookup.text, lookup.exponents, lookup.powers)
-    assert peak <= 1_000_000 + sum(a.nbytes for a in arrays)
+    atoms = [f"x{x:04d}" for x in range(100)]
+    labels = [(range(240), 0), (atoms, 1), (range(3), 2)]
+    header = ["i", "atom_id", "j", "re", "im"]
+    space = AtomSpace(tuple(atoms), np.zeros((100, 1)), np.ones(100))
+    kernel = synthesize_kernel(align_frames([ScalarFrame(space.labels, funcs[..., j]) for j in range(3)]))
+    # forming strip k of V^H V's rows takes the conjugate of V's columns in it, the two products and their
+    # Hermitian part, with strip k - 1 still held for a batch that straddles the two
+    blocks = _row_blocks(300, 8)
+    strips = [(rows.stop - rows.start) * (300 - rows.start) * 16 for rows in blocks]
+    forming = max(held + (rows.stop - rows.start) * 240 * 16 + 3 * size
+                  for held, size, rows in zip([0, *strips], strips, blocks))
+    writes = {
+        "eigenfunctions": (lambda path: tables._write_csv(path, header, funcs.shape, labels, funcs, im=True), 0),
+        "kernel": (lambda path: write_precomputed(kernel, space, path), forming),
+    }
+    for name, (write, strips_held) in writes.items():
+        tracemalloc.start()
+        try:
+            write(tmp_path / f"{name}.csv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        lookup = tables._tables()
+        arrays = (lookup.quads, lookup.zeros, lookup.head, lookup.tail, lookup.text, lookup.exponents, lookup.powers)
+        assert peak <= 1_000_000 + sum(a.nbytes for a in arrays) + strips_held, (name, peak)
