@@ -419,25 +419,20 @@ def _text_cells(cells: Iterable[str | int]) -> np.ndarray:
     return chars.reshape(len(data), width)
 
 
-def _rows(column: np.ndarray, size: int, width: int) -> np.ndarray | None:
-    """``column`` as a view of ``size`` rows of ``width`` in C order, or ``None`` if its strides allow none."""
-    axes = [(n, step) for n, step in zip(column.shape, column.strides) if n != 1]
-    if all(step == n * inner for (_, step), (n, inner) in zip(axes, axes[1:])):
-        return column.reshape(size, width)
-    return None
+def _batches(shape: tuple[int, ...], step: int, rows: Callable[..., np.ndarray] | None) -> Iterator[tuple]:
+    """Index arrays of each batch's rows in C order, ``step`` rows in all but the last.
 
-
-def _batches(shape: tuple[int, ...], step: int, rows: Callable[..., np.ndarray] | None) -> Iterator[np.ndarray]:
-    """C-order positions of each batch's rows, ``step`` in all but the last: candidates ``rows`` keeps carry over."""
-    kept, size = np.zeros(0, np.intp), math.prod(shape)
+    Each range of ``step`` candidate rows is unravelled once; those ``rows`` keeps (all, without it) carry forward.
+    """
+    size, kept = math.prod(shape), (np.zeros(0, np.intp),) * len(shape)
     for start in range(0, size, step):
-        positions = np.arange(start, min(start + step, size))
-        keep = slice(None) if rows is None else rows(*np.unravel_index(positions, shape))
-        kept = np.concatenate([kept, positions[keep]])
-        if len(kept) >= step:
-            yield kept[:step]
-            kept = kept[step:]
-    if len(kept):
+        index = np.unravel_index(np.arange(start, min(start + step, size)), shape)
+        keep = slice(None) if rows is None else rows(*index)
+        kept = tuple(np.concatenate([old, new[keep]]) for old, new in zip(kept, index))
+        if len(kept[0]) >= step:
+            yield tuple(axis[:step] for axis in kept)
+            kept = tuple(axis[step:] for axis in kept)
+    if len(kept[0]):
         yield kept
 
 
@@ -472,28 +467,23 @@ def _write_csv(
     padded with ``_PAD``, which is dropped as the batch is written.  A float
     cell is ``_CELL`` bytes, and four more where ``0.0,`` follows it.  Every
     batch but the last holds the same count of written rows (see
-    :func:`_batches`).  An array whose rows are evenly spaced in memory is
-    sliced a batch at a time; any other is indexed.  A function is called once
-    on empty index arrays, for the shape and dtype of its values.
+    :func:`_batches`).  Either source is read at each batch's index arrays,
+    first at empty ones for the shape and dtype of its values.
     """
-    size = math.prod(shape)
     text = [(_text_cells(cells), axis) for cells, axis in labels]
-    sample = values(*(np.zeros(0, np.intp),) * len(shape)) if callable(values) else values
-    width = math.prod(sample.shape[1 if callable(values) else len(shape) :])  # values per row
-    pair = np.iscomplexobj(sample)
+    get = values if callable(values) else lambda *index: values[index]
+    sample = get(*(np.zeros(0, np.intp),) * len(shape))
+    width, pair = math.prod(sample.shape[1:]), np.iscomplexobj(sample)  # values per row, and whether complex
     floats, cell = width * (1 + pair), _CELL + 4 * (im and not pair)
-    flat = None if callable(values) else _rows(values, size, width)
     first = sum(cells.shape[1] for cells, _ in text)
     length = first + floats * cell
     step = max(1, _BUDGET // (3 * length + _FLOAT_BYTES * floats))
     with open(path, "wb") as fh:
         head = _text_cells(header).reshape(-1)
         fh.write(head[head != _PAD][:-1].tobytes() + b"\n")
-        for positions in _batches(shape, step, rows):
-            count, index = len(positions), np.unravel_index(positions, shape)
-            part = positions if rows is not None else slice(positions[0], positions[-1] + 1)  # a view, not a copy
-            batch = values(*index) if callable(values) else values[index] if flat is None else flat[part]
-            batch = batch.reshape(count, width)
+        for index in _batches(shape, step, rows):
+            count = len(index[0])
+            batch = get(*index).reshape(count, width)
             words, _ = _render(np.ascontiguousarray(batch).view(float) if pair else batch)
             del batch
             chars = np.empty((count, length), dtype=np.uint8)

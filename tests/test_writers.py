@@ -137,9 +137,8 @@ def test_write_error_table_bytes(tmp_path):
 
 
 def test_write_frame_bytes_and_read_back(tmp_path):
-    # a contiguous frame, and a strided view whose rows the writer cannot slice, so it indexes them
+    # a contiguous frame, and a strided view
     strided = _values((4, 2 * len(LABELS) - 1))[:, ::2]
-    assert tables._rows(strided, strided.size, 1) is None
     for name, values in (("contiguous", _values((4, len(LABELS)))), ("strided", strided)):
         frame = ScalarFrame(LABELS, values)
         path = tmp_path / f"{name}.csv"
@@ -160,11 +159,8 @@ def test_write_precomputed_bytes_and_read_back(tmp_path):
     table = _values((len(space), len(space), 2, 2))
     rng = np.random.default_rng(311)
     values = rng.standard_normal((4, len(space), 2)) + 1j * rng.standard_normal((4, len(space), 2))
-    # a table looked up block by block, and a kernel synthesized from frames, whose Gram is a
-    # transposed view that the writer cannot slice, so it indexes it
+    # a table looked up block by block, and a kernel synthesized from frames, whose Gram is a transposed view
     synthesized = synthesize_kernel(align_frames([ScalarFrame(space.labels, values[..., j]) for j in range(2)]))
-    synthesized_gram = gram(synthesized, space)
-    assert tables._rows(synthesized_gram, synthesized_gram.size, 1) is None
     for name, kernel in (
         ("table", MatrixKernel(n=2, batch=lambda space, rows, cols: table[np.ix_(rows, cols)])),
         ("synthesized", synthesized),
@@ -257,6 +253,56 @@ def test_a_row_filtered_write_fills_its_batches(tmp_path, monkeypatch, name):
         assert len(starts) >= 3
         assert any(len(set(strip[a : a + step])) > 1 for a in range(0, len(strip), step))
     assert path.read_bytes() == _reference(_precomputed_rows(blocks, space.labels))
+
+
+FILTERS = {
+    "all": None,
+    "upper": lambda x, t, l, j: (t > x) | ((t == x) & (l <= j)),  # write_precomputed's rows
+    "alternate": lambda *index: (sum(index) % 2).astype(bool),
+    "none": lambda *index: np.zeros_like(index[0], dtype=bool),
+}
+
+
+@pytest.mark.parametrize(
+    "shape, name",
+    # the block table's filter takes its four axes
+    [pytest.param(shape, name, id="x".join(map(str, shape)) + f"-{name}")
+     for shape in [(0, 3), (5,), (4, 3, 2), (3, 3, 2, 2)] for name in FILTERS if name != "upper" or len(shape) == 4],
+)
+@pytest.mark.parametrize("step", [1, 2, 5, 7, 100])
+def test_batches_hand_out_the_index_arrays_of_the_kept_rows_in_order(shape, name, step):
+    rows = FILTERS[name]
+    kept = np.arange(np.prod(shape)) if rows is None else np.flatnonzero(rows(*np.indices(shape)))
+    batches = list(tables._batches(shape, step, rows))
+    assert all(len(index) == len(shape) and len({len(axis) for axis in index}) == 1 for index in batches)
+    positions = [np.ravel_multi_index(index, shape) for index in batches]
+    assert np.array_equal(np.concatenate([np.zeros(0, np.intp), *positions]), kept)
+    assert [len(p) for p in positions[:-1]] == [step] * (len(positions) - 1)
+    assert (len(batches) == 0) == (len(kept) == 0)
+    if batches:
+        assert 0 < len(positions[-1]) <= step
+
+
+def test_a_row_filtered_write_unravels_each_range_of_candidate_rows_once(tmp_path, monkeypatch):
+    space = random_space(np.random.default_rng(89), 30, dim=2)
+    kernel = build_kernel(FACTORED["separable_complex"])
+    batches, calls = [], []
+
+    def render(values):
+        batches.append(len(values))
+        return render_batch(values)
+
+    def unravel(indices, shape, **kwargs):
+        calls.append(shape)
+        return unravel_index(indices, shape, **kwargs)
+
+    render_batch, unravel_index = tables._render, np.unravel_index
+    monkeypatch.setattr(tables, "_render", render)
+    monkeypatch.setattr(tables, "_BUDGET", 20_000)
+    monkeypatch.setattr(np, "unravel_index", unravel)
+    write_precomputed(kernel, space, tmp_path / "kernel.csv")
+    size = (len(space) * kernel.n) ** 2
+    assert len(batches) > 3 and len(calls) == -(-size // batches[0]), (len(calls), size, batches[0])
 
 
 GAUSSIAN = {"type": "gaussian", "gamma": 0.8}
