@@ -420,10 +420,7 @@ def _text_cells(cells: Iterable[str | int]) -> np.ndarray:
 
 
 def _batches(shape: tuple[int, ...], step: int, rows: Callable[..., np.ndarray] | None) -> Iterator[tuple]:
-    """Index arrays of each batch's rows in C order, ``step`` rows in all but the last.
-
-    Each range of ``step`` candidate rows is unravelled once; those ``rows`` keeps (all, without it) carry forward.
-    """
+    """Index arrays of each batch's rows in C order, ``step`` in all but the last: the rows kept carry forward."""
     size, kept = math.prod(shape), (np.zeros(0, np.intp),) * len(shape)
     for start in range(0, size, step):
         index = np.unravel_index(np.arange(start, min(start + step, size)), shape)
@@ -473,7 +470,8 @@ def _write_csv(
     text = [(_text_cells(cells), axis) for cells, axis in labels]
     get = values if callable(values) else lambda *index: values[index]
     sample = get(*(np.zeros(0, np.intp),) * len(shape))
-    width, pair = math.prod(sample.shape[1:]), np.iscomplexobj(sample)  # values per row, and whether complex
+    width = math.prod(sample.shape[1:])  # values per row
+    pair = np.iscomplexobj(sample)
     floats, cell = width * (1 + pair), _CELL + 4 * (im and not pair)
     first = sum(cells.shape[1] for cells, _ in text)
     length = first + floats * cell

@@ -11,10 +11,11 @@ import json
 import numpy as np
 import pytest
 
-from conftest import ZOO, decompose_space, delta_kernel, random_space, space_from, support_labels
+from conftest import ZOO, decompose_space, delta_kernel, random_space, rank_deficient_table, space_from, support_labels
 from mercerkit import (
     TOL_SYM,
     FrameFamily,
+    MatrixKernel,
     RKHSElement,
     build_kernel,
     default_tol_eig,
@@ -151,6 +152,79 @@ def test_criterion_04_support_restriction():
     _verdict(4, "support restriction", ok, f"series value {synthesized}, kernel value {actual}")
 
 
+def _sigma_gap(dec, other, scale: float = 1.0) -> float:
+    """Largest gap between ``other``'s sigmas and ``scale`` times ``dec``'s, in units of the larger sigma_1."""
+    if dec.rank != other.rank:
+        return np.inf
+    return float(np.max(np.abs(other.sigmas - scale * dec.sigmas))) / (scale * float(dec.sigmas[0]))
+
+
+def _invariance_relations() -> tuple[bool, str]:
+    """R1, R4 and R5: relations between two solves that follow from the operator's invariances, and their margins.
+
+    30 atoms in [-2, 2]^2, 5 of zero mass, under a gaussian, that gaussian times a complex 3x3 ``B``, and a
+    complex block table of rank 40 with n = 3.  Each relation's margin is its worst deviation.
+    """
+    rng = np.random.default_rng(1505)
+    coords, mu = rng.uniform(-2.0, 2.0, (30, 2)), rng.uniform(0.5, 1.5, 30)
+    mu[-5:] = 0.0
+    labels = tuple(f"x{i}" for i in range(30))
+    space = space_from(coords, mu, labels)
+    a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    gaussian = {"type": "gaussian", "gamma": 0.7}
+
+    def separable(matrix):
+        return {"type": "separable", "matrix": [[[z.real, z.imag] for z in row] for row in matrix], "scalar": gaussian}
+
+    # R1: an atom split into two co-located halves of its mass is one class, and the operator on X/~ is unchanged
+    halves = np.append(mu, mu[0] / 2)
+    halves[0] /= 2
+    split = space_from(np.vstack([coords, coords[0]]), halves, labels + ("x0 half",))
+    r1_gap, r1_classes = 0.0, []
+    for spec in (gaussian, separable(a @ a.conj().T)):
+        kernel = build_kernel(spec)
+        r1_classes += [int(quotient(s, pseudo_metric(s, kernel)).max()) + 1 for s in (space, split)]
+        r1_gap = max(r1_gap, _sigma_gap(decompose_space(space, kernel), decompose_space(split, kernel)))
+    r1_ok = r1_classes == [30] * 4 and r1_gap <= 1e-10
+
+    # R4: K' = U K U^H for a random unitary U: the same sigmas and distances, and a covariant series
+    u = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))[0]
+    table = rank_deficient_table(rng, 30, 40, n=3)
+    turned = u @ gram(table, space) @ u.conj().T
+    pairs = [
+        (build_kernel(separable(a @ a.conj().T)), build_kernel(separable(u @ a @ a.conj().T @ u.conj().T))),
+        (table, MatrixKernel(3, label="table", batch=lambda space, rows, cols: turned[np.ix_(rows, cols)])),
+    ]
+    r4_sigmas = r4_series = r4_metric = 0.0
+    for kernel, rotated in pairs:
+        dec, dec_rotated = decompose_space(space, kernel), decompose_space(space, rotated)
+        r4_sigmas = max(r4_sigmas, _sigma_gap(dec, dec_rotated))
+        tol_recon = default_tol_recon(dec)
+        for x in labels[::3]:  # weighted and zero-mass atoms
+            for t in labels[1::4]:
+                expected = u @ reconstruct(dec, x, t) @ u.conj().T
+                r4_series = max(r4_series, float(np.max(np.abs(reconstruct(dec_rotated, x, t) - expected))) / tol_recon)
+        d = pseudo_metric(space, kernel).d
+        r4_metric = max(r4_metric, float(np.max(np.abs(pseudo_metric(space, rotated).d - d))) / float(d.max()))
+    r4_ok = r4_sigmas <= 1e-10 and r4_series <= 1.0 and r4_metric <= 1e-10
+
+    # R5: mu -> 3 mu scales the operator, so its sigmas and the trace budget m_nu, by 3
+    tripled = space_from(coords, 3 * mu, labels)
+    r5_gap = 0.0
+    for spec in (gaussian, separable(a @ a.conj().T)):
+        dec, heavy = decompose_space(space, spec), decompose_space(tripled, spec)
+        r5_gap = max(r5_gap, _sigma_gap(dec, heavy, 3.0), abs(heavy.nu.m_nu - 3 * dec.nu.m_nu) / (3 * dec.nu.m_nu))
+    r5_ok = r5_gap <= 1e-10
+
+    detail = (
+        f"R1 split atom, 30->31 atoms: classes {r1_classes[0]}->{r1_classes[1]} and {r1_classes[2]}->{r1_classes[3]}, "
+        f"sigmas within {r1_gap:.1e} of sigma_1; R4 U K U^H: sigmas within {r4_sigmas:.1e} of sigma_1, "
+        f"series at {r4_series:.2e} of tolerance, metric within {r4_metric:.1e} of its largest distance; "
+        f"R5 3 mu: sigmas and m_nu within {r5_gap:.1e} of 3 times"
+    )
+    return r1_ok and r4_ok and r5_ok, detail
+
+
 def test_criterion_05_orthonormal_feature_family():
     rng = np.random.default_rng(1005)
     worst_hk = 0.0
@@ -203,14 +277,15 @@ def test_criterion_05_orthonormal_feature_family():
         worst_imag = max(worst_imag, float(np.max(np.abs(lead.imag))))
         least_real = min(least_real, float(np.min(lead.real)))
     phase_ok = worst_imag <= 1e-12 and least_real > 0.0
-    ok = worst_hk <= 1.0 and worst_l2 <= 1.0 and spot_ok and phase_ok
+    relations_ok, relations = _invariance_relations()
+    ok = worst_hk <= 1.0 and worst_l2 <= 1.0 and spot_ok and phase_ok and relations_ok
     _verdict(
         5,
         "orthonormal feature family",
         ok,
         f"kernel-space Gram at {worst_hk:.2e} of tolerance, measure-space at {worst_l2:.2e}, spot checks {spot_ok}, "
         f"leading entries real positive: imaginary part at most {worst_imag:.1e}, real part at least {least_real:.2e} "
-        "of the peak",
+        f"of the peak; {relations}",
     )
 
 
