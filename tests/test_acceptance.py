@@ -171,6 +171,7 @@ def _invariance_relations() -> tuple[bool, str]:
     labels = tuple(f"x{i}" for i in range(30))
     space = space_from(coords, mu, labels)
     a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    b = a @ a.conj().T
     gaussian = {"type": "gaussian", "gamma": 0.7}
 
     def separable(matrix):
@@ -181,7 +182,7 @@ def _invariance_relations() -> tuple[bool, str]:
     halves[0] /= 2
     split = space_from(np.vstack([coords, coords[0]]), halves, labels + ("x0 half",))
     r1_gap, r1_classes = 0.0, []
-    for spec in (gaussian, separable(a @ a.conj().T)):
+    for spec in (gaussian, separable(b)):
         kernel = build_kernel(spec)
         r1_classes += [int(quotient(s, pseudo_metric(s, kernel)).max()) + 1 for s in (space, split)]
         r1_gap = max(r1_gap, _sigma_gap(decompose_space(space, kernel), decompose_space(split, kernel)))
@@ -192,7 +193,7 @@ def _invariance_relations() -> tuple[bool, str]:
     table = rank_deficient_table(rng, 30, 40, n=3)
     turned = u @ gram(table, space) @ u.conj().T
     pairs = [
-        (build_kernel(separable(a @ a.conj().T)), build_kernel(separable(u @ a @ a.conj().T @ u.conj().T))),
+        (build_kernel(separable(b)), build_kernel(separable(u @ b @ u.conj().T))),
         (table, MatrixKernel(3, label="table", batch=lambda space, rows, cols: turned[np.ix_(rows, cols)])),
     ]
     r4_sigmas = r4_series = r4_metric = 0.0
@@ -211,7 +212,7 @@ def _invariance_relations() -> tuple[bool, str]:
     # R5: mu -> 3 mu scales the operator, so its sigmas and the trace budget m_nu, by 3
     tripled = space_from(coords, 3 * mu, labels)
     r5_gap = 0.0
-    for spec in (gaussian, separable(a @ a.conj().T)):
+    for spec in (gaussian, separable(b)):
         dec, heavy = decompose_space(space, spec), decompose_space(tripled, spec)
         r5_gap = max(r5_gap, _sigma_gap(dec, heavy, 3.0), abs(heavy.nu.m_nu - 3 * dec.nu.m_nu) / (3 * dec.nu.m_nu))
     r5_ok = r5_gap <= 1e-10
