@@ -546,7 +546,9 @@ def read_precomputed(path: str | Path) -> MatrixKernel:
     itself returns the read-only table itself, and a copy of its blocks over
     any other atoms or order.
     """
-    rows, index = _read_table(path, _PRECOMPUTED_ROW, KernelSpecError, _COMPONENTS, need_rows=True)
+    rows, index = _read_table(path, _PRECOMPUTED_ROW, KernelSpecError, _COMPONENTS)
+    if not len(rows):
+        raise KernelSpecError(f"{path}: no data rows")
     size, n = len(index), int(max(rows["l"].max(), rows["j"].max())) + 1
     shape = (size, size, n, n)
     try:

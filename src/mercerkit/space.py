@@ -11,7 +11,6 @@ for the support, an ``intp`` class id per atom for the quotient.
 
 from __future__ import annotations
 
-import csv
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -21,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .kernels import MatrixKernel, _factors, _readonly, _spectral_norms, gram
-from .tables import _read_table, _records
+from .tables import _read_table
 
 __all__ = [
     "Atom",
@@ -117,16 +116,15 @@ class AtomSpace:
 
 def load_atoms(path: str | Path) -> AtomSpace:
     """Read an atom CSV file with header ``id,w,c1,...,cd``; errors name ``path`` as given."""
-    with open(path, encoding="utf-8-sig", newline="") as fh:
-        header = next(_records(csv.reader(fh), path, AtomFileError), None)
-    if header is None:
-        raise AtomFileError(f"{path}: empty file")
-    header = [h.strip() for h in header]
-    dim = len(header) - 2
-    if dim < 0 or header != ["id", "w"] + [f"c{k}" for k in range(1, dim + 1)]:
-        raise AtomFileError(f"{path}: line 1: header must be id,w,c1,...,cd, got {','.join(header)}")
-    rows, index = _read_table(path, np.dtype([("id", object)] + [(name, float) for name in header[1:]]), AtomFileError)
-    coords = np.array([rows[name] for name in header[2:]]).reshape(dim, len(rows)).T  # (N, d), also for d = 0
+
+    def row(header: list[str]) -> np.dtype:
+        if header != ["id", "w"] + [f"c{k}" for k in range(1, len(header) - 1)]:
+            raise AtomFileError(f"{path}: line 1: header must be id,w,c1,...,cd, got {','.join(header)}")
+        return np.dtype([("id", object)] + [(name, float) for name in header[1:]])
+
+    rows, index = _read_table(path, row, AtomFileError)
+    names = rows.dtype.names[2:]
+    coords = np.array([rows[name] for name in names]).reshape(len(names), len(rows)).T  # (N, d), also for d = 0
     labels = list(index)
     try:
         return AtomSpace(tuple(labels[i] for i in rows["id"].tolist()), coords, rows["w"])

@@ -12,10 +12,12 @@ one uint8 array: a float cell is ``_CELL`` = 25 bytes, its text from the
 first byte, padded with ``_PAD``, then the separator.  The padding is
 dropped as the batch is written.  The lookup tables of the renderer are
 built once per process (:func:`_tables`).  Every table the package reads
-(atoms, block tables and frames) goes through :func:`_read_table`: one
-``np.loadtxt`` pass (:func:`_read_csv`), or the ``csv.reader`` row loop
-(:func:`_read_rows`) that words the errors; both number label cells as
-they parse them (:class:`_Numbers`).  The module has no public names.
+(atoms, block tables and frames) goes through :func:`_read_table`, the one
+reader contract: it opens the file once and reads and checks its header
+there alone, then hands the rest of the stream to one ``np.loadtxt`` pass
+(:func:`_read_csv`), or to the ``csv.reader`` row loop (:func:`_read_rows`)
+that words the errors; both number label cells as they parse them
+(:class:`_Numbers`).  The module has no public names.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import math
 import warnings
 from io import StringIO
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Any, Callable, Iterable, Iterator, NamedTuple, Sequence, TextIO
 
 import numpy as np
 
@@ -518,44 +520,28 @@ def _numbered(row: np.dtype) -> np.dtype:
     return np.dtype([(name, np.intp if row[name].kind == "O" else row[name]) for name in row.names])
 
 
-def _read_csv(path: str | Path, row: np.dtype) -> tuple[np.ndarray, dict[str, int]] | None:
-    """Data rows of a CSV file whose header is the field names of ``row``, in one ``np.loadtxt`` pass.
+def _read_csv(fh: TextIO, row: np.dtype) -> tuple[np.ndarray, dict[str, int]] | None:
+    """The data rows of the stream ``fh``, past its header, and their labels, in one ``np.loadtxt`` pass.
 
-    Returns ``None`` if the header differs or cannot be read, there is no
-    data row, or numpy's tokenizer rejects any row; :func:`_read_rows` then
-    reads the file and words the error.  numpy reads the rest of the stream
-    that ``csv.reader`` read the header from, opened with ``newline=""`` as the
-    loops open it (given a path, numpy would turn a quoted ``\\r\\n`` into
-    ``\\n``).  Both split fields alike: no comment character, ``""`` inside
-    quotes, a quote inside an unquoted cell kept; numpy skips only empty
-    lines.  Label cells go unstripped to the bound ``__getitem__`` of a
-    :class:`_Numbers`, so no string is kept per cell; ``encoding=None``
-    hands them over as ``str`` under numpy 1.x too.
+    Returns ``None`` if there is no data row or numpy's tokenizer rejects any
+    row; :func:`_read_table` then falls back to :func:`_read_rows`.  The stream
+    is opened with ``newline=""``, as ``csv.reader`` needs (given a path,
+    numpy would turn a quoted ``\\r\\n`` into ``\\n``).  Both split fields alike:
+    no comment character, ``""`` inside quotes, a quote inside an unquoted
+    cell kept; numpy skips only empty lines.  Label cells go unstripped to the
+    bound ``__getitem__`` of a :class:`_Numbers`, so no string is kept per
+    cell; ``encoding=None`` hands them over as ``str`` under numpy 1.x too.
     """
-    with open(path, encoding="utf-8-sig", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader, None)
-        except (csv.Error, UnicodeDecodeError):
-            return None
-        # a header record spanning lines is left to the loop
-        if header is None or reader.line_num != 1 or [h.strip() for h in header] != list(row.names):
-            return None
-        numbers = _Numbers()
-        converters = {k: numbers.__getitem__ for k, name in enumerate(row.names) if row[name].kind == "O"}
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")  # numpy warns on a file without data rows
-                rows = np.loadtxt(fh, _numbered(row), delimiter=",", quotechar='"', comments=None, ndmin=1,
-                                  converters=converters, encoding=None)
-        except (ValueError, Warning):
-            return None
+    numbers = _Numbers()
+    converters = {k: numbers.__getitem__ for k, name in enumerate(row.names) if row[name].kind == "O"}
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # numpy warns on a file without data rows
+            rows = np.loadtxt(fh, _numbered(row), delimiter=",", quotechar='"', comments=None, ndmin=1,
+                              converters=converters, encoding=None)
+    except (ValueError, Warning):
+        return None
     return rows, numbers.labels
-
-
-def _in_range(limit: int, *columns: np.ndarray) -> bool:
-    """Whether every entry of the nonempty integer columns lies in ``0 .. limit - 1``."""
-    return all(col.min() >= 0 and col.max() < limit for col in columns)
 
 
 class _Indices(NamedTuple):
@@ -572,20 +558,36 @@ class _Indices(NamedTuple):
 
 
 def _read_table(
-    path: str | Path, row: np.dtype, error: type[ValueError], indices: _Indices | None = None, need_rows: bool = False
+    path: str | Path, row: np.dtype | Callable[..., np.dtype], error: type[ValueError], indices: _Indices | None = None
 ) -> tuple[np.ndarray, dict[str, int]]:
-    """Data rows of the CSV file ``path``, typed by the fields of ``row``, its header, and the labels.
+    """Data rows of the CSV file ``path``, typed by the fields of ``row``, and their labels: the one reader.
 
-    Label fields (``object`` in ``row``) hold the number of their stripped
-    label, in order of first appearance along the rows.  Integer fields are
-    indices checked by ``indices``; without it ``row`` has none.
-    ``need_rows`` makes a file without data rows an error.  Bad input raises
-    ``error`` naming the path and the first bad line.
+    The file is opened once, and its header record is read and checked here
+    alone: ``row`` is the dtype whose field names the stripped header cells
+    must be, or a function of those cells that returns the dtype or raises
+    ``error``.  The rest of the stream goes to numpy (:func:`_read_csv`); when
+    numpy rejects a row, an index is out of range or the header record spans
+    lines, the loop :func:`_read_rows` reads the rows again.  Label fields
+    (``object`` in ``row``) hold the number of their stripped label, in order
+    of first appearance.  Integer fields are indices checked by ``indices``.
+    Bad input raises ``error`` naming the path and the first bad line.
     """
-    read = _read_csv(path, row)
-    ints = [name for name in row.names if row[name].kind == "i"]
-    if read is None or (ints and not _in_range(indices.limit(len(read[0])), *(read[0][name] for name in ints))):
-        read = _read_rows(path, row, error, indices, need_rows)
+    with open(path, encoding="utf-8-sig", newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(_records(reader, path, error), None)
+        if header is None:
+            raise error(f"{path}: empty file")
+        header = [cell.strip() for cell in header]
+        if not isinstance(row, np.dtype):
+            row = row(header)
+        elif header != list(row.names):
+            raise error(f"{path}: line 1: header must be {','.join(row.names)}")
+        # a header record spanning lines is left to the loop
+        read = _read_csv(fh, row) if reader.line_num == 1 else None
+        ints = [] if read is None else [read[0][name] for name in row.names if row[name].kind == "i"]
+        if read is None or any(col.min() < 0 or col.max() >= indices.limit(len(col)) for col in ints):
+            fh.seek(0)
+            read = _read_rows(fh, path, row, error, indices)
     return read
 
 
@@ -600,15 +602,16 @@ def _records(reader: Any, path: str | Path, error: type[ValueError]) -> Iterator
 
 
 def _read_rows(
-    path: str | Path, row: np.dtype, error: type[ValueError], indices: _Indices | None, need_rows: bool
+    fh: TextIO, path: str | Path, row: np.dtype, error: type[ValueError], indices: _Indices | None
 ) -> tuple[np.ndarray, dict[str, int]]:
-    """The data rows of a table and its labels, one ``csv.reader`` row at a time.
+    """The data rows of the stream ``fh`` of ``path`` and their labels, one ``csv.reader`` row at a time.
 
-    This is the reference parse of :func:`_read_table`.  Blank rows are
-    skipped, label cells are numbered as :func:`_read_csv` numbers them, and
-    the others go through ``int`` or ``float``, which word the error for a
-    bad cell.  Indices are checked as Python integers, before any is held in
-    an array.  A record that ``csv.reader`` rejects, such as a cell over
+    This is the reference parse of :func:`_read_table`, which has checked the
+    header; the loop skips its record.  Blank rows are skipped, label cells
+    are numbered as :func:`_read_csv` numbers them, and the others go through
+    ``int`` or ``float``, which word the error for a bad cell.  Indices are
+    checked as Python integers, before any is held in an array.  A record
+    that ``csv.reader`` rejects, such as a cell over
     ``csv.field_size_limit()``, is an error at the line where it stopped.
     """
     numbers = _Numbers()
@@ -616,28 +619,21 @@ def _read_rows(
     ints = [k for k, name in enumerate(row.names) if row[name].kind == "i"]
     rows: list[tuple] = []
     lines: list[int] = []
-    with open(path, encoding="utf-8-sig", newline="") as fh:
-        reader = _records(csv.reader(fh), path, error)
-        header = next(reader, None)
-        if header is None:
-            raise error(f"{path}: empty file")
-        if [h.strip() for h in header] != list(row.names):
-            raise error(f"{path}: line 1: header must be {','.join(row.names)}")
-        for line_no, cells in enumerate(reader, start=2):
-            if not "".join(cells).strip():
-                continue  # blank line
-            if len(cells) != len(convert):
-                raise error(f"{path}: line {line_no}: expected {len(convert)} fields, got {len(cells)}")
-            try:
-                values = tuple(kind(cell) for kind, cell in zip(convert, cells))
-            except ValueError as exc:
-                raise error(f"{path}: line {line_no}: {exc}") from None
-            if ints and min(values[k] for k in ints) < 0:
-                raise error(f"{path}: line {line_no}: {indices.negative}")
-            rows.append(values)
-            lines.append(line_no)
-    if need_rows and not rows:
-        raise error(f"{path}: no data rows")
+    reader = _records(csv.reader(fh), path, error)
+    next(reader)  # the header
+    for line_no, cells in enumerate(reader, start=2):
+        if not "".join(cells).strip():
+            continue  # blank line
+        if len(cells) != len(convert):
+            raise error(f"{path}: line {line_no}: expected {len(convert)} fields, got {len(cells)}")
+        try:
+            values = tuple(kind(cell) for kind, cell in zip(convert, cells))
+        except ValueError as exc:
+            raise error(f"{path}: line {line_no}: {exc}") from None
+        if ints and min(values[k] for k in ints) < 0:
+            raise error(f"{path}: line {line_no}: {indices.negative}")
+        rows.append(values)
+        lines.append(line_no)
     if ints:
         limit = indices.limit(len(rows))
         for line_no, values in zip(lines, rows):

@@ -1,10 +1,11 @@
 """Atom files, frame files and block tables read through numpy's tokenizer equal the ``csv.reader`` row loop.
 
 ``load_atoms``, ``read_frame`` and ``read_precomputed`` read their rows
-through ``tables._read_table``: one ``np.loadtxt`` pass, with the one row
-loop ``tables._read_rows`` kept as the reference and taken when numpy
-rejects a row or an index is out of range.  Both paths must give
-bit-identical arrays and labels, or the same exception with the same message.
+through ``tables._read_table``, which opens the file once and checks its
+header there alone: then one ``np.loadtxt`` pass, with the one row loop
+``tables._read_rows`` kept as the reference and taken when numpy rejects a
+row or an index is out of range.  Both paths must give bit-identical arrays
+and labels, or the same exception with the same message.
 """
 
 from __future__ import annotations
@@ -145,10 +146,10 @@ def read_both(outcome, path):
     calls = []
     loop = tables._read_rows
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(tables, "_read_rows", lambda path, *args: calls.append(path) or loop(path, *args))
+        patch.setattr(tables, "_read_rows", lambda fh, path, *args: calls.append(path) or loop(fh, path, *args))
         fast = outcome(path)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(tables, "_read_csv", lambda path, row: None)
+        patch.setattr(tables, "_read_csv", lambda fh, row: None)
         reference = outcome(path)
     return fast, len(calls), reference
 
@@ -170,28 +171,30 @@ def test_fast_path_equals_row_loop(tmp_path, kind, case, bom, newline):
         assert loop_calls == (path_taken == "loop")
 
 
-# Each header case, and how many times an atom file of that text goes
-# through the row loop: none when load_atoms rejects its header itself.
+# Each header case, and the kind of file whose header it is.  _read_table
+# rejects any other header itself, so that file goes through neither numpy nor
+# the row loop.  Its own kind reads it through the loop when its header record
+# spans two lines, or when it has no data rows, where numpy warns.
 HEADERS = {
-    "empty": ("", 0),
-    "frame_header": ("i,atom_id,value\n0,a,1\n", 0),
-    "table_header": ("x_id,t_id,l,j,re\n", 0),
-    "frame_header_two_lines": ('i,atom_id,value_re,"value_im\n"\n0,a,1.0,2.0\n', 0),
-    "table_header_two_lines": ('x_id,t_id,l,j,re,"im\n"\na,a,0,0,1.0,2.0\n', 0),
-    "atoms_header_only": ("id,w,c1\n", 1),
-    "atoms_header_two_lines": ('id,w,"c1\n"\na,1.0,2.0\n', 1),
+    "empty": ("", None),
+    "frame_header": ("i,atom_id,value\n0,a,1\n", None),
+    "table_header": ("x_id,t_id,l,j,re\n", None),
+    "frame_header_two_lines": ('i,atom_id,value_re,"value_im\n"\n0,a,1.0,2.0\n', _frame_outcome),
+    "table_header_two_lines": ('x_id,t_id,l,j,re,"im\n"\na,a,0,0,1.0,2.0\n', _table_outcome),
+    "atoms_header_only": ("id,w,c1\n", _atoms_outcome),
+    "atoms_header_two_lines": ('id,w,"c1\n"\na,1.0,2.0\n', _atoms_outcome),
 }
 
 
 @pytest.mark.parametrize("header", list(HEADERS))
 @pytest.mark.parametrize("outcome", [_frame_outcome, _table_outcome, _atoms_outcome], ids=["frame", "table", "atoms"])
 def test_headers_are_read_alike(tmp_path, outcome, header):
-    text, atom_loop_calls = HEADERS[header]
+    text, kind = HEADERS[header]
     path = tmp_path / "file.csv"
     path.write_bytes(text.encode())
     fast, loop_calls, reference = read_both(outcome, path)
     assert fast == reference
-    assert loop_calls == (atom_loop_calls if outcome is _atoms_outcome else 1)
+    assert loop_calls == (outcome is kind)
 
 
 @pytest.mark.parametrize(
@@ -275,7 +278,7 @@ EDGES = (-0.0, 0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 1e308, 1e16, 0.1)
 
 @pytest.fixture
 def no_loop(monkeypatch):
-    def refuse(path, *args):
+    def refuse(fh, path, *args):
         raise AssertionError(f"row loop used for {path}")
 
     monkeypatch.setattr(tables, "_read_rows", refuse)
@@ -311,6 +314,24 @@ def test_written_frame_takes_fast_path(tmp_path, no_loop):
     back = read_frame(path)
     assert back.atoms == LABELS
     assert back.values.tobytes() == frame.values.tobytes()
+
+
+def test_atom_file_read_by_numpy_is_opened_once(tmp_path, no_loop):
+    # the header is read and checked in tables._read_table, which hands the rest of the same stream to numpy
+    path = tmp_path / "atoms.csv"
+    _write_case(path, "atoms", CASES["repeated"][0][:2])
+    opened = []
+    real_open = open
+
+    def counting_open(file, *args, **kwargs):
+        opened.append(file)
+        return real_open(file, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr("builtins.open", counting_open)
+        space = load_atoms(path)
+    assert space.labels == ("a", "b")
+    assert opened.count(path) == 1
 
 
 def test_written_table_takes_fast_path(tmp_path, no_loop):

@@ -89,16 +89,23 @@ def table(records: dict[str, list[dict]], declared: list[dict]) -> list[str]:
     return lines
 
 
-def main(argv: list[str] | None = None) -> int:
+def parse(argv: list[str] | None = None) -> argparse.Namespace:
+    """The options; ``--workload`` takes one or more names and may be repeated, all workloads if never given."""
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("base")
     parser.add_argument("head")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--workload", nargs="+", default=list(WORKLOADS), choices=WORKLOADS)
+    parser.add_argument("--workload", nargs="+", action="extend", choices=WORKLOADS)
     parser.add_argument("--seconds", type=float, default=8.0, help="seconds of each run (perfbench's --seconds)")
     parser.add_argument("--work", type=Path, help="a new directory for the two checkouts, kept (default: a temporary one)")
     args = parser.parse_args(argv)
+    args.workload = args.workload or list(WORKLOADS)
+    return args
+
+
+def main(argv: list[str] | None = None) -> int:
+    args = parse(argv)
     revs = {side: git("rev-parse", "--verify", f"{rev}^{{commit}}").stdout.decode().strip()
             for side, rev in zip(SIDES, (args.base, args.head))}
     with tempfile.TemporaryDirectory() as temp:

@@ -87,14 +87,22 @@ def compare(base: Path, head: Path, workload: str, seed: int, work: Path) -> tup
     return len(files), len(plan), lines, differ, plan
 
 
-def main(argv: list[str] | None = None) -> int:
+def parse(argv: list[str] | None = None) -> argparse.Namespace:
+    """The options; ``--seed`` and ``--workload`` take one or more values and may be repeated."""
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("base", type=Path)
     parser.add_argument("head", type=Path)
-    parser.add_argument("--seed", type=int, nargs="+", default=[1])
-    parser.add_argument("--workload", nargs="+", default=list(WORKLOADS), choices=WORKLOADS)
+    parser.add_argument("--seed", type=int, nargs="+", action="extend")
+    parser.add_argument("--workload", nargs="+", action="extend", choices=WORKLOADS)
     parser.add_argument("--work", type=Path, help="directory for inputs and outputs (default: a temporary one)")
     args = parser.parse_args(argv)
+    args.seed = args.seed or [1]
+    args.workload = args.workload or list(WORKLOADS)
+    return args
+
+
+def main(argv: list[str] | None = None) -> int:
+    args = parse(argv)
     base, head = args.base.resolve(), args.head.resolve()
     with tempfile.TemporaryDirectory() as temp:
         work = args.work or Path(temp)
