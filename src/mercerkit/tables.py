@@ -584,8 +584,8 @@ def _read_table(
             raise error(f"{path}: line 1: header must be {','.join(row.names)}")
         # a header record spanning lines is left to the loop
         read = _read_csv(fh, row) if reader.line_num == 1 else None
-        ints = [] if read is None else [read[0][name] for name in row.names if row[name].kind == "i"]
-        if read is None or any(col.min() < 0 or col.max() >= indices.limit(len(col)) for col in ints):
+        columns = [] if read is None else [read[0][name] for name in row.names if row[name].kind == "i"]
+        if read is None or any(col.min() < 0 or col.max() >= indices.limit(len(col)) for col in columns):
             fh.seek(0)
             read = _read_rows(fh, path, row, error, indices)
     return read
