@@ -1,10 +1,10 @@
-"""Eigen-expansions of a kernel and the Hilbert-space algebra they induce.
+"""Eigen-expansions of a kernel: the Mercer series and its scalar frames.
 
 The spectral decomposition turns the kernel into the series
 ``K(x,t)[l,j] = sum_i sigma_i f_i^l(x) conj(f_i^j(t))`` on the measure
-support.  This module evaluates truncations of that series, projects kernel
-sections onto the scaled eigenfunction basis, and extracts the per-component
-scalar families, which are Parseval frames for the diagonal scalar kernels.
+support.  This module evaluates truncations of that series and extracts the
+per-component scalar families, which are Parseval frames for the diagonal
+scalar kernels.  Kernel-space elements live in :mod:`mercerkit.operators`.
 """
 
 from __future__ import annotations
@@ -19,29 +19,22 @@ from .kernels import _factors, _flat, _kernel_blocks, _readonly, _row_blocks, _s
 from .tables import _Indices, _read_table, _write_csv
 
 if TYPE_CHECKING:
-    from .operators import RKHSElement, SpectralDecomposition
+    from .operators import SpectralDecomposition
 
 __all__ = [
-    "OffSupportError",
     "ScalarFrame",
     "default_tol_recon",
     "extract_frame",
     "frame_check",
-    "project",
     "read_frame",
     "reconstruct",
     "reconstruction_error",
-    "rkhs_inner",
     "write_error_table",
     "write_frame",
 ]
 
 # Scale factor for reconstruction tolerances.
 TOL_RECON_SCALE = 1e-8
-
-
-class OffSupportError(ValueError):
-    """Raised when a kernel section at a zero-measure atom has no spectral form."""
 
 
 def default_tol_recon(dec: SpectralDecomposition) -> float:
@@ -156,63 +149,6 @@ def _series_error(dec: SpectralDecomposition, idx: np.ndarray, rhs: np.ndarray, 
             series = np.conj(scaled, out=scaled) @ rhs
             worst.append(np.max(np.abs(np.subtract(block * b, series, out=series)), initial=0.0))
     return float(np.max(worst))  # where max() would pass over a nan, np.max keeps it
-
-
-def _section_table(dec: SpectralDecomposition, element: RKHSElement) -> tuple[list[int], np.ndarray]:
-    """Base atom indices and coefficient vectors ``(S, n)`` of a section-form element."""
-    from .operators import _section_vector
-
-    sources = [dec.space.index(label) for label, _ in element.sections]
-    ys = [_section_vector(label, y, dec.n) for label, y in element.sections]
-    return sources, np.array(ys, dtype=complex).reshape(len(sources), dec.n)
-
-
-def project(section: RKHSElement, dec: SpectralDecomposition) -> RKHSElement:
-    """Spectral coefficients of a kernel-section element.
-
-    By the reproducing property the coefficient against the ``i``-th scaled
-    eigenfunction is ``sqrt(sigma_i) * sum_x <y_x, f_i(x)>``.  Sections based
-    at atoms outside the measure support have no spectral form and raise
-    :class:`OffSupportError`; an unknown atom raises ``KeyError``.
-    """
-    from .operators import RKHSElement, _section_vector, _values
-
-    if section.sections is None:
-        raise ValueError("project expects a kernel-section element")
-    coeffs = np.zeros(dec.rank, dtype=complex)
-    for label, y in section.sections:
-        ix = dec.space.index(label)
-        if not dec.support[ix]:
-            raise OffSupportError(
-                f"atom {label!r} lies outside the measure support; "
-                "the section has no spectral representation"
-            )
-        coeffs += np.conj(_values(dec, [ix])[:, 0]) @ np.asarray(_section_vector(label, y, dec.n), dtype=complex)
-    coeffs *= np.sqrt(dec.sigmas)
-    return RKHSElement.spectral(coeffs)
-
-
-def rkhs_inner(h1: RKHSElement, h2: RKHSElement, dec: SpectralDecomposition) -> complex:
-    """Kernel-space inner product, linear in the first argument.
-
-    Spectral forms, of ``dec.rank`` coefficients each, contract
-    coefficientwise (the scaled eigenfunctions are orthonormal).  Section
-    forms evaluate the Gram double sum ``sum_{x,t} <K(t,x) y_x, y'_t>``
-    directly.  Mixed forms project the section first, which requires its
-    atoms to lie on the support.
-    """
-    from .operators import _coefficients
-
-    if h1.is_spectral and h2.is_spectral:
-        return complex(np.sum(_coefficients(h1, dec) * np.conj(_coefficients(h2, dec))))
-    if not h1.is_spectral and not h2.is_spectral:
-        xs, ys = _section_table(dec, h1)
-        ts, yps = _section_table(dec, h2)
-        blocks = _kernel_blocks(dec.nu.core_gram, dec.kernel, ts, xs)
-        return complex(np.einsum("tl,txlm,xm->", np.conj(yps), blocks, ys))
-    if h1.is_spectral:
-        return rkhs_inner(h1, project(h2, dec), dec)
-    return rkhs_inner(project(h1, dec), h2, dec)
 
 
 @dataclass(frozen=True, eq=False)

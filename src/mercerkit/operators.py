@@ -4,7 +4,8 @@ The measure is rescaled per atom by ``1 / (1 + |K(x,x)|)`` so the operator
 always has finite trace.  Assembly uses the symmetric realization
 ``D^(1/2) G D^(1/2)`` over the positive-weight atoms; it shares its spectrum
 with the quadrature operator and its eigenvectors map to eigenfunctions that
-are orthonormal against the rescaled weights.
+are orthonormal against the rescaled weights; times ``sqrt(sigma_i)`` they
+are the basis in which an :class:`RKHSElement` holds its coefficients.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from .kernels import (
     _factors,
     _flat,
     _hermitian,
+    _kernel_blocks,
     _readonly,
     _require_hermitian,
     _spectral_norms,
@@ -33,6 +35,7 @@ from .tables import _write_csv
 __all__ = [
     "DiscreteOperator",
     "EmptySupportError",
+    "OffSupportError",
     "RKHSElement",
     "RescaledMeasure",
     "SpectralDecomposition",
@@ -40,7 +43,9 @@ __all__ = [
     "default_tol_eig",
     "eigendecompose",
     "embedding_norm_bound_check",
+    "project",
     "rescale_measure",
+    "rkhs_inner",
     "trace_check",
     "truncate",
     "write_eigenfunctions",
@@ -55,6 +60,10 @@ TOL_EIG_SCALE = 1e-9
 
 class EmptySupportError(ValueError):
     """Raised when every atom carries zero measure."""
+
+
+class OffSupportError(ValueError):
+    """Raised when a kernel section at a zero-measure atom has no spectral form."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -346,6 +355,57 @@ def _section_vector(label: str, y: np.ndarray, n: int) -> np.ndarray:
     if np.shape(y) != (n,):
         raise ValueError(f"section at atom {label!r}: expected {n} entries, got {np.size(y)}")
     return y
+
+
+def _section_table(dec: SpectralDecomposition, element: RKHSElement) -> tuple[list[int], np.ndarray]:
+    """Base atom indices and coefficient vectors ``(S, n)`` of a section-form element."""
+    sources = [dec.space.index(label) for label, _ in element.sections]
+    ys = [_section_vector(label, y, dec.n) for label, y in element.sections]
+    return sources, np.array(ys, dtype=complex).reshape(len(sources), dec.n)
+
+
+def project(section: RKHSElement, dec: SpectralDecomposition) -> RKHSElement:
+    """Spectral coefficients of a kernel-section element.
+
+    By the reproducing property the coefficient against the ``i``-th scaled
+    eigenfunction is ``sqrt(sigma_i) * sum_x <y_x, f_i(x)>``.  Sections based
+    at atoms outside the measure support have no spectral form and raise
+    :class:`OffSupportError`; an unknown atom raises ``KeyError``.
+    """
+    if section.sections is None:
+        raise ValueError("project expects a kernel-section element")
+    coeffs = np.zeros(dec.rank, dtype=complex)
+    for label, y in section.sections:
+        ix = dec.space.index(label)
+        if not dec.support[ix]:
+            raise OffSupportError(
+                f"atom {label!r} lies outside the measure support; "
+                "the section has no spectral representation"
+            )
+        coeffs += np.conj(_values(dec, [ix])[:, 0]) @ np.asarray(_section_vector(label, y, dec.n), dtype=complex)
+    coeffs *= np.sqrt(dec.sigmas)
+    return RKHSElement.spectral(coeffs)
+
+
+def rkhs_inner(h1: RKHSElement, h2: RKHSElement, dec: SpectralDecomposition) -> complex:
+    """Kernel-space inner product, linear in the first argument.
+
+    Spectral forms, of ``dec.rank`` coefficients each, contract
+    coefficientwise (the scaled eigenfunctions are orthonormal).  Section
+    forms evaluate the Gram double sum ``sum_{x,t} <K(t,x) y_x, y'_t>``
+    directly.  Mixed forms project the section first, which requires its
+    atoms to lie on the support.
+    """
+    if h1.is_spectral and h2.is_spectral:
+        return complex(np.sum(_coefficients(h1, dec) * np.conj(_coefficients(h2, dec))))
+    if not h1.is_spectral and not h2.is_spectral:
+        xs, ys = _section_table(dec, h1)
+        ts, yps = _section_table(dec, h2)
+        blocks = _kernel_blocks(dec.nu.core_gram, dec.kernel, ts, xs)
+        return complex(np.einsum("tl,txlm,xm->", np.conj(yps), blocks, ys))
+    if h1.is_spectral:
+        return rkhs_inner(h1, project(h2, dec), dec)
+    return rkhs_inner(project(h1, dec), h2, dec)
 
 
 def trace_check(dec: SpectralDecomposition) -> tuple[float, float]:

@@ -610,18 +610,21 @@ def _read_rows(
     header; the loop skips its record.  Blank rows are skipped, label cells
     are numbered as :func:`_read_csv` numbers them, and the others go through
     ``int`` or ``float``, which word the error for a bad cell.  Indices are
-    checked as Python integers, before any is held in an array.  A record
-    that ``csv.reader`` rejects, such as a cell over
-    ``csv.field_size_limit()``, is an error at the line where it stopped.
+    checked as Python integers, before any is held in an array.  An error
+    names the line its record starts on, or where ``csv.reader`` stopped on a
+    record it rejects, such as one with a cell over ``csv.field_size_limit()``.
     """
     numbers = _Numbers()
     convert = [{"O": numbers.__getitem__, "i": int, "f": float}[row[name].kind] for name in row.names]
     ints = [k for k, name in enumerate(row.names) if row[name].kind == "i"]
     rows: list[tuple] = []
     lines: list[int] = []
-    reader = _records(csv.reader(fh), path, error)
-    next(reader)  # the header
-    for line_no, cells in enumerate(reader, start=2):
+    reader = csv.reader(fh)
+    records = _records(reader, path, error)
+    next(records)  # the header
+    end = reader.line_num
+    for cells in records:
+        line_no, end = end + 1, reader.line_num  # the physical line the record starts on
         if not "".join(cells).strip():
             continue  # blank line
         if len(cells) != len(convert):

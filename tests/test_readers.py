@@ -69,8 +69,12 @@ CASES = {
     "bad_float": ([("0", "a", "one", "0.0")], "loop"),
     "twenty_digit_index": ([("0", "a", "1.0", "0.0"), ("12345678901234567890", "b", "2.0", "0.0")], "loop"),
     "negative_index_then_bad_float": ([("-1", "a", "1.0", "0.0"), ("0", "b", "one", "0.0")], "loop"),
+    "bad_float_after_quoted_newline": ([("0", '"a\nb"', "1.0", "0.0"), ("0", "c", "one", "0.0")], "loop"),
+    "index_after_quoted_newline": ([("0", '"a\nb"', "1.0", "0.0"), ("5", "c", "1.0", "0.0")], "loop"),
+    "bad_float_in_quoted_newline": ([("0", "a", "1.0", "0.0"), ("0", '"b\nc"', "one", "0.0")], "loop"),
 }
-INDEX_CASES = {"float_index", "negative_index", "index_beyond_rows", "twenty_digit_index"}
+INDEX_CASES = {"float_index", "negative_index", "index_beyond_rows", "twenty_digit_index",
+               "index_after_quoted_newline"}
 
 
 def _frame_line(row) -> str:
@@ -205,8 +209,16 @@ def test_headers_are_read_alike(tmp_path, outcome, header):
         ("frame", "negative_index_then_bad_float", "line 2: frame index must be nonnegative"),
         ("table", "negative_index_then_bad_float", "line 2: component indices must be nonnegative"),
         ("atoms", "negative_index_then_bad_float", "line 3: could not convert string to float: 'one'"),
+        # a record is named by the physical line it starts on
+        ("frame", "bad_float_after_quoted_newline", "line 4: could not convert string to float: 'one'"),
+        ("frame", "index_after_quoted_newline", "line 4: frame index 5 is out of range for 2 data rows"),
+        ("frame", "bad_float_in_quoted_newline", "line 3: could not convert string to float: 'one'"),
+        ("table", "bad_float_after_quoted_newline", "line 5: could not convert string to float: 'one'"),
+        ("atoms", "bad_float_after_quoted_newline", "line 4: could not convert string to float: 'one'"),
     ],
-    ids=["frame-long_index", "table-long_index", "frame-negative_first", "table-negative_first", "atoms-bad_float"],
+    ids=["frame-long_index", "table-long_index", "frame-negative_first", "table-negative_first", "atoms-bad_float",
+         "frame-after_two_lines", "frame-index_after_two_lines", "frame-in_two_lines", "table-after_two_lines",
+         "atoms-after_two_lines"],
 )
 def test_first_bad_line_is_named(tmp_path, kind, case, message):
     read, error = {

@@ -1,8 +1,14 @@
-"""The command lines of the scripts under ``tools/``: a repeated flag adds to the values of the ones before."""
+"""The command lines of the scripts under ``tools/``.
+
+A repeated flag adds to the values of the ones before, and the workloads are
+those that the repository's ``BENCHMARK.json`` declares.
+"""
 
 from __future__ import annotations
 
 import importlib.util
+import json
+import shutil
 from pathlib import Path
 
 import pytest
@@ -11,8 +17,8 @@ TOOLS = Path(__file__).resolve().parents[1] / "tools"
 WORKLOADS = ["scalar-gauss", "matrix-sep3", "table-lowrank"]
 
 
-def _parse(tool: str, argv: list[str]):
-    spec = importlib.util.spec_from_file_location(tool, TOOLS / f"{tool}.py")
+def _parse(tool: str, argv: list[str], tools: Path = TOOLS):
+    spec = importlib.util.spec_from_file_location(tool, tools / f"{tool}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module.parse(argv)
@@ -44,3 +50,16 @@ def test_every_workload_named_is_run(tool, flags, workloads):
 )
 def test_output_diff_runs_every_seed_named(flags, seeds):
     assert _parse("output_diff", ["BASE", "HEAD", *flags]).seed == seeds
+
+
+@pytest.mark.parametrize("tool", ["bench_ab", "output_diff"])
+def test_workloads_are_read_from_the_benchmark(tmp_path, tool):
+    # a copy of the tool in a repository whose benchmark declares a fourth workload
+    benchmark = json.loads((TOOLS.parent / "BENCHMARK.json").read_text(encoding="utf-8"))
+    benchmark["workloads"].append({"name": "scalar-gauss-large", "why": "a workload no tool names"})
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(benchmark), encoding="utf-8")
+    (tmp_path / "tools").mkdir()
+    shutil.copy2(TOOLS / f"{tool}.py", tmp_path / "tools")
+    assert _parse(tool, ["BASE", "HEAD"], tmp_path / "tools").workload == [*WORKLOADS, "scalar-gauss-large"]
+    named = ["BASE", "HEAD", "--workload", "scalar-gauss-large"]
+    assert _parse(tool, named, tmp_path / "tools").workload == ["scalar-gauss-large"]

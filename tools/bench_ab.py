@@ -11,7 +11,8 @@ Both sides run the same benchmark, ``HEAD``'s ``perfbench/`` and
 process's, so ``PYTHONDONTWRITEBYTECODE`` is alike on both (its value heads
 the report).  For each workload, pair ``k`` runs
 ``python3 perfbench/run.py --trace 0`` at ``--seed`` once in each checkout,
-``BASE`` first in even pairs and ``HEAD`` first in odd ones.
+``BASE`` first in even pairs and ``HEAD`` first in odd ones.  The
+workloads are those that this repository's ``BENCHMARK.json`` declares.
 
 A markdown report goes to stdout; progress goes to stderr.  For each
 workload and each end-to-end metric of ``BENCHMARK.json`` it gives both
@@ -34,7 +35,9 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-WORKLOADS = ("scalar-gauss", "matrix-sep3", "table-lowrank")
+# the workloads this repository's benchmark declares, in its order
+BENCHMARK = ROOT / "BENCHMARK.json"
+WORKLOADS = tuple(w["name"] for w in json.loads(BENCHMARK.read_text(encoding="utf-8"))["workloads"])
 SIDES = ("base", "head")
 
 

@@ -10,14 +10,17 @@ one BLAS thread, in its own copy of the inputs with the outputs under
 ``out``.  The output files, the exit codes and the stderr lines of the two
 are compared.  Each checkout also runs ``--help``, ``--help`` of each plan
 subcommand and one stray flag, whose stdout, stderr and exit codes are
-compared.  A markdown summary goes to stdout: how many of each there are,
-and which differ.  The exit status is 1 if anything differs.
+compared.  The workloads are those that the ``BENCHMARK.json`` of the
+repository this script is in declares.  A markdown summary goes to stdout:
+how many of each there are, and which differ.  The exit status is 1 if
+anything differs.
 """
 
 from __future__ import annotations
 
 import argparse
 import filecmp
+import json
 import os
 import shutil
 import subprocess
@@ -25,7 +28,9 @@ import sys
 import tempfile
 from pathlib import Path
 
-WORKLOADS = ("scalar-gauss", "matrix-sep3", "table-lowrank")
+# the workloads the benchmark of the repository this script is in declares, in its order
+BENCHMARK = Path(__file__).resolve().parents[1] / "BENCHMARK.json"
+WORKLOADS = tuple(w["name"] for w in json.loads(BENCHMARK.read_text(encoding="utf-8"))["workloads"])
 
 
 def run_cli(root: Path, cwd: Path, argv: list[str]) -> subprocess.CompletedProcess:
