@@ -35,9 +35,7 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-# the workloads this repository's benchmark declares, in its order
-BENCHMARK = ROOT / "BENCHMARK.json"
-WORKLOADS = tuple(w["name"] for w in json.loads(BENCHMARK.read_text(encoding="utf-8"))["workloads"])
+WORKLOADS = tuple(w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["workloads"])
 SIDES = ("base", "head")
 
 

@@ -28,7 +28,6 @@ import sys
 import tempfile
 from pathlib import Path
 
-# the workloads the benchmark of the repository this script is in declares, in its order
 BENCHMARK = Path(__file__).resolve().parents[1] / "BENCHMARK.json"
 WORKLOADS = tuple(w["name"] for w in json.loads(BENCHMARK.read_text(encoding="utf-8"))["workloads"])
 
