@@ -469,11 +469,8 @@ def _synthesis_report(args: argparse.Namespace) -> dict[str, Any]:
         raise CliError(EXIT_USAGE, f"--frames: {exc.args[0]}") from None
     # the family's atoms, in its order: every stage below evaluates over them
     atoms = AtomSpace(family.atoms, space.coords[idx], space.mu[idx])
-    # the stage with the larger arrays first: real frames' Gram, formed whole and handed on, or the checks of V
-    real, path = not np.iscomplexobj(family.values), args.out / "kernel.csv"
-    report = validate_kernel(synth, atoms, write_precomputed(synth, atoms, path) if real else None)
-    if not real:
-        write_precomputed(synth, atoms, path)
+    report = validate_kernel(synth, atoms)  # off the frames: a Gram only where its entries may overflow
+    write_precomputed(synth, atoms, args.out / "kernel.csv")
 
     data: dict[str, Any] = {**about, "validation": report.to_dict(), "passed": report.passed}
     if originals:

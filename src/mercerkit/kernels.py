@@ -481,20 +481,24 @@ def build_kernel(spec: Mapping[str, Any], base_dir: Path | None = None) -> Matri
     if not isinstance(spec, Mapping):
         raise KernelSpecError("spec: must be a JSON object")
     ktype = spec.get("type")
-    builders: dict[str, Callable[[], MatrixKernel]] = {
-        "constant": lambda: _constant(spec),
-        "gaussian": lambda: _radial(spec, "gaussian", np.square),
-        "laplacian": lambda: _radial(spec, "laplacian", np.abs),
-        "polynomial": lambda: _polynomial(spec),
-        "separable": lambda: _separable(spec, base_dir),
-        "diagonal": lambda: _diagonal(spec, base_dir),
-        "sum": lambda: _sum(spec, base_dir),
-        "precomputed": lambda: read_precomputed(_file_path(spec.get("path"), "path", base_dir)),
-        "frame_synth": lambda: _frame_synth(spec, base_dir),
+    # type -> (the keys it takes besides "type", builder)
+    builders: dict[str, tuple[str, Callable[[], MatrixKernel]]] = {
+        "constant": ("value", lambda: _constant(spec)),
+        "gaussian": ("gamma", lambda: _radial(spec, "gaussian", np.square)),
+        "laplacian": ("gamma", lambda: _radial(spec, "laplacian", np.abs)),
+        "polynomial": ("degree offset", lambda: _polynomial(spec)),
+        "separable": ("matrix scalar", lambda: _separable(spec, base_dir)),
+        "diagonal": ("blocks", lambda: _diagonal(spec, base_dir)),
+        "sum": ("terms", lambda: _sum(spec, base_dir)),
+        "precomputed": ("path", lambda: read_precomputed(_file_path(spec.get("path"), "path", base_dir))),
+        "frame_synth": ("frames", lambda: _frame_synth(spec, base_dir)),
     }
     if ktype not in builders:
         raise KernelSpecError(f"type: unknown kernel type {ktype!r}")
-    return builders[ktype]()
+    keys, build = builders[ktype]
+    for key in spec:
+        _require(key == "type" or key in keys.split(), "spec", f"unknown key {key!r} for a {ktype!r} kernel")
+    return build()
 
 
 def _read_json(path: str | Path, what: str, build: Callable[[Any], Any]) -> Any:
@@ -587,13 +591,13 @@ def read_precomputed(path: str | Path) -> MatrixKernel:
     return MatrixKernel(n, label=f"precomputed({Path(path).name})", batch=batch)
 
 
-def write_precomputed(kernel: MatrixKernel, space: AtomSpace, path: str | Path) -> np.ndarray | None:
+def write_precomputed(kernel: MatrixKernel, space: AtomSpace, path: str | Path) -> None:
     """Write kernel values over the atoms of ``space`` as a block table CSV.
 
     Only blocks with ``x <= t`` in atom order are emitted, and only the upper triangle of each diagonal block; the
-    reader restores the rest by Hermitian symmetry.  Returns the blocks written, the kernel's Gram over the atoms as
-    :func:`gram` gives it, or ``None`` for a kernel synthesized from complex frames: its Gram is never whole, and its
-    values, :func:`gram`'s bit for bit, are written a block of rows at a time (``synthesis._gram_entries``).
+    reader restores the rest by Hermitian symmetry.  The values are :func:`gram`'s, bit for bit; a kernel synthesized
+    from complex frames has its Gram never held whole, but formed a block of rows at a time
+    (``synthesis._gram_entries``).
     """
     v = _frame_factor(kernel, space)
     from .synthesis import _gram_entries  # deferred: synthesis sits above this module in the layering
@@ -605,7 +609,6 @@ def write_precomputed(kernel: MatrixKernel, space: AtomSpace, path: str | Path) 
         return (t > x) | ((t == x) & (l <= j))
 
     _write_csv(path, _PRECOMPUTED_ROW.names, (len(space),) * 2 + (kernel.n,) * 2, labels, source, im=True, rows=upper)
-    return None if callable(source) else source
 
 
 # ---------------------------------------------------------------------------
@@ -615,30 +618,32 @@ def write_precomputed(kernel: MatrixKernel, space: AtomSpace, path: str | Path) 
 
 @dataclass(frozen=True, eq=False)
 class ValidationReport:
-    """Outcome of the reproducing-kernel axiom checks on a finite atom set."""
+    """Outcome of the reproducing-kernel axiom checks on a finite atom set.
+
+    The eigenvalues and ``tol_psd`` are ``None`` where ``psd_ok`` was decided without a solve, by ``psd_rule``.
+    """
 
     n_atoms: int
     n: int
     hermitian_deviation: float
     tol_sym: float
-    min_eigenvalue: float
-    max_eigenvalue: float
-    tol_psd: float
+    min_eigenvalue: float | None
+    max_eigenvalue: float | None
+    tol_psd: float | None
     hermitian_ok: bool
     psd_ok: bool
     # labels of the first pair (x, t) in atom order whose block K(x, t) has a non-finite entry
     nonfinite_pair: tuple[str, str] | None = None
+    # "factor": a kernel synthesized as V^H V, positive semidefinite when its entries are finite
+    psd_rule: str | None = None
 
     @property
     def passed(self) -> bool:
         return self.hermitian_ok and self.psd_ok
 
     def to_dict(self) -> dict[str, Any]:
-        """The fields and the verdict; ``nonfinite_pair`` only when there is one."""
-        data = {**asdict(self), "passed": self.passed}
-        if self.nonfinite_pair is None:
-            del data["nonfinite_pair"]
-        return data
+        """The fields that are not ``None``, and the verdict."""
+        return {**{key: value for key, value in asdict(self).items() if value is not None}, "passed": self.passed}
 
 
 def validate_kernel(kernel: MatrixKernel, space: AtomSpace, blocks: np.ndarray | None = None) -> ValidationReport:
@@ -656,53 +661,38 @@ def validate_kernel(kernel: MatrixKernel, space: AtomSpace, blocks: np.ndarray |
     a new evaluation.  The deviation and the finite check are those of
     ``core (x) B``, read one entry of ``B`` at a time (see
     :func:`_hermitian_deviation`); the eigenvalues are the products of those
-    of the Hermitian parts of the core's Gram and of ``B``.  A kernel
-    synthesized as ``V^H V`` from fewer frame vectors than the Gram's order
-    has them off ``V V^H`` instead (see :func:`~mercerkit.synthesis._factor_eigenvalues`), and no
-    Gram is held while that is solved if the caller keeps no reference to
-    ``blocks``.  Without ``blocks``, its Gram is not evaluated where ``count * max|V|^2``, a bound on every entry of
-    ``V^H V``, is under a quarter of the largest float: each entry of the Hermitian part is finite, its deviation 0.
+    of the Hermitian parts of the core's Gram and of ``B``.
+
+    A kernel synthesized as ``V^H V`` (see :func:`_frame_factor`) is a sum of rank-one squares, so it is positive
+    semidefinite when its entries are finite: ``psd_rule`` is ``"factor"``, and nothing is solved.  Rounding moves
+    the eigenvalues of its Gram by about ``count * eps * ||V||_2^2``, far below :func:`psd_tolerance`.  Without
+    ``blocks``, its Gram is not evaluated where ``count * max|V|^2``, a bound on every entry of ``V^H V``, is under a
+    quarter of the largest float: each entry of the Hermitian part is finite, its deviation 0.
     """
     core, matrix = _factors(kernel)
-    size, n = len(space), kernel.n
-    factor = (v := _frame_factor(kernel, space)) is not None and len(v) < size * n
+    size = len(space)
+    v = _frame_factor(kernel, space)
     with np.errstate(over="ignore", invalid="ignore"):
-        bounded = factor and blocks is None and len(v) * np.max(np.abs(v), initial=0.0) ** 2 <= np.finfo(float).max / 4
+        bounded = v is not None and blocks is None and len(v) * np.max(np.abs(v), initial=0.0) ** 2 <= np.finfo(float).max / 4
         raw = None if bounded else _flat(gram(core, space) if blocks is None else blocks)
         dev = 0.0 if bounded else _hermitian_deviation(raw, matrix)
         # a non-finite entry of core (x) B makes the deviation non-finite: only then are the entries read
         finite = math.isfinite(dev) or reduce(np.logical_and, (np.isfinite(raw * b) for b in matrix.flat))
-    del blocks
+    del blocks, v
     nonfinite = None
     if not np.all(finite):
-        # the eigensolver does not converge on non-finite entries; both checks fail on nan
         x, t = np.argwhere(~finite.reshape(size, core.n, size, core.n).all(axis=(1, 3)))[0]
         nonfinite = (space.labels[x], space.labels[t])
-        eigs = np.array([np.nan])
-    else:
-        eigs = None
-        if factor:
-            from .synthesis import _factor_eigenvalues  # deferred, as in write_precomputed
-            raw = None  # no Gram is held while V V^H is solved
-            eigs = _factor_eigenvalues(v, size * n)
-            if eigs is None:  # V V^H overflows: solve a new evaluation of the Gram instead
-                raw = _flat(gram(core, space))
-        del v
-        if eigs is None:
+    # V^H V is a sum of rank-one squares: no solve
+    psd = dict(min_eigenvalue=None, max_eigenvalue=None, tol_psd=None, psd_ok=nonfinite is None, psd_rule="factor")
+    if kernel.frames is None:
+        if nonfinite is not None:
+            eigs = np.array([np.nan])  # the eigensolver does not converge on non-finite entries; both checks fail
+        else:
             part = _hermitian(raw)
             del raw  # only the Hermitian part stays in memory while it is solved
             eigs = np.outer(np.linalg.eigvalsh(part), np.linalg.eigvalsh(_hermitian(matrix)))
-    min_eig, max_eig = float(eigs.min()), float(eigs.max())
-    tol_psd = psd_tolerance(max_eig)
-    return ValidationReport(
-        n_atoms=len(space),
-        n=kernel.n,
-        hermitian_deviation=dev,
-        tol_sym=TOL_SYM,
-        min_eigenvalue=min_eig,
-        max_eigenvalue=max_eig,
-        tol_psd=tol_psd,
-        hermitian_ok=dev <= TOL_SYM,
-        psd_ok=min_eig >= -tol_psd,
-        nonfinite_pair=nonfinite,
-    )
+        min_eig, max_eig = float(eigs.min()), float(eigs.max())
+        tol_psd = psd_tolerance(max_eig)
+        psd = dict(min_eigenvalue=min_eig, max_eigenvalue=max_eig, tol_psd=tol_psd, psd_ok=min_eig >= -tol_psd)
+    return ValidationReport(size, kernel.n, dev, TOL_SYM, hermitian_ok=dev <= TOL_SYM, nonfinite_pair=nonfinite, **psd)

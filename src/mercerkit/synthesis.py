@@ -3,9 +3,10 @@
 Given one frame per target component, the synthesized kernel is
 ``K(x,t)[l,j] = sum_i f_i^j(t) conj(f_i^l(x))``.  The construction is a sum
 of rank-one squares, so the result is always Hermitian and positive
-semidefinite; its diagonal blocks reproduce the frames' scalar kernels
-exactly when the frames are Parseval, while off-diagonal blocks depend on
-the frame choice and carry no such guarantee.
+semidefinite, and validation decides it from the frames without a solve;
+its diagonal blocks reproduce the frames' scalar kernels exactly when the
+frames are Parseval, while off-diagonal blocks depend on the frame choice
+and carry no such guarantee.
 
 The conjugate sits on the ``x`` side, so this is the complex conjugate of
 the eigen-series ``sum_i sigma_i f_i^l(x) conj(f_i^j(t))`` of
@@ -74,12 +75,15 @@ def synthesize_kernel(family: FrameFamily) -> MatrixKernel:
     The blocks over two sets of atoms come from one matrix product of the
     frame values at their labels, real when the family is; a set's product
     with itself is made exactly Hermitian by
-    :func:`~mercerkit.kernels._hermitian`.  The kernel
-    carries the family as its factor ``V`` (``K = V^H V``, see
-    :func:`~mercerkit.kernels._frame_factor`), which validation and
-    :func:`verify_diagonal_blocks` use in place of the Gram, and from which :func:`~mercerkit.kernels.write_precomputed`
-    writes a complex family's Gram a block of rows at a time.  Defined only on the family's atoms; evaluating
-    elsewhere raises :class:`~mercerkit.kernels.KernelEvaluationError`.
+    :func:`~mercerkit.kernels._hermitian`.  The kernel carries the family as
+    its factor ``V`` (``K = V^H V``, see
+    :func:`~mercerkit.kernels._frame_factor`).  From it,
+    :func:`~mercerkit.kernels.validate_kernel` passes the kernel as positive
+    semidefinite when its entries are finite, with no solve;
+    :func:`verify_diagonal_blocks` reads the diagonal blocks; and
+    :func:`~mercerkit.kernels.write_precomputed` writes a complex family's
+    Gram a block of rows at a time.  Defined only on the family's atoms;
+    evaluating elsewhere raises :class:`~mercerkit.kernels.KernelEvaluationError`.
     """
     n = family.n
 
@@ -117,27 +121,6 @@ def _gram_entries(v: np.ndarray, n: int) -> Callable[..., np.ndarray]:
 
     held, strips = [], map(strip, _row_blocks(v.shape[1], 8))
     return values
-
-
-def _factor_eigenvalues(v: np.ndarray, order: int) -> np.ndarray | None:
-    """Eigenvalues of ``V^H V``, of order ``order``, off the smaller ``V V^H``; ``None`` if that overflows.
-
-    The two products share their nonzero eigenvalues, and ``V^H V`` has ``order - len(V)`` more zeros, which pad the
-    result (the Gram trick of the Nystrom method).  A finite ``V`` can overflow in the product; the caller then solves
-    the Gram itself.  A complex ``V V^H`` is formed a block of rows at a time, as the conjugate of ``conj(V_a) V^T``,
-    with the bits of the whole product's (see :func:`~mercerkit.kernels._row_blocks`).
-    """
-    with np.errstate(over="ignore", invalid="ignore"):
-        if np.iscomplexobj(v):
-            small = np.empty((len(v),) * 2, v.dtype)
-            for a in _row_blocks(len(v)):
-                np.conj(np.matmul(np.conj(v[a]), v.T, out=small[a]), out=small[a])
-        else:
-            small = v @ v.conj().T
-        small = _hermitian(small)
-    if not all(np.isfinite(small[a]).all() for a in _row_blocks(len(small))):
-        return None
-    return np.concatenate([np.linalg.eigvalsh(small), np.zeros(order - len(small))])
 
 
 def verify_diagonal_blocks(

@@ -136,6 +136,27 @@ def test_malformed_kernel_file_is_named_in_one_line(tmp_path, three_atoms, capsy
     assert not out.exists()
 
 
+EXTRA = {**GAUSSIAN, "extra": 3}
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        EXTRA,
+        {"type": "separable", "matrix": [[2.0]], "scalar": EXTRA},
+        {"type": "sum", "terms": [GAUSSIAN, EXTRA]},
+        {"type": "diagonal", "blocks": [GAUSSIAN, EXTRA]},
+    ],
+    ids=["scalar", "separable_scalar", "sum_terms", "diagonal_blocks"],
+)
+def test_kernel_spec_with_an_unknown_key_is_named_in_one_line(tmp_path, three_atoms, capsys, spec):
+    kernel = write_kernel(tmp_path, spec)
+    out = tmp_path / "out"
+    assert main(["validate", "--atoms", str(three_atoms), "--kernel", str(kernel), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "mercerkit: error: spec: unknown key 'extra' for a 'gaussian' kernel\n"
+    assert not out.exists()
+
+
 def test_output_directory_under_a_regular_file_is_usage_error(tmp_path, three_atoms, capsys):
     kernel = write_kernel(tmp_path, GAUSSIAN)
     (tmp_path / "afile").write_text("")

@@ -1,20 +1,23 @@
-"""A kernel synthesized from frames, ``K = V^H V``, solved through its factor ``V`` against the dense path.
+"""A kernel synthesized from frames, ``K = V^H V``, checked through its factor ``V`` against the dense path.
 
-``validate_kernel`` reads a synthesized kernel's eigenvalues off the
-``count x count`` matrix ``V V^H`` when there are fewer frame vectors than
-the Gram's order ``N n``, padded with zeros up to ``N n``, and
-``verify_diagonal_blocks`` reads block ``j`` off ``V_j^H V_j``.  The
-reference is the same blocks with the factor hidden, solved as a dense Gram.
-Random families from ``hypothesis`` (real or complex, with fewer, as many
-or more frame vectors than ``N n``, shorter frames padded with zeros, over
-the family's atoms or a reordered subset of them) must give equal verdicts
-and eigenvalues within the tolerance of the structured paths.  A family
-whose product overflows fails the finite check at the same pair on both
-paths, and one whose ``V V^H`` alone overflows falls back to the dense solve.
-For a complex ``V``, ``V^H V`` is written a block of rows at a time and
-never held whole, and ``V V^H`` is formed a block of rows at a time, each
-block with the whole product's bits, which the last tests pin, as they pin
-that validation evaluates no Gram of a family whose products cannot overflow.
+``validate_kernel`` passes a synthesized kernel as positive semidefinite when
+the entries of ``V^H V`` are finite, with no solve (``psd_rule`` is
+``"factor"``): a sum of rank-one squares is positive semidefinite, and
+rounding moves its eigenvalues by about ``count * eps * ||V||_2^2``.  Each
+entry is finite where ``count * max|V|^2`` is under a quarter of the largest
+float; past that, the Gram is read.  ``verify_diagonal_blocks`` reads block
+``j`` off ``V_j^H V_j``.  The reference is the same blocks with the factor
+hidden, solved as a dense Gram.  Random families from ``hypothesis`` (real or
+complex, with fewer, as many or more frame vectors than ``N n``, shorter
+frames padded with zeros, over the family's atoms or a reordered subset of
+them) must give equal verdicts, and the dense solve of every such Gram must
+clear the floor of :func:`~mercerkit.kernels.psd_tolerance`, which keeps the
+construction argument checked against a real solve.  A family whose product
+overflows, or holds a ``nan``, fails the finite check at the same pair on
+both paths.  For a complex ``V``, ``V^H V`` is written a block of rows at a
+time and never held whole, which the last tests pin, as they pin that
+validation evaluates no Gram of a family whose products cannot overflow and
+runs no eigensolver.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from mercerkit import (
     validate_kernel,
     verify_diagonal_blocks,
 )
-from mercerkit import kernels, synthesis
+from mercerkit import cli, kernels, synthesis, write_frame
 from test_structured_paths import _record_solves, dense
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -45,8 +48,8 @@ def space_of(labels) -> AtomSpace:
 
 
 @st.composite
-def families(draw):
-    """Frames of up to 5 atoms and 3 components, with fewer, as many or more vectors than ``N n``."""
+def families(draw, cells=st.integers(-2, 2)):
+    """Frames of up to 5 atoms and 3 components, with fewer, as many or more vectors than ``N n``; ``cells`` halved."""
     n_atoms, n = draw(st.integers(1, 5)), draw(st.integers(1, 3))
     order = n_atoms * n
     relation = draw(st.sampled_from(["fewer", "equal", "more"]))
@@ -58,10 +61,11 @@ def families(draw):
     # the first frame is the longest; align_frames pads the others with zero vectors
     for j in range(n):
         rows = count if j == 0 else draw(st.integers(0, count))
-        cells = st.lists(st.integers(-2, 2), min_size=rows * n_atoms, max_size=rows * n_atoms)
-        values = np.array(draw(cells), dtype=float).reshape(rows, n_atoms)
+        values = st.lists(cells, min_size=rows * n_atoms, max_size=rows * n_atoms)
+        values = np.array(draw(values), dtype=float).reshape(rows, n_atoms)
         if is_complex:
-            values = values + 1j * np.array(draw(cells), dtype=float).reshape(rows, n_atoms)
+            values = values + 1j * np.array(draw(st.lists(cells, min_size=values.size, max_size=values.size)),
+                                            dtype=float).reshape(rows, n_atoms)
         frames.append(ScalarFrame(atoms, 0.5 * values))
     return align_frames(frames)
 
@@ -81,12 +85,9 @@ def test_factor_path_agrees_with_the_dense_path(family, data):
     mine, theirs = validate_kernel(kernel, space), validate_kernel(reference, space)
     assert mine.passed and theirs.passed
     assert (mine.hermitian_deviation, mine.nonfinite_pair) == (theirs.hermitian_deviation, theirs.nonfinite_pair)
-    scale = max(1.0, abs(theirs.max_eigenvalue))
-    assert abs(mine.max_eigenvalue - theirs.max_eigenvalue) <= 1e-12 * scale
-    assert abs(mine.min_eigenvalue - theirs.min_eigenvalue) <= 1e-12 * scale
-    if len(family.values) < len(space) * family.n:
-        # the padding zeros: V^H V has at least N n - count zero eigenvalues
-        assert mine.min_eigenvalue <= 0.0
+    # the factor rule solves nothing and reports no eigenvalue
+    assert (mine.psd_rule, theirs.psd_rule) == ("factor", None)
+    assert mine.min_eigenvalue is mine.max_eigenvalue is mine.tol_psd is None
 
     originals = [build_kernel({"type": "constant", "value": 0.5})] * family.n
     deviation = verify_diagonal_blocks(kernel, originals, space)
@@ -105,34 +106,94 @@ def test_an_overflowing_product_fails_the_finite_check_on_both_paths(count, dtyp
     mine, theirs = validate_kernel(kernel, space), validate_kernel(dense(kernel), space)
     assert mine.nonfinite_pair == theirs.nonfinite_pair == ("b", "b")
     assert not mine.passed and not theirs.passed
-    assert mine.to_dict().keys() == theirs.to_dict().keys()
+    assert mine.to_dict().keys() == theirs.to_dict().keys() - {"min_eigenvalue", "max_eigenvalue", "tol_psd"} | {
+        "psd_rule"
+    }
 
 
-def test_a_factor_whose_small_product_alone_overflows_takes_the_dense_solve(monkeypatch):
-    # one frame vector of 4 entries a, a^2 = 5e307: every entry of V^H V is a^2, but V V^H = 4 a^2 overflows
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_a_nan_frame_value_fails_and_names_its_pair(dtype):
+    # atom c's value of component 1 is nan: every block (x, c) and (c, t) holds a nan, (a, c) first in atom order
+    values = np.ones((2, 3, 2), dtype=dtype)
+    values[1, 2, 1] = np.nan
+    kernel = synthesize_kernel(FrameFamily(("a", "b", "c"), values))
+    space = space_of(("a", "b", "c"))
+    report = validate_kernel(kernel, space)
+    assert report.nonfinite_pair == validate_kernel(dense(kernel), space).nonfinite_pair == ("a", "c")
+    assert not report.hermitian_ok and not report.psd_ok and not report.passed
+    assert report.to_dict()["psd_rule"] == "factor" and report.to_dict()["nonfinite_pair"] == ("a", "c")
+
+
+def test_a_factor_past_the_overflow_bound_reads_its_gram_and_solves_nothing(monkeypatch):
+    # one frame vector of 4 entries a, a^2 = 5e307: count * max|V|^2 is past a quarter of the largest float, so the
+    # Gram is read, and every entry of V^H V, a^2, is finite
     family = FrameFamily(("a", "b", "c", "d"), np.full((1, 4, 1), np.sqrt(5e307)))
     kernel = synthesize_kernel(family)
     space = space_of(family.atoms)
+    evaluated, evaluate = [], kernels.gram
+    monkeypatch.setattr(kernels, "gram", lambda kernel, *args: evaluated.append(kernel) or evaluate(kernel, *args))
     solves = _record_solves(monkeypatch)
     mine = validate_kernel(kernel, space)
-    assert mine.nonfinite_pair is None
-    # the Gram and B = [[1]]; the 1 x 1 V V^H is never solved
-    assert [shape for shape, _ in solves] == [(4, 4), (1, 1)]
+    assert evaluated == [kernel] and solves == []
+    assert mine.passed and mine.nonfinite_pair is None and mine.hermitian_deviation == 0.0
     theirs = validate_kernel(dense(kernel), space)
     assert (mine.hermitian_ok, mine.psd_ok) == (theirs.hermitian_ok, theirs.psd_ok)
-    # the largest eigenvalue, 4 a^2, overflows on both paths
-    assert mine.max_eigenvalue == theirs.max_eigenvalue == np.inf
+    # the dense solve's largest eigenvalue, 4 a^2, overflows, and so does its floor
+    assert theirs.max_eigenvalue == theirs.tol_psd == np.inf
 
 
-def test_the_factor_solve_is_count_by_count(monkeypatch):
-    # 2 frame vectors over 4 atoms and 3 components: a 2 x 2 solve in place of a 12 x 12 one
-    values = np.arange(2 * 4 * 3, dtype=float).reshape(2, 4, 3)
-    kernel = synthesize_kernel(FrameFamily(("a", "b", "c", "d"), values))
+def test_the_factor_rule_solves_nothing_whatever_the_count(monkeypatch):
+    # 4 atoms and 3 components, N n = 12: 2, 12 and 14 frame vectors give one report, and no solve
     solves = _record_solves(monkeypatch)
-    report = validate_kernel(kernel, space_of(("a", "b", "c", "d")))
-    assert solves == [((2, 2), np.dtype(np.float64))]
-    assert report.min_eigenvalue == 0.0 and report.passed
+    for count in (2, 12, 14):
+        values = np.arange(count * 4 * 3, dtype=float).reshape(count, 4, 3)
+        report = validate_kernel(synthesize_kernel(FrameFamily(("a", "b", "c", "d"), values)), space_of(("a", "b", "c", "d")))
+        assert report.to_dict() == {
+            "n_atoms": 4, "n": 3, "hermitian_deviation": 0.0, "tol_sym": kernels.TOL_SYM, "hermitian_ok": True,
+            "psd_ok": True, "psd_rule": "factor", "passed": True,
+        }
+    assert solves == []
 
+
+@hypothesis.settings(max_examples=200, deadline=None)
+@hypothesis.given(
+    family=families(st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)), scale=st.sampled_from([1e-150, 1.0, 1e100])
+)
+def test_the_dense_solve_of_a_finite_family_clears_the_psd_floor(family, scale):
+    # the factor rule passes these without a solve; the solve it replaces agrees, from the subnormal range to near
+    # the bound, and whether count is below, at or above N n
+    kernel = synthesize_kernel(FrameFamily(family.atoms, scale * family.values))
+    space = space_of(family.atoms)
+    eigs = np.linalg.eigvalsh(kernels._flat(gram(kernel, space)))
+    assert eigs.min(initial=0.0) >= -kernels.psd_tolerance(eigs.max(initial=0.0))
+    assert validate_kernel(kernel, space).passed
+
+
+def test_validating_a_frame_kernel_runs_no_eigensolver(tmp_path, monkeypatch):
+    def solve(*args, **kwargs):
+        raise AssertionError("an eigensolver ran")
+
+    for name in ("eig", "eigh", "eigvals", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, solve)
+    rng = np.random.default_rng(37)
+    space = space_of([f"x{i}" for i in range(6)])
+    # fewer, as many and more frame vectors than N n = 12, real and complex
+    families = []
+    for count in (3, 12, 20):
+        values = rng.standard_normal((count, 6, 2))
+        families += [values, values + 1j * rng.standard_normal(values.shape)]
+    # past the overflow bound, where the Gram is read: every entry of V^H V is 5e307
+    families += [np.full((1, 6, 2), np.sqrt(5e307)), np.full((1, 6, 2), np.sqrt(2.5e307) * (1 + 1j))]
+    for values in families:
+        assert validate_kernel(synthesize_kernel(FrameFamily(space.labels, values)), space).passed
+    # and the command line, which validates, then writes
+    frames = []
+    for j in range(2):
+        frames.append(tmp_path / f"frame_j{j}.csv")
+        write_frame(ScalarFrame(space.labels, rng.standard_normal((5, 6)) + 1j), frames[-1])
+    atoms = tmp_path / "atoms.csv"
+    atoms.write_text("id,w,c1\n" + "".join(f"x{i},1.0,{i}.0\n" for i in range(6)))
+    assert cli.main(["synthesize", "--atoms", str(atoms), "--frames", *map(str, frames), "--out", str(tmp_path / "o")]) == 0
 
 
 # N n = 300 rows of V^H V: blocks of 64, 64, 64 and 108 rows
@@ -177,11 +238,15 @@ def test_gram_entries_take_the_halves_only_where_a_block_overflows():
 @pytest.mark.parametrize("dtype", [float, complex])
 @pytest.mark.parametrize("count", [40, 240], ids=["fewer", "as_frames"])
 def test_factor_eigenvalues_are_the_whole_products_bit_for_bit(count, dtype):
-    # V V^H of 240 rows is formed in blocks of 64, 64 and 112 rows when V is complex, whole when it is real
+    # the Gram a dense solve reads is the whole product's Hermitian part, bit for bit; its eigenvalues clear the
+    # floor that the factor rule passes without a solve
     v = _factor(np.random.default_rng(count + 1), count, dtype)
-    whole = np.linalg.eigvalsh(kernels._hermitian(v @ v.conj().T))
-    eigs = synthesis._factor_eigenvalues(v, WIDE)
-    assert eigs[:count].tobytes() == whole.tobytes() and not eigs[count:].any()
+    space = space_of([f"x{i:03d}" for i in range(WIDE)])
+    kernel = synthesize_kernel(FrameFamily(space.labels, v.reshape(count, WIDE, 1)))
+    eigs = np.linalg.eigvalsh(kernels._flat(gram(kernel, space)))
+    assert eigs.tobytes() == np.linalg.eigvalsh(kernels._hermitian(np.conj(v.T) @ v)).tobytes()
+    assert eigs.min() >= -kernels.psd_tolerance(eigs.max())
+    assert validate_kernel(kernel, space).to_dict()["psd_rule"] == "factor"
 
 
 @pytest.mark.parametrize("dtype", [float, complex])
@@ -193,8 +258,7 @@ def test_written_table_of_a_synthesized_kernel_is_its_gram(tmp_path, dtype):
         values = values + 1j * rng.standard_normal(values.shape)
     family = FrameFamily(tuple(f"x{i:03d}" for i in range(150)), values)
     kernel, space = synthesize_kernel(family), space_of(family.atoms)
-    written = kernels.write_precomputed(kernel, space, tmp_path / "synth.csv")
-    assert (written is None) == (dtype is complex)
+    kernels.write_precomputed(kernel, space, tmp_path / "synth.csv")
     kernels.write_precomputed(dense(kernel), space, tmp_path / "dense.csv")
     assert (tmp_path / "synth.csv").read_bytes() == (tmp_path / "dense.csv").read_bytes()
 

@@ -174,6 +174,26 @@ def test_unknown_type_message():
         build_kernel({"type": "sinc"})
 
 
+EXTRA = {"type": "gaussian", "gamma": 1.0, "extra": 3}
+
+
+@pytest.mark.parametrize(
+    "spec, kind",
+    [
+        (EXTRA, "gaussian"),
+        ({"type": "separable", "matrix": [[1.0]], "scalar": EXTRA}, "gaussian"),
+        ({"type": "sum", "terms": [{"type": "constant", "value": 1.0}, EXTRA]}, "gaussian"),
+        ({"type": "diagonal", "blocks": [{"type": "laplacian", "gamma": 1.0}, EXTRA]}, "gaussian"),
+        ({"type": "diagonal", "blocks": [{"type": "laplacian", "gamma": 1.0}], "extra": 3}, "diagonal"),
+        ({"type": "polynomial", "degree": 2, "offset": 1.0, "extra": None}, "polynomial"),
+    ],
+    ids=["scalar", "separable_scalar", "sum_terms", "diagonal_blocks", "diagonal", "polynomial"],
+)
+def test_unknown_key_is_named_at_every_level(spec, kind):
+    with pytest.raises(KernelSpecError, match=f"^spec: unknown key 'extra' for a '{kind}' kernel$"):
+        build_kernel(spec)
+
+
 # ---------------------------------------------------------------------------
 # Hermitian pair law and Gram assembly
 # ---------------------------------------------------------------------------
