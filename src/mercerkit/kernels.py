@@ -671,9 +671,9 @@ def validate_kernel(kernel: MatrixKernel, space: AtomSpace, blocks: np.ndarray |
     """
     core, matrix = _factors(kernel)
     size = len(space)
-    v = _frame_factor(kernel, space)
+    factor = (v := _frame_factor(kernel, space)) is not None
     with np.errstate(over="ignore", invalid="ignore"):
-        bounded = v is not None and blocks is None and len(v) * np.max(np.abs(v), initial=0.0) ** 2 <= np.finfo(float).max / 4
+        bounded = factor and blocks is None and len(v) * np.max(np.abs(v), initial=0.0) ** 2 <= np.finfo(float).max / 4
         raw = None if bounded else _flat(gram(core, space) if blocks is None else blocks)
         dev = 0.0 if bounded else _hermitian_deviation(raw, matrix)
         # a non-finite entry of core (x) B makes the deviation non-finite: only then are the entries read
@@ -685,7 +685,7 @@ def validate_kernel(kernel: MatrixKernel, space: AtomSpace, blocks: np.ndarray |
         nonfinite = (space.labels[x], space.labels[t])
     # V^H V is a sum of rank-one squares: no solve
     psd = dict(min_eigenvalue=None, max_eigenvalue=None, tol_psd=None, psd_ok=nonfinite is None, psd_rule="factor")
-    if kernel.frames is None:
+    if not factor:
         if nonfinite is not None:
             eigs = np.array([np.nan])  # the eigensolver does not converge on non-finite entries; both checks fail
         else:
