@@ -49,7 +49,10 @@ def space_of(labels) -> AtomSpace:
 
 @st.composite
 def families(draw, cells=st.integers(-2, 2)):
-    """Frames of up to 5 atoms and 3 components, with fewer, as many or more vectors than ``N n``; ``cells`` halved."""
+    """Frames of up to 5 atoms and 3 components, with fewer, as many or more vectors than ``N n``.
+
+    Each real and imaginary part is a draw of ``cells``, halved.
+    """
     n_atoms, n = draw(st.integers(1, 5)), draw(st.integers(1, 3))
     order = n_atoms * n
     relation = draw(st.sampled_from(["fewer", "equal", "more"]))
@@ -61,11 +64,10 @@ def families(draw, cells=st.integers(-2, 2)):
     # the first frame is the longest; align_frames pads the others with zero vectors
     for j in range(n):
         rows = count if j == 0 else draw(st.integers(0, count))
-        values = st.lists(cells, min_size=rows * n_atoms, max_size=rows * n_atoms)
-        values = np.array(draw(values), dtype=float).reshape(rows, n_atoms)
+        parts = st.lists(cells, min_size=rows * n_atoms, max_size=rows * n_atoms)
+        values = np.array(draw(parts), dtype=float).reshape(rows, n_atoms)
         if is_complex:
-            values = values + 1j * np.array(draw(st.lists(cells, min_size=values.size, max_size=values.size)),
-                                            dtype=float).reshape(rows, n_atoms)
+            values = values + 1j * np.array(draw(parts), dtype=float).reshape(rows, n_atoms)
         frames.append(ScalarFrame(atoms, 0.5 * values))
     return align_frames(frames)
 
