@@ -60,7 +60,6 @@ from .tables import _write_csv
 
 if TYPE_CHECKING:
     from .operators import DiscreteOperator, SpectralDecomposition
-    from .synthesis import FrameFamily
 
 __all__ = ["main"]
 
@@ -167,13 +166,13 @@ def _config(path: str) -> dict[str, Any]:
     return config
 
 
-def _frame_family(value: Any) -> FrameFamily | None:
-    """The frame files listed in ``value``, aligned; ``None`` for no file."""
+def _frame_kernel(value: Any) -> MatrixKernel | None:
+    """The kernel synthesized from the frame files listed in ``value``; ``None`` for no file."""
     from .mercer import read_frame
-    from .synthesis import align_frames
+    from .synthesis import synthesize_kernel
 
     frames = [_read("frame", path, read_frame) for path in _paths(value)]
-    return align_frames(frames) if frames else None
+    return synthesize_kernel(frames) if frames else None
 
 
 def _outdir(value: Any) -> Path:
@@ -222,7 +221,7 @@ _TRUNCATIONS = _Option(
     "comma-separated truncation orders (default: all)",
     lambda v: sorted({int(m) for m in _csv_list(v)}),
 )
-_FRAMES = _Option("frames", "frame CSV files, one per component", _frame_family, settings={"nargs": "+"})
+_FRAMES = _Option("frames", "frame CSV files, one per component", _frame_kernel, settings={"nargs": "+"})
 
 
 def _resolve(args: argparse.Namespace, options: Sequence[_Option]) -> None:
@@ -443,32 +442,32 @@ def _frames_report(args: argparse.Namespace) -> dict[str, Any]:
 
 
 def _synthesis_report(args: argparse.Namespace) -> dict[str, Any]:
-    from .synthesis import align_frames, synthesize_kernel, verify_diagonal_blocks
+    from .synthesis import synthesize_kernel, verify_diagonal_blocks
 
-    space, originals, family = args.atoms, args.kernel or [], args.frames
-    if not originals and family is None:
+    space, originals, synth = args.atoms, args.kernel or [], args.frames
+    if not originals and synth is None:
         raise CliError(EXIT_USAGE, "synthesize needs --kernel files or --frames files")
-    if originals and family is not None and len(originals) != family.n:
-        expected = f"expected one file per --frames file ({family.n}), got {len(originals)}"
+    if originals and synth is not None and len(originals) != synth.n:
+        expected = f"expected one file per --frames file ({synth.n}), got {len(originals)}"
         raise CliError(EXIT_USAGE, f"--kernel: {expected}")
     grams: Sequence[np.ndarray] = ()  # each original's one Gram: its decomposition's (every atom), or evaluated below
-    if family is None:
+    if synth is None:
         from .mercer import extract_frame
         from .operators import eigendecompose
         decs = (eigendecompose(_operator(args, k)[1]) for k in originals)  # one at a time
         frames, grams = zip(*((extract_frame(dec, 0), _kernel_blocks(dec.nu.core_gram, dec.kernel)) for dec in decs))
-        family = align_frames(frames)
-    about = {"n": family.n, "frame_count": int(family.values.shape[0]), "n_atoms": len(family.atoms)}
-    if not family.atoms:
+        synth = synthesize_kernel(frames)
+    index, values = synth.frames
+    about = {"n": synth.n, "frame_count": int(values.shape[0]), "n_atoms": len(index)}
+    if not index:
         message = "synthesized family has no atoms"
         raise CliError(EXIT_DEGENERATE, message, {**about, "degenerate": message, "passed": False})
-    synth = synthesize_kernel(family)
     try:
-        idx = [space.index(label) for label in family.atoms]
+        idx = [space.index(label) for label in index]
     except KeyError as exc:
         raise CliError(EXIT_USAGE, f"--frames: {exc.args[0]}") from None
-    # the family's atoms, in its order: every stage below evaluates over them
-    atoms = AtomSpace(family.atoms, space.coords[idx], space.mu[idx])
+    # the frames' atoms, in their order: every stage below evaluates over them
+    atoms = AtomSpace(tuple(index), space.coords[idx], space.mu[idx])
     report = validate_kernel(synth, atoms)  # off the frames: a Gram only where its entries may overflow
     write_precomputed(synth, atoms, args.out / "kernel.csv")
 

@@ -83,9 +83,10 @@ class MatrixKernel:
     ``n x n`` matrix ``B``.  It is read only through :func:`_factors`.
 
     ``frames`` holds the factor of a kernel synthesized from frames,
-    ``K = V^H V``: the position of each frame atom by label, and the frame
-    values of shape ``(count, atoms, n)``.  It is read only through
-    :func:`_frame_factor`.
+    ``K = V^H V``: the position of each frame atom by label, in the frames'
+    atom order, and the frame values of shape ``(count, atoms, n)``.  It is
+    read through :func:`_frame_factor`, and by the ``synthesize`` subcommand
+    for the frame count and the atom labels it reports and evaluates over.
     """
 
     n: int
@@ -467,9 +468,9 @@ def _frame_synth(spec: Mapping[str, Any], base_dir: Path | None) -> MatrixKernel
     resolved = [_file_path(p, f"frames[{k}]", base_dir) for k, p in enumerate(paths)]
     # deferred import: synthesis sits above this module in the layering
     from .mercer import read_frame
-    from .synthesis import align_frames, synthesize_kernel
+    from .synthesis import synthesize_kernel
 
-    return synthesize_kernel(align_frames([read_frame(p) for p in resolved]))
+    return synthesize_kernel([read_frame(p) for p in resolved])
 
 
 def build_kernel(spec: Mapping[str, Any], base_dir: Path | None = None) -> MatrixKernel:

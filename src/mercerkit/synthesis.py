@@ -1,7 +1,9 @@
 """Build a matrix-valued kernel from per-component scalar frames.
 
-Given one frame per target component, the synthesized kernel is
-``K(x,t)[l,j] = sum_i f_i^j(t) conj(f_i^l(x))``.  The construction is a sum
+Given one frame per target component, :func:`synthesize_kernel` aligns
+them on their shared atoms and builds, in one call, the kernel
+``K(x,t)[l,j] = sum_i f_i^j(t) conj(f_i^l(x))``; it keeps the aligned frame
+values as its factor ``V``, ``K = V^H V``.  The construction is a sum
 of rank-one squares, so the result is always Hermitian and positive
 semidefinite, and validation decides it from the frames without a solve;
 its diagonal blocks reproduce the frames' scalar kernels exactly when the
@@ -17,7 +19,6 @@ diagonal block ``j`` at ``(x, t)`` is ``k_j(t, x)``, which equals
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -26,66 +27,43 @@ from .kernels import MatrixKernel, _frame_factor, _hermitian, _readonly, _row_bl
 from .mercer import ScalarFrame
 from .space import AtomSpace
 
-__all__ = ["FrameFamily", "align_frames", "synthesize_kernel", "verify_diagonal_blocks"]
+__all__ = ["synthesize_kernel", "verify_diagonal_blocks"]
 
 
-@dataclass(frozen=True, eq=False)
-class FrameFamily:
-    """Scalar frames over a shared atom set and a shared index set.
+def synthesize_kernel(frames: Sequence[ScalarFrame]) -> MatrixKernel:
+    """Kernel whose block entries are inner products of the frame vectors, frame ``j`` giving component ``j``.
 
-    ``values[i, x, j]`` is the ``i``-th frame vector of component ``j`` at
-    atom ``x``; shorter frames are padded with zero functions.  It is real
-    when every frame is, as the frames of a real kernel's eigen-series are.
-    """
+    Frames that carry atoms must agree on them, in order, and each frame's
+    values have the shape ``(count, len(atoms))``; shorter frames are padded
+    with zero vectors, and an empty frame gives an all-zero component.  The
+    factor ``V`` (``K = V^H V``, see :func:`~mercerkit.kernels._frame_factor`)
+    has the result type of the values, at least float64: real frames make a real kernel.
 
-    atoms: tuple[str, ...]
-    values: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return int(self.values.shape[2])
-
-
-def align_frames(frames: Sequence[ScalarFrame]) -> FrameFamily:
-    """Unify frames onto their common atom set and maximal index count.
-
-    All frames that carry atoms must agree on them (same labels, same
-    order); an empty frame contributes an all-zero component.  The values
-    have the result type of the frames' values (at least float64): real
-    frames make a real family.
-    """
-    if not frames:
-        raise ValueError("align_frames needs at least one frame")
-    atom_sets = [f.atoms for f in frames if f.atoms]
-    atoms = atom_sets[0] if atom_sets else ()
-    for other in atom_sets[1:]:
-        if other != atoms:
-            raise ValueError("frames disagree on the atom set")
-    count = max((int(f.values.shape[0]) for f in frames), default=0)
-    values = np.zeros((count, len(atoms), len(frames)), dtype=np.result_type(float, *(f.values for f in frames)))
-    for j, frame in enumerate(frames):
-        if frame.values.size:
-            values[: frame.values.shape[0], :, j] = frame.values
-    return FrameFamily(atoms, _readonly(values))
-
-
-def synthesize_kernel(family: FrameFamily) -> MatrixKernel:
-    """Kernel whose block entries are inner products of the frame columns.
-
-    The blocks over two sets of atoms come from one matrix product of the
-    frame values at their labels, real when the family is; a set's product
-    with itself is made exactly Hermitian by
-    :func:`~mercerkit.kernels._hermitian`.  The kernel carries the family as
-    its factor ``V`` (``K = V^H V``, see
-    :func:`~mercerkit.kernels._frame_factor`).  From it,
+    The blocks over two sets of atoms come from one matrix product of ``V``
+    at their labels; a set's product with itself is made exactly Hermitian by
+    :func:`~mercerkit.kernels._hermitian`.  From ``V``,
     :func:`~mercerkit.kernels.validate_kernel` passes the kernel as positive
     semidefinite when its entries are finite, with no solve;
     :func:`verify_diagonal_blocks` reads the diagonal blocks; and
-    :func:`~mercerkit.kernels.write_precomputed` writes a complex family's
-    Gram a block of rows at a time.  Defined only on the family's atoms;
+    :func:`~mercerkit.kernels.write_precomputed` writes a complex kernel's
+    Gram a block of rows at a time.  Defined only on the frames' atoms;
     evaluating elsewhere raises :class:`~mercerkit.kernels.KernelEvaluationError`.
     """
-    n = family.n
+    if not frames:
+        raise ValueError("synthesize_kernel needs at least one frame")
+    atom_sets = [f.atoms for f in frames if f.atoms]
+    atoms = atom_sets[0] if atom_sets else ()
+    if any(other != atoms for other in atom_sets[1:]):
+        raise ValueError("frames disagree on the atom set")
+    for j, frame in enumerate(frames):
+        if frame.values.ndim != 2 or frame.values.shape[1] != len(frame.atoms):
+            expected = f"(count, {len(frame.atoms)})"
+            raise ValueError(f"frame of component {j}: values of shape {frame.values.shape}, expected {expected}")
+    n, dtype = len(frames), np.result_type(float, *(f.values for f in frames))
+    v = np.zeros((max(len(f.values) for f in frames), len(atoms), n), dtype)
+    for j, frame in enumerate(frames):
+        if frame.values.size:
+            v[: len(frame.values), :, j] = frame.values
 
     def batch(space: AtomSpace, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         vx = _frame_factor(kernel, space, rows)
@@ -93,8 +71,8 @@ def synthesize_kernel(family: FrameFamily) -> MatrixKernel:
         return blocks.reshape(len(rows), n, len(cols), n).transpose(0, 2, 1, 3)
 
     # the batch reads the factor off the kernel it belongs to
-    index = {label: i for i, label in enumerate(family.atoms)}
-    kernel = MatrixKernel(n, label=f"frame_synth(n={n})", batch=batch, frames=(index, family.values))
+    index = {label: i for i, label in enumerate(atoms)}
+    kernel = MatrixKernel(n, label=f"frame_synth(n={n})", batch=batch, frames=(index, _readonly(v)))
     return kernel
 
 

@@ -8,6 +8,7 @@ from mercerkit import (
     AtomSpace,
     MatrixKernel,
     RKHSElement,
+    ScalarFrame,
     SpectralDecomposition,
     assemble_operator,
     build_kernel,
@@ -123,6 +124,11 @@ def rank_deficient_table(rng: np.random.Generator, n_atoms: int, rank: int, n: i
     flat = f.conj().T @ f
     blocks = (0.5 * (flat + flat.conj().T)).reshape(n_atoms, n, n_atoms, n).transpose(0, 2, 1, 3).copy()
     return MatrixKernel(n, label="table", batch=lambda space, rows, cols: blocks[np.ix_(rows, cols)])
+
+
+def frames_of(labels, values: np.ndarray) -> list[ScalarFrame]:
+    """One frame per component over ``labels``: ``values[i, x, j]`` is vector ``i`` of component ``j`` at atom ``x``."""
+    return [ScalarFrame(tuple(labels), values[..., j]) for j in range(values.shape[2])]
 
 
 def decompose_space(space: AtomSpace, spec, rank_cutoff: float | None = None) -> SpectralDecomposition:

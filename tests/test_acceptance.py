@@ -11,12 +11,14 @@ import json
 import numpy as np
 import pytest
 
-from conftest import ZOO, decompose_space, delta_kernel, random_space, rank_deficient_table, space_from, support_labels
+from conftest import (
+    ZOO, decompose_space, delta_kernel, frames_of, random_space, rank_deficient_table, space_from, support_labels
+)
 from mercerkit import (
     TOL_SYM,
-    FrameFamily,
     MatrixKernel,
     RKHSElement,
+    ScalarFrame,
     build_kernel,
     default_tol_eig,
     default_tol_recon,
@@ -322,8 +324,7 @@ def test_criterion_07_synthesis():
         dec = decompose_space(space, spec)
         frames.append(extract_frame(dec, 0))
         tol_recon = max(tol_recon, default_tol_recon(dec))
-    family = FrameFamily(space.labels, np.stack([f.values for f in frames], axis=2))
-    synthesized = synthesize_kernel(family)
+    synthesized = synthesize_kernel(frames)
     round_trip = verify_diagonal_blocks(synthesized, [build_kernel(s) for s in specs], space)
 
     # arbitrary (non-Parseval) families still produce valid kernels
@@ -332,12 +333,12 @@ def test_criterion_07_synthesis():
         count = int(rng.integers(1, 6))
         n = int(rng.integers(1, 4))
         values = rng.standard_normal((count, 10, n)) + 1j * rng.standard_normal((count, 10, n))
-        report = validate_kernel(synthesize_kernel(FrameFamily(space.labels, values)), space)
+        report = validate_kernel(synthesize_kernel(frames_of(space.labels, values)), space)
         families_ok = families_ok and report.passed and report.hermitian_deviation <= 1e-12
 
     # halving one frame shrinks its diagonal block to a quarter
     base = decompose_space(space, specs[0])
-    halved = FrameFamily(space.labels, 0.5 * extract_frame(base, 0).values[:, :, None])
+    halved = [ScalarFrame(space.labels, 0.5 * extract_frame(base, 0).values)]
     deviation = verify_diagonal_blocks(
         synthesize_kernel(halved), [build_kernel(specs[0])], space
     )

@@ -579,6 +579,30 @@ def test_synthesize_rejects_frames_that_disagree_on_the_atom_set(tmp_path, three
     assert not (out / "kernel.csv").exists()
 
 
+def test_synthesize_pads_a_shorter_real_frame_file_beside_a_complex_one(tmp_path, three_atoms):
+    # 2 real vectors (every value_im +0.0) beside 3 complex ones: the table is the one written when the shorter
+    # file holds an explicit zero third vector
+    header, zero = "i,atom_id,value_re,value_im\n", "2,a,0.0,0.0\n2,b,0.0,0.0\n2,c,0.0,0.0\n"
+    short = header + "0,a,1.0,0.0\n0,b,0.5,0.0\n0,c,-0.25,0.0\n1,a,0.75,0.0\n1,b,-1.0,0.0\n1,c,0.5,0.0\n"
+    vectors = [
+        [(0.5, 0.25), (-0.5, 1.0), (0.0, -0.75)],
+        [(1.0, 0.0), (0.25, 0.5), (-1.0, -0.25)],
+        [(0.5, 0.5), (0.0, 1.0), (2.0, 0.0)],
+    ]
+    cells = [(i, atom, re, im) for i, vector in enumerate(vectors) for atom, (re, im) in zip("abc", vector)]
+    wide = header + "".join(f"{i},{atom},{re},{im}\n" for i, atom, re, im in cells)
+    files = {"short": short, "padded": short + zero, "complex": wide}
+    for name, text in files.items():
+        (tmp_path / f"{name}.csv").write_text(text)
+    assert mercer.read_frame(tmp_path / "short.csv").values.dtype == np.float64
+    atoms = ["synthesize", "--atoms", str(three_atoms), "--frames"]
+    for name in ("short", "padded"):
+        argv = [*atoms, str(tmp_path / f"{name}.csv"), str(tmp_path / "complex.csv"), "--out", str(tmp_path / name)]
+        assert main(argv) == 0
+        assert report_of(tmp_path / name)["frame_count"] == 3
+    assert (tmp_path / "short" / "kernel.csv").read_bytes() == (tmp_path / "padded" / "kernel.csv").read_bytes()
+
+
 def test_synthesize_with_an_empty_frame_list_in_the_config_reads_the_kernels(tmp_path, three_atoms):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"frames": []}))

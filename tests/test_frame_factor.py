@@ -25,11 +25,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from conftest import frames_of
 from mercerkit import (
     AtomSpace,
-    FrameFamily,
     ScalarFrame,
-    align_frames,
     build_kernel,
     gram,
     synthesize_kernel,
@@ -61,7 +60,7 @@ def families(draw, cells=st.integers(-2, 2)):
     is_complex = draw(st.booleans())
     atoms = tuple(f"x{i}" for i in range(n_atoms))
     frames = []
-    # the first frame is the longest; align_frames pads the others with zero vectors
+    # the first frame is the longest; synthesize_kernel pads the others with zero vectors
     for j in range(n):
         rows = count if j == 0 else draw(st.integers(0, count))
         parts = st.lists(cells, min_size=rows * n_atoms, max_size=rows * n_atoms)
@@ -69,19 +68,20 @@ def families(draw, cells=st.integers(-2, 2)):
         if is_complex:
             values = values + 1j * np.array(draw(parts), dtype=float).reshape(rows, n_atoms)
         frames.append(ScalarFrame(atoms, 0.5 * values))
-    return align_frames(frames)
+    return frames
 
 
 @hypothesis.settings(max_examples=300, deadline=None)
-@hypothesis.given(family=families(), data=st.data())
-def test_factor_path_agrees_with_the_dense_path(family, data):
-    kernel = synthesize_kernel(family)
+@hypothesis.given(frames=families(), data=st.data())
+def test_factor_path_agrees_with_the_dense_path(frames, data):
+    kernel = synthesize_kernel(frames)
     reference = dense(kernel)
-    assert gram(kernel, space_of(family.atoms)).dtype == family.values.dtype
-    # the family's atoms in order (a view of the frames), or a reordered subset of them
-    labels = data.draw(st.sampled_from([list(family.atoms), []]))
+    atoms = frames[0].atoms
+    assert gram(kernel, space_of(atoms)).dtype == kernel.frames[1].dtype
+    # the frames' atoms in order (a view of the frames), or a reordered subset of them
+    labels = data.draw(st.sampled_from([list(atoms), []]))
     if not labels:
-        labels = data.draw(st.permutations(family.atoms))[: data.draw(st.integers(1, len(family.atoms)))]
+        labels = data.draw(st.permutations(atoms))[: data.draw(st.integers(1, len(atoms)))]
     space = space_of(labels)
 
     mine, theirs = validate_kernel(kernel, space), validate_kernel(reference, space)
@@ -91,7 +91,7 @@ def test_factor_path_agrees_with_the_dense_path(family, data):
     assert (mine.psd_rule, theirs.psd_rule) == ("factor", None)
     assert mine.min_eigenvalue is mine.max_eigenvalue is mine.tol_psd is None
 
-    originals = [build_kernel({"type": "constant", "value": 0.5})] * family.n
+    originals = [build_kernel({"type": "constant", "value": 0.5})] * kernel.n
     deviation = verify_diagonal_blocks(kernel, originals, space)
     assert deviation == pytest.approx(verify_diagonal_blocks(reference, originals, space), rel=1e-12, abs=1e-12)
 
@@ -102,9 +102,8 @@ def test_an_overflowing_product_fails_the_finite_check_on_both_paths(count, dtyp
     # 3 atoms, n = 1: the squares of atom b's values overflow, so K(b, b) is inf
     values = np.ones((count, 3, 1), dtype=dtype)
     values[:, 1, 0] = 1e200
-    family = FrameFamily(("a", "b", "c"), values)
-    kernel = synthesize_kernel(family)
-    space = space_of(family.atoms)
+    kernel = synthesize_kernel(frames_of(("a", "b", "c"), values))
+    space = space_of(("a", "b", "c"))
     mine, theirs = validate_kernel(kernel, space), validate_kernel(dense(kernel), space)
     assert mine.nonfinite_pair == theirs.nonfinite_pair == ("b", "b")
     assert not mine.passed and not theirs.passed
@@ -118,7 +117,7 @@ def test_a_nan_frame_value_fails_and_names_its_pair(dtype):
     # atom c's value of component 1 is nan: every block (x, c) and (c, t) holds a nan, (a, c) first in atom order
     values = np.ones((2, 3, 2), dtype=dtype)
     values[1, 2, 1] = np.nan
-    kernel = synthesize_kernel(FrameFamily(("a", "b", "c"), values))
+    kernel = synthesize_kernel(frames_of(("a", "b", "c"), values))
     space = space_of(("a", "b", "c"))
     report = validate_kernel(kernel, space)
     assert report.nonfinite_pair == validate_kernel(dense(kernel), space).nonfinite_pair == ("a", "c")
@@ -129,9 +128,8 @@ def test_a_nan_frame_value_fails_and_names_its_pair(dtype):
 def test_a_factor_past_the_overflow_bound_reads_its_gram_and_solves_nothing(monkeypatch):
     # one frame vector of 4 entries a, a^2 = 5e307: count * max|V|^2 is past a quarter of the largest float, so the
     # Gram is read, and every entry of V^H V, a^2, is finite
-    family = FrameFamily(("a", "b", "c", "d"), np.full((1, 4, 1), np.sqrt(5e307)))
-    kernel = synthesize_kernel(family)
-    space = space_of(family.atoms)
+    kernel = synthesize_kernel([ScalarFrame(("a", "b", "c", "d"), np.full((1, 4), np.sqrt(5e307)))])
+    space = space_of(("a", "b", "c", "d"))
     evaluated, evaluate = [], kernels.gram
     monkeypatch.setattr(kernels, "gram", lambda kernel, *args: evaluated.append(kernel) or evaluate(kernel, *args))
     solves = _record_solves(monkeypatch)
@@ -149,7 +147,7 @@ def test_the_factor_rule_solves_nothing_whatever_the_count(monkeypatch):
     solves = _record_solves(monkeypatch)
     for count in (2, 12, 14):
         values = np.arange(count * 4 * 3, dtype=float).reshape(count, 4, 3)
-        report = validate_kernel(synthesize_kernel(FrameFamily(("a", "b", "c", "d"), values)), space_of(("a", "b", "c", "d")))
+        report = validate_kernel(synthesize_kernel(frames_of(("a", "b", "c", "d"), values)), space_of(("a", "b", "c", "d")))
         assert report.to_dict() == {
             "n_atoms": 4, "n": 3, "hermitian_deviation": 0.0, "tol_sym": kernels.TOL_SYM, "hermitian_ok": True,
             "psd_ok": True, "psd_rule": "factor", "passed": True,
@@ -159,13 +157,13 @@ def test_the_factor_rule_solves_nothing_whatever_the_count(monkeypatch):
 
 @hypothesis.settings(max_examples=200, deadline=None)
 @hypothesis.given(
-    family=families(st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)), scale=st.sampled_from([1e-150, 1.0, 1e100])
+    frames=families(st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)), scale=st.sampled_from([1e-150, 1.0, 1e100])
 )
-def test_the_dense_solve_of_a_finite_family_clears_the_psd_floor(family, scale):
+def test_the_dense_solve_of_a_finite_family_clears_the_psd_floor(frames, scale):
     # the factor rule passes these without a solve; the solve it replaces agrees, from the subnormal range to near
     # the bound, and whether count is below, at or above N n
-    kernel = synthesize_kernel(FrameFamily(family.atoms, scale * family.values))
-    space = space_of(family.atoms)
+    kernel = synthesize_kernel([ScalarFrame(f.atoms, scale * f.values) for f in frames])
+    space = space_of(frames[0].atoms)
     eigs = np.linalg.eigvalsh(kernels._flat(gram(kernel, space)))
     assert eigs.min(initial=0.0) >= -kernels.psd_tolerance(eigs.max(initial=0.0))
     assert validate_kernel(kernel, space).passed
@@ -187,7 +185,7 @@ def test_validating_a_frame_kernel_runs_no_eigensolver(tmp_path, monkeypatch):
     # past the overflow bound, where the Gram is read: every entry of V^H V is 5e307
     families += [np.full((1, 6, 2), np.sqrt(5e307)), np.full((1, 6, 2), np.sqrt(2.5e307) * (1 + 1j))]
     for values in families:
-        assert validate_kernel(synthesize_kernel(FrameFamily(space.labels, values)), space).passed
+        assert validate_kernel(synthesize_kernel(frames_of(space.labels, values)), space).passed
     # and the command line, which validates, then writes
     frames = []
     for j in range(2):
@@ -244,7 +242,7 @@ def test_factor_eigenvalues_are_the_whole_products_bit_for_bit(count, dtype):
     # floor that the factor rule passes without a solve
     v = _factor(np.random.default_rng(count + 1), count, dtype)
     space = space_of([f"x{i:03d}" for i in range(WIDE)])
-    kernel = synthesize_kernel(FrameFamily(space.labels, v.reshape(count, WIDE, 1)))
+    kernel = synthesize_kernel([ScalarFrame(space.labels, v)])
     eigs = np.linalg.eigvalsh(kernels._flat(gram(kernel, space)))
     assert eigs.tobytes() == np.linalg.eigvalsh(kernels._hermitian(np.conj(v.T) @ v)).tobytes()
     assert eigs.min() >= -kernels.psd_tolerance(eigs.max())
@@ -258,8 +256,8 @@ def test_written_table_of_a_synthesized_kernel_is_its_gram(tmp_path, dtype):
     values = rng.standard_normal((120, 150, 2))
     if dtype is complex:
         values = values + 1j * rng.standard_normal(values.shape)
-    family = FrameFamily(tuple(f"x{i:03d}" for i in range(150)), values)
-    kernel, space = synthesize_kernel(family), space_of(family.atoms)
+    space = space_of([f"x{i:03d}" for i in range(150)])
+    kernel = synthesize_kernel(frames_of(space.labels, values))
     kernels.write_precomputed(kernel, space, tmp_path / "synth.csv")
     kernels.write_precomputed(dense(kernel), space, tmp_path / "dense.csv")
     assert (tmp_path / "synth.csv").read_bytes() == (tmp_path / "dense.csv").read_bytes()
@@ -275,7 +273,7 @@ def test_validation_of_a_synthesized_kernel_evaluates_no_gram_unless_its_entries
     # 100 frame vectors: 100 max|V|^2 is far below a quarter of the largest float at scale 1, above it at 3e152,
     # where every entry of V^H V is still finite
     for scale in (1.0, 3e152):
-        kernel = synthesize_kernel(FrameFamily(space.labels, scale * values))
+        kernel = synthesize_kernel(frames_of(space.labels, scale * values))
         synthesized.append(kernel)
         mine, theirs = validate_kernel(kernel, space), validate_kernel(dense(kernel), space)
         assert mine.passed and theirs.passed

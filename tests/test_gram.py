@@ -7,10 +7,9 @@ import math
 import numpy as np
 import pytest
 
-from conftest import ZOO, delta_kernel
+from conftest import ZOO, delta_kernel, frames_of
 from mercerkit import (
     AtomSpace,
-    FrameFamily,
     KernelEvaluationError,
     build_kernel,
     gram,
@@ -85,7 +84,7 @@ def _delta_reference(space, x, t):
 
 
 def _frame_synth(tmp_path, space):
-    return synthesize_kernel(FrameFamily(space.labels, _frame_values(space)))
+    return synthesize_kernel(frames_of(space.labels, _frame_values(space)))
 
 
 # name, kernel over the space, and the plain-Python block at atom positions (x, t)

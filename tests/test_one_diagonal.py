@@ -21,7 +21,6 @@ import pytest
 from conftest import ZOO, ZOO_IDS, decompose_space, random_space
 from mercerkit import (
     MatrixKernel,
-    align_frames,
     build_kernel,
     default_tol_recon,
     extract_frame,
@@ -52,7 +51,7 @@ def _table(space, tmp_path) -> MatrixKernel:
 
 def _synthesized(space, tmp_path) -> MatrixKernel:
     dec = decompose_space(space, dict(ZOO)["diagonal"])
-    return synthesize_kernel(align_frames([extract_frame(dec, j) for j in range(dec.n)]))
+    return synthesize_kernel([extract_frame(dec, j) for j in range(dec.n)])
 
 
 def _zoo(spec):

@@ -91,7 +91,7 @@ def test_import_loads_the_modules_on_first_use():
     result = json.loads(child.stdout)
     assert result["loaded"] == []
     assert result["same"] is True
-    assert result["names"] == len(mercerkit.__all__) == 53
+    assert result["names"] == len(mercerkit.__all__) == 51
     assert result["star"] == sorted(mercerkit.__all__)
     assert result["dir"] is True
     assert result["missing"] == "module 'mercerkit' has no attribute 'no_such_name'"

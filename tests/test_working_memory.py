@@ -18,10 +18,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import ZOO, ZOO_IDS, random_space, rank_deficient_table
+from conftest import ZOO, ZOO_IDS, frames_of, random_space, rank_deficient_table
 from mercerkit import (
     AtomSpace,
-    FrameFamily,
     MatrixKernel,
     assemble_operator,
     build_kernel,
@@ -221,10 +220,10 @@ def test_write_precomputed_holds_no_whole_gram_of_a_kernel_synthesized_from_comp
     # dropped once the rows written are past it (0.36 times; 0.65 when every block was kept)
     rng = np.random.default_rng(37)
     values = rng.standard_normal((60, 300, 2)) + 1j * rng.standard_normal((60, 300, 2))
-    family = FrameFamily(tuple(f"x{i:03d}" for i in range(300)), values)
-    space = AtomSpace(family.atoms, np.zeros((300, 1)), np.ones(300))
+    space = AtomSpace(tuple(f"x{i:03d}" for i in range(300)), np.zeros((300, 1)), np.ones(300))
+    kernel = synthesize_kernel(frames_of(space.labels, values))
     tables._tables()  # the renderer's lookup tables, built once per process
-    _, peak = _peak(kernels.write_precomputed, synthesize_kernel(family), space, tmp_path / "kernel.csv")
+    _, peak = _peak(kernels.write_precomputed, kernel, space, tmp_path / "kernel.csv")
     assert peak < 0.5 * 600 * 600 * np.dtype(complex).itemsize, peak / (600 * 600 * 16)
 
 
@@ -233,8 +232,7 @@ def test_validating_a_kernel_synthesized_from_frames_holds_no_product_of_its_fac
     # largest array is |V|, for the overflow bound: half of V
     rng = np.random.default_rng(41)
     values = rng.standard_normal((400, 300, 2)) + 1j * rng.standard_normal((400, 300, 2))
-    family = FrameFamily(tuple(f"x{i:03d}" for i in range(300)), values)
-    space = AtomSpace(family.atoms, np.zeros((300, 1)), np.ones(300))
-    report, peak = _peak(kernels.validate_kernel, synthesize_kernel(family), space)
+    space = AtomSpace(tuple(f"x{i:03d}" for i in range(300)), np.zeros((300, 1)), np.ones(300))
+    report, peak = _peak(kernels.validate_kernel, synthesize_kernel(frames_of(space.labels, values)), space)
     assert report.passed and report.psd_rule == "factor"
     assert peak < 0.55 * values.nbytes, peak / values.nbytes

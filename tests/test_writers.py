@@ -16,7 +16,6 @@ from mercerkit import (
     MatrixKernel,
     ScalarFrame,
     SpectralDecomposition,
-    align_frames,
     build_kernel,
     extract_frame,
     gram,
@@ -160,7 +159,7 @@ def test_write_precomputed_bytes_and_read_back(tmp_path):
     rng = np.random.default_rng(311)
     values = rng.standard_normal((4, len(space), 2)) + 1j * rng.standard_normal((4, len(space), 2))
     # a table looked up block by block, and a kernel synthesized from frames, whose Gram is a transposed view
-    synthesized = synthesize_kernel(align_frames([ScalarFrame(space.labels, values[..., j]) for j in range(2)]))
+    synthesized = synthesize_kernel([ScalarFrame(space.labels, values[..., j]) for j in range(2)])
     for name, kernel in (
         ("table", MatrixKernel(n=2, batch=lambda space, rows, cols: table[np.ix_(rows, cols)])),
         ("synthesized", synthesized),
@@ -225,7 +224,7 @@ def test_a_row_filtered_write_fills_its_batches(tmp_path, monkeypatch, name):
     space = random_space(rng, 70, dim=2)
     if name == "synthesized":  # complex frames, whose Gram is written in strips of rows (synthesis._gram_entries)
         values = rng.standard_normal((5, len(space), 3)) + 1j * rng.standard_normal((5, len(space), 3))
-        kernel = synthesize_kernel(align_frames([ScalarFrame(space.labels, values[..., j]) for j in range(3)]))
+        kernel = synthesize_kernel([ScalarFrame(space.labels, values[..., j]) for j in range(3)])
     else:
         kernel = build_kernel(FACTORED["separable_real"])
     blocks = gram(kernel, space)
@@ -410,7 +409,7 @@ def test_writer_memory_stays_within_the_budget_of_its_batches(tmp_path):
     labels = [(range(240), 0), (atoms, 1), (range(3), 2)]
     header = ["i", "atom_id", "j", "re", "im"]
     space = AtomSpace(tuple(atoms), np.zeros((100, 1)), np.ones(100))
-    kernel = synthesize_kernel(align_frames([ScalarFrame(space.labels, funcs[..., j]) for j in range(3)]))
+    kernel = synthesize_kernel([ScalarFrame(space.labels, funcs[..., j]) for j in range(3)])
     # forming strip k of V^H V's rows takes the conjugate of V's columns in it, the two products and their
     # Hermitian part, with strip k - 1 still held for a batch that straddles the two
     blocks = _row_blocks(300, 8)
