@@ -204,7 +204,7 @@ def test_synthesize_frees_the_frames_it_reads_once_they_are_aligned(tmp_path):
     kernel.write_text(json.dumps(SEPARABLE3))
     assert cli.main(["frames", "--atoms", str(atoms), "--kernel", str(kernel), "--out", str(frames)]) == 0
     paths = [str(frames / f"frame_j{j}.csv") for j in range(3)]
-    # the family they are aligned into is complex: frame_j0 is read as real, as each eigenvector
+    # the factor they are aligned into is complex: frame_j0 is read as real, as each eigenvector
     # of B takes its phase at its first entry, and that entry is real
     values = sum(read_frame(path).values.size for path in paths) * np.dtype(complex).itemsize
     tables._tables()  # the renderer's lookup tables, built once per process
